@@ -36,7 +36,6 @@ class JobConfig:
     window: int = 3
     degree: int = 8
     fmt: str = "json"
-    jobs: int = 1
     extra: Dict[str, object] = field(default_factory=dict)
 
 
@@ -138,12 +137,8 @@ def loc_json(c: Localized) -> Dict[str, object]:
     return {"num": elem_json(s.num), "den": [list(b) for b in s.den]}
 
 
-def _word_of(window: Window, w: AffineElt) -> Tuple[int, ...]:
-    return window.compat_word(w)
-
-
 def coeffs_json(window: Window, table: Dict[AffineElt, Localized]) -> List[object]:
-    rows = sorted(((len(_word_of(window, w)), _word_of(window, w)), c)
+    rows = sorted(((len(window.compat_word(w)), window.compat_word(w)), c)
                   for w, c in table.items())
     return [[list(word), loc_json(c)] for (_, word), c in rows]
 
@@ -399,8 +394,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
                         help="truncation degree for series backends")
     parser.add_argument("--format", dest="fmt", default="json",
                         choices=["json", "text"])
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker budget; output order is fixed regardless")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,7 +456,7 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     if "v" in extra:
         extra["v"] = parse_word(extra["v"])
     return JobConfig(args.root, args.fgl, args.torus, args.window,
-                     args.degree, args.fmt, args.jobs, extra)
+                     args.degree, args.fmt, extra)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -31,24 +31,8 @@ from .duals import DualElement, bullet, dual_x, odot
 from .errors import UnsupportedTheoryError
 from .roots import AffineElt, Window
 from .scalars import Scalar
-from .twisted import ExpansionTables, TwistedAlgebra, TwistedElement
-
-
-def connective_scalar(torus: TorusAlgebra) -> Scalar:
-    """The parameter c of x + y - c x y as seen by the backend."""
-    ring = torus.ring
-    if ring.backend == "CON":
-        return Scalar.param("c", ring.params)
-    if ring.backend == "MUL":
-        return Scalar.const(1, ring.params)
-    if ring.backend == "ADD":
-        return Scalar.const(0, ring.params)
-    if ring.backend == "SER" and ring.fgl is not None and ring.fgl.kind == "connective":
-        return Scalar.param("c", ring.params)
-    raise UnsupportedTheoryError(
-        "this construction needs the group law x + y - c x y; backend %r "
-        "with law %r does not realize it"
-        % (ring.backend, getattr(ring.fgl, "kind", None)))
+from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement,
+                      connective_scalar)
 
 
 class ConnectiveContext:
@@ -59,27 +43,14 @@ class ConnectiveContext:
         self.torus = algebra.torus
         self.group = algebra.torus.group
         self.c = connective_scalar(algebra.torus)
-        self._yword: Dict[Tuple[int, ...], TwistedElement] = {}
 
     def cpow(self, k: int) -> Scalar:
         return self.c ** k
 
     # -- operators ---------------------------------------------------------
 
-    def y_op(self, i: int) -> TwistedElement:
-        """Y_i = c - X_i."""
-        return self.algebra.coerce(self.c) - self.algebra.x_op(i)
-
     def y_word(self, word: Sequence[int]) -> TwistedElement:
-        word = tuple(word)
-        if word in self._yword:
-            return self._yword[word]
-        if not word:
-            out = self.algebra.one()
-        else:
-            out = self.y_word(word[:-1]) * self.y_op(word[-1])
-        self._yword[word] = out
-        return out
+        return self.algebra.y_word(word)
 
     def _simple_keys(self, i: int):
         mu, m = self.group.simple_root(i)
@@ -232,10 +203,7 @@ def check_recursion(ctx: ConnectiveContext, window: Window, flavor: str = "x",
     """Verify the left-multiplication recursion on every covered pair of the
     window, for the X-flavor or Y-flavor table."""
     group = ctx.group
-    if flavor == "x":
-        tables = ExpansionTables(ctx.algebra, window)
-    else:
-        tables = ExpansionTables(ctx.algebra, window, word_product=ctx.y_word)
+    tables = ExpansionTables(ctx.algebra, window, flavor)
     if letters is None:
         letters = range(ctx.torus.datum.rank + 1)
     report = RecursionReport(flavor)

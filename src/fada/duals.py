@@ -267,7 +267,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
         report.checked += 1
         if _regular_value(f.get(w)) is None:
             report.violations.append(
-                "value at %s is not regular" % group.element_name(w))
+                "value at %s is not regular" % group.element_name(w, f.window))
     if report.violations:
         return report
 
@@ -285,7 +285,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
                     if tjw not in f.window:
                         report.skipped.append(
                             "alpha=%r d=%d w=%s: orbit leaves window"
-                            % (alpha, d, group.element_name(w)))
+                            % (alpha, d, group.element_name(w, f.window)))
                         ok = False
                         break
                     orbit.append(tjw)
@@ -300,7 +300,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
                 if num is None or torus.divides(num, beta, d) is None:
                     report.violations.append(
                         "binomial sum for alpha=%r d=%d w=%s not in x^%d S"
-                        % (alpha, d, group.element_name(w), d))
+                        % (alpha, d, group.element_name(w, f.window), d))
                     continue
                 if grassmannian:
                     continue
@@ -313,7 +313,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
                     if tjsw not in f.window:
                         report.skipped.append(
                             "alpha=%r d=%d w=%s: reflected orbit leaves window"
-                            % (alpha, d, group.element_name(w)))
+                            % (alpha, d, group.element_name(w, f.window)))
                         ok = False
                         break
                     refl_orbit.append(tjsw)
@@ -329,7 +329,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
                 if num is None or torus.divides(num, beta, d) is None:
                     report.violations.append(
                         "reflected sum for alpha=%r d=%d w=%s not in x^%d S"
-                        % (alpha, d, group.element_name(w), d))
+                        % (alpha, d, group.element_name(w, f.window), d))
     return report
 
 
@@ -343,7 +343,7 @@ def gkm_check_big(f: DualElement) -> GkmReport:
         report.checked += 1
         if _regular_value(f.get(w)) is None:
             report.violations.append(
-                "value at %s is not regular" % group.element_name(w))
+                "value at %s is not regular" % group.element_name(w, f.window))
     if report.violations:
         return report
     elements = f.window.elements
@@ -358,7 +358,8 @@ def gkm_check_big(f: DualElement) -> GkmReport:
             if diff is None or torus.divides(diff, beta, 1) is None:
                 report.violations.append(
                     "f[%s] - f[%s] not divisible by x_%r"
-                    % (group.element_name(w), group.element_name(w2), beta))
+                    % (group.element_name(w, f.window),
+                       group.element_name(w2, f.window), beta))
     return report
 
 

@@ -75,18 +75,6 @@ def pmul(a: Terms, b: Terms, trunc: Optional[int] = None) -> Terms:
     return out
 
 
-def ppow(a: Terms, n: int, nvars: int, params: Tuple[str, ...], trunc: Optional[int] = None) -> Terms:
-    out: Terms = {(0,) * nvars: Scalar.const(1, params)}
-    base = dict(a)
-    while n:
-        if n & 1:
-            out = pmul(out, base, trunc)
-        n >>= 1
-        if n:
-            base = pmul(base, base, trunc)
-    return out
-
-
 def ptruncate(a: Terms, trunc: int) -> Terms:
     return {e: c for e, c in a.items() if sum(e) <= trunc}
 

@@ -30,10 +30,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
@@ -89,9 +85,6 @@ class FiniteWeylElt:
 
     def act_root(self, v: Vec) -> Vec:
         return matvec(self.mat, v)
-
-    def act_root_inv(self, v: Vec) -> Vec:
-        return matvec(self.mat_inv, v)
 
     def act_coroot(self, v: Vec) -> Vec:
         return matvec(self.cmat, v)
@@ -340,9 +333,6 @@ class FiniteRootDatum:
         if lengths[self.longest_element] != len(self.positive_roots):
             raise ConfigError("finite Weyl group enumeration is inconsistent")
 
-    def finite_sign(self, w: FiniteWeylElt) -> int:
-        return -1 if self.weyl_lengths[w] % 2 else 1
-
     # -- affine data -------------------------------------------------------
 
     def _affine_cartan(self) -> None:
@@ -368,9 +358,6 @@ class FiniteRootDatum:
             return 1
         prod = self.affine_cartan[i][j] * self.affine_cartan[j][i]
         return {0: 2, 1: 3, 2: 4, 3: 6}.get(prod)
-
-    def describe(self) -> str:
-        return self.label or ("cartan%r" % (self.cartan,))
 
 
 def _gcd(a: int, b: int) -> int:

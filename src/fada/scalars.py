@@ -109,8 +109,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -325,14 +323,3 @@ class Scalar:
             raise ValueError("dangling operator in %r" % text)
         flush()
         return result
-
-
-ScalarLike = Union[Scalar, int]
-
-
-def as_scalar(value: ScalarLike, params: Tuple[str, ...]) -> Scalar:
-    if isinstance(value, Scalar):
-        if value.params != params:
-            raise ValueError("scalar parameter mismatch")
-        return value
-    return Scalar.const(value, params)

@@ -8,6 +8,13 @@ w in the affine Weyl group, multiplied by the twisted rule
 The Demazure elements X_i = (1/x_{alpha_i}) (1 - eta_{s_i}) generate the
 subalgebra of interest; products along reduced words expand triangularly in
 the eta basis, and the inverse change of basis is solved by back-substitution.
+For the group law x + y - c x y the operators Y_i = c - X_i expand the same
+way.
+
+The inverse rows are stored once per algebra and flavor (X or Y): the row
+of eta_w depends only on w and on shorter elements, never on the window it
+was asked for in, so every window on one algebra reads and extends the same
+rows.
 """
 from __future__ import annotations
 
@@ -15,9 +22,26 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
-from .errors import ConfigError, NotApplicableError
+from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
 from .roots import AffineElt, Vec, Window
 from .scalars import Scalar
+
+
+def connective_scalar(torus: TorusAlgebra) -> Scalar:
+    """The parameter c of x + y - c x y as seen by the backend."""
+    ring = torus.ring
+    if ring.backend == "CON":
+        return Scalar.param("c", ring.params)
+    if ring.backend == "MUL":
+        return Scalar.const(1, ring.params)
+    if ring.backend == "ADD":
+        return Scalar.const(0, ring.params)
+    if ring.backend == "SER" and ring.fgl is not None and ring.fgl.kind == "connective":
+        return Scalar.param("c", ring.params)
+    raise UnsupportedTheoryError(
+        "this construction needs the group law x + y - c x y; backend %r "
+        "with law %r does not realize it"
+        % (ring.backend, getattr(ring.fgl, "kind", None)))
 
 
 class TwistedElement:
@@ -105,12 +129,16 @@ class TwistedElement:
 
 
 class TwistedAlgebra:
-    """Q_W over a torus algebra, with cached Demazure word products."""
+    """Q_W over a torus algebra, with cached Demazure word products and the
+    rows of the inverse change of basis, one store per flavor."""
 
     def __init__(self, torus: TorusAlgebra):
         self.torus = torus
         self._xop: Dict[int, TwistedElement] = {}
-        self._xword: Dict[Tuple[int, ...], TwistedElement] = {}
+        self._words: Dict[Tuple[str, Tuple[int, ...]], TwistedElement] = {}
+        # rows[flavor][w]: eta_w = sum_u rows[flavor][w][u] X_{I_u} (or Y_{I_u})
+        self.rows: Dict[str, Dict[AffineElt, Dict[AffineElt, Localized]]] = {
+            "x": {}, "y": {}}
 
     # -- constructors ------------------------------------------------------
 
@@ -148,17 +176,30 @@ class TwistedAlgebra:
                 self, {torus.group.identity: inv, torus.group.simple(i): -inv})
         return self._xop[i]
 
-    def x_word(self, word: Sequence[int]) -> TwistedElement:
-        """X_{i_1} ... X_{i_k}, cached along prefixes."""
+    def y_op(self, i: int) -> TwistedElement:
+        """Y_i = c - X_i, for the group law x + y - c x y."""
+        return self.coerce(connective_scalar(self.torus)) - self.x_op(i)
+
+    def word_product(self, flavor: str, word: Sequence[int]) -> TwistedElement:
+        """X_{i_1} ... X_{i_k} (flavor "x") or Y_{i_1} ... Y_{i_k} (flavor
+        "y"), cached along prefixes."""
         word = tuple(word)
-        if word in self._xword:
-            return self._xword[word]
+        key = (flavor, word)
+        if key in self._words:
+            return self._words[key]
         if not word:
             out = self.one()
         else:
-            out = self.x_word(word[:-1]) * self.x_op(word[-1])
-        self._xword[word] = out
+            op = self.x_op if flavor == "x" else self.y_op
+            out = self.word_product(flavor, word[:-1]) * op(word[-1])
+        self._words[key] = out
         return out
+
+    def x_word(self, word: Sequence[int]) -> TwistedElement:
+        return self.word_product("x", word)
+
+    def y_word(self, word: Sequence[int]) -> TwistedElement:
+        return self.word_product("y", word)
 
     def z_alpha(self, alpha: Vec) -> TwistedElement:
         """Z_alpha = (1/x_{-alpha}) (1 - eta_{t_{alpha^v}}) for a finite root."""
@@ -181,40 +222,56 @@ class ExpansionTables:
 
     I_w is the canonical reduced word of w of the form (finite part) +
     (minimal coset representative part), so products X_{I_u} X_{I_v} respect
-    the Weyl-translation factorization used by the Peterson expansion.
+    the Weyl-translation factorization used by the Peterson expansion.  With
+    ``flavor="y"`` the basis is {Y_{I_w}} instead.
+
+    The table is a window view over the algebra's row store: the row of eta_w
+    depends only on w and on the shorter elements below it, so it is solved
+    once per algebra and flavor, and a later table for the same, a smaller or
+    a larger window back-substitutes only the rows the store lacks.  Rows are
+    shared between tables and must not be modified.
     """
 
-    def __init__(self, algebra: TwistedAlgebra, window: Window, word_product=None):
+    def __init__(self, algebra: TwistedAlgebra, window: Window, flavor: str = "x"):
+        if flavor not in algebra.rows:
+            raise ConfigError("expansion flavor must be 'x' or 'y', not %r" % (flavor,))
         self.algebra = algebra
         self.window = window
-        self.word_product = word_product if word_product is not None else algebra.x_word
+        self.flavor = flavor
         self.words: Dict[AffineElt, Tuple[int, ...]] = {
             w: window.compat_word(w) for w in window.elements
         }
         # a[w][u]: X_{I_w} = sum_u a[w][u] eta_u
-        self.a: Dict[AffineElt, Dict[AffineElt, Localized]] = {}
-        for w in window.elements:
-            self.a[w] = dict(self.word_product(self.words[w]).terms)
+        self.a: Dict[AffineElt, Dict[AffineElt, Localized]] = {
+            w: dict(algebra.word_product(flavor, self.words[w]).terms)
+            for w in window.elements
+        }
         # b[w][u]: eta_w = sum_u b[w][u] X_{I_u}, solved in increasing length
+        # for the rows the store lacks; a row is stored once it is complete
+        store = algebra.rows[flavor]
         self.b: Dict[AffineElt, Dict[AffineElt, Localized]] = {}
         for w in window.elements:
-            aw = self.a[w]
-            diag_inv = aw[w].inverse()
-            out: Dict[AffineElt, Localized] = {w: diag_inv}
-            for u, c in aw.items():
-                if u == w:
-                    continue
-                if u not in self.b:
-                    raise ConfigError(
-                        "expansion of X_{I_w} is not triangular; unexpected "
-                        "support at an element not yet solved")
-                scale = diag_inv * c
-                for v, b_uv in self.b[u].items():
-                    delta = -(scale * b_uv)
-                    out[v] = out[v] + delta if v in out else delta
-            simplified = {v: c.simplify() for v, c in out.items()}
-            self.b[w] = {v: c for v, c in simplified.items()
-                         if not c.is_negligible()}
+            if w not in store:
+                store[w] = self._back_substitute(w)
+            self.b[w] = store[w]
+
+    def _back_substitute(self, w: AffineElt) -> Dict[AffineElt, Localized]:
+        aw = self.a[w]
+        diag_inv = aw[w].inverse()
+        out: Dict[AffineElt, Localized] = {w: diag_inv}
+        for u, c in aw.items():
+            if u == w:
+                continue
+            if u not in self.b:
+                raise ConfigError(
+                    "expansion of X_{I_w} is not triangular; unexpected "
+                    "support at an element not yet solved")
+            scale = diag_inv * c
+            for v, b_uv in self.b[u].items():
+                delta = -(scale * b_uv)
+                out[v] = out[v] + delta if v in out else delta
+        simplified = {v: c.simplify() for v, c in out.items()}
+        return {v: c for v, c in simplified.items() if not c.is_negligible()}
 
     def eta_in_x(self, w: AffineElt) -> Dict[AffineElt, Localized]:
         self.window.require(w)

@@ -327,3 +327,15 @@ def test_names():
     assert g.element_name(g.identity) == "e"
     assert g.element_name(g.simple(0)) == "s0"
     assert "s0 s1" in g.element_name(g.from_word((0, 1)))
+
+
+@pytest.mark.parametrize("rtype, length", [("A1", 10), ("A2", 6), ("B2", 6),
+                                           ("G2", 5), ("B3", 4), ("C3", 4)])
+def test_window_words_are_least_reduced_words(rtype, length):
+    # GKM reports name elements by their window word instead of recomputing
+    # reduced_word; both must be the lexicographically least reduced word
+    g = group(rtype)
+    win = g.window(length)
+    for x in win.elements:
+        assert win.words[x] == g.reduced_word(x)
+        assert g.element_name(x, win) == g.element_name(x)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from fada.algebra import AlgebraElement, Localized
+from fada.algebra import AlgebraElement, Localized, make_torus
 from fada.errors import ConfigError, NotApplicableError
 from fada.scalars import Scalar
-from fada.twisted import ExpansionTables, braid_check
+from fada.twisted import ExpansionTables, TwistedAlgebra, braid_check
 
 import util
 
@@ -193,6 +193,40 @@ def test_x_coefficients_regular():
     assert tables.x_coefficients_regular(tables.eta_in_x(g.from_word((0, 1))))
     exp = tables.expand_in_x(alg.x_op(0) * Localized(alg.torus, alg.torus.ring.one(), (util.alpha_vec(alg.torus),)))
     assert not tables.x_coefficients_regular(exp)
+
+
+@pytest.mark.parametrize("rtype, backend, length", [("A2", "CON", 3), ("A1", "MUL", 4)])
+def test_rows_are_stored_once_per_algebra_and_flavor(rtype, backend, length):
+    torus = make_torus(util.datum(rtype), backend, "small")
+    alg = TwistedAlgebra(torus)
+    g = torus.group
+    tb1 = ExpansionTables(alg, g.window(length))
+    tb0 = ExpansionTables(alg, g.window(length - 1))
+    tb2 = ExpansionTables(alg, g.window(length + 1))
+    ty1 = ExpansionTables(alg, g.window(length), flavor="y")
+    ty0 = ExpansionTables(alg, g.window(length - 1), flavor="y")
+    # a covered row is read from the store, never solved a second time
+    for w in tb0.window.elements:
+        assert tb0.b[w] is tb1.b[w]
+        assert ty0.b[w] is ty1.b[w]
+    for w in tb1.window.elements:
+        assert tb2.b[w] is tb1.b[w]
+    # the flavors keep separate rows: eta_{s_1} = 1 - x_1 X_1 = (1 - c x_1) + x_1 Y_1
+    s1 = g.simple(1)
+    assert not (tb1.b[s1][g.identity] == ty1.b[s1][g.identity])
+    # every row equals the row solved in one pass on a fresh algebra
+    fresh = TwistedAlgebra(torus)
+    want = {"x": ExpansionTables(fresh, g.window(length + 1)).b,
+            "y": ExpansionTables(fresh, g.window(length), flavor="y").b}
+    zero = Localized(torus, torus.ring.zero())
+    for tables in (tb0, tb1, tb2, ty0, ty1):
+        for w, row in tables.b.items():
+            ref = want[tables.flavor][w]
+            assert ref is not row
+            for u in set(row) | set(ref):
+                assert row.get(u, zero) == ref.get(u, zero), (tables.flavor, w, u)
+    with pytest.raises(ConfigError):
+        ExpansionTables(alg, g.window(1), flavor="z")
 
 
 # -- braid relations --------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared builders for the test suite.
 
 Algebras are cached per configuration because window table construction is
-the dominant cost in the exact backends.
+the dominant cost in the exact backends; each algebra keeps the table rows it
+has solved, so tables on a cached algebra are built once.
 """
 
 from typing import Dict, Optional, Tuple
@@ -13,7 +14,6 @@ from fada.twisted import ExpansionTables, TwistedAlgebra
 
 _DATA: Dict[str, FiniteRootDatum] = {}
 _ALG: Dict[Tuple, TwistedAlgebra] = {}
-_TABLES: Dict[Tuple, ExpansionTables] = {}
 
 
 def datum(rtype: str) -> FiniteRootDatum:
@@ -44,11 +44,7 @@ def algebra(rtype: str = "A1", backend: str = "CON", torus: str = "small",
 
 
 def tables(alg: TwistedAlgebra, length: int) -> ExpansionTables:
-    t = alg.torus
-    key = (id(alg), length)
-    if key not in _TABLES:
-        _TABLES[key] = ExpansionTables(alg, t.group.window(length))
-    return _TABLES[key]
+    return ExpansionTables(alg, alg.torus.group.window(length))
 
 
 # -- small-rank shorthands --------------------------------------------------
