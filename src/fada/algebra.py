@@ -17,7 +17,7 @@ points for MUL/CON.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import polyops
 from .errors import ConfigError, MembershipError, PrecisionError

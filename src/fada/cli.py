@@ -15,12 +15,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fgl as fgl_mod
 from .a1hat import appendix_crosscheck, eta_sigma_closed, sigma_index
-from .algebra import AlgebraElement, Localized, TorusAlgebra, make_torus
+from .algebra import AlgebraElement, Localized, make_torus
 from .connective import ConnectiveContext, check_recursion, hecke_action_check
 from .duals import dual_x, gkm_check_big, gkm_check_small
 from .errors import ConfigError, FadaError, MembershipError
 from .peterson import PetersonContext, centralizer_report
-from .roots import AffineElt, FiniteRootDatum, Window
+from .roots import AffineElt, AffineWeylGroup, FiniteRootDatum, Window
 from .twisted import ExpansionTables, TwistedAlgebra, braid_check
 
 SCHEMA = 1
@@ -246,7 +246,7 @@ def cmd_peterson(cfg: JobConfig) -> Tuple[dict, bool]:
     group = algebra.torus.group
     window = group.window(cfg.window)
     ctx = PetersonContext(algebra, window)
-    u = group.from_word(parse_word(cfg.extra["u"]))
+    u = group.from_word(cfg.extra["u"])
     ok = True
     problems: List[str] = []
     try:
@@ -445,16 +445,30 @@ _HANDLERS = {
 }
 
 
+def _check_labels(root: object, extra: Dict[str, object]) -> None:
+    """Reject generator labels outside the affine Dynkin diagram of `root`."""
+    given = {key: extra[key] for key in ("i", "j", "word", "u", "v") if key in extra}
+    if not given:
+        return
+    labels = AffineWeylGroup(build_datum(root)).labels
+    for key, value in given.items():
+        for letter in value if isinstance(value, tuple) else (value,):
+            if letter not in labels:
+                raise ConfigError(
+                    "--%s: generator label %d is not one of %s"
+                    % (key, letter, ", ".join(str(k) for k in labels)))
+
+
 def config_from_args(args: argparse.Namespace) -> JobConfig:
     extra = {}
     for key in ("word", "gkm_degree", "grassmannian", "u", "structure_length",
                 "i", "v", "basis", "kmax", "c", "j"):
         if hasattr(args, key) and getattr(args, key) is not None:
             extra[key] = getattr(args, key)
-    if "word" in extra:
-        extra["word"] = parse_word(extra["word"])
-    if "v" in extra:
-        extra["v"] = parse_word(extra["v"])
+    for key in ("word", "u", "v"):
+        if key in extra:
+            extra[key] = parse_word(extra[key])
+    _check_labels(args.root, extra)
     return JobConfig(args.root, args.fgl, args.torus, args.window,
                      args.degree, args.fmt, extra)
 

@@ -13,7 +13,9 @@ Key facts implemented and cross-checked by the test-suite:
   * X_{I_w} = sum over v <= w of (-1)^{l(v)} c^{l(w)-l(v)} Y_{I_v}, and the
     dual transition Y*_w = (-1)^{l(w)} sum over v >= w of c^{l(v)-l(w)} X*_v.
   * Left multiplication by eta_i induces two-case recursions on both
-    expansion tables (the X-flavor and the Y-flavor).
+    expansion tables (the X-flavor and the Y-flavor).  `twisted.predict_row`
+    implements them; on the exact backends they build every row of the
+    tables, and `check_recursion` tests them against back-substituted rows.
   * Y_{w_0} (finite longest word) equals sum over finite w of
     w(1/x_Phi) eta_w with x_Phi the product of x_beta over negative finite
     roots, and acts on duals by Y_{w_0} . X*_{v} = sign(v2) c^{l(w_0)-l(v2)}
@@ -32,7 +34,7 @@ from .errors import UnsupportedTheoryError
 from .roots import AffineElt, Window
 from .scalars import Scalar
 from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement,
-                      connective_scalar)
+                      back_substitute, connective_scalar, predict_row)
 
 
 class ConnectiveContext:
@@ -142,68 +144,17 @@ class RecursionReport:
         return self.checked > 0 and not self.failures
 
 
-def _predict_row(ctx: ConnectiveContext, tables_b: Dict[AffineElt, Dict[AffineElt, Localized]],
-                 window: Window, i: int, u: AffineElt, flavor: str
-                 ) -> Dict[AffineElt, Localized]:
-    """Row of the expansion table at s_i u predicted from the row at u."""
-    torus = ctx.torus
-    group = ctx.group
-    si = group.simple(i)
-    xi = Localized(torus, torus.x_root(group.simple_root(i)))
-    cxi = xi * torus.ring.from_scalar(ctx.c)
-    one = Localized(torus, torus.ring.one())
-    row = tables_b[u]
-    out: Dict[AffineElt, Localized] = {}
-
-    def get(v: AffineElt) -> Optional[Localized]:
-        return row.get(v)
-
-    support = set(row)
-    support |= {group.mul(si, v) for v in row}
-    for v in support:
-        siv = group.mul(si, v)
-        up = group.length(siv) > group.length(v)
-        terms: List[Localized] = []
-        if flavor == "x":
-            if up:
-                c1 = get(v)
-                if c1 is not None:
-                    terms.append(torus.act_loc(si, c1))
-            else:
-                c1 = get(v)
-                if c1 is not None:
-                    terms.append((one - cxi) * torus.act_loc(si, c1))
-                c2 = get(siv)
-                if c2 is not None:
-                    terms.append(-(xi * torus.act_loc(si, c2)))
-        else:
-            if up:
-                c1 = get(v)
-                if c1 is not None:
-                    terms.append((one - cxi) * torus.act_loc(si, c1))
-            else:
-                c2 = get(siv)
-                if c2 is not None:
-                    terms.append(xi * torus.act_loc(si, c2))
-                c1 = get(v)
-                if c1 is not None:
-                    terms.append(torus.act_loc(si, c1))
-        if terms:
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = acc + t
-            acc = acc.simplify()
-            if not acc.is_zero():
-                out[v] = acc
-    return out
-
-
 def check_recursion(ctx: ConnectiveContext, window: Window, flavor: str = "x",
                     letters: Optional[Sequence[int]] = None) -> RecursionReport:
     """Verify the left-multiplication recursion on every covered pair of the
-    window, for the X-flavor or Y-flavor table."""
+    window, for the X-flavor or Y-flavor table.
+
+    The rows come from back-substitution, not from the algebra's row store,
+    which the exact backends fill by this same recursion: the check asks
+    whether the recursion, applied to back-substituted rows, predicts
+    back-substituted rows."""
     group = ctx.group
-    tables = ExpansionTables(ctx.algebra, window, flavor)
+    rows = back_substitute(ctx.algebra, window, flavor)
     if letters is None:
         letters = range(ctx.torus.datum.rank + 1)
     report = RecursionReport(flavor)
@@ -212,8 +163,8 @@ def check_recursion(ctx: ConnectiveContext, window: Window, flavor: str = "x",
             si_u = group.mul(group.simple(i), u)
             if si_u not in window or group.length(si_u) <= group.length(u):
                 continue
-            predicted = _predict_row(ctx, tables.b, window, i, u, flavor)
-            actual = tables.b[si_u]
+            predicted = predict_row(ctx.algebra, ctx.c, rows[u], i, flavor)
+            actual = rows[si_u]
             keys = set(predicted) | set(actual)
             for v in keys:
                 p = predicted.get(v)

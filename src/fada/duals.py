@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
-from .errors import WindowExceededError
 from .roots import AffineElt, Vec, Window
-from .scalars import Scalar
 from .twisted import ExpansionTables, TwistedElement
 
 

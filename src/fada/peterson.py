@@ -24,9 +24,9 @@ pictures together through the comparison identity checked in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .algebra import AlgebraElement, Localized, TorusAlgebra
+from .algebra import AlgebraElement, Localized
 from .duals import DualElement, TranslationDual, restrict_to_translations
 from .errors import ConfigError, MembershipError
 from .roots import AffineElt, Vec, Window

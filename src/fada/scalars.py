@@ -12,7 +12,7 @@ nonzero ints.  The zero scalar has an empty term dict.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 Expt = Tuple[int, ...]
 

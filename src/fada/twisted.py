@@ -7,21 +7,27 @@ w in the affine Weyl group, multiplied by the twisted rule
 
 The Demazure elements X_i = (1/x_{alpha_i}) (1 - eta_{s_i}) generate the
 subalgebra of interest; products along reduced words expand triangularly in
-the eta basis, and the inverse change of basis is solved by back-substitution.
-For the group law x + y - c x y the operators Y_i = c - X_i expand the same
-way.
+the eta basis.  For the group law x + y - c x y the operators Y_i = c - X_i
+expand the same way.
 
-The inverse rows are stored once per algebra and flavor (X or Y): the row
-of eta_w depends only on w and on shorter elements, never on the window it
-was asked for in, so every window on one algebra reads and extends the same
-rows.
+The inverse change of basis, eta_w = sum_u b_{w,u} X_{I_u} (or Y_{I_u}), is
+stored once per algebra and flavor: the row of eta_w depends only on w and on
+shorter elements, never on the window it was asked for in, so every window on
+one algebra reads and extends the same rows.  The exact backends (ADD, MUL,
+CON) realize the group law x + y - c x y, for which X_{I_w} does not depend
+on the reduced word; there the row of s_i u follows from the row of u by left
+multiplication with eta_{s_i} (the Kostant-Kumar recursion).  Other laws break
+the braid relations (Bressler-Evens, Trans. AMS 1990), so their rows are
+solved by back-substitution in the localized ring, which also serves as the
+independent oracle for the recursion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, Localized, TorusAlgebra
+from .algebra import EXACT_BACKENDS, AlgebraElement, Localized, TorusAlgebra
 from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
 from .roots import AffineElt, Vec, Window
 from .scalars import Scalar
@@ -217,6 +223,14 @@ class TwistedAlgebra:
 # -- change of basis -------------------------------------------------------
 
 
+Row = Dict[AffineElt, Localized]
+
+
+def _require_flavor(flavor: str) -> None:
+    if flavor not in ("x", "y"):
+        raise ConfigError("expansion flavor must be 'x' or 'y', not %r" % (flavor,))
+
+
 class ExpansionTables:
     """Triangular change of basis between {eta_w} and {X_{I_w}} on a window.
 
@@ -225,53 +239,33 @@ class ExpansionTables:
     the Weyl-translation factorization used by the Peterson expansion.  With
     ``flavor="y"`` the basis is {Y_{I_w}} instead.
 
-    The table is a window view over the algebra's row store: the row of eta_w
-    depends only on w and on the shorter elements below it, so it is solved
-    once per algebra and flavor, and a later table for the same, a smaller or
-    a larger window back-substitutes only the rows the store lacks.  Rows are
-    shared between tables and must not be modified.
+    The table is a window view over the algebra's row store, which it extends
+    by the rows the store lacks: by the left-descent recursion (`predict_row`)
+    on the exact backends, whose laws are all of the form x + y - c x y, and
+    by back-substitution (`back_substitute`) for every other law, where the
+    braid relations fail and the recursion does not apply.  Rows are shared
+    between tables and must not be modified.
     """
 
     def __init__(self, algebra: TwistedAlgebra, window: Window, flavor: str = "x"):
-        if flavor not in algebra.rows:
-            raise ConfigError("expansion flavor must be 'x' or 'y', not %r" % (flavor,))
+        _require_flavor(flavor)
         self.algebra = algebra
         self.window = window
         self.flavor = flavor
-        self.words: Dict[AffineElt, Tuple[int, ...]] = {
-            w: window.compat_word(w) for w in window.elements
-        }
-        # a[w][u]: X_{I_w} = sum_u a[w][u] eta_u
-        self.a: Dict[AffineElt, Dict[AffineElt, Localized]] = {
-            w: dict(algebra.word_product(flavor, self.words[w]).terms)
-            for w in window.elements
-        }
-        # b[w][u]: eta_w = sum_u b[w][u] X_{I_u}, solved in increasing length
-        # for the rows the store lacks; a row is stored once it is complete
         store = algebra.rows[flavor]
-        self.b: Dict[AffineElt, Dict[AffineElt, Localized]] = {}
-        for w in window.elements:
-            if w not in store:
-                store[w] = self._back_substitute(w)
-            self.b[w] = store[w]
+        if algebra.torus.ring.backend in EXACT_BACKENDS:
+            _extend_by_recursion(algebra, window, flavor)
+        else:
+            for w, row in back_substitute(algebra, window, flavor, store).items():
+                store.setdefault(w, row)
+        # b[w][u]: eta_w = sum_u b[w][u] X_{I_u}
+        self.b: Dict[AffineElt, Row] = {w: store[w] for w in window.elements}
 
-    def _back_substitute(self, w: AffineElt) -> Dict[AffineElt, Localized]:
-        aw = self.a[w]
-        diag_inv = aw[w].inverse()
-        out: Dict[AffineElt, Localized] = {w: diag_inv}
-        for u, c in aw.items():
-            if u == w:
-                continue
-            if u not in self.b:
-                raise ConfigError(
-                    "expansion of X_{I_w} is not triangular; unexpected "
-                    "support at an element not yet solved")
-            scale = diag_inv * c
-            for v, b_uv in self.b[u].items():
-                delta = -(scale * b_uv)
-                out[v] = out[v] + delta if v in out else delta
-        simplified = {v: c.simplify() for v, c in out.items()}
-        return {v: c for v, c in simplified.items() if not c.is_negligible()}
+    @cached_property
+    def a(self) -> Dict[AffineElt, Row]:
+        """a[w][u]: X_{I_w} = sum_u a[w][u] eta_u."""
+        return {w: _word_row(self.algebra, self.window, self.flavor, w)
+                for w in self.window.elements}
 
     def eta_in_x(self, w: AffineElt) -> Dict[AffineElt, Localized]:
         self.window.require(w)
@@ -291,6 +285,102 @@ class ExpansionTables:
     def x_coefficients_regular(self, expansion: Dict[AffineElt, Localized]) -> bool:
         """Whether every coefficient lies in S (no surviving denominator)."""
         return all(not c.simplify().den for c in expansion.values())
+
+
+def _word_row(algebra: TwistedAlgebra, window: Window, flavor: str,
+              w: AffineElt) -> Row:
+    return dict(algebra.word_product(flavor, window.compat_word(w)).terms)
+
+
+def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x",
+                    known: Optional[Dict[AffineElt, Row]] = None
+                    ) -> Dict[AffineElt, Row]:
+    """The rows of eta_w for every w of the window, solved from the word
+    products X_{I_w} in increasing length; rows in `known` are taken as
+    given.  Writes to no store."""
+    _require_flavor(flavor)
+    rows: Dict[AffineElt, Row] = {}
+    for w in window.elements:
+        if known is not None and w in known:
+            rows[w] = known[w]
+            continue
+        aw = _word_row(algebra, window, flavor, w)
+        diag_inv = aw[w].inverse()
+        out: Row = {w: diag_inv}
+        for u, c in aw.items():
+            if u == w:
+                continue
+            if u not in rows:
+                raise ConfigError(
+                    "expansion of X_{I_w} is not triangular; unexpected "
+                    "support at an element not yet solved")
+            scale = diag_inv * c
+            for v, b_uv in rows[u].items():
+                delta = -(scale * b_uv)
+                out[v] = out[v] + delta if v in out else delta
+        simplified = {v: c.simplify() for v, c in out.items()}
+        rows[w] = {v: c for v, c in simplified.items() if not c.is_negligible()}
+    return rows
+
+
+def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
+                flavor: str) -> Row:
+    """The row of eta_{s_i u} from the row of eta_u, for s_i u > u.
+
+    eta_{s_i} = 1 - x_i X_i = (1 - c x_i) + x_i Y_i, and X_i X_{I_v} is
+    X_{I_{s_i v}} when s_i v > v and c X_{I_v} otherwise (the same for Y).
+    That needs X_{I_w} to be independent of the reduced word, which holds
+    for the group laws x + y - c x y.
+    """
+    torus = algebra.torus
+    group = torus.group
+    si = group.simple(i)
+    xi = Localized(torus, torus.x_root(group.simple_root(i)))
+    cxi = xi * torus.ring.from_scalar(c)
+    one = Localized(torus, torus.ring.one())
+    out: Row = {}
+    support = dict.fromkeys(list(row) + [group.mul(si, v) for v in row])
+    for v in support:
+        siv = group.mul(si, v)
+        up = group.length(siv) > group.length(v)
+        c1 = row.get(v)
+        c2 = None if up else row.get(siv)
+        terms: List[Localized] = []
+        if flavor == "x":
+            if c1 is not None:
+                terms.append(torus.act_loc(si, c1) if up
+                             else (one - cxi) * torus.act_loc(si, c1))
+            if c2 is not None:
+                terms.append(-(xi * torus.act_loc(si, c2)))
+        else:
+            if c2 is not None:
+                terms.append(xi * torus.act_loc(si, c2))
+            if c1 is not None:
+                terms.append((one - cxi) * torus.act_loc(si, c1) if up
+                             else torus.act_loc(si, c1))
+        if terms:
+            acc = sum(terms[1:], terms[0]).simplify()
+            if not acc.is_zero():
+                out[v] = acc
+    return out
+
+
+def _extend_by_recursion(algebra: TwistedAlgebra, window: Window, flavor: str) -> None:
+    """Store the rows of the window the store lacks, each from the row of
+    u = s_i w for the first letter i of the least reduced word of w."""
+    torus = algebra.torus
+    group = torus.group
+    store = algebra.rows[flavor]
+    c = connective_scalar(torus)
+    for w in window.elements:
+        if w in store:
+            continue
+        word = window.words[w]
+        if not word:
+            store[w] = {w: Localized(torus, torus.ring.one())}
+            continue
+        i = word[0]
+        store[w] = predict_row(algebra, c, store[group.mul(group.simple(i), w)], i, flavor)
 
 
 # -- braid relations -------------------------------------------------------

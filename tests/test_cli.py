@@ -88,6 +88,21 @@ def test_exit_two_on_exhausted_precision(capsys):
     assert "precision" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("recurse", "--i", "5"),
+    ("braid-check", "--i", "1", "--j", "7"),
+    ("peterson", "--u", "9"),
+    ("expand", "--word", "0,5"),
+    ("recurse", "--i", "-1"),
+])
+def test_exit_two_on_unknown_generator_label(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "generator label" in err
+    assert "Traceback" not in err
+
+
 # -- spec'd behaviors --------------------------------------------------------
 
 def test_gkm_all_pass(capsys):

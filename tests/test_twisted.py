@@ -2,10 +2,13 @@
 
 import pytest
 
+from fada import connective, twisted
 from fada.algebra import AlgebraElement, Localized, make_torus
+from fada.cli import loc_json
 from fada.errors import ConfigError, NotApplicableError
 from fada.scalars import Scalar
-from fada.twisted import ExpansionTables, TwistedAlgebra, braid_check
+from fada.twisted import (ExpansionTables, TwistedAlgebra, back_substitute,
+                          braid_check)
 
 import util
 
@@ -227,6 +230,77 @@ def test_rows_are_stored_once_per_algebra_and_flavor(rtype, backend, length):
                 assert row.get(u, zero) == ref.get(u, zero), (tables.flavor, w, u)
     with pytest.raises(ConfigError):
         ExpansionTables(alg, g.window(1), flavor="z")
+
+
+# -- the row recursion against back-substitution ----------------------------
+
+ORACLE_CASES = ([("A1", backend, "small", 6) for backend in BACKENDS]
+                + [(rtype, backend, "small", 3) for rtype in ("A2", "B2", "C2", "G2")
+                   for backend in BACKENDS]
+                + [("A1", "CON", "big", 4)])
+
+
+@pytest.mark.parametrize("flavor", ["x", "y"])
+@pytest.mark.parametrize("rtype, backend, torus, length", ORACLE_CASES)
+def test_recursion_rows_match_back_substitution(rtype, backend, torus, length, flavor):
+    t = make_torus(util.datum(rtype), backend, torus)
+    alg = TwistedAlgebra(t)
+    window = t.group.window(length)
+    want = back_substitute(alg, window, flavor)
+    assert not alg.rows[flavor]
+    got = ExpansionTables(alg, window, flavor).b
+    for w in window.elements:
+        assert set(got[w]) == set(want[w]), window.word(w)
+        for u, c in want[w].items():
+            assert got[w][u] == c, (window.word(w), window.word(u))
+            assert loc_json(got[w][u]) == loc_json(c), (window.word(w), window.word(u))
+
+
+class BackSubstitutionCalled(Exception):
+    pass
+
+
+def test_route_is_chosen_by_backend_and_law(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise BackSubstitutionCalled()
+
+    monkeypatch.setattr(twisted, "back_substitute", refuse)
+    for backend in ("CON", "ADD"):
+        t = make_torus(util.datum("A2"), backend, "small")
+        tables = ExpansionTables(TwistedAlgebra(t), t.group.window(3))
+        assert len(tables.b) == len(tables.window.elements) == 19
+    hyp = make_torus(util.datum("A2"), "SER", "small", fgl=util.law_of("hyperbolic"),
+                     precision=12)
+    with pytest.raises(BackSubstitutionCalled):
+        ExpansionTables(TwistedAlgebra(hyp), hyp.group.window(3))
+
+
+@pytest.mark.parametrize("flavor", ["x", "y"])
+def test_check_recursion_compares_with_back_substitution(monkeypatch, flavor):
+    alg = TwistedAlgebra(make_torus(util.datum("A1"), "CON", "small"))
+    ctx = connective.ConnectiveContext(alg)
+    window = alg.torus.group.window(4)
+    calls = []
+
+    def oracle(*args, **kwargs):
+        calls.append(args)
+        return back_substitute(*args, **kwargs)
+
+    monkeypatch.setattr(connective, "back_substitute", oracle)
+    rep = connective.check_recursion(ctx, window, flavor)
+    assert rep.passed and rep.checked == 8
+    assert len(calls) == 1 and not alg.rows[flavor]
+
+    # a corrupted oracle row is caught, so the check reads the oracle's rows
+    def corrupted(*args, **kwargs):
+        rows = back_substitute(*args, **kwargs)
+        w = window.elements[-1]
+        rows[w] = {v: c + 1 for v, c in rows[w].items()}
+        return rows
+
+    monkeypatch.setattr(connective, "back_substitute", corrupted)
+    rep = connective.check_recursion(ctx, window, flavor)
+    assert not rep.passed and rep.checked == 8
 
 
 # -- braid relations --------------------------------------------------------

@@ -1,8 +1,11 @@
 """Shared builders for the test suite.
 
-Algebras are cached per configuration because window table construction is
-the dominant cost in the exact backends; each algebra keeps the table rows it
-has solved, so tables on a cached algebra are built once.
+Algebras are cached per configuration: each algebra keeps its Demazure word
+products and expansion-table rows, so tests on one configuration build them
+once.  Rows are cheap on the exact backends, which build them by recursion.
+The costly work left is back-substitution: for the series-backend tables,
+whose rows the cache keeps, and for the oracle of `check_recursion`, which
+solves afresh on every call and reuses only the cached word products.
 """
 
 from typing import Dict, Optional, Tuple
