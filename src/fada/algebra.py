@@ -12,12 +12,18 @@ Backends:
 
 The big torus has character lattice Q + Z*delta (coordinates: simple roots,
 then delta); the small torus has Q only, and translations act trivially on it.
-Keys of the term dictionaries are exponent tuples for ADD/SER and lattice
-points for MUL/CON.
+
+Every element stores its terms as one dict from folded keys to nonzero ints
+(see `polyops`): ``nvars`` lattice slots -- exponents of x_1..x_nvars for
+ADD/SER, a lattice point for MUL/CON -- followed by one exponent per
+parameter of the law, in ``ring.params`` order.  ADD and MUL have no
+parameters, CON has c, and SER has the parameters of its law.  `Scalar`
+coefficients appear only at the boundary: `FormalRing.element` folds them in
+and `AlgebraElement.coefficients` regroups the terms into them.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import polyops
 from .errors import ConfigError, MembershipError, PrecisionError
@@ -55,29 +61,32 @@ class FormalRing:
             raise ConfigError("series precision must be at least 1")
         self._x_cache: Dict[Vec, "AlgebraElement"] = {}
 
-    # -- scalars and constants --------------------------------------------
+    # -- constants and the scalar boundary ---------------------------------
 
-    def scalar(self, v) -> Scalar:
-        if isinstance(v, Scalar):
-            return v if v.params == self.params else v.with_params(self.params)
-        return Scalar.const(int(v), self.params)
+    def element(self, coeffs: Mapping[Vec, Union[int, Scalar]]) -> "AlgebraElement":
+        """sum_k coeffs[k] * (the monomial of lattice key k), with int
+        coefficients or Scalars over this ring's parameters."""
+        zero = (0,) * len(self.params)
+        terms: Terms = {}
+        for k, v in coeffs.items():
+            k = tuple(k)
+            if isinstance(v, Scalar):
+                if v.params != self.params:
+                    raise ValueError("scalar parameter mismatch: %r vs %r"
+                                     % (v.params, self.params))
+                terms.update((k + e, c) for e, c in v.terms.items())
+            elif v:
+                terms[k + zero] = int(v)
+        return AlgebraElement(self, terms, None)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {}, self._full_prec())
+        return AlgebraElement(self, {}, None)
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {self._zero_key(): self.scalar(1)}, self._full_prec())
+        return AlgebraElement(self, {(0,) * (self.nvars + len(self.params)): 1}, None)
 
-    def from_scalar(self, v) -> "AlgebraElement":
-        s = self.scalar(v)
-        return AlgebraElement(self, {self._zero_key(): s} if not s.is_zero() else {},
-                              self._full_prec())
-
-    def _zero_key(self) -> Vec:
-        return (0,) * self.nvars
-
-    def _full_prec(self) -> Optional[int]:
-        return self.precision if self.backend == "SER" else None
+    def from_scalar(self, v: Union[int, Scalar]) -> "AlgebraElement":
+        return self.element({(0,) * self.nvars: v})
 
     # -- the Euler classes x_mu -------------------------------------------
 
@@ -87,23 +96,19 @@ class FormalRing:
             raise ConfigError("lattice point has wrong rank")
         if mu in self._x_cache:
             return self._x_cache[mu]
-        zero = self._zero_key()
+        zero = (0,) * self.nvars
+        neg = tuple(-v for v in mu)
         if self.backend == "ADD":
             terms = {
-                tuple(1 if j == i else 0 for j in range(self.nvars)): self.scalar(mu[i])
+                tuple(1 if j == i else 0 for j in range(self.nvars)): mu[i]
                 for i in range(self.nvars) if mu[i]
             }
             out = AlgebraElement(self, terms, None)
         elif self.backend == "MUL":
-            terms = {}
-            if any(mu):
-                terms = {zero: self.scalar(1), tuple(-v for v in mu): self.scalar(-1)}
-            out = AlgebraElement(self, terms, None)
+            out = AlgebraElement(self, {zero: 1, neg: -1} if any(mu) else {}, None)
         elif self.backend == "CON":
-            terms = {}
-            if any(mu):
-                cinv = Scalar.monomial(self.params, (-1,))
-                terms = {zero: cinv, tuple(-v for v in mu): -cinv}
+            # c^{-1} (1 - e_{-mu}): the c slot of both keys is -1
+            terms = {zero + (-1,): 1, neg + (-1,): -1} if any(mu) else {}
             out = AlgebraElement(self, terms, None)
         else:
             out = self._x_series(mu)
@@ -126,12 +131,15 @@ class FormalRing:
     # -- term arithmetic ---------------------------------------------------
 
     def mul_terms(self, a: Terms, b: Terms, prec: Optional[int]) -> Terms:
-        return polyops.pmul(a, b, prec if self.backend == "SER" else None)
+        if self.backend == "SER":
+            return polyops.pmul(a, b, prec, self.nvars)
+        return polyops.pmul(a, b)
 
 
 class AlgebraElement:
-    """An element of a FormalRing; SER elements carry the precision to which
-    their coefficients are certified."""
+    """An element of a FormalRing: folded keys to nonzero ints.  SER elements
+    carry the lattice degree to which their terms are certified and drop the
+    terms beyond it."""
 
     __slots__ = ("ring", "terms", "prec")
 
@@ -140,10 +148,10 @@ class AlgebraElement:
         if ring.backend == "SER":
             if prec is None:
                 prec = ring.precision
-            terms = polyops.ptruncate(terms, prec)
+            terms = polyops.ptruncate(terms, prec, ring.nvars)
         else:
             prec = None
-        self.terms = polyops.clean(terms)
+        self.terms = terms
         self.prec = prec
 
     # -- helpers -----------------------------------------------------------
@@ -162,9 +170,6 @@ class AlgebraElement:
 
     def with_terms(self, terms: Terms, prec: Optional[int] = "same") -> "AlgebraElement":
         return AlgebraElement(self.ring, terms, self.prec if prec == "same" else prec)
-
-    def items(self) -> List[Tuple[Vec, Scalar]]:
-        return sorted(self.terms.items(), key=lambda kv: polyops.grlex_key(kv[0]))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -191,8 +196,10 @@ class AlgebraElement:
         return self.with_terms(polyops.pneg(self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.with_terms(polyops.pscale(self.terms, self.ring.scalar(other)))
+        if isinstance(other, int):
+            return self.with_terms(polyops.pscale(self.terms, other))
+        if isinstance(other, Scalar):
+            other = self.ring.from_scalar(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         prec = self._join(other)
@@ -230,8 +237,8 @@ class AlgebraElement:
         prec = self._join(other)
         if prec is None:
             return self.terms == other.terms
-        return (polyops.ptruncate(self.terms, prec)
-                == polyops.ptruncate(other.terms, prec))
+        n = self.ring.nvars
+        return polyops.ptruncate(self.terms, prec, n) == polyops.ptruncate(other.terms, prec, n)
 
     def __hash__(self):
         raise TypeError("AlgebraElement is unhashable; compare with ==")
@@ -239,22 +246,21 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, key: Vec) -> Scalar:
-        return self.terms.get(tuple(key), self.ring.scalar(0))
+    def coefficients(self) -> Dict[Vec, Scalar]:
+        """The terms regrouped by lattice key, each coefficient a Scalar over
+        the ring's parameters."""
+        n = self.ring.nvars
+        groups: Dict[Vec, Dict[Vec, int]] = {}
+        for e, c in self.terms.items():
+            groups.setdefault(e[:n], {})[e[n:]] = c
+        return {k: Scalar(self.ring.params, t) for k, t in groups.items()}
 
-    def substitute_params(self, assignment) -> "AlgebraElement":
-        """Specialize named parameters to integers, staying in the same ring
-        shape (the parameter tuple is kept; substituted names drop out of the
-        coefficients)."""
-        out: Terms = {}
-        for k, c in self.terms.items():
-            c2 = c.substitute(assignment)
-            if not c2.is_zero():
-                out[k] = c2
-        return AlgebraElement(self.ring, out, self.prec)
+    def coefficient(self, key: Vec) -> Scalar:
+        return self.coefficients().get(tuple(key), Scalar.const(0, self.ring.params))
 
     def __repr__(self):
-        parts = ["%s*[%s]" % (c, ",".join(map(str, k))) for k, c in self.items()]
+        items = sorted(self.coefficients().items(), key=lambda kv: polyops.grlex_key(kv[0]))
+        parts = ["%s*[%s]" % (c, ",".join(map(str, k))) for k, c in items]
         body = " + ".join(parts) if parts else "0"
         tail = "" if self.prec is None else " + O(%d)" % (self.prec + 1)
         return "<%s %s%s>" % (self.ring.backend, body, tail)
@@ -407,21 +413,16 @@ class Localized:
 
     def inverse(self) -> "Localized":
         """Inverse, defined when the numerator is a single unit monomial."""
-        items = list(self.num.terms.items())
-        if len(items) != 1:
+        ring = self.torus.ring
+        if len(self.num.terms) != 1:
             raise MembershipError("numerator is not a unit monomial")
-        key, coeff = items[0]
-        if self.torus.ring.backend in ("ADD", "SER"):
-            if any(key):
-                raise MembershipError("numerator is not a unit in this backend")
-        elif not coeff.is_monomial_unit():
+        (key, coeff), = self.num.terms.items()
+        if coeff not in (1, -1):
             raise MembershipError("numerator coefficient is not a unit")
-        inv_num = self.den_product()
-        if self.torus.ring.backend in ("MUL", "CON"):
-            neg_key = tuple(-v for v in key)
-            unit = AlgebraElement(self.torus.ring, {neg_key: coeff.inverse()}, None)
-            return Localized(self.torus, inv_num * unit, ())
-        return Localized(self.torus, inv_num * coeff.inverse(), ())
+        if ring.backend in ("ADD", "SER") and any(key[:ring.nvars]):
+            raise MembershipError("numerator is not a unit in this backend")
+        unit = AlgebraElement(ring, {tuple(-v for v in key): coeff}, None)
+        return Localized(self.torus, self.den_product() * unit, ())
 
     def __repr__(self):
         if not self.den:
@@ -479,19 +480,17 @@ class TorusAlgebra:
         return x.w.act_root(mu) + (m - self.datum.pairing(x.t, mu),)
 
     def act_elem(self, x: AffineElt, f: AlgebraElement) -> AlgebraElement:
+        n = self.ring.nvars
         if f.ring.backend in ("MUL", "CON"):
-            out: Terms = {}
-            for k, c in f.terms.items():
-                k2 = self.act_vec(x, k)
-                out[k2] = out[k2] + c if k2 in out else c
+            # the action permutes lattice points; the c slot rides along
+            out = {self.act_vec(x, k[:n]) + k[n:]: c for k, c in f.terms.items()}
             return AlgebraElement(f.ring, out, f.prec)
         # ADD and SER act by substituting each variable's image series
-        n = self.ring.nvars
         images = []
         for i in range(n):
             basis = tuple(1 if j == i else 0 for j in range(n))
             images.append(self.ring.x_of(self.act_vec(x, basis)).terms)
-        out = polyops.psubstitute(f.terms, images, n, self.ring.params, f.prec)
+        out = polyops.psubstitute(f.terms, images, f.prec)
         return AlgebraElement(f.ring, out, f.prec)
 
     def act_loc(self, x: AffineElt, f: Localized) -> Localized:
@@ -506,21 +505,22 @@ class TorusAlgebra:
         den = self.ring.x_of(tuple(b))
         if den.is_zero():
             raise ConfigError("cannot divide by x_0 = 0")
+        n = self.ring.nvars
         if self.ring.backend == "SER":
             if f.is_zero():
-                val = polyops.pvaluation(den.terms) or 0
+                val = polyops.pvaluation(den.terms, n) or 0
                 if f.prec - val < 0:
                     raise PrecisionError("series precision exhausted in division")
                 return f.with_terms({}, f.prec - val)
-            res = polyops.series_div_exact(f.terms, den.terms, f.prec)
+            res = polyops.series_div_exact(f.terms, den.terms, f.prec, n)
             if res is None:
                 return None
             q, qprec = res
             if qprec < 0:
                 raise PrecisionError("series precision exhausted in division")
             return AlgebraElement(self.ring, q, qprec)
-        q = polyops.pdiv_exact(f.terms, den.terms,
-                               laurent=self.ring.backend in ("MUL", "CON"))
+        # the additive model is a polynomial ring: no negative exponents
+        q = polyops.pdiv_exact(f.terms, den.terms, n if self.ring.backend == "ADD" else 0)
         if q is None:
             return None
         return AlgebraElement(self.ring, q, None)
@@ -558,10 +558,11 @@ class TorusAlgebra:
     def augmentation(self, f: AlgebraElement) -> Scalar:
         """The counit: e_lam -> 1 on group-ring models, x -> 0 on series."""
         if self.ring.backend in ("MUL", "CON"):
-            total = self.ring.scalar(0)
-            for c in f.terms.values():
-                total = total + c
-            return total
+            n = self.ring.nvars
+            total: Dict[Vec, int] = {}
+            for e, c in f.terms.items():
+                total[e[n:]] = total.get(e[n:], 0) + c
+            return Scalar(self.ring.params, total)
         return f.coefficient((0,) * self.ring.nvars)
 
     # -- backend bridges ---------------------------------------------------
@@ -572,31 +573,23 @@ class TorusAlgebra:
         if target.ring.backend != "SER":
             raise ConfigError("target must be a SER algebra")
         src = self.ring.backend
-        if src == "ADD":
-            out = target.ring.zero()
-            n = self.ring.nvars
-            for k, c in f.terms.items():
-                term = target.ring.one() * c.with_params(target.ring.params)
+        if src not in EXACT_BACKENDS:
+            raise ConfigError("to_series expects an exact-backend source")
+        ring = target.ring
+        n = self.ring.nvars
+        cpar = Scalar.param("c", ring.params) if src == "CON" else 1
+        out = ring.zero()
+        for lam, c in f.coefficients().items():
+            term = ring.from_scalar(c)
+            if src == "ADD":
                 for i in range(n):
                     basis = tuple(1 if j == i else 0 for j in range(n))
-                    term = term * (target.ring.x_of(basis) ** k[i])
-                out = out + term
-            return out
-        if src in ("MUL", "CON"):
-            out = target.ring.zero()
-            cpar = (Scalar.param("c", target.ring.params) if src == "CON"
-                    else Scalar.const(1, target.ring.params))
-            for lam, c in f.terms.items():
-                neg = tuple(-v for v in lam)
+                    term = term * (ring.x_of(basis) ** lam[i])
+            else:
                 # e_lam = 1 - c * x_{-lam} in the connective normalization
-                e_lam = target.ring.one() - target.ring.x_of(neg) * cpar
-                out = out + e_lam * _scalar_into(c, target.ring.params)
-            return out
-        raise ConfigError("to_series expects an exact-backend source")
-
-
-def _scalar_into(c: Scalar, params: Tuple[str, ...]) -> Scalar:
-    return c if c.params == params else c.with_params(params)
+                term = term * (ring.one() - ring.x_of(tuple(-v for v in lam)) * cpar)
+            out = out + term
+        return out
 
 
 def make_torus(datum: FiniteRootDatum, backend: str, torus: str,

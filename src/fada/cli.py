@@ -129,7 +129,7 @@ def parse_word(text: str) -> Tuple[int, ...]:
 
 
 def elem_json(e: AlgebraElement) -> List[object]:
-    return [[list(k), str(c)] for k, c in sorted(e.terms.items())]
+    return [[list(k), str(c)] for k, c in sorted(e.coefficients().items())]
 
 
 def loc_json(c: Localized) -> Dict[str, object]:
@@ -226,6 +226,8 @@ def cmd_gkm(cfg: JobConfig) -> Tuple[dict, bool]:
         reports.append({
             "word": list(window.compat_word(w)),
             "summary": rep.summary(),
+            "checked": rep.checked,
+            "skipped": len(rep.skipped),
             "passed": rep.passed,
             "violations": sorted(rep.violations),
         })
@@ -236,6 +238,8 @@ def cmd_gkm(cfg: JobConfig) -> Tuple[dict, bool]:
         "window": cfg.window,
         "degree_bound": degree_bound,
         "reports": reports,
+        "checked": sum(r["checked"] for r in reports),
+        "skipped": sum(r["skipped"] for r in reports),
         "all_passed": ok,
     }
     return payload, ok
@@ -445,18 +449,35 @@ _HANDLERS = {
 }
 
 
-def _check_labels(root: object, extra: Dict[str, object]) -> None:
-    """Reject generator labels outside the affine Dynkin diagram of `root`."""
+def _check_generators(root: object, extra: Dict[str, object]) -> None:
+    """Reject generator labels outside the affine Dynkin diagram of `root`
+    and words that are not reduced."""
     given = {key: extra[key] for key in ("i", "j", "word", "u", "v") if key in extra}
     if not given:
         return
-    labels = AffineWeylGroup(build_datum(root)).labels
+    group = AffineWeylGroup(build_datum(root))
+    labels = group.labels
     for key, value in given.items():
         for letter in value if isinstance(value, tuple) else (value,):
             if letter not in labels:
                 raise ConfigError(
                     "--%s: generator label %d is not one of %s"
                     % (key, letter, ", ".join(str(k) for k in labels)))
+        if isinstance(value, tuple) and group.length(group.from_word(value)) < len(value):
+            raise ConfigError("--%s: %s is not a reduced word"
+                              % (key, ",".join(map(str, value))))
+
+
+# the least meaningful value of each numeric option
+_LEAST = {"window": 0, "kmax": 0, "gkm_degree": 1, "structure_length": 0}
+
+
+def _check_ranges(values: Dict[str, object]) -> None:
+    for key, least in _LEAST.items():
+        value = values.get(key)
+        if value is not None and value < least:
+            raise ConfigError("--%s must be at least %d, not %d"
+                              % (key.replace("_", "-"), least, value))
 
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
@@ -468,7 +489,8 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     for key in ("word", "u", "v"):
         if key in extra:
             extra[key] = parse_word(extra[key])
-    _check_labels(args.root, extra)
+    _check_ranges(dict(extra, window=args.window))
+    _check_generators(args.root, extra)
     return JobConfig(args.root, args.fgl, args.torus, args.window,
                      args.degree, args.fmt, extra)
 

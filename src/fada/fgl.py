@@ -11,6 +11,11 @@ Supported families:
 The first three have finite coefficient tables and admit exact polynomial or
 group-algebra models elsewhere in the package; the hyperbolic and custom kinds
 are handled through truncated power series with tracked precision.
+
+Coefficient tables are kept as `Scalar` values, the form a custom descriptor
+is parsed into.  Series store folded integer terms (see `polyops`): the
+variable exponents followed by the parameter exponents, with precision
+counted in the variables only.
 """
 from __future__ import annotations
 
@@ -25,10 +30,12 @@ DEFAULT_DEGREE = 8
 
 
 class TruncatedSeries:
-    """A multivariate power series known exactly up to a total degree.
+    """A multivariate power series over Z[params] known up to a degree.
 
-    `prec` is inclusive: all terms of total degree <= prec are correct and
-    stored; higher terms are unknown.
+    Terms use the folded keys of `polyops`: `nvars` variable exponents, then
+    one exponent per parameter.  `prec` is inclusive and counts the variable
+    degree only: all terms of degree <= prec are correct and stored, higher
+    terms are unknown.
     """
 
     __slots__ = ("nvars", "params", "prec", "terms")
@@ -37,7 +44,7 @@ class TruncatedSeries:
         self.nvars = nvars
         self.params = params
         self.prec = prec
-        self.terms = polyops.clean(polyops.ptruncate(terms, prec))
+        self.terms = polyops.ptruncate(terms, prec, nvars)
 
     # -- constructors ------------------------------------------------------
 
@@ -47,12 +54,12 @@ class TruncatedSeries:
 
     @staticmethod
     def variable(i: int, nvars: int, params: Tuple[str, ...], prec: int) -> "TruncatedSeries":
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return TruncatedSeries(nvars, params, prec, {e: Scalar.const(1, params)})
+        e = tuple(1 if j == i else 0 for j in range(nvars)) + (0,) * len(params)
+        return TruncatedSeries(nvars, params, prec, {e: 1})
 
     @staticmethod
     def const(s: Scalar, nvars: int, prec: int) -> "TruncatedSeries":
-        return TruncatedSeries(nvars, s.params, prec, {(0,) * nvars: s})
+        return TruncatedSeries(nvars, s.params, prec, _constant(s, nvars))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -61,42 +68,51 @@ class TruncatedSeries:
             raise ValueError("series ring mismatch")
         return min(self.prec, other.prec)
 
+    def _new(self, prec: int, terms: Terms) -> "TruncatedSeries":
+        return TruncatedSeries(self.nvars, self.params, prec, terms)
+
     def __add__(self, other):
-        p = self._join(other)
-        return TruncatedSeries(self.nvars, self.params, p, polyops.padd(self.terms, other.terms))
+        return self._new(self._join(other), polyops.padd(self.terms, other.terms))
 
     def __sub__(self, other):
-        p = self._join(other)
-        return TruncatedSeries(self.nvars, self.params, p, polyops.psub(self.terms, other.terms))
+        return self._new(self._join(other), polyops.psub(self.terms, other.terms))
 
     def __neg__(self):
-        return TruncatedSeries(self.nvars, self.params, self.prec, polyops.pneg(self.terms))
+        return self._new(self.prec, polyops.pneg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            return TruncatedSeries(self.nvars, self.params, self.prec, polyops.pscale(self.terms, other))
+            return self._new(self.prec, polyops.pmul(self.terms, _constant(other, self.nvars)))
         p = self._join(other)
-        return TruncatedSeries(self.nvars, self.params, p, polyops.pmul(self.terms, other.terms, p))
+        return self._new(p, polyops.pmul(self.terms, other.terms, p, self.nvars))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         p = self._join(other)
-        return polyops.ptruncate(self.terms, p) == polyops.ptruncate(other.terms, p)
+        return (polyops.ptruncate(self.terms, p, self.nvars)
+                == polyops.ptruncate(other.terms, p, self.nvars))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def valuation(self) -> Optional[int]:
-        return polyops.pvaluation(self.terms)
+        return polyops.pvaluation(self.terms, self.nvars)
 
     def coefficient(self, e: Tuple[int, ...]) -> Scalar:
-        return self.terms.get(e, Scalar.const(0, self.params))
+        n = self.nvars
+        return Scalar(self.params, {k[n:]: c for k, c in self.terms.items() if k[:n] == e})
 
     def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda kv: polyops.grlex_key(kv[0]))
-        body = ", ".join("%s: %s" % (e, c) for e, c in items)
+        keys = sorted({k[:self.nvars] for k in self.terms}, key=polyops.grlex_key)
+        body = ", ".join("%s: %s" % (e, self.coefficient(e)) for e in keys)
         return "TruncatedSeries({%s} + O(deg %d))" % (body, self.prec + 1)
+
+
+def _constant(s: Scalar, nvars: int) -> Terms:
+    """The folded terms of the scalar s as a series of degree zero."""
+    zero = (0,) * nvars
+    return {zero + e: c for e, c in s.terms.items()}
 
 
 class FormalGroupLaw:
@@ -165,19 +181,18 @@ class FormalGroupLaw:
         return tab
 
     def _hyperbolic_table(self, degree: int) -> Dict[Tuple[int, int], Scalar]:
-        # expand (x + y - c*xy) * (1 + a*xy)^(-1) as a bivariate series
+        # (x + y - c*xy) / (1 + a*xy) = sum_k (-a)^k (xy)^k (x + y - c*xy)
         params = self.params
         c = Scalar.param("c", params)
         a = Scalar.param("a", params)
-        num: Terms = {
-            (1, 0): Scalar.const(1, params),
-            (0, 1): Scalar.const(1, params),
-            (1, 1): -c,
-        }
-        den: Terms = {(0, 0): Scalar.const(1, params), (1, 1): a}
-        inv = polyops.series_inverse_unit(den, 2, params, degree)
-        prod = polyops.pmul(num, inv, degree)
-        return {e: s for e, s in prod.items()}
+        tab: Dict[Tuple[int, int], Scalar] = {}
+        s = Scalar.const(1, params)
+        for k in range(degree):
+            for ij, v in (((k + 1, k), s), ((k, k + 1), s), ((k + 1, k + 1), -(s * c))):
+                if sum(ij) <= degree:
+                    tab[ij] = v
+            s = s * -a
+        return tab
 
     # -- series operations -------------------------------------------------
 
@@ -188,7 +203,7 @@ class FormalGroupLaw:
         for s in series:
             if s.nvars != nvars or s.params != params:
                 raise ValueError("series ring mismatch")
-            if s.terms.get((0,) * nvars) is not None:
+            if s.valuation() == 0:
                 raise ValueError("formal group law arguments must have zero constant term")
         if prec < 1:
             raise PrecisionError("cannot certify any positive degree (precision %d)" % prec)
@@ -202,18 +217,19 @@ class FormalGroupLaw:
         nvars, params, prec = self._check_args(p, q)
         tab = self.table(prec)
         out: Terms = {}
-        pows_p: Dict[int, Terms] = {0: {(0,) * nvars: Scalar.const(1, params)}}
-        pows_q: Dict[int, Terms] = {0: {(0,) * nvars: Scalar.const(1, params)}}
+        one = {(0,) * (nvars + len(params)): 1}
+        pows_p: Dict[int, Terms] = {0: one}
+        pows_q: Dict[int, Terms] = {0: one}
 
         def power(cache, base, k):
             if k not in cache:
-                cache[k] = polyops.pmul(power(cache, base, k - 1), base.terms, prec)
+                cache[k] = polyops.pmul(power(cache, base, k - 1), base.terms, prec, nvars)
             return cache[k]
 
         for (i, j), a_ij in sorted(tab.items()):
-            term = polyops.pmul(power(pows_p, p, i), power(pows_q, q, j), prec)
+            term = polyops.pmul(power(pows_p, p, i), power(pows_q, q, j), prec, nvars)
             aij = a_ij if a_ij.params == params else a_ij.with_params(params)
-            out = polyops.padd(out, polyops.pscale(term, aij))
+            out = polyops.padd(out, polyops.pmul(term, _constant(aij, nvars)))
         return TruncatedSeries(nvars, params, prec, out)
 
     def inverse(self, p: TruncatedSeries) -> TruncatedSeries:

@@ -1,26 +1,27 @@
-"""Exact coefficient scalars.
+"""Exact coefficient scalars at the boundary of the package.
 
 A `Scalar` is an integer-coefficient Laurent polynomial in a fixed tuple of
-named formal parameters.  Negative exponents are allowed, so parameter
-monomials are units; this is exactly what is needed for coefficient rings such
-as Z[c], Z[c, 1/c] and Z[c, a].  All arithmetic is exact; no floating point is
-used anywhere.
+named formal parameters, such as Z[c], Z[c, 1/c] and Z[c, a].  Ring elements
+do not store Scalars: they fold the parameter exponents into their term keys
+(see `polyops`).  Scalars are the value type where coefficients meet the
+outside: parsed custom-law descriptors, the coefficient tables of formal
+group laws, the printed coefficients of the CLI and the parameter c handed to
+the connective constructions.
 
 Terms are stored as a dict mapping exponent tuples (one slot per parameter) to
-nonzero ints.  The zero scalar has an empty term dict.
+nonzero ints, the format of `polyops`, whose product and exact division the
+arithmetic here calls.  The zero scalar has an empty term dict.
 """
 from __future__ import annotations
 
 import re
 from typing import Dict, Mapping, Tuple, Union
 
+from . import polyops
+
 Expt = Tuple[int, ...]
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^]))")
-
-
-def _grlex_key(e: Expt):
-    return (sum(e), e)
 
 
 class Scalar:
@@ -75,11 +76,7 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, (Scalar, int)):
             return NotImplemented
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Scalar(self.params, out)
+        return Scalar(self.params, polyops.padd(self.terms, self._coerce(other).terms))
 
     __radd__ = __add__
 
@@ -99,13 +96,7 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, (Scalar, int)):
             return NotImplemented
-        other = self._coerce(other)
-        out: Dict[Expt, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Scalar(self.params, out)
+        return Scalar(self.params, polyops.pmul(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -143,50 +134,13 @@ class Scalar:
         return Scalar(self.params, {tuple(-x for x in e): c})
 
     def exact_div(self, other: Union["Scalar", int]):
-        """Exact quotient self / other, or None when it does not exist.
-
-        Works in the Laurent ring: each operand is shifted by its own
-        parameter monomial so that ordinary polynomial division applies; the
-        quotient keys are shifted back by the difference, which may itself be
-        negative.
-        """
+        """Exact quotient self / other in the Laurent ring, or None when it
+        does not exist."""
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if self.is_zero():
-            return Scalar(self.params, {})
-        # strip the per-parameter valuation of each operand; valuations add
-        # exactly under multiplication, so the quotient frame is their
-        # difference and fresh negative exponents in the quotient are fine
-        k = len(self.params)
-        nshift = tuple(min(e[i] for e in self.terms) for i in range(k))
-        dshift = tuple(min(e[i] for e in other.terms) for i in range(k))
-
-        def unshift(terms, shift):
-            return {tuple(a - b for a, b in zip(e, shift)): c for e, c in terms.items()}
-
-        num = unshift(self.terms, nshift)
-        den = unshift(other.terms, dshift)
-        den_lead = max(den, key=_grlex_key)
-        den_lc = den[den_lead]
-        quo: Dict[Expt, int] = {}
-        while num:
-            lead = max(num, key=_grlex_key)
-            lc = num[lead]
-            qe = tuple(a - b for a, b in zip(lead, den_lead))
-            if any(x < 0 for x in qe) or lc % den_lc != 0:
-                return None
-            qc = lc // den_lc
-            quo[qe] = quo.get(qe, 0) + qc
-            for e, c in den.items():
-                ee = tuple(a + b for a, b in zip(e, qe))
-                num[ee] = num.get(ee, 0) - c * qc
-                if num[ee] == 0:
-                    del num[ee]
-        back = tuple(a - b for a, b in zip(nshift, dshift))
-        return Scalar(self.params,
-                      {tuple(a + b for a, b in zip(e, back)): c
-                       for e, c in quo.items()})
+        quo = polyops.pdiv_exact(self.terms, other.terms)
+        return None if quo is None else Scalar(self.params, quo)
 
     # -- specialization ----------------------------------------------------
 
@@ -232,7 +186,7 @@ class Scalar:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
+        for e in sorted(self.terms, key=polyops.grlex_key, reverse=True):
             c = self.terms[e]
             factors = []
             for name, k in zip(self.params, e):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fada.algebra import AlgebraElement, Localized, make_torus
+from fada.algebra import Localized, make_torus
 from fada.errors import ConfigError, MembershipError
 from fada.fgl import FormalGroupLaw
 from fada.scalars import Scalar
@@ -42,7 +42,7 @@ def test_multiplicative_negative_root_identity():
     t = torus("A1", "MUL")
     xa = t.simple_x(1)
     xna = t.neg_simple_x(1)
-    e_alpha = AlgebraElement(t.ring, {(1,): Scalar.const(1)}, None)
+    e_alpha = t.ring.element({(1,): Scalar.const(1)})
     assert xna == -(e_alpha * xa)
 
 
@@ -50,8 +50,8 @@ def test_connective_specializes_to_multiplicative():
     t = torus("A1", "CON")
     m = torus("A1", "MUL")
     for mu in [(1,), (-1,), (2,)]:
-        spec = t.ring.x_of(mu).substitute_params({"c": 1})
-        assert spec.terms == m.ring.x_of(mu).terms
+        spec = util.specialize(t.ring.x_of(mu), {"c": 1})
+        assert spec == m.ring.x_of(mu).coefficients()
 
 
 def test_additive_is_linear():
@@ -127,7 +127,7 @@ def test_divide_once_polynomial_guard():
 
 def test_divide_once_group_ring_units():
     t = torus("A1", "MUL")
-    e_alpha = AlgebraElement(t.ring, {(1,): Scalar.const(1)}, None)
+    e_alpha = t.ring.element({(1,): Scalar.const(1)})
     one = t.ring.one()
     # e_alpha - 1 = e_alpha * x_alpha, so the quotient is the unit e_alpha
     q = t.divide_once(e_alpha - one, (1,))
@@ -174,7 +174,7 @@ def test_demazure_affine_letter():
     f = t.x_root(t.group.simple_root(0))
     assert f == t.neg_simple_x(1)
     d = t.demazure(0, f)
-    e_neg = AlgebraElement(t.ring, {(-1,): t.ring.scalar(1)}, None)
+    e_neg = t.ring.element({(-1,): 1})
     assert d == t.ring.one() + e_neg
 
 
@@ -197,10 +197,6 @@ def test_to_series_matches_series_model(src, fgl):
     target = torus("A1", "SER", fgl=fgl, precision=8)
     for mu in [(1,), (-1,), (2,)]:
         want = target.ring.x_of(mu)
-        if src == "CON":
-            want = AlgebraElement(target.ring,
-                                  {k: v.with_params(("c",)) for k, v in want.terms.items()},
-                                  want.prec)
         assert t.to_series(t.ring.x_of(mu), target) == want
     f = t.simple_x(1) * t.neg_simple_x(1) + t.simple_x(1)
     h = t.simple_x(1) + t.ring.one()
@@ -233,10 +229,10 @@ def test_localized_arithmetic():
 def test_localized_eq_cross_multiplies():
     t = torus("A1", "MUL")
     a = util.alpha_vec(t)
-    e_alpha = AlgebraElement(t.ring, {(1,): Scalar.const(1)}, None)
+    e_alpha = t.ring.element({(1,): Scalar.const(1)})
     # 1/x_{-alpha} = -e_{-alpha}/x_alpha
     lhs = Localized(t, t.ring.one(), (util.nalpha_vec(t),))
-    e_neg = AlgebraElement(t.ring, {(-1,): Scalar.const(1)}, None)
+    e_neg = t.ring.element({(-1,): Scalar.const(1)})
     rhs = Localized(t, -e_neg, (a,))
     assert lhs == rhs
 
@@ -258,7 +254,7 @@ def test_localized_simplify_and_as_element():
 def test_localized_inverse():
     t = torus("A1", "MUL")
     a = util.alpha_vec(t)
-    e_alpha = AlgebraElement(t.ring, {(1,): Scalar.const(1)}, None)
+    e_alpha = t.ring.element({(1,): Scalar.const(1)})
     f = Localized(t, e_alpha, (a,))
     inv = f.inverse()
     assert (f * inv) == Localized(t, t.ring.one())

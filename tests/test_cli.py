@@ -103,6 +103,24 @@ def test_exit_two_on_unknown_generator_label(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--window", "-1"),
+    ("a1hat", "--kmax", "-1"),
+    ("gkm", "--gkm-degree", "0"),
+    ("gkm", "--gkm-degree", "-1"),
+    ("peterson", "--u", "0", "--structure-length", "-1"),
+    ("expand", "--word", "0,0"),
+    ("peterson", "--u", "1,1"),
+    ("recurse", "--i", "1", "--v", "0,0"),
+])
+def test_exit_two_on_out_of_range_value_or_non_reduced_word(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 # -- spec'd behaviors --------------------------------------------------------
 
 def test_gkm_all_pass(capsys):
@@ -113,6 +131,18 @@ def test_gkm_all_pass(capsys):
     assert payload["all_passed"] is True
     assert len(payload["reports"]) == 13
     assert all(r["passed"] for r in payload["reports"])
+    assert payload["checked"] == sum(r["checked"] for r in payload["reports"]) > 0
+    assert payload["skipped"] == sum(r["skipped"] for r in payload["reports"])
+
+
+def test_gkm_reports_coverage_of_a_trivial_window(capsys):
+    # at the window edge every orbit condition is skipped, and says so
+    rc, out, _ = run_cli(capsys, "gkm", "--window", "0")
+    assert rc == 0
+    payload = json.loads(out)
+    (report,) = payload["reports"]
+    assert (report["checked"], report["skipped"]) == (1, 2)
+    assert (payload["checked"], payload["skipped"]) == (1, 2)
 
 
 def test_expand_empty_window_contains_only_identity(capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from fada import connective, twisted
-from fada.algebra import AlgebraElement, Localized, make_torus
+from fada.algebra import Localized, make_torus
 from fada.cli import loc_json
 from fada.errors import ConfigError, NotApplicableError
 from fada.scalars import Scalar
@@ -363,7 +363,7 @@ def test_z_alpha_specializations():
     tm = m.torus
     corr_m = util.tables(m, 2).expand_in_x(m.z_alpha((1,)))
     by_word_m = {util.tables(m, 2).window.word(v): c for v, c in corr_m.items()}
-    e_alpha = AlgebraElement(tm.ring, {(1,): Scalar.const(1)}, None)
+    e_alpha = tm.ring.element({(1,): Scalar.const(1)})
     assert by_word_m[(0, 1)] == Localized(tm, e_alpha - tm.ring.one())
 
 

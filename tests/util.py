@@ -78,6 +78,17 @@ def nalpha_vec(t: TorusAlgebra):
     return tuple(-v for v in alpha_vec(t))
 
 
+def specialize(f, assignment):
+    """The coefficients of a ring element by lattice key, with the named
+    parameters set to integers and vanishing coefficients dropped."""
+    out = {}
+    for k, s in f.coefficients().items():
+        s = s.substitute(assignment)
+        if not s.is_zero():
+            out[k] = s
+    return out
+
+
 def tw_zero(x) -> bool:
     """Whether a twisted element simplifies to zero."""
     return not x.simplify().terms
