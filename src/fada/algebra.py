@@ -154,6 +154,16 @@ class AlgebraElement:
         self.terms = terms
         self.prec = prec
 
+    @classmethod
+    def _product(cls, ring: FormalRing, terms: Terms, prec: Optional[int]) -> "AlgebraElement":
+        """An element from `ring.mul_terms(..., prec)`, whose terms are cut at
+        `prec` already (SER products always carry a precision)."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        out.prec = prec
+        return out
+
     # -- helpers -----------------------------------------------------------
 
     def _join(self, other: "AlgebraElement") -> Optional[int]:
@@ -203,8 +213,8 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         prec = self._join(other)
-        return AlgebraElement(self.ring, self.ring.mul_terms(self.terms, other.terms, prec),
-                              prec)
+        return AlgebraElement._product(
+            self.ring, self.ring.mul_terms(self.terms, other.terms, prec), prec)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):

@@ -229,7 +229,7 @@ def cmd_gkm(cfg: JobConfig) -> Tuple[dict, bool]:
             "checked": rep.checked,
             "skipped": len(rep.skipped),
             "passed": rep.passed,
-            "violations": sorted(rep.violations),
+            "violations": sorted(rep.describe(v) for v in rep.violations),
         })
     payload = {
         "schema": SCHEMA,
@@ -470,14 +470,19 @@ def _check_generators(root: object, extra: Dict[str, object]) -> None:
 
 # the least meaningful value of each numeric option
 _LEAST = {"window": 0, "kmax": 0, "gkm_degree": 1, "structure_length": 0}
+# recurse checks the row recursion on window L - 1, and below window 2 that
+# window holds only the identity, whose row has no recursion to check
+_LEAST_FOR = {"recurse": {"window": 2}}
 
 
-def _check_ranges(values: Dict[str, object]) -> None:
-    for key, least in _LEAST.items():
+def _check_ranges(command: str, values: Dict[str, object]) -> None:
+    special = _LEAST_FOR.get(command, {})
+    for key, least in dict(_LEAST, **special).items():
         value = values.get(key)
         if value is not None and value < least:
-            raise ConfigError("--%s must be at least %d, not %d"
-                              % (key.replace("_", "-"), least, value))
+            where = " for %s" % command if key in special else ""
+            raise ConfigError("--%s must be at least %d%s, not %d"
+                              % (key.replace("_", "-"), least, where, value))
 
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
@@ -489,7 +494,7 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     for key in ("word", "u", "v"):
         if key in extra:
             extra[key] = parse_word(extra[key])
-    _check_ranges(dict(extra, window=args.window))
+    _check_ranges(args.command, dict(extra, window=args.window))
     _check_generators(args.root, extra)
     return JobConfig(args.root, args.fgl, args.torus, args.window,
                      args.degree, args.fmt, extra)

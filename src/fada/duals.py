@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .roots import AffineElt, Vec, Window
@@ -211,14 +211,39 @@ def w_invariance_report(f: DualElement) -> InvarianceReport:
 # -- GKM conditions --------------------------------------------------------
 
 
+class GkmRecord(NamedTuple):
+    """One skipped or violated GKM condition.
+
+    `root` is the finite positive root alpha of a small-torus condition, the
+    real affine root beta of a big-torus one (whose other element is
+    s_beta w), and None for a value that is not regular; `element` is the
+    window element w the condition starts at.  `GkmReport.describe` turns a
+    record into text.
+    """
+
+    root: Optional[object]
+    degree: int
+    element: AffineElt
+    reason: str
+
+
+NOT_REGULAR = "not regular"
+ORBIT_LEAVES = "orbit leaves window"
+REFLECTED_ORBIT_LEAVES = "reflected orbit leaves window"
+BINOMIAL_SUM = "binomial sum"
+REFLECTED_SUM = "reflected sum"
+DIFFERENCE = "difference"
+
+
 @dataclass
 class GkmReport:
     torus_kind: str
     backend: str
     degree_bound: int
+    window: Window
     checked: int = 0
-    skipped: List[str] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
+    skipped: List[GkmRecord] = field(default_factory=list)
+    violations: List[GkmRecord] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -229,12 +254,48 @@ class GkmReport:
                 % (self.torus_kind, self.backend, self.degree_bound,
                    self.checked, len(self.skipped), len(self.violations)))
 
+    def describe(self, record: GkmRecord) -> str:
+        """The record as one line of text, elements named by window word."""
+        group = self.window.group
+        root, d, w, reason = record
+
+        def name(x: AffineElt) -> str:
+            return group.element_name(x, self.window)
+
+        if reason == NOT_REGULAR:
+            return "value at %s is not regular" % name(w)
+        if reason == DIFFERENCE:
+            partner = group.mul(group.affine_reflection(root), w)
+            return "f[%s] - f[%s] not divisible by x_%r" % (name(w), name(partner), root)
+        if reason in (ORBIT_LEAVES, REFLECTED_ORBIT_LEAVES):
+            return "alpha=%r d=%d w=%s: %s" % (root, d, name(w), reason)
+        return "%s for alpha=%r d=%d w=%s not in x^%d S" % (reason, root, d, name(w), d)
+
 
 def _regular_value(v: Localized) -> Optional[AlgebraElement]:
     s = v.simplify()
     if s.den:
         return None
     return s.num
+
+
+def _check_regular(f: DualElement, report: GkmReport) -> None:
+    for w in f.window.elements:
+        report.checked += 1
+        if _regular_value(f.get(w)) is None:
+            report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
+
+
+def _orbit(group, shifts: List[AffineElt], w: AffineElt,
+           window: Window) -> Optional[List[AffineElt]]:
+    """The points t*w for t in shifts, or None once one leaves the window."""
+    orbit = []
+    for t in shifts:
+        tw = group.mul(t, w)
+        if tw not in window:
+            return None
+        orbit.append(tw)
+    return orbit
 
 
 def gkm_check_small(f: DualElement, degree_bound: int,
@@ -258,14 +319,9 @@ def gkm_check_small(f: DualElement, degree_bound: int,
     torus = f.torus
     group = torus.group
     datum = torus.datum
-    report = GkmReport(torus.torus, torus.ring.backend, degree_bound)
-
-    # degree-0 regularity of every value
-    for w in f.window.elements:
-        report.checked += 1
-        if _regular_value(f.get(w)) is None:
-            report.violations.append(
-                "value at %s is not regular" % group.element_name(w, f.window))
+    window = f.window
+    report = GkmReport(torus.torus, torus.ring.backend, degree_bound, window)
+    _check_regular(f, report)
     if report.violations:
         return report
 
@@ -273,21 +329,13 @@ def gkm_check_small(f: DualElement, degree_bound: int,
         alpha_v = datum.coroot_of[alpha]
         beta = (alpha, 0)
         s_alpha = group.affine_reflection(beta)
+        shifts = [group.translation(tuple(j * c for c in alpha_v))
+                  for j in range(degree_bound + 1)]
         for d in range(1, degree_bound + 1):
-            for w in f.window.elements:
-                orbit = []
-                ok = True
-                for j in range(d + 1):
-                    tjw = group.mul(group.translation(
-                        tuple(j * c for c in alpha_v)), w)
-                    if tjw not in f.window:
-                        report.skipped.append(
-                            "alpha=%r d=%d w=%s: orbit leaves window"
-                            % (alpha, d, group.element_name(w, f.window)))
-                        ok = False
-                        break
-                    orbit.append(tjw)
-                if not ok:
+            for w in window.elements:
+                orbit = _orbit(group, shifts[:d + 1], w, window)
+                if orbit is None:
+                    report.skipped.append(GkmRecord(alpha, d, w, ORBIT_LEAVES))
                     continue
                 report.checked += 1
                 acc = Localized(torus, torus.ring.zero())
@@ -296,26 +344,14 @@ def gkm_check_small(f: DualElement, degree_bound: int,
                     acc = acc + f.get(tjw) * (sign * math.comb(d, j))
                 num = _regular_value(acc)
                 if num is None or torus.divides(num, beta, d) is None:
-                    report.violations.append(
-                        "binomial sum for alpha=%r d=%d w=%s not in x^%d S"
-                        % (alpha, d, group.element_name(w, f.window), d))
+                    report.violations.append(GkmRecord(alpha, d, w, BINOMIAL_SUM))
                     continue
                 if grassmannian:
                     continue
                 sw = group.mul(s_alpha, w)
-                refl_orbit = []
-                ok = True
-                for j in range(d):
-                    tjsw = group.mul(group.translation(
-                        tuple(j * c for c in alpha_v)), sw)
-                    if tjsw not in f.window:
-                        report.skipped.append(
-                            "alpha=%r d=%d w=%s: reflected orbit leaves window"
-                            % (alpha, d, group.element_name(w, f.window)))
-                        ok = False
-                        break
-                    refl_orbit.append(tjsw)
-                if not ok:
+                refl_orbit = _orbit(group, shifts[:d], sw, window)
+                if refl_orbit is None:
+                    report.skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
                     continue
                 report.checked += 1
                 acc = Localized(torus, torus.ring.zero())
@@ -325,9 +361,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
                         sign * math.comb(d - 1, j))
                 num = _regular_value(acc)
                 if num is None or torus.divides(num, beta, d) is None:
-                    report.violations.append(
-                        "reflected sum for alpha=%r d=%d w=%s not in x^%d S"
-                        % (alpha, d, group.element_name(w, f.window), d))
+                    report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
     return report
 
 
@@ -336,12 +370,8 @@ def gkm_check_big(f: DualElement) -> GkmReport:
     for every real affine reflection pairing two window elements."""
     torus = f.torus
     group = torus.group
-    report = GkmReport(torus.torus, torus.ring.backend, 1)
-    for w in f.window.elements:
-        report.checked += 1
-        if _regular_value(f.get(w)) is None:
-            report.violations.append(
-                "value at %s is not regular" % group.element_name(w, f.window))
+    report = GkmReport(torus.torus, torus.ring.backend, 1, f.window)
+    _check_regular(f, report)
     if report.violations:
         return report
     elements = f.window.elements
@@ -354,10 +384,7 @@ def gkm_check_big(f: DualElement) -> GkmReport:
             report.checked += 1
             diff = _regular_value(f.get(w) - f.get(w2))
             if diff is None or torus.divides(diff, beta, 1) is None:
-                report.violations.append(
-                    "f[%s] - f[%s] not divisible by x_%r"
-                    % (group.element_name(w, f.window),
-                       group.element_name(w2, f.window), beta))
+                report.violations.append(GkmRecord(beta, 1, w, DIFFERENCE))
     return report
 
 

@@ -9,11 +9,19 @@ mu + (m - <lam, mu>)*delta.
 
 Generator labels are 0..n: label 0 is the affine reflection in delta - theta,
 labels 1..n are the finite simple reflections.
+
+The finite Weyl group is small (at most 48 elements for the predefined
+types), so a root datum enumerates it once and every element is an index
+into the datum's tables: its multiplication table, inverses, root and coroot
+matrices, the reflection of each root, and the positive root of each
+reflection.  A product of finite elements is one table lookup, and a product
+of affine elements is one table lookup plus one integer matrix-vector product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul as _imul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError, WindowExceededError
@@ -26,10 +34,6 @@ AffRoot = Tuple[Vec, int]  # (finite part in root coords, delta coefficient)
 # -- small integer linear algebra -----------------------------------------
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
@@ -39,7 +43,7 @@ def vscale(k: int, a: Vec) -> Vec:
 
 
 def matvec(m: Mat, v: Vec) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple([sum(map(_imul, row, v)) for row in m])
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -58,30 +62,30 @@ def identity_mat(n: int) -> Mat:
 
 
 class FiniteWeylElt:
-    """A finite Weyl group element with its action on roots and coroots.
+    """An element of the finite Weyl group of a root datum: an index into the
+    datum's tables.
 
-    All four matrices are kept so that products and inverses never require a
-    matrix inversion: generators are involutions, so inverses propagate.
+    `FiniteRootDatum` creates each of its elements once, numbered in the
+    order of `weyl_elements` (by length, then least reduced word), and every
+    product, inverse and reflection returns one of those objects.  Equality
+    is therefore identity, and the hash is the index.  An element carries its
+    action on roots (`mat`) and on coroots (`cmat`), the coroot action of its
+    inverse (`cmat_inv`), its inverse, and its row of the multiplication
+    table, so that `a * b` is `a`'s row at `b.index`.
     """
 
-    __slots__ = ("mat", "mat_inv", "cmat", "cmat_inv")
+    __slots__ = ("index", "mat", "cmat", "cmat_inv", "_inv", "_row")
 
-    def __init__(self, mat: Mat, mat_inv: Mat, cmat: Mat, cmat_inv: Mat):
+    def __init__(self, index: int, mat: Mat, cmat: Mat):
+        self.index = index
         self.mat = mat
-        self.mat_inv = mat_inv
         self.cmat = cmat
-        self.cmat_inv = cmat_inv
 
     def __mul__(self, other: "FiniteWeylElt") -> "FiniteWeylElt":
-        return FiniteWeylElt(
-            matmul(self.mat, other.mat),
-            matmul(other.mat_inv, self.mat_inv),
-            matmul(self.cmat, other.cmat),
-            matmul(other.cmat_inv, self.cmat_inv),
-        )
+        return self._row[other.index]
 
     def inverse(self) -> "FiniteWeylElt":
-        return FiniteWeylElt(self.mat_inv, self.mat, self.cmat_inv, self.cmat)
+        return self._inv
 
     def act_root(self, v: Vec) -> Vec:
         return matvec(self.mat, v)
@@ -89,19 +93,11 @@ class FiniteWeylElt:
     def act_coroot(self, v: Vec) -> Vec:
         return matvec(self.cmat, v)
 
-    def act_coroot_inv(self, v: Vec) -> Vec:
-        return matvec(self.cmat_inv, v)
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteWeylElt):
-            return NotImplemented
-        return self.mat == other.mat
-
     def __hash__(self):
-        return hash(self.mat)
+        return self.index
 
     def __repr__(self):
-        return "FiniteWeylElt(%r)" % (self.mat,)
+        return "FiniteWeylElt(%d, %r)" % (self.index, self.mat)
 
 
 class AffineElt(NamedTuple):
@@ -142,8 +138,8 @@ class FiniteRootDatum:
         self.label = label
         self.rank = len(cartan)
         self._validate()
-        self._close_roots()
         self._build_weyl()
+        self._close_roots()
         self._affine_cartan()
 
     # -- constructors ------------------------------------------------------
@@ -227,7 +223,8 @@ class FiniteRootDatum:
                 total += li * sum(row[j] * root[j] for j in range(self.rank) if root[j])
         return total
 
-    def _simple_reflection(self, i: int) -> FiniteWeylElt:
+    def _simple_matrices(self, i: int) -> Tuple[Mat, Mat]:
+        """The root and coroot matrices of the simple reflection s_{i+1}."""
         # row i of the root action is e_i - A[i], of the coroot action e_i - A[:,i]
         n = self.rank
         A = self.cartan
@@ -239,26 +236,83 @@ class FiniteRootDatum:
             tuple((1 if r == j else 0) - (A[j][i] if r == i else 0) for j in range(n))
             for r in range(n)
         )
-        return FiniteWeylElt(mat, mat, cmat, cmat)
+        return mat, cmat
+
+    # -- finite Weyl group -------------------------------------------------
+
+    def _build_weyl(self) -> None:
+        """Enumerate W breadth-first by right multiplication with the simple
+        reflections, then fill the multiplication table from those steps:
+        a * b = (a * b') * s_i for b = b' * s_i along b's least reduced word."""
+        n = self.rank
+        gens = [self._simple_matrices(i) for i in range(n)]
+        ident = identity_mat(n)
+        index: Dict[Mat, int] = {ident: 0}
+        mats: List[Mat] = [ident]
+        cmats: List[Mat] = [ident]
+        words: List[Tuple[int, ...]] = [()]
+        steps: List[Tuple[int, int]] = [(0, 0)]  # (b', i) with b = b' * s_i
+        right_mats: List[List[Mat]] = []
+        # elements are visited in index order, so each new element is met
+        # first through its least word and indices follow (length, least word)
+        k = 0
+        while k < len(mats):
+            row = []
+            for i, (m, c) in enumerate(gens):
+                ws = matmul(mats[k], m)
+                row.append(ws)
+                if ws not in index:
+                    index[ws] = len(mats)
+                    mats.append(ws)
+                    cmats.append(matmul(cmats[k], c))
+                    words.append(words[k] + (i + 1,))
+                    steps.append((k, i))
+            right_mats.append(row)
+            k += 1
+        right = [[index[m] for m in row] for row in right_mats]
+        size = len(mats)
+        elements = tuple(FiniteWeylElt(k, mats[k], cmats[k]) for k in range(size))
+        for a, elt in enumerate(elements):
+            row = [a] * size
+            for b in range(1, size):
+                prefix, i = steps[b]
+                row[b] = right[row[prefix]][i]
+            inv = row.index(0)
+            elt._row = tuple(map(elements.__getitem__, row))
+            elt._inv = elements[inv]
+            elt.cmat_inv = cmats[inv]
+        self.weyl_elements: Tuple[FiniteWeylElt, ...] = elements
+        self.weyl_identity = elements[0]
+        self.longest_element = elements[-1]
+        self.simple_reflections: Tuple[FiniteWeylElt, ...] = tuple(
+            elements[index[m]] for m, _ in gens)
+        self.weyl_words: Dict[FiniteWeylElt, Tuple[int, ...]] = dict(zip(elements, words))
+        self.weyl_lengths: Dict[FiniteWeylElt, int] = {
+            w: len(word) for w, word in zip(elements, words)}
+
+    # -- roots and reflections ---------------------------------------------
 
     def _close_roots(self) -> None:
         n = self.rank
-        simples = [self._simple_reflection(i) for i in range(n)]
-        self.simple_reflections: Tuple[FiniteWeylElt, ...] = tuple(simples)
+        simples = self.simple_reflections
         pairs: Dict[Vec, Vec] = {}
-        frontier: List[Tuple[Vec, Vec]] = []
+        reflections: Dict[Vec, FiniteWeylElt] = {}
+        frontier: List[Vec] = []
         for i in range(n):
             e = tuple(1 if j == i else 0 for j in range(n))
             pairs[e] = e
-            frontier.append((e, e))
+            reflections[e] = simples[i]
+            frontier.append(e)
         while frontier:
-            root, coroot = frontier.pop()
+            root = frontier.pop()
             for s in simples:
                 r2 = s.act_root(root)
                 if r2 not in pairs:
-                    pairs[r2] = s.act_coroot(coroot)
-                    frontier.append((r2, pairs[r2]))
+                    pairs[r2] = s.act_coroot(pairs[root])
+                    reflections[r2] = s * reflections[root] * s  # s_{s(a)} = s s_a s
+                    frontier.append(r2)
         self.coroot_of: Dict[Vec, Vec] = pairs
+        self._reflections = reflections
         self.roots: Tuple[Vec, ...] = tuple(sorted(pairs))
         self.positive_roots: Tuple[Vec, ...] = tuple(
             sorted(r for r in pairs if all(c >= 0 for c in r))
@@ -266,6 +320,10 @@ class FiniteRootDatum:
         self.negative_roots: Tuple[Vec, ...] = tuple(vneg(r) for r in self.positive_roots)
         if 2 * len(self.positive_roots) != len(self.roots):
             raise ConfigError("root system closure is not symmetric")
+        if self.weyl_lengths[self.longest_element] != len(self.positive_roots):
+            raise ConfigError("finite Weyl group enumeration is inconsistent")
+        self.reflection_roots: Dict[FiniteWeylElt, Vec] = {
+            reflections[a]: a for a in self.positive_roots}
         by_height = sorted(self.positive_roots, key=lambda r: (sum(r), r))
         self.theta: Vec = by_height[-1]
         if len(by_height) > 1 and sum(by_height[-2]) == sum(self.theta):
@@ -275,63 +333,10 @@ class FiniteRootDatum:
 
     def reflection(self, root: Vec) -> FiniteWeylElt:
         """The reflection s_alpha for any (positive or negative) root."""
-        cache = getattr(self, "_reflection_cache", None)
-        if cache is None:
-            cache = {}
-            self._reflection_cache = cache
-        if root in cache:
-            return cache[root]
-        if root not in self.coroot_of:
-            raise ConfigError("%r is not a root" % (root,))
-        coroot = self.coroot_of[root]
-        n = self.rank
-        mat = []
-        cmat = []
-        for r in range(n):
-            mrow = []
-            crow = []
-            for j in range(n):
-                ej = tuple(1 if k == j else 0 for k in range(n))
-                mrow.append((1 if r == j else 0) - self.pairing(coroot, ej) * root[r])
-                crow.append((1 if r == j else 0) - self.pairing(ej, root) * coroot[r])
-            mat.append(tuple(mrow))
-            cmat.append(tuple(crow))
-        m = tuple(mat)
-        c = tuple(cmat)
-        out = FiniteWeylElt(m, m, c, c)
-        cache[root] = out
-        return out
-
-    # -- finite Weyl group -------------------------------------------------
-
-    def _build_weyl(self) -> None:
-        ident = FiniteWeylElt(*(identity_mat(self.rank),) * 4)
-        self.weyl_identity = ident
-        words: Dict[FiniteWeylElt, Tuple[int, ...]] = {ident: ()}
-        lengths: Dict[FiniteWeylElt, int] = {ident: 0}
-        layer = [ident]
-        while layer:
-            nxt: Dict[FiniteWeylElt, Tuple[int, ...]] = {}
-            for w in layer:
-                for i, s in enumerate(self.simple_reflections):
-                    ws = w * s
-                    if ws in lengths:
-                        continue
-                    cand = words[w] + (i + 1,)
-                    if ws not in nxt or cand < nxt[ws]:
-                        nxt[ws] = cand
-            for ws, word in nxt.items():
-                words[ws] = word
-                lengths[ws] = len(word)
-            layer = sorted(nxt, key=lambda v: nxt[v])
-        self.weyl_words = words
-        self.weyl_lengths = lengths
-        self.weyl_elements: Tuple[FiniteWeylElt, ...] = tuple(
-            sorted(words, key=lambda w: (lengths[w], words[w]))
-        )
-        self.longest_element = self.weyl_elements[-1]
-        if lengths[self.longest_element] != len(self.positive_roots):
-            raise ConfigError("finite Weyl group enumeration is inconsistent")
+        try:
+            return self._reflections[root]
+        except KeyError:
+            raise ConfigError("%r is not a root" % (root,)) from None
 
     # -- affine data -------------------------------------------------------
 
@@ -437,7 +442,7 @@ class Window:
 
     def translations(self) -> Tuple[AffineElt, ...]:
         ident = self.group.datum.weyl_identity
-        return tuple(x for x in self.elements if x.w == ident)
+        return tuple(x for x in self.elements if x.w is ident)
 
 
 class AffineWeylGroup:
@@ -468,7 +473,11 @@ class AffineWeylGroup:
         return (tuple(1 if j == i - 1 else 0 for j in range(n)), 0)
 
     def mul(self, x: AffineElt, y: AffineElt) -> AffineElt:
-        return AffineElt(x.w * y.w, vadd(y.w.act_coroot_inv(x.t), y.t))
+        # (u t_a)(v t_b) = uv t_{v^-1(a) + b}
+        v = y.w
+        a = x.t
+        return AffineElt(x.w._row[v.index], tuple(
+            [sum(map(_imul, row, a)) + b for row, b in zip(v.cmat_inv, y.t)]))
 
     def inv(self, x: AffineElt) -> AffineElt:
         return AffineElt(x.w.inverse(), vneg(x.w.act_coroot(x.t)))
@@ -486,7 +495,7 @@ class AffineWeylGroup:
         return AffineElt(self.datum.weyl_identity, tuple(lam))
 
     def is_translation(self, x: AffineElt) -> bool:
-        return x.w == self.datum.weyl_identity
+        return x.w is self.datum.weyl_identity
 
     def affine_reflection(self, beta: AffRoot) -> AffineElt:
         """The reflection in the real affine root alpha + m*delta."""
@@ -497,30 +506,28 @@ class AffineWeylGroup:
 
     def as_reflection(self, r: AffineElt) -> Optional[AffRoot]:
         """The positive real affine root beta with r = s_beta, if one exists."""
-        datum = self.datum
-        for mu in datum.positive_roots:
-            if r.w != datum.reflection(mu):
-                continue
-            muv = datum.coroot_of[mu]
-            m: Optional[int] = None
-            for a, b in zip(r.t, muv):
-                if b != 0:
-                    if a % b != 0:
-                        return None
-                    q = a // b
-                    if m is None:
-                        m = q
-                    elif m != q:
-                        return None
-                elif a != 0:
+        mu = self.datum.reflection_roots.get(r.w)
+        if mu is None:
+            return None
+        muv = self.datum.coroot_of[mu]
+        m: Optional[int] = None
+        for a, b in zip(r.t, muv):
+            if b != 0:
+                if a % b != 0:
                     return None
-            if m is None:
+                q = a // b
+                if m is None:
+                    m = q
+                elif m != q:
+                    return None
+            elif a != 0:
                 return None
-            beta: AffRoot = (mu, m)
-            if self.is_negative_root(beta):
-                beta = (vneg(mu), -m)
-            return beta
-        return None
+        if m is None:
+            return None
+        beta: AffRoot = (mu, m)
+        if self.is_negative_root(beta):
+            beta = (vneg(mu), -m)
+        return beta
 
     # -- action on affine roots --------------------------------------------
 

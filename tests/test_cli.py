@@ -1,11 +1,14 @@
 """CLI surface: determinism, exit codes, and the frozen output files."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fada.cli import build_law, build_datum, main, parse_word
 from fada.errors import ConfigError
@@ -112,6 +115,8 @@ def test_exit_two_on_unknown_generator_label(capsys, argv):
     ("expand", "--word", "0,0"),
     ("peterson", "--u", "1,1"),
     ("recurse", "--i", "1", "--v", "0,0"),
+    ("recurse", "--i", "1", "--window", "1"),
+    ("recurse", "--i", "1", "--window", "0"),
 ])
 def test_exit_two_on_out_of_range_value_or_non_reduced_word(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
@@ -223,3 +228,58 @@ def test_subprocess_run_matches_in_process(capsys):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == inproc == (DATA / "a1hat_k2_mul.json").read_text()
+
+
+# -- the exit-code contract under arbitrary arguments -----------------------
+
+WORDS = st.sampled_from(["", "e", "0", "1", "0,1", "1,0,1", "2,1", "0,0", "5",
+                         "-1", "x"])
+INTS = st.integers(-2, 4).map(str) | st.just("x")
+COMMON = {
+    "--root": st.sampled_from(["A1", "A2", "B2", "E9",
+                               '{"cartan": [[2, -1], [-1, 2]]}',
+                               '{"cartan": [[2, 0], [0, 2]]}', "{bad"]),
+    "--fgl": st.sampled_from(["additive", "multiplicative", "connective",
+                              "hyperbolic", "nonsense",
+                              '{"kind": "connective", "backend": "ADD"}']),
+    "--torus": st.sampled_from(["small", "big", "both", "huge"]),
+    "--window": st.integers(-1, 3).map(str),
+    "--degree": st.integers(-1, 8).map(str),
+    "--format": st.sampled_from(["json", "text"]),
+}
+FLAGS = {
+    "expand": {"--word": WORDS},
+    "gkm": {"--gkm-degree": INTS, "--grassmannian": st.none()},
+    "peterson": {"--u": WORDS, "--structure-length": INTS},
+    "recurse": {"--i": INTS, "--v": WORDS,
+                "--basis": st.sampled_from(["X", "Y", "Z"])},
+    "a1hat": {"--kmax": st.integers(-1, 3).map(str),
+              "--c": st.sampled_from(["0", "1", "generic", "2"]),
+              "--gkm-degree": INTS},
+    "braid-check": {"--i": INTS, "--j": INTS},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = dict(COMMON, **FLAGS[command])
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        value = draw(flags[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@given(argvs())
+def test_any_argv_exits_zero_one_or_two_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue(), argv
+    if rc == 2:
+        assert out.getvalue() == "", argv

@@ -4,6 +4,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from fada import polyops
+from fada.algebra import AlgebraElement
 from fada.scalars import Scalar
 
 import util
@@ -76,3 +77,16 @@ def test_series_product_truncates_by_lattice_degree_only():
     raw = polyops.pmul(f.terms, g.terms, 4, ring.nvars)
     assert raw == prod.terms
     assert polyops.pmul(f.terms, g.terms)[(5, -3, 2)] == 1
+
+
+def test_series_terms_from_outside_are_truncated():
+    # products arrive cut by pmul; terms handed to the constructor do not
+    ring = util.algebra("A1", "SER", fgl="hyperbolic", precision=4).torus.ring
+    zero = (0,) * len(ring.params)
+    terms = {(3,) + zero: 2, (4,) + zero: 5, (5,) + zero: 7, (9,) + zero: 1}
+    for prec in (None, 4, 3):
+        f = AlgebraElement(ring, dict(terms), prec)
+        cut = ring.precision if prec is None else prec
+        assert f.prec == cut
+        assert f.terms == {e: c for e, c in terms.items() if e[0] <= cut}
+    assert ring.element({(5,): 1}).is_zero()

@@ -143,6 +143,123 @@ def test_affine_reflection_roundtrip():
         g.affine_reflection(((2, 0), 1))
 
 
+# -- the finite Weyl group tables against matrix arithmetic ------------------
+
+ORACLE_TYPES = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C2": 8,
+                "C3": 48, "G2": 12}
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def mat_vec(m, v):
+    return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
+
+
+def unit_mat(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def oracle_matrices(d):
+    """Root and coroot matrices of every element, multiplied out along its
+    word from s_i(alpha_j) = alpha_j - A[i][j] alpha_i and
+    s_i(alpha_j^v) = alpha_j^v - A[j][i] alpha_i^v."""
+    n, A = d.rank, d.cartan
+    root_gens = [tuple(tuple(int(r == j) - (A[i][j] if r == i else 0)
+                             for j in range(n)) for r in range(n)) for i in range(n)]
+    coroot_gens = [tuple(tuple(int(r == j) - (A[j][i] if r == i else 0)
+                               for j in range(n)) for r in range(n)) for i in range(n)]
+    out = {}
+    for w in d.weyl_elements:
+        m = c = unit_mat(n)
+        for i in d.weyl_words[w]:
+            m = mat_mul(m, root_gens[i - 1])
+            c = mat_mul(c, coroot_gens[i - 1])
+        out[w] = (m, c)
+    return out
+
+
+@pytest.mark.parametrize("rtype", sorted(ORACLE_TYPES))
+def test_weyl_tables_match_matrix_products(rtype):
+    d = FiniteRootDatum.from_type(rtype)
+    elements = d.weyl_elements
+    assert len(elements) == ORACLE_TYPES[rtype]
+    assert [w.index for w in elements] == list(range(len(elements)))
+    mats = oracle_matrices(d)
+    assert len({m for m, _ in mats.values()}) == len(elements)
+    ident = unit_mat(d.rank)
+    coroots = [d.coroot_of[r] for r in d.roots]
+    for a in elements:
+        m_a, c_a = mats[a]
+        assert (a.mat, a.cmat) == (m_a, c_a)
+        inv = a.inverse()
+        assert any(inv is x for x in elements)
+        assert mat_mul(m_a, mats[inv][0]) == ident
+        assert mat_mul(c_a, mats[inv][1]) == ident
+        for v in d.roots:
+            assert a.act_root(v) == mat_vec(m_a, v)
+        for v in coroots:
+            assert a.act_coroot(v) == mat_vec(c_a, v)
+        for b in elements:
+            ab = a * b
+            assert ab is elements[ab.index]
+            assert mats[ab] == (mat_mul(m_a, mats[b][0]), mat_mul(c_a, mats[b][1]))
+
+
+@pytest.mark.parametrize("rtype", sorted(ORACLE_TYPES))
+def test_reflections_match_the_reflection_formula(rtype):
+    d = FiniteRootDatum.from_type(rtype)
+    n = d.rank
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for alpha in d.roots:
+        s = d.reflection(alpha)
+        assert any(s is x for x in d.weyl_elements)
+        coroot = d.coroot_of[alpha]
+        # s_alpha(mu) = mu - <alpha^v, mu> alpha on roots, dually on coroots
+        for e in units:
+            assert s.act_root(e) == tuple(
+                x - d.pairing(coroot, e) * y for x, y in zip(e, alpha))
+            assert s.act_coroot(e) == tuple(
+                x - d.pairing(e, alpha) * y for x, y in zip(e, coroot))
+        positive = alpha if alpha in d.positive_roots else tuple(-x for x in alpha)
+        assert d.reflection_roots[s] == positive
+    assert len(d.reflection_roots) == len(d.positive_roots)
+    assert d.simple_reflections == tuple(d.reflection(e) for e in units)
+    assert d.weyl_identity is d.weyl_elements[0]
+    assert d.longest_element is d.weyl_elements[-1]
+
+
+_AFFINE = {}
+
+
+def affine_group(rtype):
+    if rtype not in _AFFINE:
+        _AFFINE[rtype] = AffineWeylGroup(util.datum(rtype))
+    return _AFFINE[rtype]
+
+
+@given(st.sampled_from(["A1", "A2", "A3", "B2", "B3", "C3", "G2"]), st.data())
+def test_affine_products_on_random_words(rtype, data):
+    g = affine_group(rtype)
+    words = st.lists(st.sampled_from(g.labels), max_size=7)
+    x, y, z = (g.from_word(data.draw(words)) for _ in range(3))
+    assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
+    assert g.mul(x, g.inv(x)) == g.identity == g.mul(g.inv(x), x)
+    # the product acts on affine roots as the composite of the actions
+    for mu in g.datum.roots:
+        beta = (mu, data.draw(st.integers(-2, 2)))
+        assert g.act(g.mul(x, y), beta) == g.act(x, g.act(y, beta))
+    win = g.window(3)
+    if x in win:
+        assert g.from_word(win.words[x]) == x
+        assert len(win.words[x]) == g.length(x)
+    u, v = g.coset_decompose(x)
+    assert g.mul(g.from_word(g.datum.weyl_words[u]), v) == x
+    assert g.length(x) == g.datum.weyl_lengths[u] + g.length(v)
+
+
 # -- windows ----------------------------------------------------------------
 
 
