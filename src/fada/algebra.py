@@ -20,6 +20,10 @@ parameter of the law, in ``ring.params`` order.  ADD and MUL have no
 parameters, CON has c, and SER has the parameters of its law.  `Scalar`
 coefficients appear only at the boundary: `FormalRing.element` folds them in
 and `AlgebraElement.coefficients` regroups the terms into them.
+
+`TorusAlgebra.divide` divides by powers of x_b: on MUL and CON by a running
+sum along each chain lambda + Z*b of lattice points, with no polynomial
+division; on ADD and SER by `polyops.pdiv_exact` and `series_div_exact`.
 """
 from __future__ import annotations
 
@@ -60,6 +64,7 @@ class FormalRing:
         if backend == "SER" and precision < 1:
             raise ConfigError("series precision must be at least 1")
         self._x_cache: Dict[Vec, "AlgebraElement"] = {}
+        self._x_pow_cache: Dict[Tuple[Vec, int], "AlgebraElement"] = {}
 
     # -- constants and the scalar boundary ---------------------------------
 
@@ -80,7 +85,7 @@ class FormalRing:
         return AlgebraElement(self, terms, None)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {}, None)
+        return AlgebraElement._cut(self, {}, self.precision if self.backend == "SER" else None)
 
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, {(0,) * (self.nvars + len(self.params)): 1}, None)
@@ -115,6 +120,12 @@ class FormalRing:
         self._x_cache[mu] = out
         return out
 
+    def x_pow(self, mu: Vec, k: int) -> "AlgebraElement":
+        """x_mu^k for k >= 1, cached; `mu` must be a tuple."""
+        if (mu, k) not in self._x_pow_cache:
+            self._x_pow_cache[mu, k] = self.x_of(mu) * (self.x_pow(mu, k - 1) if k > 1 else 1)
+        return self._x_pow_cache[mu, k]
+
     def _x_series(self, mu: Vec) -> "AlgebraElement":
         prec = self.precision
         acc: Optional[TruncatedSeries] = None
@@ -127,13 +138,6 @@ class FormalRing:
         if acc is None:
             return AlgebraElement(self, {}, prec)
         return AlgebraElement(self, acc.terms, prec)
-
-    # -- term arithmetic ---------------------------------------------------
-
-    def mul_terms(self, a: Terms, b: Terms, prec: Optional[int]) -> Terms:
-        if self.backend == "SER":
-            return polyops.pmul(a, b, prec, self.nvars)
-        return polyops.pmul(a, b)
 
 
 class AlgebraElement:
@@ -155,9 +159,9 @@ class AlgebraElement:
         self.prec = prec
 
     @classmethod
-    def _product(cls, ring: FormalRing, terms: Terms, prec: Optional[int]) -> "AlgebraElement":
-        """An element from `ring.mul_terms(..., prec)`, whose terms are cut at
-        `prec` already (SER products always carry a precision)."""
+    def _cut(cls, ring: FormalRing, terms: Terms, prec: Optional[int]) -> "AlgebraElement":
+        """An element whose terms are cut at `prec` already, such as products
+        from `polyops.pmul(..., prec)` (SER elements always carry one)."""
         out = cls.__new__(cls)
         out.ring = ring
         out.terms = terms
@@ -178,8 +182,9 @@ class AlgebraElement:
             return self.prec
         return min(self.prec, other.prec)
 
-    def with_terms(self, terms: Terms, prec: Optional[int] = "same") -> "AlgebraElement":
-        return AlgebraElement(self.ring, terms, self.prec if prec == "same" else prec)
+    def with_terms(self, terms: Terms) -> "AlgebraElement":
+        """Terms no higher in lattice degree than ours, at our precision."""
+        return AlgebraElement._cut(self.ring, terms, self.prec)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -213,13 +218,10 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         prec = self._join(other)
-        return AlgebraElement._product(
-            self.ring, self.ring.mul_terms(self.terms, other.terms, prec), prec)
+        return AlgebraElement._cut(
+            self.ring, polyops.pmul(self.terms, other.terms, prec, self.ring.nvars), prec)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -280,29 +282,42 @@ class AlgebraElement:
 
 
 class Localized:
-    """num / prod x_beta over a multiset of lattice points beta.
+    """num / prod_b x_b^{m_b}, the denominator `den_map` a dict of nonzero
+    lattice points b with multiplicities m_b, never mutated once built; `den`
+    is the same as a sorted tuple with repeats.  Sums go over the lcm
+    (pointwise max) of denominators, and a - b == 0 decides a == b.  b and
+    -b stay apart (x_{-b} = -e_b x_b on MUL and CON), so denominators print
+    with the signs they were built with."""
 
-    Denominators are stored as a sorted tuple of lattice points with
-    multiplicity; equality is tested by cross-multiplication, which is valid
-    because every backend ring is an integral domain.
-    """
-
-    __slots__ = ("torus", "num", "den")
+    __slots__ = ("torus", "num", "den_map")
 
     def __init__(self, torus: "TorusAlgebra", num: AlgebraElement, den: Iterable[Vec] = ()):
+        """`den` lists points with repeats, or is a `den_map` kept as is."""
         self.torus = torus
         self.num = num
-        self.den = tuple(sorted(tuple(b) for b in den))
-        if any(not any(b) for b in self.den):
-            raise ConfigError("zero lattice point cannot be inverted")
+        if isinstance(den, dict):
+            self.den_map = den
+            return
+        self.den_map = {}
+        for b in map(tuple, den):
+            if not any(b):
+                raise ConfigError("zero lattice point cannot be inverted")
+            self.den_map[b] = self.den_map.get(b, 0) + 1
 
     # -- basics ------------------------------------------------------------
 
-    def den_product(self) -> AlgebraElement:
-        out = self.torus.ring.one()
-        for b in self.den:
-            out = out * self.torus.ring.x_of(b)
-        return out
+    @property
+    def den(self) -> Tuple[Vec, ...]:
+        return tuple(sorted(b for b, m in self.den_map.items() for _ in range(m)))
+
+    def _over(self, den_map: Dict[Vec, int]) -> AlgebraElement:
+        """The numerator over `den_map`, a multiple of the denominator."""
+        num = self.num
+        for b, m in den_map.items():
+            k = m - self.den_map.get(b, 0)
+            if k:
+                num = num * self.torus.ring.x_pow(b, k)
+        return num
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -329,24 +344,16 @@ class Localized:
         return True
 
     def __neg__(self):
-        return Localized(self.torus, -self.num, self.den)
+        return Localized(self.torus, -self.num, self.den_map)
 
     def __add__(self, other):
         other = self._coerce(other)
-        lcm: Dict[Vec, int] = {}
-        for b in set(self.den) | set(other.den):
-            lcm[b] = max(self.den.count(b), other.den.count(b))
-        num1 = self.num
-        num2 = other.num
-        for b, m in sorted(lcm.items()):
-            for _ in range(m - self.den.count(b)):
-                num1 = num1 * self.torus.ring.x_of(b)
-            for _ in range(m - other.den.count(b)):
-                num2 = num2 * self.torus.ring.x_of(b)
-        den = []
-        for b, m in lcm.items():
-            den.extend([b] * m)
-        return Localized(self.torus, num1 + num2, den)
+        if self.den_map == other.den_map:
+            return Localized(self.torus, self.num + other.num, self.den_map)
+        lcm = dict(self.den_map)
+        for b, m in other.den_map.items():
+            lcm[b] = max(m, lcm.get(b, 0))
+        return Localized(self.torus, self._over(lcm) + other._over(lcm), lcm)
 
     __radd__ = __add__
 
@@ -357,18 +364,16 @@ class Localized:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return Localized(self.torus, self.num * other, self.den)
-        if isinstance(other, AlgebraElement):
-            return Localized(self.torus, self.num * other, self.den)
+        if isinstance(other, (int, Scalar, AlgebraElement)):
+            return Localized(self.torus, self.num * other, self.den_map)
         if not isinstance(other, Localized):
             return NotImplemented
-        return Localized(self.torus, self.num * other.num, self.den + other.den)
+        den_map = dict(self.den_map)
+        for b, m in other.den_map.items():
+            den_map[b] = den_map.get(b, 0) + m
+        return Localized(self.torus, self.num * other.num, den_map)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar, AlgebraElement)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def _coerce(self, other) -> "Localized":
         if isinstance(other, Localized):
@@ -380,14 +385,14 @@ class Localized:
         raise TypeError("cannot combine Localized with %r" % type(other))
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if self.num.prec is None and other.num.prec is None:
-            return (self.num * other.den_product()) == (other.num * self.den_product())
+        diff = self - other
+        if diff.num.prec is None:
+            return diff.is_zero()
         # On the truncated backend cross multiplication raises the valuation
         # by the denominator degree, which can push every visible term past
         # the tracked precision and fake an equality.  Cancel denominators
         # first and let the zero test pay for whatever is left.
-        return (self - other).simplify().is_negligible()
+        return diff.simplify().is_negligible()
 
     def __hash__(self):
         raise TypeError("Localized is unhashable")
@@ -395,28 +400,26 @@ class Localized:
     # -- simplification ----------------------------------------------------
 
     def simplify(self) -> "Localized":
-        """Cancel denominator factors that divide the numerator exactly."""
-        if self.num.is_zero():
-            num = self.num
-            if num.prec is not None and self.den:
+        """Cancel the largest power of each x_b, in point order, dividing num."""
+        num = self.num
+        if num.is_zero():
+            if num.prec is not None and self.den_map:
                 # a numerator that vanishes through O(p) over a denominator
                 # of valuation d is only known to vanish through O(p - d)
                 num = AlgebraElement(num.ring, {}, num.prec - len(self.den))
-            return Localized(self.torus, num, ())
-        num = self.num
-        remaining: List[Vec] = []
-        for b in self.den:
-            q = self.torus.divide_once(num, b)
-            if q is None:
-                remaining.append(b)
-            else:
-                num = q
-        return Localized(self.torus, num, remaining)
+            return Localized(self.torus, num)
+        left: Dict[Vec, int] = {}
+        for b in sorted(self.den_map):
+            m = self.den_map[b]
+            num, k = self.torus.divide(num, b, m)
+            if k < m:
+                left[b] = m - k
+        return Localized(self.torus, num, left)
 
     def as_element(self) -> AlgebraElement:
         """The underlying ring element; raises if a denominator survives."""
         s = self.simplify()
-        if s.den:
+        if s.den_map:
             raise MembershipError(
                 "element is genuinely localized (denominator %r)" % (s.den,))
         return s.num
@@ -432,10 +435,10 @@ class Localized:
         if ring.backend in ("ADD", "SER") and any(key[:ring.nvars]):
             raise MembershipError("numerator is not a unit in this backend")
         unit = AlgebraElement(ring, {tuple(-v for v in key): coeff}, None)
-        return Localized(self.torus, self.den_product() * unit, ())
+        return Localized(self.torus, Localized(self.torus, unit)._over(self.den_map))
 
     def __repr__(self):
-        if not self.den:
+        if not self.den_map:
             return repr(self.num)
         return "(%r) / x%s" % (self.num, list(self.den))
 
@@ -504,47 +507,73 @@ class TorusAlgebra:
         return AlgebraElement(f.ring, out, f.prec)
 
     def act_loc(self, x: AffineElt, f: Localized) -> Localized:
-        num = self.act_elem(x, f.num)
-        den = [self.act_vec(x, b) for b in f.den]
-        return Localized(self, num, den)
+        # the action is a bijection of the lattice: multiplicities carry over
+        den_map = {self.act_vec(x, b): m for b, m in f.den_map.items()}
+        return Localized(self, self.act_elem(x, f.num), den_map)
 
     # -- division ----------------------------------------------------------
 
+    def divide(self, f: AlgebraElement, b: Vec, m: int) -> Tuple[AlgebraElement, int]:
+        """(f / x_b^k, k) for the largest k <= m with x_b^k dividing f."""
+        if not any(b):
+            raise ConfigError("cannot divide by x_0 = 0")
+        for k in range(m):
+            q = self._quotient(f, b)
+            if q is None:
+                return f, k
+            f = q
+        return f, m
+
+    def _quotient(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
+        ring = self.ring
+        if ring.backend in ("MUL", "CON"):
+            return self._chain_quotient(f, b)
+        den = ring.x_of(b).terms
+        if ring.backend == "ADD":
+            # the additive model is a polynomial ring: no negative exponents
+            q = polyops.pdiv_exact(f.terms, den, ring.nvars)
+            return None if q is None else AlgebraElement._cut(ring, q, None)
+        val = polyops.pvaluation(den, ring.nvars)
+        if f.prec < val:
+            raise PrecisionError(
+                "series precision exhausted in division; rerun with precision >= %d"
+                % max(ring.precision + val - f.prec, ring.precision + 1))
+        res = polyops.series_div_exact(f.terms, den, f.prec, ring.nvars)
+        return None if res is None else AlgebraElement(ring, *res)
+
+    def _chain_quotient(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
+        """x_b = c^{-1}(1 - e_{-b}) (c = 1 on MUL) divides f iff f sums to 0 along
+        each chain lam + Z*b, parameter slots fixed; q_lam = c sum_{j>=0} f_{lam+jb}."""
+        i = next(j for j, v in enumerate(b) if v)
+        step = b + (0,) * len(self.ring.params)
+        lift = (0,) * len(b) + ((1,) if self.ring.backend == "CON" else ())
+        # chains are keyed by their point with slot i in [0, b_i), c slot lifted
+        chains: Dict[Vec, List[Tuple[int, int]]] = {}
+        for e, c in f.terms.items():
+            t = e[i] // b[i]
+            base = tuple([v - t * s + h for v, s, h in zip(e, step, lift)])
+            chains.setdefault(base, []).append((t, c))
+        q: Terms = {}
+        for base, points in chains.items():
+            points.sort(reverse=True)
+            total, top = 0, points[0][0]
+            for t, c in points:
+                for u in range(t + 1, top + 1) if total else ():
+                    q[tuple([v + u * s for v, s in zip(base, step)])] = total
+                total, top = total + c, t
+            if total:
+                return None
+        return AlgebraElement._cut(self.ring, q, None)
+
     def divide_once(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
         """f / x_b as a ring element, or None when not exactly divisible."""
-        den = self.ring.x_of(tuple(b))
-        if den.is_zero():
-            raise ConfigError("cannot divide by x_0 = 0")
-        n = self.ring.nvars
-        if self.ring.backend == "SER":
-            if f.is_zero():
-                val = polyops.pvaluation(den.terms, n) or 0
-                if f.prec - val < 0:
-                    raise PrecisionError("series precision exhausted in division")
-                return f.with_terms({}, f.prec - val)
-            res = polyops.series_div_exact(f.terms, den.terms, f.prec, n)
-            if res is None:
-                return None
-            q, qprec = res
-            if qprec < 0:
-                raise PrecisionError("series precision exhausted in division")
-            return AlgebraElement(self.ring, q, qprec)
-        # the additive model is a polynomial ring: no negative exponents
-        q = polyops.pdiv_exact(f.terms, den.terms, n if self.ring.backend == "ADD" else 0)
-        if q is None:
-            return None
-        return AlgebraElement(self.ring, q, None)
+        q, k = self.divide(f, tuple(b), 1)
+        return q if k else None
 
     def divides(self, f: AlgebraElement, beta: AffRoot, d: int) -> Optional[AlgebraElement]:
         """f / x_beta^d when x_beta^d divides f, else None."""
-        b = self.embed_root(beta)
-        cur = f
-        for _ in range(d):
-            nxt = self.divide_once(cur, b)
-            if nxt is None:
-                return None
-            cur = nxt
-        return cur
+        q, k = self.divide(f, self.embed_root(beta), d)
+        return q if k == d else None
 
     # -- classical operators ----------------------------------------------
 

@@ -1,10 +1,14 @@
 """Torus algebras: the four coefficient backends and localization."""
 
+import re
+
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from fada.algebra import Localized, make_torus
-from fada.errors import ConfigError, MembershipError
+from fada import polyops
+from fada.algebra import AlgebraElement, Localized, make_torus
+from fada.errors import ConfigError, MembershipError, PrecisionError
 from fada.fgl import FormalGroupLaw
 from fada.scalars import Scalar
 
@@ -132,6 +136,48 @@ def test_divide_once_group_ring_units():
     # e_alpha - 1 = e_alpha * x_alpha, so the quotient is the unit e_alpha
     q = t.divide_once(e_alpha - one, (1,))
     assert q == e_alpha
+
+
+# nonzero rank-two lattice points: negative and non-primitive ones included
+points = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+coeffs = st.integers(-3, 3).filter(bool)
+
+
+@pytest.mark.parametrize("rtype,backend,kind", [
+    ("A2", "MUL", "small"), ("A2", "CON", "small"),
+    ("A1", "MUL", "big"), ("A1", "CON", "big"),
+])
+@given(data=st.data())
+def test_chain_division_matches_repeated_pdiv_exact(rtype, backend, kind, data):
+    t = torus(rtype, backend, kind)
+    ring = t.ring
+    keys = st.tuples(*[st.integers(-2, 2)] * (ring.nvars + len(ring.params)))
+    f = AlgebraElement(ring, data.draw(st.dictionaries(keys, coeffs, max_size=5)), None)
+    b = data.draw(points)
+    m = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(0, 3))
+    if p:
+        f = f * ring.x_pow(b, p)
+    want, k = f.terms, 0
+    while k < m:
+        q = polyops.pdiv_exact(want, ring.x_of(b).terms)
+        if q is None:
+            break
+        want, k = q, k + 1
+    q, got = t.divide(f, b, m)
+    assert got == k
+    assert q.terms == want
+    assert k >= min(p, m)
+
+
+def test_series_division_names_the_precision_to_rerun_at():
+    t = torus("A1", "SER", fgl="hyperbolic", precision=4)
+    ring = t.ring
+    for f in [AlgebraElement(ring, ring.one().terms, 0), AlgebraElement(ring, {}, 0)]:
+        with pytest.raises(PrecisionError) as err:
+            t.divide(f, (1,), 1)
+        bound = re.search(r"rerun with precision >= (\d+)", str(err.value))
+        assert bound and int(bound.group(1)) > ring.precision
 
 
 # -- classical operators ----------------------------------------------------
@@ -276,3 +322,98 @@ def test_make_torus_guards():
         make_torus(d, "XXX", "small")
     with pytest.raises(ConfigError):
         make_torus(d, "SER", "small")  # series model needs a law
+
+
+# -- localization against sympy --------------------------------------------
+
+# the field Z(x, y, c): sympy keeps every element cancelled to lowest terms
+QF, X, Y, C = sympy.polys.fields.field("x,y,c", sympy.ZZ)
+
+
+def x_sympy(t, b):
+    """x_b: linear on ADD, c^-1 (1 - e_-b) on CON."""
+    if t.ring.backend == "ADD":
+        return b[0] * X + b[1] * Y
+    return (1 - X ** -b[0] * Y ** -b[1]) / C
+
+
+def sympy_num(f):
+    return sum((c * X ** e[0] * Y ** e[1] * C ** sum(e[2:]) for e, c in f.num.terms.items()),
+               QF.zero)
+
+
+def sympy_value(t, f):
+    den = QF.one
+    for b in f.den:
+        den *= x_sympy(t, b)
+    return sympy_num(f) / den
+
+
+def sympy_divides(t, num, b):
+    """Whether x_b divides num in the ring: a polynomial quotient over Z on
+    ADD, a Laurent one over Z on CON."""
+    d = (num / x_sympy(t, b)).denom
+    return len(d.terms()) == 1 and abs(d.LC) == 1 and (
+        t.ring.backend == "CON" or d.is_ground)
+
+
+@st.composite
+def fractions(draw, t):
+    """Random num / prod x_b, the numerator often a multiple of some x_b."""
+    ring = t.ring
+    lattice = st.integers(0, 2) if ring.backend == "ADD" else st.integers(-2, 2)
+    keys = st.tuples(lattice, lattice, *[st.integers(-1, 1)] * len(ring.params))
+    num = AlgebraElement(ring, draw(st.dictionaries(keys, coeffs, max_size=3)), None)
+    for b in draw(st.lists(points, max_size=2)):
+        num = num * ring.x_of(b)
+    return Localized(t, num, draw(st.lists(points, max_size=3)))
+
+
+@pytest.mark.parametrize("backend", ["ADD", "CON"])
+@given(data=st.data())
+def test_localized_matches_sympy(backend, data):
+    t = torus("A2", backend)
+    f = data.draw(fractions(t))
+    g = data.draw(fractions(t))
+    F, G = sympy_value(t, f), sympy_value(t, g)
+    assert sympy_value(t, f + g) == F + G
+    assert sympy_value(t, f - g) == F - G
+    assert sympy_value(t, f * g) == F * G
+    assert (f == g) == (F == G)
+    # the same value over a larger denominator is equal; a changed one is not
+    b = data.draw(points)
+    assert f == Localized(t, f.num * t.ring.x_of(b), f.den + (b,))
+    assert (f == f + g) == (G == 0)
+    s = f.simplify()
+    assert sympy_value(t, s) == F
+    assert s.den == greedy_den(f)
+    num = sympy_num(s)
+    assert not any(sympy_divides(t, num, b) for b in set(s.den))
+
+
+def greedy_den(f):
+    """The denominator left by cancelling one copy of x_b at a time, in the
+    order of the sorted denominator, with `polyops.pdiv_exact`."""
+    ring = f.torus.ring
+    poly = ring.nvars if ring.backend == "ADD" else 0
+    num, left = f.num.terms, []
+    for b in f.den:
+        q = polyops.pdiv_exact(num, ring.x_of(b).terms, poly)
+        if q is None:
+            left.append(b)
+        else:
+            num = q
+    return tuple(left)
+
+
+def test_simplify_keeps_b_and_minus_b_apart():
+    # x_{-a} = -e_a x_a, so x_a^3 cancels both copies of x_{-a} and one of
+    # x_a; folding -a into a would print a different denominator
+    t = torus("A1", "CON")
+    a, na = util.alpha_vec(t), util.nalpha_vec(t)
+    xa = t.simple_x(1)
+    f = Localized(t, xa * xa * xa, (a, na, a, na))
+    s = f.simplify()
+    assert s.den == greedy_den(f) == (a,)
+    assert s == f
+    assert Localized(t, t.ring.one(), (a, na, a)).den == (na, a, a)
