@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import polyops
 from .errors import ConfigError, MembershipError, PrecisionError
-from .fgl import FormalGroupLaw, TruncatedSeries
+from .fgl import FormalGroupLaw
 from .polyops import Terms
 from .scalars import Scalar
 from .roots import AffineElt, AffineWeylGroup, AffRoot, FiniteRootDatum, Vec
@@ -127,17 +127,15 @@ class FormalRing:
         return self._x_pow_cache[mu, k]
 
     def _x_series(self, mu: Vec) -> "AlgebraElement":
-        prec = self.precision
-        acc: Optional[TruncatedSeries] = None
+        prec, n = self.precision, self.nvars
+        acc: Optional[Terms] = None
         for i, k in enumerate(mu):
             if not k:
                 continue
-            var = TruncatedSeries.variable(i, self.nvars, self.params, prec)
-            part = self.fgl.multiple(var, k)
-            acc = part if acc is None else self.fgl.add(acc, part)
-        if acc is None:
-            return AlgebraElement(self, {}, prec)
-        return AlgebraElement(self, acc.terms, prec)
+            var = {tuple(int(j == i) for j in range(n + len(self.params))): 1}
+            part = self.fgl.multiple(var, k, prec, n)
+            acc = part if acc is None else self.fgl.add(acc, part, prec, n)
+        return AlgebraElement._cut(self, acc or {}, prec)
 
 
 class AlgebraElement:
@@ -629,9 +627,3 @@ class TorusAlgebra:
                 term = term * (ring.one() - ring.x_of(tuple(-v for v in lam)) * cpar)
             out = out + term
         return out
-
-
-def make_torus(datum: FiniteRootDatum, backend: str, torus: str,
-               fgl: Optional[FormalGroupLaw] = None, precision: int = 8,
-               group: Optional[AffineWeylGroup] = None) -> TorusAlgebra:
-    return TorusAlgebra(datum, backend, torus, fgl=fgl, precision=precision, group=group)

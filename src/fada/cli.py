@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fgl as fgl_mod
 from .a1hat import appendix_crosscheck, eta_sigma_closed, sigma_index
-from .algebra import AlgebraElement, Localized, make_torus
+from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .connective import ConnectiveContext, check_recursion, hecke_action_check
 from .duals import dual_x, gkm_check_big, gkm_check_small
 from .errors import ConfigError, FadaError, MembershipError
@@ -111,7 +111,7 @@ def build_law(spec: object, degree: int):
 def make_algebra(cfg: JobConfig) -> TwistedAlgebra:
     datum = build_datum(cfg.root)
     backend, law = build_law(cfg.fgl, cfg.degree)
-    torus = make_torus(datum, backend, cfg.torus, fgl=law, precision=cfg.degree)
+    torus = TorusAlgebra(datum, backend, cfg.torus, fgl=law, precision=cfg.degree)
     return TwistedAlgebra(torus)
 
 

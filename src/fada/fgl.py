@@ -13,9 +13,12 @@ group-algebra models elsewhere in the package; the hyperbolic and custom kinds
 are handled through truncated power series with tracked precision.
 
 Coefficient tables are kept as `Scalar` values, the form a custom descriptor
-is parsed into.  Series store folded integer terms (see `polyops`): the
-variable exponents followed by the parameter exponents, with precision
-counted in the variables only.
+is parsed into.  The series operations `add`, `inverse` and `multiple` take
+and return folded term dicts (see `polyops`): the exponents of `nvars`
+variables followed by one exponent per parameter of the law, cut at a
+precision counted in the variables only.  They carry no precision of their
+own: the one truncated-series type of the package is the SER
+`AlgebraElement`, which wraps their results.
 """
 from __future__ import annotations
 
@@ -25,88 +28,6 @@ from . import polyops
 from .errors import ConfigError, PrecisionError
 from .polyops import Terms
 from .scalars import Scalar
-
-DEFAULT_DEGREE = 8
-
-
-class TruncatedSeries:
-    """A multivariate power series over Z[params] known up to a degree.
-
-    Terms use the folded keys of `polyops`: `nvars` variable exponents, then
-    one exponent per parameter.  `prec` is inclusive and counts the variable
-    degree only: all terms of degree <= prec are correct and stored, higher
-    terms are unknown.
-    """
-
-    __slots__ = ("nvars", "params", "prec", "terms")
-
-    def __init__(self, nvars: int, params: Tuple[str, ...], prec: int, terms: Terms):
-        self.nvars = nvars
-        self.params = params
-        self.prec = prec
-        self.terms = polyops.ptruncate(terms, prec, nvars)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(nvars: int, params: Tuple[str, ...], prec: int) -> "TruncatedSeries":
-        return TruncatedSeries(nvars, params, prec, {})
-
-    @staticmethod
-    def variable(i: int, nvars: int, params: Tuple[str, ...], prec: int) -> "TruncatedSeries":
-        e = tuple(1 if j == i else 0 for j in range(nvars)) + (0,) * len(params)
-        return TruncatedSeries(nvars, params, prec, {e: 1})
-
-    @staticmethod
-    def const(s: Scalar, nvars: int, prec: int) -> "TruncatedSeries":
-        return TruncatedSeries(nvars, s.params, prec, _constant(s, nvars))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _join(self, other: "TruncatedSeries") -> int:
-        if self.nvars != other.nvars or self.params != other.params:
-            raise ValueError("series ring mismatch")
-        return min(self.prec, other.prec)
-
-    def _new(self, prec: int, terms: Terms) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.params, prec, terms)
-
-    def __add__(self, other):
-        return self._new(self._join(other), polyops.padd(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self._new(self._join(other), polyops.psub(self.terms, other.terms))
-
-    def __neg__(self):
-        return self._new(self.prec, polyops.pneg(self.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self._new(self.prec, polyops.pmul(self.terms, _constant(other, self.nvars)))
-        p = self._join(other)
-        return self._new(p, polyops.pmul(self.terms, other.terms, p, self.nvars))
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        p = self._join(other)
-        return (polyops.ptruncate(self.terms, p, self.nvars)
-                == polyops.ptruncate(other.terms, p, self.nvars))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def valuation(self) -> Optional[int]:
-        return polyops.pvaluation(self.terms, self.nvars)
-
-    def coefficient(self, e: Tuple[int, ...]) -> Scalar:
-        n = self.nvars
-        return Scalar(self.params, {k[n:]: c for k, c in self.terms.items() if k[:n] == e})
-
-    def __repr__(self):
-        keys = sorted({k[:self.nvars] for k in self.terms}, key=polyops.grlex_key)
-        body = ", ".join("%s: %s" % (e, self.coefficient(e)) for e in keys)
-        return "TruncatedSeries({%s} + O(deg %d))" % (body, self.prec + 1)
 
 
 def _constant(s: Scalar, nvars: int) -> Terms:
@@ -196,62 +117,51 @@ class FormalGroupLaw:
 
     # -- series operations -------------------------------------------------
 
-    def _check_args(self, *series: TruncatedSeries) -> Tuple[int, Tuple[str, ...], int]:
-        nvars = series[0].nvars
-        params = series[0].params
-        prec = min(s.prec for s in series)
+    def _check_args(self, prec: int, nvars: int, *series: Terms) -> None:
         for s in series:
-            if s.nvars != nvars or s.params != params:
-                raise ValueError("series ring mismatch")
-            if s.valuation() == 0:
+            if polyops.pvaluation(s, nvars) == 0:
                 raise ValueError("formal group law arguments must have zero constant term")
         if prec < 1:
             raise PrecisionError("cannot certify any positive degree (precision %d)" % prec)
-        for p in self.params:
-            if p not in params:
-                raise ValueError("series scalars lack parameter %r" % p)
-        return nvars, params, prec
 
-    def add(self, p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
-        """Evaluate F(p, q) as a truncated series."""
-        nvars, params, prec = self._check_args(p, q)
-        tab = self.table(prec)
+    def add(self, p: Terms, q: Terms, prec: int, nvars: int) -> Terms:
+        """F(p, q) cut at degree `prec`, for series in `nvars` variables over
+        the law's parameters, themselves cut at `prec`."""
+        self._check_args(prec, nvars, p, q)
         out: Terms = {}
-        one = {(0,) * (nvars + len(params)): 1}
+        one = {(0,) * (nvars + len(self.params)): 1}
         pows_p: Dict[int, Terms] = {0: one}
         pows_q: Dict[int, Terms] = {0: one}
 
         def power(cache, base, k):
             if k not in cache:
-                cache[k] = polyops.pmul(power(cache, base, k - 1), base.terms, prec, nvars)
+                cache[k] = polyops.pmul(power(cache, base, k - 1), base, prec, nvars)
             return cache[k]
 
-        for (i, j), a_ij in sorted(tab.items()):
+        for (i, j), a_ij in sorted(self.table(prec).items()):
             term = polyops.pmul(power(pows_p, p, i), power(pows_q, q, j), prec, nvars)
-            aij = a_ij if a_ij.params == params else a_ij.with_params(params)
-            out = polyops.padd(out, polyops.pmul(term, _constant(aij, nvars)))
-        return TruncatedSeries(nvars, params, prec, out)
+            out = polyops.padd(out, polyops.pmul(term, _constant(a_ij, nvars)))
+        return out
 
-    def inverse(self, p: TruncatedSeries) -> TruncatedSeries:
+    def inverse(self, p: Terms, prec: int, nvars: int) -> Terms:
         """The formal inverse i(p) with F(p, i(p)) = 0, solved term by term."""
-        nvars, params, prec = self._check_args(p)
-        cur = -p
+        self._check_args(prec, nvars, p)
+        cur = polyops.pneg(p)
         while True:
-            err = self.add(p, cur)
-            v = err.valuation()
-            if v is None or v > prec:
+            err = self.add(p, cur, prec, nvars)
+            if not err:
                 return cur
-            cur = cur - err
+            cur = polyops.psub(cur, err)
 
-    def multiple(self, p: TruncatedSeries, n: int) -> TruncatedSeries:
+    def multiple(self, p: Terms, n: int, prec: int, nvars: int) -> Terms:
         """The n-fold formal sum [n](p); negative n uses the formal inverse."""
-        nvars, params, prec = self._check_args(p)
+        self._check_args(prec, nvars, p)
         if n < 0:
-            return self.multiple(self.inverse(p), -n)
-        acc = TruncatedSeries.zero(nvars, params, prec)
+            return self.multiple(self.inverse(p, prec, nvars), -n, prec, nvars)
+        acc: Terms = {}
         for _ in range(n):
-            acc = self.add(acc, p) if not acc.is_zero() else p
-        return acc if n else TruncatedSeries.zero(nvars, params, prec)
+            acc = self.add(acc, p, prec, nvars) if acc else p
+        return acc
 
     # -- axioms ------------------------------------------------------------
 
@@ -268,12 +178,10 @@ class FormalGroupLaw:
                 raise ConfigError("F(0, y) must equal y; found coefficient at y^%d" % j)
             if tab.get((j, i), Scalar.const(0, self.params)) != cij:
                 raise ConfigError("coefficient table is not symmetric at (%d, %d)" % (i, j))
-        params = self.params
-        x = TruncatedSeries.variable(0, 3, params, degree)
-        y = TruncatedSeries.variable(1, 3, params, degree)
-        z = TruncatedSeries.variable(2, 3, params, degree)
-        left = self.add(self.add(x, y), z)
-        right = self.add(x, self.add(y, z))
+        x, y, z = ({tuple(int(j == i) for j in range(3 + len(self.params))): 1}
+                   for i in range(3))
+        left = self.add(self.add(x, y, degree, 3), z, degree, 3)
+        right = self.add(x, self.add(y, z, degree, 3), degree, 3)
         if left != right:
             raise ConfigError("associativity fails up to degree %d" % degree)
 

@@ -48,13 +48,6 @@ def is_translation_supported(algebra: TwistedAlgebra, z: TwistedElement) -> bool
     return all(group.is_translation(x) for x in z.terms)
 
 
-def k(algebra: TwistedAlgebra, z: TwistedElement) -> TwistedElement:
-    """The inclusion of translation-supported elements; pr is a left inverse."""
-    if not is_translation_supported(algebra, z):
-        raise MembershipError("k is defined on translation-supported elements")
-    return z
-
-
 def k_star(f: DualElement) -> TranslationDual:
     """Keep the values at pure translations, discard the rest."""
     return restrict_to_translations(f)

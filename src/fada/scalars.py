@@ -54,13 +54,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.params): 1}
-
-    def is_monomial_unit(self) -> bool:
-        """True when the scalar is +-1 times a parameter monomial."""
-        return len(self.terms) == 1 and next(iter(self.terms.values())) in (1, -1)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -168,17 +161,6 @@ class Scalar:
             ee = tuple(e[i] for i in idx)
             out[ee] = out.get(ee, 0) + val
         return Scalar(keep, out)
-
-    def with_params(self, params: Tuple[str, ...]) -> "Scalar":
-        """Re-embed into a ring whose parameter tuple contains the current one."""
-        pos = [params.index(p) for p in self.params]
-        out: Dict[Expt, int] = {}
-        for e, c in self.terms.items():
-            ee = [0] * len(params)
-            for j, p in enumerate(pos):
-                ee[p] = e[j]
-            out[tuple(ee)] = out.get(tuple(ee), 0) + c
-        return Scalar(params, out)
 
     # -- formatting --------------------------------------------------------
 

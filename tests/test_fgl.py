@@ -1,49 +1,58 @@
-"""Formal group laws and truncated series."""
+"""Formal group laws, their action on folded term dicts, and SER series."""
 
 import pytest
 
+from fada import polyops
+from fada.algebra import AlgebraElement, FormalRing
 from fada.errors import ConfigError, PrecisionError
-from fada.fgl import FormalGroupLaw, TruncatedSeries, from_descriptor
+from fada.fgl import FormalGroupLaw, from_descriptor
 from fada.scalars import Scalar
 
 
-def ts_x(params=(), prec=8):
-    return TruncatedSeries.variable(0, 1, params, prec)
+def var(i, nvars, params=()):
+    """The i-th variable as a folded term dict over `params`."""
+    return {tuple(int(j == i) for j in range(nvars + len(params))): 1}
 
 
-def two_vars(params, prec=8):
-    x = TruncatedSeries.variable(0, 2, params, prec)
-    y = TruncatedSeries.variable(1, 2, params, prec)
-    return x, y
+def coeff(terms, e, params=()):
+    """The Scalar coefficient of the variable monomial e in a folded dict."""
+    n = len(e)
+    return Scalar(params, {k[n:]: c for k, c in terms.items() if k[:n] == e})
 
 
-# -- series basics ----------------------------------------------------------
+def ser_x(prec=8, nvars=1):
+    """x_1 as a SER element of precision `prec` under the additive law."""
+    ring = FormalRing("SER", nvars, fgl=FormalGroupLaw.additive(), precision=8)
+    return AlgebraElement(ring, var(0, nvars), prec)
+
+
+# -- SER series basics ------------------------------------------------------
 
 
 def test_series_arithmetic_and_precision_join():
-    x = ts_x(prec=8)
-    y = ts_x(prec=3)
+    x = ser_x(prec=8)
+    y = AlgebraElement(x.ring, var(0, 1), 3)
     s = x + y
     assert s.prec == 3
     p = x * x
     assert p.coefficient((2,)) == 1
     assert (x - x).is_zero()
-    assert TruncatedSeries.zero(1, (), 5).valuation() is None
-    assert (x * x * x).valuation() == 3
+    assert polyops.pvaluation(x.ring.zero().terms, 1) is None
+    assert polyops.pvaluation((x * x * x).terms, 1) == 3
 
 
 def test_series_eq_truncates():
-    x = ts_x(prec=8)
-    lo = ts_x(prec=2)
+    x = ser_x(prec=8)
+    lo = AlgebraElement(x.ring, var(0, 1), 2)
     assert lo == x + x * x * x  # cube is beyond the common precision
     assert not (x == x + x * x)
 
 
 def test_series_const_and_mismatch():
-    c = TruncatedSeries.const(Scalar.const(7), 1, 6)
+    c = AlgebraElement(ser_x().ring, {(0,): 7}, 6)
     assert c.coefficient((0,)) == 7
-    with pytest.raises(ValueError):
-        ts_x(prec=4) + TruncatedSeries.variable(0, 2, (), 4)
+    with pytest.raises(ConfigError):
+        ser_x(prec=4) + ser_x(prec=4, nvars=2)
 
 
 # -- coefficient tables -----------------------------------------------------
@@ -123,38 +132,35 @@ def test_add_matches_closed_forms():
     P = ("c",)
     c = Scalar.param("c", P)
     law = FormalGroupLaw.connective()
-    x, y = two_vars(P, prec=6)
-    s = law.add(x, y)
-    assert s.coefficient((1, 0)) == 1
-    assert s.coefficient((0, 1)) == 1
-    assert s.coefficient((1, 1)) == -c
-    assert s.coefficient((2, 1)).is_zero()
+    s = law.add(var(0, 2, P), var(1, 2, P), 6, 2)
+    assert coeff(s, (1, 0), P) == 1
+    assert coeff(s, (0, 1), P) == 1
+    assert coeff(s, (1, 1), P) == -c
+    assert coeff(s, (2, 1), P).is_zero()
 
 
 def test_formal_inverse_per_law():
-    x = ts_x((), 6)
-    assert FormalGroupLaw.additive().inverse(x) == -x
+    x = var(0, 1)
+    assert FormalGroupLaw.additive().inverse(x, 6, 1) == polyops.pneg(x)
 
     # multiplicative: i(x) = -x - x^2 - x^3 - ...
-    minv = FormalGroupLaw.multiplicative().inverse(x)
+    minv = FormalGroupLaw.multiplicative().inverse(x, 6, 1)
     for k in range(1, 7):
-        assert minv.coefficient((k,)) == -1
+        assert coeff(minv, (k,)) == -1
 
     P = ("c",)
     c = Scalar.param("c", P)
-    xc = ts_x(P, 6)
-    cinv = FormalGroupLaw.connective().inverse(xc)
+    cinv = FormalGroupLaw.connective().inverse(var(0, 1, P), 6, 1)
     for k in range(1, 7):
-        assert cinv.coefficient((k,)) == -(c ** (k - 1))
+        assert coeff(cinv, (k,), P) == -(c ** (k - 1))
 
     # the hyperbolic inverse agrees with the connective one: the denominator
     # 1 + a x i(x) contributes nothing because x + i(x) - c x i(x) must vanish
     PH = ("c", "a")
     ch = Scalar.param("c", PH)
-    xh = ts_x(PH, 6)
-    hinv = FormalGroupLaw.hyperbolic().inverse(xh)
+    hinv = FormalGroupLaw.hyperbolic().inverse(var(0, 1, PH), 6, 1)
     for k in range(1, 7):
-        assert hinv.coefficient((k,)) == -(ch ** (k - 1))
+        assert coeff(hinv, (k,), PH) == -(ch ** (k - 1))
 
 
 @pytest.mark.parametrize("law", [
@@ -163,40 +169,45 @@ def test_formal_inverse_per_law():
     FormalGroupLaw.hyperbolic(),
 ])
 def test_inverse_is_two_sided(law):
-    x = ts_x(law.params, 7)
-    assert law.add(x, law.inverse(x)).is_zero()
-    assert law.add(law.inverse(x), x).is_zero()
+    x = var(0, 1, law.params)
+    assert law.add(x, law.inverse(x, 7, 1), 7, 1) == {}
+    assert law.add(law.inverse(x, 7, 1), x, 7, 1) == {}
 
 
 def test_multiple():
     P = ("c",)
     c = Scalar.param("c", P)
     law = FormalGroupLaw.connective()
-    x = ts_x(P, 6)
-    two = law.multiple(x, 2)
-    assert two.coefficient((1,)) == 2
-    assert two.coefficient((2,)) == -c
-    assert two.coefficient((3,)).is_zero()
-    assert law.multiple(x, 0).is_zero()
-    assert law.multiple(x, -1) == law.inverse(x)
-    assert law.multiple(x, 3) == law.add(x, two)
+    x = var(0, 1, P)
+    two = law.multiple(x, 2, 6, 1)
+    assert coeff(two, (1,), P) == 2
+    assert coeff(two, (2,), P) == -c
+    assert coeff(two, (3,), P).is_zero()
+    assert law.multiple(x, 0, 6, 1) == {}
+    assert law.multiple(x, -1, 6, 1) == law.inverse(x, 6, 1)
+    assert law.multiple(x, 3, 6, 1) == law.add(x, two, 6, 1)
 
     # multiplicative [3](x) = 1 - (1-x)^3
     m = FormalGroupLaw.multiplicative()
-    xm = ts_x((), 6)
-    three = m.multiple(xm, 3)
-    assert three.coefficient((1,)) == 3
-    assert three.coefficient((2,)) == -3
-    assert three.coefficient((3,)) == 1
-    assert three.coefficient((4,)).is_zero()
+    three = m.multiple(var(0, 1), 3, 6, 1)
+    assert coeff(three, (1,)) == 3
+    assert coeff(three, (2,)) == -3
+    assert coeff(three, (3,)) == 1
+    assert coeff(three, (4,)).is_zero()
 
 
 def test_add_rejects_constant_terms():
     law = FormalGroupLaw.additive()
-    x = ts_x((), 5)
-    bad = x + TruncatedSeries.const(Scalar.const(1), 1, 5)
+    x = var(0, 1)
+    bad = polyops.padd(x, {(0,): 1})
     with pytest.raises(ValueError):
-        law.add(bad, x)
+        law.add(bad, x, 5, 1)
+
+
+def test_add_rejects_precision_below_one():
+    x = var(0, 1)
+    with pytest.raises(PrecisionError):
+        FormalGroupLaw.additive().add(x, x, 0, 1)
 
 
 # -- descriptors ------------------------------------------------------------

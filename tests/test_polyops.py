@@ -25,7 +25,8 @@ def to_sympy(terms):
 
 def sympy_divides(num, den):
     """Whether num / den is a Laurent polynomial over Z."""
-    _, d = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+    # as_numer_denom, not fraction: fraction leaves c/2 + 1/2 over 1
+    _, d = sympy.cancel(to_sympy(num) / to_sympy(den)).as_numer_denom()
     d = sympy.Poly(d, X, Y, C)
     return len(d.terms()) == 1 and abs(d.LC()) == 1
 

@@ -3,7 +3,7 @@
 import pytest
 
 from fada import connective, twisted
-from fada.algebra import Localized, make_torus
+from fada.algebra import Localized, TorusAlgebra
 from fada.cli import loc_json
 from fada.errors import ConfigError, NotApplicableError
 from fada.scalars import Scalar
@@ -200,7 +200,7 @@ def test_x_coefficients_regular():
 
 @pytest.mark.parametrize("rtype, backend, length", [("A2", "CON", 3), ("A1", "MUL", 4)])
 def test_rows_are_stored_once_per_algebra_and_flavor(rtype, backend, length):
-    torus = make_torus(util.datum(rtype), backend, "small")
+    torus = TorusAlgebra(util.datum(rtype), backend, "small")
     alg = TwistedAlgebra(torus)
     g = torus.group
     tb1 = ExpansionTables(alg, g.window(length))
@@ -243,7 +243,7 @@ ORACLE_CASES = ([("A1", backend, "small", 6) for backend in BACKENDS]
 @pytest.mark.parametrize("flavor", ["x", "y"])
 @pytest.mark.parametrize("rtype, backend, torus, length", ORACLE_CASES)
 def test_recursion_rows_match_back_substitution(rtype, backend, torus, length, flavor):
-    t = make_torus(util.datum(rtype), backend, torus)
+    t = TorusAlgebra(util.datum(rtype), backend, torus)
     alg = TwistedAlgebra(t)
     window = t.group.window(length)
     want = back_substitute(alg, window, flavor)
@@ -266,18 +266,18 @@ def test_route_is_chosen_by_backend_and_law(monkeypatch):
 
     monkeypatch.setattr(twisted, "back_substitute", refuse)
     for backend in ("CON", "ADD"):
-        t = make_torus(util.datum("A2"), backend, "small")
+        t = TorusAlgebra(util.datum("A2"), backend, "small")
         tables = ExpansionTables(TwistedAlgebra(t), t.group.window(3))
         assert len(tables.b) == len(tables.window.elements) == 19
-    hyp = make_torus(util.datum("A2"), "SER", "small", fgl=util.law_of("hyperbolic"),
-                     precision=12)
+    hyp = TorusAlgebra(util.datum("A2"), "SER", "small", fgl=util.law_of("hyperbolic"),
+                       precision=12)
     with pytest.raises(BackSubstitutionCalled):
         ExpansionTables(TwistedAlgebra(hyp), hyp.group.window(3))
 
 
 @pytest.mark.parametrize("flavor", ["x", "y"])
 def test_check_recursion_compares_with_back_substitution(monkeypatch, flavor):
-    alg = TwistedAlgebra(make_torus(util.datum("A1"), "CON", "small"))
+    alg = TwistedAlgebra(TorusAlgebra(util.datum("A1"), "CON", "small"))
     ctx = connective.ConnectiveContext(alg)
     window = alg.torus.group.window(4)
     calls = []

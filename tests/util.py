@@ -10,7 +10,7 @@ solves afresh on every call and reuses only the cached word products.
 
 from typing import Dict, Optional, Tuple
 
-from fada.algebra import Localized, TorusAlgebra, make_torus
+from fada.algebra import Localized, TorusAlgebra
 from fada.fgl import FormalGroupLaw
 from fada.roots import FiniteRootDatum
 from fada.twisted import ExpansionTables, TwistedAlgebra
@@ -40,8 +40,8 @@ def algebra(rtype: str = "A1", backend: str = "CON", torus: str = "small",
             fgl: Optional[str] = None, precision: int = 8) -> TwistedAlgebra:
     key = (rtype, backend, torus, fgl, precision)
     if key not in _ALG:
-        t = make_torus(datum(rtype), backend, torus, fgl=law_of(fgl),
-                       precision=precision)
+        t = TorusAlgebra(datum(rtype), backend, torus, fgl=law_of(fgl),
+                         precision=precision)
         _ALG[key] = TwistedAlgebra(t)
     return _ALG[key]
 
