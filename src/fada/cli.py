@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import fgl as fgl_mod
 from .a1hat import appendix_crosscheck, eta_sigma_closed, sigma_index
@@ -137,10 +137,19 @@ def loc_json(c: Localized) -> Dict[str, object]:
     return {"num": elem_json(s.num), "den": [list(b) for b in s.den]}
 
 
+def _shortlex(pair: Tuple[Tuple[int, ...], object]) -> Tuple[int, Tuple[int, ...]]:
+    """Sort key of a (word, item) pair: word length, then the word."""
+    return len(pair[0]), pair[0]
+
+
+def _by_compat_word(window: Window, elements: Iterable[AffineElt]
+                    ) -> List[Tuple[Tuple[int, ...], AffineElt]]:
+    """(compat word, element) pairs in shortlex order of the words."""
+    return sorted(((window.compat_word(w), w) for w in elements), key=_shortlex)
+
+
 def coeffs_json(window: Window, table: Dict[AffineElt, Localized]) -> List[object]:
-    rows = sorted(((len(window.compat_word(w)), window.compat_word(w)), c)
-                  for w, c in table.items())
-    return [[list(word), loc_json(c)] for (_, word), c in rows]
+    return [[list(word), loc_json(table[w])] for word, w in _by_compat_word(window, table)]
 
 
 def emit(payload: dict, fmt: str) -> None:
@@ -185,10 +194,9 @@ def _expand_one_torus(cfg: JobConfig, torus_kind: str,
         window.require(x, "requested word")
         targets = (x,)
     rows = []
-    for w in sorted(targets, key=lambda w: (len(window.compat_word(w)),
-                                            window.compat_word(w))):
+    for word, w in _by_compat_word(window, targets):
         rows.append({
-            "word": list(window.compat_word(w)),
+            "word": list(word),
             "eta_in_x": coeffs_json(window, tables.eta_in_x(w)),
             "x_in_eta": coeffs_json(window, tables.a[w]),
         })
@@ -255,11 +263,8 @@ def cmd_peterson(cfg: JobConfig) -> Tuple[dict, bool]:
     problems: List[str] = []
     try:
         expansion = ctx.expansion(u)
-        coeffs = [[list(expansion.words[v]), elem_json(c)]
-                  for v, c in sorted(
-                      expansion.coeffs.items(),
-                      key=lambda item: (len(expansion.words[item[0]]),
-                                        expansion.words[item[0]]))]
+        words = sorted(((word, v) for v, word in expansion.words.items()), key=_shortlex)
+        coeffs = [[list(word), elem_json(expansion.coeffs[v])] for word, v in words]
     except MembershipError as exc:
         ok = False
         problems.append(str(exc))
@@ -308,12 +313,11 @@ def cmd_recurse(cfg: JobConfig) -> Tuple[dict, bool]:
         targets = list(out_window.elements)
     rows = []
     ok = True
-    for v in sorted(targets, key=lambda w: (len(out_window.compat_word(w)),
-                                            out_window.compat_word(w))):
+    for word, v in _by_compat_word(out_window, targets):
         good = hecke_action_check(ctx, tables, window, out_window, i, v,
                                   basis=basis)
         ok = ok and good
-        rows.append({"v": list(out_window.compat_word(v)), "ok": good})
+        rows.append({"v": list(word), "ok": good})
     table_report = check_recursion(ctx, out_window,
                                    flavor="x" if basis == "X" else "y",
                                    letters=(i,))
@@ -339,7 +343,7 @@ def cmd_a1hat(cfg: JobConfig) -> Tuple[dict, bool]:
     if law is None:
         raise ConfigError("--c must be 0, 1 or generic")
     kmax = int(cfg.extra.get("kmax", 3))
-    local = JobConfig("A1", law, "small", kmax, cfg.degree)
+    local = JobConfig("A1", law, "small", kmax)
     algebra = make_algebra(local)
     group = algebra.torus.group
     table = []
@@ -385,19 +389,25 @@ def cmd_braid(cfg: JobConfig) -> Tuple[dict, bool]:
 # -- argument wiring -------------------------------------------------------
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--root", default="A1",
-                        help="root datum: type name, inline JSON, or @file")
-    parser.add_argument("--fgl", default="connective",
-                        help="formal group law: name, inline JSON, or @file")
-    parser.add_argument("--torus", default="small",
-                        choices=["small", "big", "both"])
-    parser.add_argument("--window", type=int, default=3,
-                        help="length bound L for the element window")
-    parser.add_argument("--degree", type=int, default=8,
-                        help="truncation degree for series backends")
-    parser.add_argument("--format", dest="fmt", default="json",
-                        choices=["json", "text"])
+_COMMON = {
+    "--root": dict(default="A1",
+                   help="root datum: type name, inline JSON, or @file"),
+    "--fgl": dict(default="connective",
+                  help="formal group law: name, inline JSON, or @file"),
+    "--torus": dict(default="small", choices=["small", "big", "both"]),
+    "--window": dict(type=int, default=3,
+                     help="length bound L for the element window"),
+    "--degree": dict(type=int, default=8,
+                     help="truncation degree for series backends"),
+    "--format": dict(dest="fmt", default="json", choices=["json", "text"]),
+}
+
+
+def _common(parser: argparse.ArgumentParser, *unread: str) -> None:
+    """The shared options, except those the subcommand does not read."""
+    for flag, spec in _COMMON.items():
+        if flag not in unread:
+            parser.add_argument(flag, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,14 +436,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", help="word of the dual basis index")
     p.add_argument("--basis", default="X", choices=["X", "Y"])
 
+    # a1hat always builds A1 on the small torus, with the exact law --c names
     p = sub.add_parser("a1hat", help="rank-one closed-form tables")
-    _common(p)
+    _common(p, "--root", "--fgl", "--torus", "--window", "--degree")
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--c", default="generic", choices=["0", "1", "generic"])
     p.add_argument("--gkm-degree", type=int, default=2)
 
     p = sub.add_parser("braid-check", help="braid relation for Demazure products")
-    _common(p)
+    _common(p, "--window")
     p.add_argument("--i", required=True, type=int)
     p.add_argument("--j", required=True, type=int)
     return parser
@@ -486,18 +497,15 @@ def _check_ranges(command: str, values: Dict[str, object]) -> None:
 
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
-    extra = {}
-    for key in ("word", "gkm_degree", "grassmannian", "u", "structure_length",
-                "i", "v", "basis", "kmax", "c", "j"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            extra[key] = getattr(args, key)
+    extra = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
     for key in ("word", "u", "v"):
         if key in extra:
             extra[key] = parse_word(extra[key])
-    _check_ranges(args.command, dict(extra, window=args.window))
-    _check_generators(args.root, extra)
-    return JobConfig(args.root, args.fgl, args.torus, args.window,
-                     args.degree, args.fmt, extra)
+    _check_ranges(args.command, extra)
+    base = {k: extra.pop(k) for k in ("root", "fgl", "torus", "window", "degree", "fmt")
+            if k in extra}
+    _check_generators(base.get("root", JobConfig.root), extra)
+    return JobConfig(extra=extra, **base)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

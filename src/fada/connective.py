@@ -31,10 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Localized, TorusAlgebra
 from .duals import DualElement, bullet, dual_x, odot
 from .errors import UnsupportedTheoryError
-from .roots import AffineElt, Window
+from .roots import AffineElt, Window, vneg
 from .scalars import Scalar
 from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement,
-                      back_substitute, connective_scalar, predict_row)
+                      back_substitute, combine_rows, connective_scalar,
+                      predict_row)
 
 
 class ConnectiveContext:
@@ -54,26 +55,15 @@ class ConnectiveContext:
     def y_word(self, word: Sequence[int]) -> TwistedElement:
         return self.algebra.y_word(word)
 
-    def _simple_keys(self, i: int):
-        mu, m = self.group.simple_root(i)
-        pos = self.torus.embed_root((mu, m))
-        neg = self.torus.embed_root((tuple(-v for v in mu), -m))
-        return pos, neg
-
     def x_neg(self, i: int) -> TwistedElement:
         """X_{-i} = (1/x_{-alpha_i}) (1 - eta_i)."""
-        _, neg = self._simple_keys(i)
-        inv = Localized(self.torus, self.torus.ring.one(), (neg,))
-        return TwistedElement(
-            self.algebra, {self.group.identity: inv, self.group.simple(i): -inv})
+        mu, m = self.group.simple_root(i)
+        return self.algebra.divided_difference(
+            self.torus.embed_root((vneg(mu), -m)), self.group.simple(i))
 
     def y_neg(self, i: int) -> TwistedElement:
-        """Y_{-i} = 1/x_{alpha_i} + (1/x_{-alpha_i}) eta_i."""
-        pos_key, neg_key = self._simple_keys(i)
-        pos = Localized(self.torus, self.torus.ring.one(), (pos_key,))
-        neg = Localized(self.torus, self.torus.ring.one(), (neg_key,))
-        return TwistedElement(
-            self.algebra, {self.group.identity: pos, self.group.simple(i): neg})
+        """Y_{-i} = c - X_{-i} = 1/x_{alpha_i} + (1/x_{-alpha_i}) eta_i."""
+        return self.algebra.coerce(self.c) - self.x_neg(i)
 
     # -- the finite longest element ----------------------------------------
 
@@ -164,21 +154,10 @@ def check_recursion(ctx: ConnectiveContext, window: Window, flavor: str = "x",
             if si_u not in window or group.length(si_u) <= group.length(u):
                 continue
             predicted = predict_row(ctx.algebra, ctx.c, rows[u], i, flavor)
-            actual = rows[si_u]
-            keys = set(predicted) | set(actual)
-            for v in keys:
-                p = predicted.get(v)
-                a = actual.get(v)
-                if p is None:
-                    ok = a.is_zero()
-                elif a is None:
-                    ok = p.is_zero()
-                else:
-                    ok = p == a
-                if not ok:
-                    report.failures.append(
-                        "row %s letter %d column %s"
-                        % (group.element_name(si_u), i, group.element_name(v)))
+            for v in combine_rows(((1, predicted), (-1, rows[si_u]))):
+                report.failures.append(
+                    "row %s letter %d column %s"
+                    % (group.element_name(si_u), i, group.element_name(v)))
             report.checked += 1
     return report
 

@@ -13,20 +13,20 @@ and the left-side Hecke action
 for z = sum_w c_w eta_w.  Both need the shifted arguments to stay inside the
 window of f; otherwise a WindowExceededError pinpoints the length required.
 
-The small-torus GKM conditions bound, for every finite positive root alpha and
-each degree d up to a chosen bound, the alternating binomial sums of values
-along translation orbits t_{j alpha^v} w; the big-torus conditions are the
-classical pairwise divisibility conditions along real affine reflections.
+The small-torus GKM conditions ask, for every finite positive root alpha and
+each degree d up to a chosen bound, that the d-th orbit difference
+(1 - t_{alpha^v})^d f, and the (d-1)-th difference of f minus its reflected
+orbit, lie in x_alpha^d S; the big-torus conditions are the classical
+pairwise divisibility conditions along real affine reflections.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
-from .roots import AffineElt, Vec, Window
-from .twisted import ExpansionTables, TwistedElement
+from .roots import AffRoot, AffineElt, Vec, Window, vscale
+from .twisted import ExpansionTables, TwistedElement, combine_rows
 
 
 class DualElement:
@@ -69,10 +69,7 @@ class DualElement:
     def __eq__(self, other):
         if not isinstance(other, DualElement):
             return NotImplemented
-        for w in set(self.values) | set(other.values):
-            if not (self.get(w) == other.get(w)):
-                return False
-        return True
+        return not combine_rows(((1, self.values), (-1, other.values)))
 
     def __hash__(self):
         raise TypeError("DualElement is unhashable")
@@ -152,12 +149,7 @@ def odot(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
 
 def characteristic(torus: TorusAlgebra, u: AlgebraElement, window: Window) -> DualElement:
     """The characteristic function of u in S: w -> w(u)."""
-    values = {}
-    for w in window.elements:
-        img = torus.act_elem(w, u)
-        if not img.is_zero():
-            values[w] = Localized(torus, img)
-    return DualElement(torus, window, values)
+    return phi(torus, torus.ring.one(), u, window)
 
 
 def phi(torus: TorusAlgebra, a: AlgebraElement, b: AlgebraElement,
@@ -272,95 +264,96 @@ class GkmReport:
         return "%s for alpha=%r d=%d w=%s not in x^%d S" % (reason, root, d, name(w), d)
 
 
-def _regular_value(v: Localized) -> Optional[AlgebraElement]:
+def _in_ideal(torus: TorusAlgebra, v: Localized, beta: AffRoot, d: int) -> bool:
+    """Whether v is regular and divisible by x_beta^d."""
     s = v.simplify()
-    if s.den:
-        return None
-    return s.num
+    return not s.den and torus.divides(s.num, beta, d) is not None
 
 
 def _check_regular(f: DualElement, report: GkmReport) -> None:
     for w in f.window.elements:
         report.checked += 1
-        if _regular_value(f.get(w)) is None:
+        if f.get(w).simplify().den:
             report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
 
 
-def _orbit(group, shifts: List[AffineElt], w: AffineElt,
-           window: Window) -> Optional[List[AffineElt]]:
-    """The points t*w for t in shifts, or None once one leaves the window."""
-    orbit = []
+def _orbit_values(f: DualElement, shifts: List[AffineElt],
+                  w: AffineElt) -> List[Localized]:
+    """f[t w] for t in shifts, up to the first point t w outside the window."""
+    values = []
     for t in shifts:
-        tw = group.mul(t, w)
-        if tw not in window:
-            return None
-        orbit.append(tw)
-    return orbit
+        tw = f.torus.group.mul(t, w)
+        if tw not in f.window:
+            break
+        values.append(f.get(tw))
+    return values
+
+
+def _leading_differences(values: List[Localized]) -> List[Localized]:
+    """((1 - t)^k g)[0] for k < len(values), where values[j] = g[j] and
+    (t g)[j] = g[j + 1]."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [a - b for a, b in zip(values, values[1:])]
+    return out
 
 
 def gkm_check_small(f: DualElement, degree_bound: int,
                     grassmannian: bool = False) -> GkmReport:
     """Small-torus GKM conditions up to the degree bound.
 
-    For each finite positive root alpha, each 1 <= d <= degree_bound and each
-    window element w:
+    Let t = t_{alpha^v} act on functions by (t g)[w] = g[t w].  For each
+    finite positive root alpha, each window element w and each
+    1 <= d <= degree_bound:
 
-      * the alternating sum  sum_{j=0}^{d} (-1)^j C(d,j) f[t_{j alpha^v} w]
-        must lie in x_alpha^d S;
-      * unless `grassmannian`, the reflected difference sum
-        sum_{j=0}^{d-1} (-1)^j C(d-1,j) (f[t_j w] - f[t_j s_alpha w])
-        must also lie in x_alpha^d S.  The reflected orbit translates the
-        reflected point: the pairing argument is eta_{t_j} eta_{s_alpha}
-        eta_w, not s_alpha applied after the translation.
+      * the orbit difference ((1 - t)^d f)[w] must lie in x_alpha^d S;
+      * unless `grassmannian`, so must the reflected difference
+        ((1 - t)^{d-1} h)[w] with h[t^j w] = f[t^j w] - f[t^j s_alpha w].
+        The reflected orbit translates the reflected point: the pairing
+        argument is eta_{t^j} eta_{s_alpha} eta_w, not s_alpha applied after
+        the translation.
 
-    Orbit points outside the window are skipped and reported, never silently
-    treated as zero.
+    Each orbit is read once per (alpha, w) and differenced degree by degree.
+    Orbit points outside the window are skipped and reported, never
+    silently treated as zero.
     """
     torus = f.torus
     group = torus.group
     datum = torus.datum
-    window = f.window
-    report = GkmReport(torus.torus, torus.ring.backend, degree_bound, window)
+    report = GkmReport(torus.torus, torus.ring.backend, degree_bound, f.window)
     _check_regular(f, report)
     if report.violations:
         return report
 
     for alpha in datum.positive_roots:
-        alpha_v = datum.coroot_of[alpha]
         beta = (alpha, 0)
         s_alpha = group.affine_reflection(beta)
-        shifts = [group.translation(tuple(j * c for c in alpha_v))
+        shifts = [group.translation(vscale(j, datum.coroot_of[alpha]))
                   for j in range(degree_bound + 1)]
-        for d in range(1, degree_bound + 1):
-            for w in window.elements:
-                orbit = _orbit(group, shifts[:d + 1], w, window)
-                if orbit is None:
+        for w in f.window.elements:
+            orbit = _orbit_values(f, shifts, w)
+            lead = _leading_differences(orbit)
+            refl = []
+            if not grassmannian:
+                # the degrees the orbit reaches need len(orbit) - 1 points
+                mirror = _orbit_values(f, shifts[:len(orbit) - 1], group.mul(s_alpha, w))
+                refl = _leading_differences([a - b for a, b in zip(orbit, mirror)])
+            for d in range(1, degree_bound + 1):
+                if d >= len(lead):
                     report.skipped.append(GkmRecord(alpha, d, w, ORBIT_LEAVES))
                     continue
                 report.checked += 1
-                acc = Localized(torus, torus.ring.zero())
-                for j, tjw in enumerate(orbit):
-                    sign = -1 if j % 2 else 1
-                    acc = acc + f.get(tjw) * (sign * math.comb(d, j))
-                num = _regular_value(acc)
-                if num is None or torus.divides(num, beta, d) is None:
+                if not _in_ideal(torus, lead[d], beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, BINOMIAL_SUM))
                     continue
                 if grassmannian:
                     continue
-                sw = group.mul(s_alpha, w)
-                refl_orbit = _orbit(group, shifts[:d], sw, window)
-                if refl_orbit is None:
+                if d > len(refl):
                     report.skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
                     continue
                 report.checked += 1
-                acc = Localized(torus, torus.ring.zero())
-                for j, tjsw in enumerate(refl_orbit):
-                    sign = -1 if j % 2 else 1
-                    acc = acc + (f.get(orbit[j]) - f.get(tjsw)) * (
-                        sign * math.comb(d - 1, j))
-                num = _regular_value(acc)
-                if num is None or torus.divides(num, beta, d) is None:
+                if not _in_ideal(torus, refl[d - 1], beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
     return report
 
@@ -382,8 +375,7 @@ def gkm_check_big(f: DualElement) -> GkmReport:
             if beta is None:
                 continue
             report.checked += 1
-            diff = _regular_value(f.get(w) - f.get(w2))
-            if diff is None or torus.divides(diff, beta, 1) is None:
+            if not _in_ideal(torus, f.get(w) - f.get(w2), beta, 1):
                 report.violations.append(GkmRecord(beta, 1, w, DIFFERENCE))
     return report
 

@@ -30,7 +30,7 @@ from .algebra import AlgebraElement, Localized
 from .duals import DualElement, TranslationDual, restrict_to_translations
 from .errors import ConfigError, MembershipError
 from .roots import AffineElt, Vec, Window
-from .twisted import ExpansionTables, TwistedAlgebra, TwistedElement
+from .twisted import ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows
 
 
 def pr(algebra: TwistedAlgebra, z: TwistedElement) -> TwistedElement:
@@ -93,6 +93,7 @@ class PetersonContext:
         """P_u = pr(X_{I_u}), translation-supported by construction."""
         if u in self._elements:
             return self._elements[u]
+        self.window.require(u)
         if u not in self._minimal_set:
             raise ConfigError("Peterson basis is indexed by minimal coset "
                               "representatives; got a non-minimal element")
@@ -145,18 +146,13 @@ class PetersonContext:
         full = self.tables.expand_in_x(z)
         out = {v: c for v, c in full.items() if v in self._minimal_set}
         if verify:
-            recon: Dict[AffineElt, Localized] = {}
-            for u, d in out.items():
-                for v, c in self.x_expansion(u).items():
-                    delta = d * c
-                    recon[v] = recon[v] + delta if v in recon else delta
-            zero = Localized(self.algebra.torus, self.algebra.torus.ring.zero())
-            for v in set(full) | set(recon):
-                if not (full.get(v, zero) == recon.get(v, zero)):
-                    raise MembershipError(
-                        "Peterson expansion does not reproduce the Demazure "
-                        "coefficient at %s"
-                        % self.algebra.torus.group.element_name(v))
+            diff = combine_rows([(1, full)] + [
+                (-d, self.x_expansion(u)) for u, d in out.items()])
+            if diff:
+                raise MembershipError(
+                    "Peterson expansion does not reproduce the Demazure "
+                    "coefficient at %s"
+                    % self.algebra.torus.group.element_name(next(iter(diff))))
         return out
 
     # -- structure constants -----------------------------------------------
@@ -177,22 +173,12 @@ class PetersonContext:
         d_row = self.x_product_expansion(u, v)
         frak_row = self.d_expansion(self.element(u) * self.element(v),
                                     verify=verify)
-        cu = self.x_expansion(u)
-        zero = Localized(self.algebra.torus, self.algebra.torus.ring.zero())
-        mismatches: List[AffineElt] = []
-        targets = set(frak_row)
-        for w2 in cu:
-            targets |= {w3 for w3 in self.x_product_expansion(w2, v)
-                        if w3 in self._minimal_set}
-        for w3 in targets:
-            rhs = zero
-            for w2, c in cu.items():
-                d = self.x_product_expansion(w2, v).get(w3)
-                if d is not None:
-                    rhs = rhs + c * d
-            if not (frak_row.get(w3, zero) == rhs):
-                mismatches.append(w3)
-        return StructurePair(u, v, d_row, frak_row, mismatches)
+        # P_u P_v = sum_{w2} c_{w2} X_{I_{w2}} X_{I_v} at the minimal columns
+        diff = combine_rows([(1, frak_row)] + [
+            (-c, {w3: d for w3, d in self.x_product_expansion(w2, v).items()
+                  if w3 in self._minimal_set})
+            for w2, c in self.x_expansion(u).items()])
+        return StructurePair(u, v, d_row, frak_row, list(diff))
 
     def structure_constants(self, total_length: int, verify: bool = False
                             ) -> List["StructurePair"]:

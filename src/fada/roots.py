@@ -570,22 +570,6 @@ class AffineWeylGroup:
     def window(self, length_bound: int) -> Window:
         if length_bound in self._windows:
             return self._windows[length_bound]
-        best = None
-        for have in self._windows.values():
-            if have.length_bound > length_bound:
-                if best is None or have.length_bound < best.length_bound:
-                    best = have
-        if best is not None:
-            keep = tuple(x for x in best.elements if best.lengths[x] <= length_bound)
-            win = Window(
-                self,
-                length_bound,
-                keep,
-                {x: best.words[x] for x in keep},
-                {x: best.lengths[x] for x in keep},
-            )
-            self._windows[length_bound] = win
-            return win
         words: Dict[AffineElt, Tuple[int, ...]] = {self.identity: ()}
         lengths: Dict[AffineElt, int] = {self.identity: 0}
         layer = [self.identity]
@@ -633,18 +617,8 @@ class AffineWeylGroup:
 
     def coset_decompose_right(self, x: AffineElt) -> Tuple[AffineElt, FiniteWeylElt]:
         """x = v u with u finite and v minimal in x W; lengths add."""
-        u = self.datum.weyl_identity
-        v = x
-        moved = True
-        while moved:
-            moved = False
-            for i in range(1, self.datum.rank + 1):
-                if self.right_descent(v, i):
-                    v = self.mul(v, self.generators[i])
-                    u = self.datum.simple_reflections[i - 1] * u
-                    moved = True
-                    break
-        return v, u
+        u, v = self.coset_decompose(self.inv(x))
+        return self.inv(v), u.inverse()
 
     def inversions(self, x: AffineElt, word: Optional[Sequence[int]] = None) -> List[AffRoot]:
         """Left inversions {beta > 0 : x^{-1}(beta) < 0}, from a reduced word."""

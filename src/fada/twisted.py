@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import EXACT_BACKENDS, AlgebraElement, Localized, TorusAlgebra
 from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
-from .roots import AffineElt, Vec, Window
+from .roots import AffineElt, Vec, Window, vneg
 from .scalars import Scalar
 
 
@@ -95,19 +95,7 @@ class TwistedElement:
         return self.algebra.coerce(other) * self
 
     def __eq__(self, other):
-        other = self.algebra.coerce(other)
-        for w in set(self.terms) | set(other.terms):
-            a = self.terms.get(w)
-            b = other.terms.get(w)
-            if a is None:
-                if not b.simplify().is_negligible():
-                    return False
-            elif b is None:
-                if not a.simplify().is_negligible():
-                    return False
-            elif not (a == b):
-                return False
-        return True
+        return not combine_rows(((1, self.terms), (-1, self.algebra.coerce(other).terms)))
 
     def __hash__(self):
         raise TypeError("TwistedElement is unhashable")
@@ -172,14 +160,17 @@ class TwistedAlgebra:
 
     # -- Demazure elements -------------------------------------------------
 
+    def divided_difference(self, b: Vec, g: AffineElt) -> TwistedElement:
+        """(1/x_b) (1 - eta_g)."""
+        inv = Localized(self.torus, self.torus.ring.one(), (b,))
+        return TwistedElement(self, {self.torus.group.identity: inv, g: -inv})
+
     def x_op(self, i: int) -> TwistedElement:
         """X_i = (1/x_{alpha_i}) (1 - eta_{s_i})."""
         if i not in self._xop:
-            torus = self.torus
-            b = torus.embed_root(torus.group.simple_root(i))
-            inv = Localized(torus, torus.ring.one(), (b,))
-            self._xop[i] = TwistedElement(
-                self, {torus.group.identity: inv, torus.group.simple(i): -inv})
+            group = self.torus.group
+            self._xop[i] = self.divided_difference(
+                self.torus.embed_root(group.simple_root(i)), group.simple(i))
         return self._xop[i]
 
     def y_op(self, i: int) -> TwistedElement:
@@ -210,20 +201,29 @@ class TwistedAlgebra:
     def z_alpha(self, alpha: Vec) -> TwistedElement:
         """Z_alpha = (1/x_{-alpha}) (1 - eta_{t_{alpha^v}}) for a finite root."""
         torus = self.torus
-        datum = torus.datum
-        if tuple(alpha) not in datum.coroot_of:
+        coroot = torus.datum.coroot_of.get(tuple(alpha))
+        if coroot is None:
             raise ConfigError("%r is not a finite root" % (alpha,))
-        neg = tuple(-v for v in alpha)
-        b = torus.embed_root((neg, 0))
-        inv = Localized(torus, torus.ring.one(), (b,))
-        t = torus.group.translation(datum.coroot_of[tuple(alpha)])
-        return TwistedElement(self, {torus.group.identity: inv, t: -inv})
+        return self.divided_difference(torus.embed_root((vneg(alpha), 0)),
+                                       torus.group.translation(coroot))
 
 
 # -- change of basis -------------------------------------------------------
 
 
 Row = Dict[AffineElt, Localized]
+
+
+def combine_rows(terms: Iterable[Tuple[Union[int, Localized], Row]]) -> Row:
+    """sum_u c_u row_u for the pairs (c_u, row_u), simplified, without its
+    negligible entries; two rows are equal when their difference is empty."""
+    out: Row = {}
+    for c, row in terms:
+        for v, b in row.items():
+            delta = c * b
+            out[v] = out[v] + delta if v in out else delta
+    simplified = ((v, c.simplify()) for v, c in out.items())
+    return {v: c for v, c in simplified if not c.is_negligible()}
 
 
 def _require_flavor(flavor: str) -> None:
@@ -273,14 +273,9 @@ class ExpansionTables:
 
     def expand_in_x(self, z: TwistedElement) -> Dict[AffineElt, Localized]:
         """Left-coefficient expansion of z in the X_{I_w} basis."""
-        out: Dict[AffineElt, Localized] = {}
-        for u, c in z.terms.items():
+        for u in z.terms:
             self.window.require(u, "eta support of the element")
-            for v, b_uv in self.b[u].items():
-                delta = c * b_uv
-                out[v] = out[v] + delta if v in out else delta
-        simplified = {v: c.simplify() for v, c in out.items()}
-        return {v: c for v, c in simplified.items() if not c.is_negligible()}
+        return combine_rows((c, self.b[u]) for u, c in z.terms.items())
 
     def x_coefficients_regular(self, expansion: Dict[AffineElt, Localized]) -> bool:
         """Whether every coefficient lies in S (no surviving denominator)."""
@@ -306,20 +301,12 @@ def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x",
             continue
         aw = _word_row(algebra, window, flavor, w)
         diag_inv = aw[w].inverse()
-        out: Row = {w: diag_inv}
-        for u, c in aw.items():
-            if u == w:
-                continue
-            if u not in rows:
-                raise ConfigError(
-                    "expansion of X_{I_w} is not triangular; unexpected "
-                    "support at an element not yet solved")
-            scale = diag_inv * c
-            for v, b_uv in rows[u].items():
-                delta = -(scale * b_uv)
-                out[v] = out[v] + delta if v in out else delta
-        simplified = {v: c.simplify() for v, c in out.items()}
-        rows[w] = {v: c for v, c in simplified.items() if not c.is_negligible()}
+        if any(u != w and u not in rows for u in aw):
+            raise ConfigError(
+                "expansion of X_{I_w} is not triangular; unexpected "
+                "support at an element not yet solved")
+        rows[w] = combine_rows([(1, {w: diag_inv})] + [
+            (-(diag_inv * c), rows[u]) for u, c in aw.items() if u != w])
     return rows
 
 

@@ -126,6 +126,32 @@ def test_exit_two_on_out_of_range_value_or_non_reduced_word(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("a1hat", "--root", "A2"),
+    ("a1hat", "--fgl", "hyperbolic"),
+    ("a1hat", "--torus", "big"),
+    ("a1hat", "--window", "4"),
+    ("a1hat", "--degree", "4"),
+    ("braid-check", "--i", "1", "--j", "0", "--window", "4"),
+])
+def test_exit_two_on_an_option_the_command_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_peterson_index_outside_the_window_names_the_window_needed(capsys):
+    # s0 is a minimal representative; it only lies outside the window
+    rc, out, err = run_cli(capsys, "peterson", "--u", "0", "--window", "0")
+    assert rc == 2
+    assert out == ""
+    assert "rerun with window >= 1" in err
+    assert "non-minimal" not in err
+
+
 # -- spec'd behaviors --------------------------------------------------------
 
 def test_gkm_all_pass(capsys):

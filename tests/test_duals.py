@@ -1,10 +1,16 @@
 """Dual functionals, the two module actions, and GKM membership checks."""
 
+import random
+from collections import Counter
+from math import comb
+
 import pytest
 
 from fada.algebra import AlgebraElement, Localized
 from fada.errors import WindowExceededError
-from fada.duals import (DualElement, TranslationDual, bullet, characteristic,
+from fada.duals import (BINOMIAL_SUM, NOT_REGULAR, ORBIT_LEAVES,
+                        REFLECTED_ORBIT_LEAVES, REFLECTED_SUM, DualElement,
+                        GkmRecord, TranslationDual, bullet, characteristic,
                         dual_x, gkm_check_big, gkm_check_small, odot, pair,
                         phi, pr_star, restrict_to_translations,
                         w_invariance_report)
@@ -272,6 +278,97 @@ def test_gkm_summary_line():
     rep = gkm_check_small(dual_x(tables, alg.torus.group.simple(1)), 1)
     assert "GKM(small,CON,D=1)" in rep.summary()
     assert "0 violations" in rep.summary()
+
+
+def binomial_gkm(f, degree_bound, grassmannian=False):
+    """Oracle for `gkm_check_small`: each condition as a signed binomial sum
+    over the orbit points, recomputed for every degree.  Returns the checked
+    count and the skipped and violation records."""
+    torus = f.torus
+    group = torus.group
+    window = f.window
+    zero = Localized(torus, torus.ring.zero())
+    checked, skipped, violations = 0, [], []
+    for w in window.elements:
+        checked += 1
+        if f.get(w).simplify().den:
+            violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
+    if violations:
+        return checked, skipped, violations
+
+    def in_ideal(acc, beta, d):
+        s = acc.simplify()
+        return not s.den and torus.divides(s.num, beta, d) is not None
+
+    def orbit(shifts, w):
+        points = [group.mul(t, w) for t in shifts]
+        return points if all(p in window for p in points) else None
+
+    for alpha in torus.datum.positive_roots:
+        beta = (alpha, 0)
+        s_alpha = group.affine_reflection(beta)
+        coroot = torus.datum.coroot_of[alpha]
+        shifts = [group.translation(tuple(j * c for c in coroot))
+                  for j in range(degree_bound + 1)]
+        for d in range(1, degree_bound + 1):
+            for w in window.elements:
+                points = orbit(shifts[:d + 1], w)
+                if points is None:
+                    skipped.append(GkmRecord(alpha, d, w, ORBIT_LEAVES))
+                    continue
+                checked += 1
+                acc = zero
+                for j, p in enumerate(points):
+                    acc = acc + f.get(p) * ((-1) ** j * comb(d, j))
+                if not in_ideal(acc, beta, d):
+                    violations.append(GkmRecord(alpha, d, w, BINOMIAL_SUM))
+                    continue
+                if grassmannian:
+                    continue
+                reflected = orbit(shifts[:d], group.mul(s_alpha, w))
+                if reflected is None:
+                    skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
+                    continue
+                checked += 1
+                acc = zero
+                for j, (p, q) in enumerate(zip(points, reflected)):
+                    acc = acc + (f.get(p) - f.get(q)) * ((-1) ** j * comb(d - 1, j))
+                if not in_ideal(acc, beta, d):
+                    violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
+    return checked, skipped, violations
+
+
+@pytest.mark.parametrize("rtype,backend,fgl,precision,length,degree_bound", [
+    ("A1", "CON", None, 8, 6, 3),
+    ("A2", "ADD", None, 8, 4, 2),
+    ("G2", "CON", None, 8, 3, 2),
+    ("A1", "SER", "hyperbolic", 12, 3, 2),
+], ids=["A1-CON", "A2-ADD", "G2-CON", "A1-SER-hyperbolic"])
+def test_small_gkm_matches_the_binomial_sum_oracle(rtype, backend, fgl, precision,
+                                                   length, degree_bound):
+    alg = util.algebra(rtype, backend, "small", fgl=fgl, precision=precision)
+    tables = util.tables(alg, length)
+    window = tables.window
+    duals = [dual_x(tables, w) for w in window.elements]
+    rng = random.Random(length * 1000 + degree_bound)
+    shallow = [w for w in window.elements if window.lengths[w] <= 2]
+    for _ in range(8):
+        f = rng.choice(duals)
+        v = rng.choice(shallow)
+        bad = dict(f.values)
+        bad[v] = f.get(v) + rng.randint(1, 7)
+        duals.append(DualElement(alg.torus, window, bad))
+    seen = Counter()
+    for f in duals:
+        for grassmannian in (False, True):
+            rep = gkm_check_small(f, degree_bound, grassmannian=grassmannian)
+            checked, skipped, violations = binomial_gkm(f, degree_bound, grassmannian)
+            assert rep.checked == checked
+            assert Counter(rep.skipped) == Counter(skipped)
+            assert Counter(rep.violations) == Counter(violations)
+            seen.update(r.reason for r in rep.skipped + rep.violations)
+    # skips and violations both occur, so the comparison is not vacuous
+    assert seen[ORBIT_LEAVES] and seen[BINOMIAL_SUM] + seen[REFLECTED_SUM]
 
 
 # -- GKM, big torus ---------------------------------------------------------

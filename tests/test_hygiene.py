@@ -1,4 +1,5 @@
-"""Static hygiene of the package: no unused imports, a clean public name list."""
+"""Static hygiene of the package: no unused imports, no orphaned private
+helpers, a clean public name list."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import fada
 
-MODULES = sorted(p for p in Path(fada.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(fada.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _annotations(tree):
@@ -53,6 +54,60 @@ def test_scanner_flags_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def orphaned_helpers(sources):
+    """The private non-dunder functions and methods, as 'module:name', that
+    no code in `sources` (module name -> text) refers to outside their own
+    definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs = {}  # name -> ids of the nodes that refer to it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            refs.setdefault(name, []).append(id(node))
+    orphans = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _is_private(node.name)):
+                inside = {id(n) for n in ast.walk(node)}
+                if all(r in inside for r in refs.get(node.name, [])):
+                    orphans.append("%s:%s" % (module, node.name))
+    return sorted(orphans)
+
+
+def test_scanner_flags_orphaned_helpers():
+    source = ("class C:\n"
+              "    def _used(self):\n"
+              "        return self._used_too()\n"
+              "    def _used_too(self):\n"
+              "        return 1\n"
+              "    def _orphan(self):\n"
+              "        return self._orphan()\n"
+              "    def __repr__(self):\n"
+              "        return ''\n"
+              "def _loose():\n"
+              "    pass\n"
+              "def public():\n"
+              "    return C()._used()\n")
+    assert orphaned_helpers({"m": source}) == ["m:_loose", "m:_orphan"]
+    assert orphaned_helpers({"m": source, "n": "from m import _loose\n"}) == ["m:_orphan"]
+
+
+def test_no_orphaned_private_helpers():
+    assert orphaned_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def test_public_names_resolve_once():
