@@ -23,7 +23,9 @@ and `AlgebraElement.coefficients` regroups the terms into them.
 
 `TorusAlgebra.divide` divides by powers of x_b: on MUL and CON by a running
 sum along each chain lambda + Z*b of lattice points, with no polynomial
-division; on ADD and SER by `polyops.pdiv_exact` and `series_div_exact`.
+division.  On ADD x_b is the linear form l_b = sum_i b_i x_i, and on SER l_b is
+its lowest form; both divide by l_b with `polyops.pdiv_linear`, synthetic
+division in one variable, SER once per lattice degree in `series_div_exact`.
 """
 from __future__ import annotations
 
@@ -65,6 +67,7 @@ class FormalRing:
             raise ConfigError("series precision must be at least 1")
         self._x_cache: Dict[Vec, "AlgebraElement"] = {}
         self._x_pow_cache: Dict[Tuple[Vec, int], "AlgebraElement"] = {}
+        self._multiple_cache: Dict[Tuple[int, int], Terms] = {}
 
     # -- constants and the scalar boundary ---------------------------------
 
@@ -132,10 +135,26 @@ class FormalRing:
         for i, k in enumerate(mu):
             if not k:
                 continue
-            var = {tuple(int(j == i) for j in range(n + len(self.params))): 1}
-            part = self.fgl.multiple(var, k, prec, n)
+            part = self._multiple(i, k)
             acc = part if acc is None else self.fgl.add(acc, part, prec, n)
         return AlgebraElement._cut(self, acc or {}, prec)
+
+    def _multiple(self, i: int, k: int) -> Terms:
+        """The formal multiple [k](x_i) for k != 0, cached: [k] is F([k - 1], x_i)
+        and [-k] is F([-k + 1], [-1](x_i)), so the law's inverse runs once per
+        variable."""
+        if (i, k) not in self._multiple_cache:
+            prec, n = self.precision, self.nvars
+            if k == 1:
+                out = {tuple(int(j == i) for j in range(n + len(self.params))): 1}
+            elif k == -1:
+                out = self.fgl.inverse(self._multiple(i, 1), prec, n)
+            else:
+                step = 1 if k > 0 else -1
+                out = self.fgl.add(self._multiple(i, k - step), self._multiple(i, step),
+                                   prec, n)
+            self._multiple_cache[i, k] = out
+        return self._multiple_cache[i, k]
 
 
 class AlgebraElement:
@@ -526,18 +545,17 @@ class TorusAlgebra:
         ring = self.ring
         if ring.backend in ("MUL", "CON"):
             return self._chain_quotient(f, b)
-        den = ring.x_of(b).terms
         if ring.backend == "ADD":
-            # the additive model is a polynomial ring: no negative exponents
-            q = polyops.pdiv_exact(f.terms, den, ring.nvars)
+            # x_b is the linear form sum_i b_i x_i itself
+            q = polyops.pdiv_linear(f.terms, b)
             return None if q is None else AlgebraElement._cut(ring, q, None)
-        val = polyops.pvaluation(den, ring.nvars)
-        if f.prec < val:
+        # x_b has lattice valuation 1, and the quotient is cut at f.prec - 1
+        if f.prec < 1:
             raise PrecisionError(
                 "series precision exhausted in division; rerun with precision >= %d"
-                % max(ring.precision + val - f.prec, ring.precision + 1))
-        res = polyops.series_div_exact(f.terms, den, f.prec, ring.nvars)
-        return None if res is None else AlgebraElement(ring, *res)
+                % (ring.precision + 1 - f.prec))
+        res = polyops.series_div_exact(f.terms, ring.x_of(b).terms, f.prec, ring.nvars)
+        return None if res is None else AlgebraElement._cut(ring, *res)
 
     def _chain_quotient(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
         """x_b = c^{-1}(1 - e_{-b}) (c = 1 on MUL) divides f iff f sums to 0 along

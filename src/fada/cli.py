@@ -394,7 +394,7 @@ _COMMON = {
                    help="root datum: type name, inline JSON, or @file"),
     "--fgl": dict(default="connective",
                   help="formal group law: name, inline JSON, or @file"),
-    "--torus": dict(default="small", choices=["small", "big", "both"]),
+    "--torus": dict(default="small", choices=["small", "big"]),
     "--window": dict(type=int, default=3,
                      help="length bound L for the element window"),
     "--degree": dict(type=int, default=8,
@@ -417,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="eta <-> X change-of-basis tables")
-    _common(p)
+    _common(p, "--torus")
+    p.add_argument("--torus", default="small", choices=["small", "big", "both"],
+                   help="both prints the small torus table, then the big one")
     p.add_argument("--word", help="restrict to one element given by its word")
 
     p = sub.add_parser("gkm", help="GKM divisibility checks on dual bases")

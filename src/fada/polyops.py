@@ -8,6 +8,12 @@ Z[c, a][[Lambda]] are themselves (truncated) polynomial rings and one product
 loop and one exact division serve every model.  `Scalar` keeps its
 parameter-only terms in the same format and calls the same functions.
 
+Division by x_b on the polynomial and series models needs less: by
+F(x, y) = x + y + ..., the lowest form of x_b is the integer linear form
+l_b = sum_i b_i x_i (on the additive model x_b is l_b).  `pdiv_linear`
+divides by l_b in one synthetic-division pass, and `series_div_exact` walks
+the lattice-degree buckets of a series once, dividing each by l_b.
+
 Exponents may be negative (Laurent keys) unless a function says otherwise.
 The optional `trunc` argument drops terms whose lattice degree, the sum of
 the first ``nvars`` slots, exceeds the bound; parameter exponents never count.
@@ -175,33 +181,107 @@ def pdiv_exact(num: Terms, den: Terms, poly: int = 0) -> Optional[Terms]:
     return out
 
 
+def pdiv_linear(num: Terms, form: Sequence[int]) -> Optional[Terms]:
+    """Exact division of num by the integer linear form l = sum_i form[i] x_i.
+
+    Synthetic division in one pivot variable x_j: the terms are grouped once
+    by their x_j exponent and the groups walked from the top down.  Each
+    group divided by form[j] x_j is a slice of the quotient, and that slice
+    times l - form[j] x_j is subtracted from the group below.  Returns None
+    when form[j] does not divide a coefficient or a term is left at x_j^0,
+    which is exactly when no quotient over Z exists.  The first len(form)
+    slots of each key are the lattice variables, with nonnegative exponents;
+    the parameter slots after them ride along.
+    """
+    if not any(form):
+        raise ZeroDivisionError("division by the zero linear form")
+    if not num:
+        return {}
+    j = next(i for i, v in enumerate(form) if v)
+    pivot = form[j]
+    rest = [(i, v) for i, v in enumerate(form) if v and i != j]
+    groups: Dict[int, Terms] = {}
+    for e, c in num.items():
+        groups.setdefault(e[j], {})[e] = c
+    quo: Terms = {}
+    for k in range(max(groups), 0, -1):
+        group = groups.get(k)
+        if not group:
+            continue
+        below = groups.setdefault(k - 1, {})
+        get = below.get
+        for e, c in group.items():
+            qc, r = divmod(c, pivot)
+            if r:
+                return None
+            key = list(e)
+            key[j] = k - 1
+            quo[tuple(key)] = qc
+            for i, v in rest:
+                key[i] += 1
+                ee = tuple(key)
+                key[i] -= 1
+                s = get(ee, 0) - v * qc
+                if s:
+                    below[ee] = s
+                else:
+                    del below[ee]
+    # a multiple of l leaves nothing at x_j^0 (nor below it)
+    if any(group for k, group in groups.items() if k < 1):
+        return None
+    return quo
+
+
 def series_div_exact(num: Terms, den: Terms, prec: int,
                      nvars: int) -> Optional[Tuple[Terms, int]]:
     """Divide truncated series num by den, requiring exact divisibility.
 
-    `den` must have a nonzero lowest homogeneous form (in lattice degree).
-    Returns (quotient, quotient_precision) or None when some homogeneous
-    slice fails to divide.  The quotient is certified to degree
-    prec - val(den).
+    `den` must have lattice valuation 1 and an integer linear lowest form
+    l = sum_i b_i x_i, as every x_b has (F(x, y) = x + y + ...).  One pass
+    over the numerator's lattice-degree buckets, upward to `prec`, divides
+    each by l with `pdiv_linear` and subtracts that slice of the quotient
+    times each higher layer of den from the later buckets in place.  Returns
+    (quotient, quotient_precision) or None when some bucket fails to divide.
+    The quotient is certified to degree prec - 1.
     """
-    dval = pvaluation(den, nvars)
-    if dval is None:
+    if not den:
         raise ZeroDivisionError("series division by zero")
-    dlow = {e: c for e, c in den.items() if sum(e[:nvars]) == dval}
-    qprec = prec - dval
+    layers: Dict[int, Terms] = {}
+    for e, c in den.items():
+        layers.setdefault(sum(e[:nvars]), {})[e] = c
+    width = len(next(iter(den)))
+    form = [den.get(tuple(int(j == i) for j in range(width)), 0) for i in range(nvars)]
+    if min(layers) != 1 or len(layers[1]) != sum(map(bool, form)):
+        raise ValueError("series division needs a divisor whose lowest form "
+                         "is an integer linear form")
+    qprec = prec - 1
     if qprec < 0:
         return ({}, -1)
+    buckets: Dict[int, Terms] = {}
+    for e, c in num.items():
+        buckets.setdefault(sum(e[:nvars]), {})[e] = c
+    higher = sorted((d, t) for d, t in layers.items() if d > 1)
     quo: Terms = {}
-    rem = ptruncate(num, prec, nvars)
-    while True:
-        v = pvaluation(rem, nvars)
-        if v is None or v - dval > qprec:
-            break
-        rlow = {e: c for e, c in rem.items() if sum(e[:nvars]) == v}
-        qslice = pdiv_exact(rlow, dlow, nvars)
+    for v in range(min(buckets, default=prec + 1), prec + 1):
+        bucket = buckets.get(v)
+        if not bucket:
+            continue
+        qslice = pdiv_linear(bucket, form)
         if qslice is None:
             return None
         # slices sit in distinct lattice degrees and never cancel
         quo.update(qslice)
-        rem = psub(rem, pmul(qslice, den, prec, nvars))
+        for d, layer in higher:
+            if v - 1 + d > prec:
+                break
+            target = buckets.setdefault(v - 1 + d, {})
+            get = target.get
+            for e1, c1 in qslice.items():
+                for e2, c2 in layer.items():
+                    e = tuple(map(add, e1, e2))
+                    s = get(e, 0) - c1 * c2
+                    if s:
+                        target[e] = s
+                    else:
+                        del target[e]
     return (quo, qprec)

@@ -143,6 +143,21 @@ def test_exit_two_on_an_option_the_command_does_not_read(capsys, argv):
     assert "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gkm",),
+    ("peterson", "--u", "0"),
+    ("recurse", "--i", "1"),
+    ("braid-check", "--i", "1", "--j", "0"),
+])
+def test_only_expand_offers_both_tori(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--torus", "both"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice: 'both'" in captured.err
+
+
 def test_peterson_index_outside_the_window_names_the_window_needed(capsys):
     # s0 is a minimal representative; it only lies outside the window
     rc, out, err = run_cli(capsys, "peterson", "--u", "0", "--window", "0")

@@ -236,3 +236,30 @@ def test_from_descriptor_custom_roundtrip():
     with pytest.raises(ConfigError):
         from_descriptor({"kind": "custom", "params": [], "degree": 3,
                          "coeffs": [[1, 0, "1"], [0, 1, "not_a_param"]]})
+
+
+def test_formal_multiples_are_built_once_per_ring(monkeypatch):
+    law = FormalGroupLaw.hyperbolic()
+    prec, n = 10, 2
+    mus = [(-1, 0), (0, -1), (-1, -1), (2, -1)]
+    want = {}
+    for mu in mus:
+        acc = None
+        for i, k in enumerate(mu):
+            if k:
+                part = law.multiple(var(i, n, law.params), k, prec, n)
+                acc = part if acc is None else law.add(acc, part, prec, n)
+        want[mu] = acc
+    calls = []
+    inverse = FormalGroupLaw.inverse
+
+    def counted(self, p, prec, nvars):
+        calls.append(p)
+        return inverse(self, p, prec, nvars)
+
+    monkeypatch.setattr(FormalGroupLaw, "inverse", counted)
+    ring = FormalRing("SER", n, law, prec)
+    for mu in mus:
+        assert ring.x_of(mu).terms == want[mu]
+    # x_{(-1,-1)} and x_{(2,-1)} reuse the inverses built for the first two
+    assert calls == [var(0, n, law.params), var(1, n, law.params)]

@@ -1,10 +1,15 @@
-"""Folded-key Laurent arithmetic against sympy, and lattice-degree truncation."""
+"""Folded-key Laurent arithmetic against sympy, lattice-degree truncation,
+and division by x_b against the general division and the old slice loop."""
 
+from functools import lru_cache
+
+import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fada import polyops
-from fada.algebra import AlgebraElement
+from fada.algebra import AlgebraElement, FormalRing
+from fada.fgl import FormalGroupLaw
 from fada.scalars import Scalar
 
 import util
@@ -91,3 +96,170 @@ def test_series_terms_from_outside_are_truncated():
         assert f.prec == cut
         assert f.terms == {e: c for e, c in terms.items() if e[0] <= cut}
     assert ring.element({(5,): 1}).is_zero()
+
+
+# -- division by a linear form -------------------------------------------------
+
+
+def linear(form, width):
+    """l = sum_i form[i] x_i as folded terms with `width` slots."""
+    return {tuple(int(j == i) for j in range(width)): v
+            for i, v in enumerate(form) if v}
+
+
+# two lattice slots with nonnegative exponents, as on ADD, then one parameter
+# slot that rides along
+poly_keys = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2))
+polys = st.dictionaries(poly_keys, st.integers(-4, 4).filter(bool), max_size=6)
+forms = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+
+
+@given(polys, forms, st.one_of(st.just({}), polys.filter(bool)), st.booleans())
+@example({(1, 2, 0): 1, (0, 0, 1): -2}, (2, -3), {}, False)
+@example({(1, 2, 0): 1, (0, 0, 1): -2}, (2, -3), {(3, 0, 0): 1}, False)
+@example({(1, 1, 0): 3}, (0, -3), {(0, 2, 0): 1}, True)
+def test_pdiv_linear_matches_pdiv_exact(f, form, r, params):
+    if not params:
+        f, r = ({e[:2]: c for e, c in t.items() if not e[2]} for t in (f, r))
+    width = 3 if params else 2
+    num = polyops.padd(polyops.pmul(f, linear(form, width)), r)
+    got = polyops.pdiv_linear(num, form)
+    assert got == polyops.pdiv_exact(num, linear(form, width), 2)
+    if not r:
+        assert got == f
+
+
+def test_pdiv_linear_needs_a_quotient_over_z():
+    # x - y = (2x - 2y) / 2 divides over Q only; 2x - 2y divides over Z
+    num = {(1, 0): 1, (0, 1): -1}
+    assert polyops.pdiv_linear(num, (2, -2)) is None
+    assert polyops.pdiv_exact(num, linear((2, -2), 2), 2) is None
+    assert polyops.pdiv_linear(polyops.pscale(num, 2), (2, -2)) == {(0, 0): 1}
+    assert polyops.pdiv_linear({}, (0, 1)) == {}
+    with pytest.raises(ZeroDivisionError):
+        polyops.pdiv_linear(num, (0, 0))
+
+
+def slice_loop_div(num, den, prec, nvars):
+    """Series division as it was before `pdiv_linear`: divide the lowest
+    slice of the remainder by the lowest form of den with `pdiv_exact`, and
+    subtract the slice times the whole of den, one lattice degree at a time."""
+    dval = polyops.pvaluation(den, nvars)
+    dlow = {e: c for e, c in den.items() if sum(e[:nvars]) == dval}
+    qprec = prec - dval
+    if qprec < 0:
+        return ({}, -1)
+    quo = {}
+    rem = polyops.ptruncate(num, prec, nvars)
+    while True:
+        v = polyops.pvaluation(rem, nvars)
+        if v is None or v - dval > qprec:
+            break
+        rlow = {e: c for e, c in rem.items() if sum(e[:nvars]) == v}
+        qslice = polyops.pdiv_exact(rlow, dlow, nvars)
+        if qslice is None:
+            return None
+        quo.update(qslice)
+        rem = polyops.psub(rem, polyops.pmul(qslice, den, prec, nvars))
+    return (quo, qprec)
+
+
+def tanh_law():
+    """F = (x + y) / (1 + b*xy), a law with one parameter, to degree 10."""
+    P = ("b",)
+    coeffs, s = {}, Scalar.const(1, P)
+    for k in range(5):
+        coeffs[(k + 1, k)] = coeffs[(k, k + 1)] = s
+        s = s * -Scalar.param("b", P)
+    return FormalGroupLaw.custom(coeffs, 10, P)
+
+
+LAWS = {"hyperbolic": FormalGroupLaw.hyperbolic(), "tanh": tanh_law()}
+# lattice points b of x_b: the rank of the lattice and a few of its points
+CASES = {
+    "A1 small": (1, [(1,), (-1,), (2,), (-3,)]),
+    "A2 small": (2, [(1, 0), (0, -1), (1, 1), (-1, -1), (2, -1)]),
+    "A1 big": (2, [(1, 0), (-1, 1), (1, -2), (0, 1)]),
+}
+
+
+@lru_cache(maxsize=None)
+def ser_ring(law, nvars, prec):
+    return FormalRing("SER", nvars, LAWS[law], prec)
+
+
+@st.composite
+def series_divisions(draw):
+    law = draw(st.sampled_from(sorted(LAWS)))
+    nvars, points = CASES[draw(st.sampled_from(sorted(CASES)))]
+    ring = ser_ring(law, nvars, draw(st.integers(4, 10)))
+    den = ring.x_of(draw(st.sampled_from(points))).terms
+    keys = st.tuples(*[st.integers(0, 3)] * nvars,
+                     *[st.integers(-1, 2)] * len(ring.params))
+    terms = st.dictionaries(keys, st.integers(-3, 3).filter(bool), min_size=1,
+                            max_size=5)
+    f = draw(terms)
+    # products run two degrees past the ring's precision: division must
+    # ignore every term beyond the precision it is given
+    cut = ring.precision + 2
+    num = {
+        "x_b": polyops.pmul(f, den, cut, nvars),
+        "x_b^2": polyops.pmul(polyops.pmul(f, den, cut, nvars), den, cut, nvars),
+        "x_b + r": polyops.padd(polyops.pmul(f, den, cut, nvars), draw(terms)),
+        "any": f,
+    }[draw(st.sampled_from(["x_b", "x_b^2", "x_b + r", "any"]))]
+    # shrinks towards the full precision, where the higher layers of x_b act
+    prec = ring.precision - draw(st.integers(0, ring.precision))
+    return num, den, prec, nvars
+
+
+@given(series_divisions())
+def test_series_div_exact_matches_the_slice_loop(case):
+    num, den, prec, nvars = case
+    got = polyops.series_div_exact(num, den, prec, nvars)
+    assert got == slice_loop_div(num, den, prec, nvars)
+    if got is not None and got[1] >= 0:
+        # divide the quotient again, as `TorusAlgebra.divide` does for x_b^m
+        quo, qprec = got
+        again = polyops.series_div_exact(quo, den, qprec, nvars)
+        assert again == slice_loop_div(quo, den, qprec, nvars)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_series_div_exact_recovers_every_multiple_of_x_b(law, case):
+    nvars, points = CASES[case]
+    ring = ser_ring(law, nvars, 8)
+
+    def mono(lattice, param=0):
+        return tuple(lattice) + (param,) + (0,) * (len(ring.params) - 1)
+
+    # 1 + 2 x_1 - p x_1...x_n + 5 x_n^3, p the law's first parameter
+    last = [0] * (nvars - 1)
+    f = {mono([0] * nvars): 1, mono([1] + last): 2, mono([1] * nvars, 1): -1,
+         mono(last + [3]): 5}
+    for b in points:
+        den = ring.x_of(b).terms
+        num = polyops.pmul(f, den, 8, nvars)
+        quo, qprec = polyops.series_div_exact(num, den, 8, nvars)
+        assert (quo, qprec) == slice_loop_div(num, den, 8, nvars)
+        assert qprec == 7 and quo == polyops.ptruncate(f, 7, nvars)
+
+
+def test_series_div_exact_below_the_divisor_valuation_certifies_nothing():
+    den = ser_ring("hyperbolic", 2, 6).x_of((1, -1)).terms
+    num = polyops.pmul({(1, 0, 0, 0): 1}, den, 6, 2)
+    assert polyops.series_div_exact(num, den, 0, 2) == ({}, -1)
+    assert slice_loop_div(num, den, 0, 2) == ({}, -1)
+    # at precision 1 the multiple of degree 2 is invisible: zero through O(1)
+    assert polyops.series_div_exact(num, den, 1, 2) == ({}, 0)
+    assert slice_loop_div(num, den, 1, 2) == ({}, 0)
+
+
+def test_series_div_exact_needs_a_linear_lowest_form():
+    with pytest.raises(ZeroDivisionError):
+        polyops.series_div_exact({(1,): 1}, {}, 4, 1)
+    for den in ({(0,): 1, (1,): 1}, {(2,): 1}, {(1, 1): 1}):
+        with pytest.raises(ValueError):
+            polyops.series_div_exact({(3,) + (0,) * (len(next(iter(den))) - 1): 1},
+                                     den, 4, 1)
