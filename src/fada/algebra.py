@@ -33,13 +33,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import polyops
 from .errors import ConfigError, MembershipError, PrecisionError
-from .fgl import FormalGroupLaw
+from .fgl import FormalGroupLaw, from_descriptor
 from .polyops import Terms
 from .scalars import Scalar
 from .roots import AffineElt, AffineWeylGroup, AffRoot, FiniteRootDatum, Vec
 
-EXACT_BACKENDS = ("ADD", "MUL", "CON")
-BACKENDS = EXACT_BACKENDS + ("SER",)
+# each exact backend and the one law it realizes; SER takes any law
+EXACT_BACKENDS = {"ADD": "additive", "MUL": "multiplicative", "CON": "connective"}
+BACKENDS = (*EXACT_BACKENDS, "SER")
 
 
 class FormalRing:
@@ -51,15 +52,11 @@ class FormalRing:
             raise ConfigError("unknown backend %r" % backend)
         self.backend = backend
         self.nvars = nvars
-        if backend == "ADD":
-            self.fgl = FormalGroupLaw.additive()
-        elif backend == "MUL":
-            self.fgl = FormalGroupLaw.multiplicative()
-        elif backend == "CON":
-            self.fgl = FormalGroupLaw.connective()
+        if backend in EXACT_BACKENDS:
+            self.fgl = from_descriptor({"kind": EXACT_BACKENDS[backend]})
+        elif fgl is None:
+            raise ConfigError("SER backend needs an explicit formal group law")
         else:
-            if fgl is None:
-                raise ConfigError("SER backend needs an explicit formal group law")
             self.fgl = fgl
         self.params: Tuple[str, ...] = self.fgl.params
         self.precision = precision
@@ -471,13 +468,12 @@ class TorusAlgebra:
     """
 
     def __init__(self, datum: FiniteRootDatum, backend: str, torus: str,
-                 fgl: Optional[FormalGroupLaw] = None, precision: int = 8,
-                 group: Optional[AffineWeylGroup] = None):
+                 fgl: Optional[FormalGroupLaw] = None, precision: int = 8):
         if torus not in ("big", "small"):
             raise ConfigError("torus must be 'big' or 'small'")
         self.datum = datum
         self.torus = torus
-        self.group = group if group is not None else AffineWeylGroup(datum)
+        self.group = AffineWeylGroup(datum)
         nvars = datum.rank + (1 if torus == "big" else 0)
         self.ring = FormalRing(backend, nvars, fgl, precision)
 

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import fgl as fgl_mod
 from .a1hat import appendix_crosscheck, eta_sigma_closed, sigma_index
-from .algebra import AlgebraElement, Localized, TorusAlgebra
+from .algebra import EXACT_BACKENDS, AlgebraElement, Localized, TorusAlgebra
 from .connective import ConnectiveContext, check_recursion, hecke_action_check
 from .duals import dual_x, gkm_check_big, gkm_check_small
 from .errors import ConfigError, FadaError, MembershipError
@@ -75,42 +75,29 @@ def build_datum(spec: object) -> FiniteRootDatum:
     raise ConfigError("root descriptor needs a 'type' name or a 'cartan' matrix")
 
 
-_SHORTHAND = {
-    "additive": ("ADD", None),
-    "multiplicative": ("MUL", None),
-    "connective": ("CON", None),
-}
-
-
-def build_law(spec: object, degree: int):
-    """Resolve an FGL descriptor to (backend, law-or-None)."""
+def build_law(spec: object):
+    """Resolve an FGL name or descriptor to (backend, law-or-None).  A law an
+    exact backend realizes gets that backend unless the descriptor names one."""
     spec = _load_arg(spec)
     if isinstance(spec, str):
-        if spec in _SHORTHAND:
-            return _SHORTHAND[spec]
-        if spec == "hyperbolic":
-            return "SER", fgl_mod.FormalGroupLaw.hyperbolic()
-        raise ConfigError("unknown formal group law %r" % spec)
+        spec = {"kind": spec}
     if not isinstance(spec, dict):
         raise ConfigError("formal group law descriptor must be a name or object")
-    backend = spec.get("backend")
-    kind = spec.get("kind")
-    if backend is None:
-        if kind in _SHORTHAND:
-            return _SHORTHAND[kind]
-        backend = "SER"
-    if backend != "SER":
-        if kind in _SHORTHAND and _SHORTHAND[kind][0] == backend:
-            return backend, None
-        raise ConfigError("backend %r does not realize law %r" % (backend, kind))
     law = fgl_mod.from_descriptor({k: v for k, v in spec.items() if k != "backend"})
-    law.validate(min(degree, law.table_degree or degree))
-    return "SER", law
+    exact = {kind: backend for backend, kind in EXACT_BACKENDS.items()}
+    backend = spec.get("backend")
+    if backend is None:
+        backend = exact.get(law.kind, "SER")
+    if backend == "SER":
+        return "SER", law
+    if exact.get(law.kind) != backend:
+        raise ConfigError("backend %r does not realize law %r" % (backend, law.kind))
+    return backend, None
 
 
 def make_algebra(cfg: JobConfig) -> TwistedAlgebra:
     datum = build_datum(cfg.root)
-    backend, law = build_law(cfg.fgl, cfg.degree)
+    backend, law = build_law(cfg.fgl)
     torus = TorusAlgebra(datum, backend, cfg.torus, fgl=law, precision=cfg.degree)
     return TwistedAlgebra(torus)
 

@@ -1,9 +1,10 @@
 """Connective-theory structure: Y operators, basis transitions, recursions.
 
-Everything here is specific to the one-parameter group law x + y - c x y.
-Three exact backends realize it: CON carries a generic invertible c, MUL is
-the specialization c = 1 and ADD is c = 0; the truncated backend qualifies
-when built from the connective table.  All other theories are rejected.
+Everything here is specific to the group laws x + y - c x y, which carry
+their c (`FormalGroupLaw.c`): the connective law a generic c, the
+multiplicative law c = 1 and the additive law c = 0, on their exact backends
+(CON, MUL, ADD) or on the truncated backend SER.  All other laws are
+rejected.
 
 Key facts implemented and cross-checked by the test-suite:
 

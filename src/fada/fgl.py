@@ -8,9 +8,11 @@ Supported families:
 * ``hyperbolic``      F(x, y) = (x + y - c*xy) / (1 + a*xy)    over Z[c, a]
 * ``custom``          arbitrary coefficient table, validated to its degree
 
-The first three have finite coefficient tables and admit exact polynomial or
-group-algebra models elsewhere in the package; the hyperbolic and custom kinds
-are handled through truncated power series with tracked precision.
+The first three form the connective family x + y - c*xy, and the law says so:
+`FormalGroupLaw.c` is 0, 1 or the parameter c for them and None for the other
+kinds.  Their coefficient tables are finite, and they admit exact polynomial
+or group-algebra models elsewhere in the package; every kind is also handled
+through truncated power series with tracked precision.
 
 Coefficient tables are kept as `Scalar` values, the form a custom descriptor
 is parsed into.  The series operations `add`, `inverse` and `multiple` take
@@ -39,11 +41,14 @@ def _constant(s: Scalar, nvars: int) -> Terms:
 class FormalGroupLaw:
     """A formal group law presented by its coefficient table F = sum a_ij x^i y^j."""
 
-    def __init__(self, kind: str, params: Tuple[str, ...], table_degree: Optional[int]):
+    def __init__(self, kind: str, params: Tuple[str, ...], table_degree: Optional[int],
+                 c: Optional[Scalar]):
         self.kind = kind
         self.params = params
         # None means the coefficient table is finite and exact at all degrees
         self.table_degree = table_degree
+        # the c of x + y - c*xy for a law of the connective family, else None
+        self.c = c
         self._table_cache: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
         self._custom: Optional[Dict[Tuple[int, int], Scalar]] = None
 
@@ -51,23 +56,23 @@ class FormalGroupLaw:
 
     @staticmethod
     def additive() -> "FormalGroupLaw":
-        return FormalGroupLaw("additive", (), None)
+        return FormalGroupLaw("additive", (), None, Scalar.const(0, ()))
 
     @staticmethod
     def multiplicative() -> "FormalGroupLaw":
-        return FormalGroupLaw("multiplicative", (), None)
+        return FormalGroupLaw("multiplicative", (), None, Scalar.const(1, ()))
 
     @staticmethod
     def connective() -> "FormalGroupLaw":
-        return FormalGroupLaw("connective", ("c",), None)
+        return FormalGroupLaw("connective", ("c",), None, Scalar.param("c", ("c",)))
 
     @staticmethod
     def hyperbolic() -> "FormalGroupLaw":
-        return FormalGroupLaw("hyperbolic", ("c", "a"), None)
+        return FormalGroupLaw("hyperbolic", ("c", "a"), None, None)
 
     @staticmethod
     def custom(coeffs: Dict[Tuple[int, int], Scalar], degree: int, params: Tuple[str, ...]) -> "FormalGroupLaw":
-        fgl = FormalGroupLaw("custom", params, degree)
+        fgl = FormalGroupLaw("custom", params, degree, None)
         fgl._custom = dict(coeffs)
         fgl.validate(degree)
         return fgl
@@ -83,20 +88,13 @@ class FormalGroupLaw:
             )
         if degree in self._table_cache:
             return self._table_cache[degree]
-        one = Scalar.const(1, self.params)
-        if self.kind == "additive":
-            tab = {(1, 0): one, (0, 1): one}
-        elif self.kind == "multiplicative":
-            tab = {(1, 0): one, (0, 1): one, (1, 1): -one}
-        elif self.kind == "connective":
-            c = Scalar.param("c", self.params)
-            tab = {(1, 0): one, (0, 1): one, (1, 1): -c}
+        if self.c is not None:
+            one = Scalar.const(1, self.params)
+            tab = {(1, 0): one, (0, 1): one, (1, 1): -self.c}
         elif self.kind == "hyperbolic":
             tab = self._hyperbolic_table(degree)
-        elif self.kind == "custom":
-            tab = {ij: c for ij, c in self._custom.items() if ij[0] + ij[1] <= degree}
         else:
-            raise ConfigError("unknown formal group law kind %r" % self.kind)
+            tab = {ij: c for ij, c in self._custom.items() if ij[0] + ij[1] <= degree}
         tab = {ij: c for ij, c in tab.items() if not c.is_zero()}
         self._table_cache[degree] = tab
         return tab
@@ -198,14 +196,8 @@ def from_descriptor(desc: dict) -> FormalGroupLaw:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("formal group law descriptor must be an object with a 'kind'")
     kind = desc["kind"]
-    if kind == "additive":
-        return FormalGroupLaw.additive()
-    if kind == "multiplicative":
-        return FormalGroupLaw.multiplicative()
-    if kind == "connective":
-        return FormalGroupLaw.connective()
-    if kind == "hyperbolic":
-        return FormalGroupLaw.hyperbolic()
+    if kind in ("additive", "multiplicative", "connective", "hyperbolic"):
+        return getattr(FormalGroupLaw, kind)()
     if kind == "custom":
         try:
             degree = int(desc["degree"])

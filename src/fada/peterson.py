@@ -180,14 +180,13 @@ class PetersonContext:
             for w2, c in self.x_expansion(u).items()])
         return StructurePair(u, v, d_row, frak_row, list(diff))
 
-    def structure_constants(self, total_length: int, verify: bool = False
-                            ) -> List["StructurePair"]:
+    def structure_constants(self, total_length: int) -> List["StructurePair"]:
         out = []
         lengths = self.window.lengths
         for u in self.minimal:
             for v in self.minimal:
                 if lengths[u] + lengths[v] <= total_length:
-                    out.append(self.structure_pair(u, v, verify=verify))
+                    out.append(self.structure_pair(u, v))
         return out
 
 

@@ -620,13 +620,11 @@ class AffineWeylGroup:
         u, v = self.coset_decompose(self.inv(x))
         return self.inv(v), u.inverse()
 
-    def inversions(self, x: AffineElt, word: Optional[Sequence[int]] = None) -> List[AffRoot]:
+    def inversions(self, x: AffineElt) -> List[AffRoot]:
         """Left inversions {beta > 0 : x^{-1}(beta) < 0}, from a reduced word."""
-        if word is None:
-            word = self.reduced_word(x)
         out: List[AffRoot] = []
         prefix = self.identity
-        for i in word:
+        for i in self.reduced_word(x):
             out.append(self.act(prefix, self.simple_root(i)))
             prefix = self.mul(prefix, self.generators[i])
         return out

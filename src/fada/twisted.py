@@ -34,20 +34,13 @@ from .scalars import Scalar
 
 
 def connective_scalar(torus: TorusAlgebra) -> Scalar:
-    """The parameter c of x + y - c x y as seen by the backend."""
-    ring = torus.ring
-    if ring.backend == "CON":
-        return Scalar.param("c", ring.params)
-    if ring.backend == "MUL":
-        return Scalar.const(1, ring.params)
-    if ring.backend == "ADD":
-        return Scalar.const(0, ring.params)
-    if ring.backend == "SER" and ring.fgl is not None and ring.fgl.kind == "connective":
-        return Scalar.param("c", ring.params)
-    raise UnsupportedTheoryError(
-        "this construction needs the group law x + y - c x y; backend %r "
-        "with law %r does not realize it"
-        % (ring.backend, getattr(ring.fgl, "kind", None)))
+    """The parameter c of the group law x + y - c x y of the torus's ring."""
+    law = torus.ring.fgl
+    if law.c is None:
+        raise UnsupportedTheoryError(
+            "this construction needs the group law x + y - c x y; law %r is "
+            "not of that form" % law.kind)
+    return law.c
 
 
 class TwistedElement:
@@ -314,42 +307,29 @@ def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
                 flavor: str) -> Row:
     """The row of eta_{s_i u} from the row of eta_u, for s_i u > u.
 
-    eta_{s_i} = 1 - x_i X_i = (1 - c x_i) + x_i Y_i, and X_i X_{I_v} is
-    X_{I_{s_i v}} when s_i v > v and c X_{I_v} otherwise (the same for Y).
-    That needs X_{I_w} to be independent of the reduced word, which holds
-    for the group laws x + y - c x y.
+    Write Op for X or Y.  Then eta_{s_i} = a + b Op_i, with (a, b) =
+    (1, -x_i) for X and (1 - c x_i, x_i) for Y, and Op_i Op_{I_v} is
+    Op_{I_{s_i v}} when s_i v > v and c Op_{I_v} otherwise.  So the entry
+    r_v of the row of eta_u puts a s_i(r_v) at v and b s_i(r_v) at s_i v
+    when s_i v > v, and (a + b c) s_i(r_v) at v otherwise.  That needs
+    Op_{I_w} to be independent of the reduced word, which holds for the
+    group laws x + y - c x y.
     """
     torus = algebra.torus
     group = torus.group
     si = group.simple(i)
     xi = Localized(torus, torus.x_root(group.simple_root(i)))
-    cxi = xi * torus.ring.from_scalar(c)
-    one = Localized(torus, torus.ring.one())
-    out: Row = {}
-    support = dict.fromkeys(list(row) + [group.mul(si, v) for v in row])
-    for v in support:
+    a, b = (1, -xi) if flavor == "x" else (1 - xi * c, xi)
+    a_down = a + b * c
+    terms: List[Tuple[Union[int, Localized], Row]] = []
+    for v, r in row.items():
         siv = group.mul(si, v)
-        up = group.length(siv) > group.length(v)
-        c1 = row.get(v)
-        c2 = None if up else row.get(siv)
-        terms: List[Localized] = []
-        if flavor == "x":
-            if c1 is not None:
-                terms.append(torus.act_loc(si, c1) if up
-                             else (one - cxi) * torus.act_loc(si, c1))
-            if c2 is not None:
-                terms.append(-(xi * torus.act_loc(si, c2)))
+        image = torus.act_loc(si, r)
+        if group.length(siv) > group.length(v):
+            terms += [(a, {v: image}), (b, {siv: image})]
         else:
-            if c2 is not None:
-                terms.append(xi * torus.act_loc(si, c2))
-            if c1 is not None:
-                terms.append((one - cxi) * torus.act_loc(si, c1) if up
-                             else torus.act_loc(si, c1))
-        if terms:
-            acc = sum(terms[1:], terms[0]).simplify()
-            if not acc.is_zero():
-                out[v] = acc
-    return out
+            terms.append((a_down, {v: image}))
+    return combine_rows(terms)
 
 
 def _extend_by_recursion(algebra: TwistedAlgebra, window: Window, flavor: str) -> None:

@@ -12,6 +12,8 @@ from hypothesis import given, strategies as st
 
 from fada.cli import build_law, build_datum, main, parse_word
 from fada.errors import ConfigError
+from fada.fgl import FormalGroupLaw
+from fada.scalars import Scalar
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,17 +47,43 @@ def test_build_datum_inline_json_and_file(tmp_path):
         build_datum({"neither": 1})
 
 
-def test_build_law_descriptors():
-    assert build_law("connective", 8) == ("CON", None)
-    assert build_law("multiplicative", 8) == ("MUL", None)
-    backend, law = build_law("hyperbolic", 6)
-    assert backend == "SER" and law.kind == "hyperbolic"
-    backend, law = build_law({"kind": "hyperbolic", "degree": 6}, 6)
-    assert backend == "SER"
-    with pytest.raises(ConfigError):
-        build_law("elliptic37", 8)
-    with pytest.raises(ConfigError):
-        build_law({"backend": "MUL", "kind": "hyperbolic"}, 8)
+def test_build_law_descriptors(monkeypatch):
+    exact = {"additive": "ADD", "multiplicative": "MUL", "connective": "CON"}
+
+    def resolved(spec):
+        backend, law = build_law(spec)
+        return backend, None if law is None else law.kind
+
+    for kind in ("additive", "multiplicative", "connective", "hyperbolic"):
+        # a name, or a kind without backend, goes to the exact backend that
+        # realizes the law, else to SER
+        default = (exact[kind], None) if kind in exact else ("SER", kind)
+        assert resolved(kind) == default
+        assert resolved({"kind": kind}) == default
+        assert resolved({"kind": kind, "degree": 6}) == default
+        assert resolved({"kind": kind, "backend": "SER"}) == ("SER", kind)
+        for backend in ("ADD", "MUL", "CON", "XYZ"):
+            if exact.get(kind) == backend:
+                assert resolved({"kind": kind, "backend": backend}) == (backend, None)
+            else:
+                with pytest.raises(ConfigError):
+                    build_law({"kind": kind, "backend": backend})
+    _, law = build_law({"kind": "connective", "backend": "SER"})
+    assert law.c == Scalar.param("c", ("c",))
+    for bad in ("elliptic37", {"backend": "MUL", "kind": "hyperbolic"}, {"backend": "SER"},
+                {"kind": ["additive"]}, ["additive"], "custom"):
+        with pytest.raises(ConfigError):
+            build_law(bad)
+    # a custom law is validated once, at its own degree
+    calls = []
+    validate = FormalGroupLaw.validate
+    monkeypatch.setattr(FormalGroupLaw, "validate",
+                        lambda law, degree: calls.append(degree) or validate(law, degree))
+    coeffs = [[1, 0, "1"], [0, 1, "1"], [1, 1, "-c"]]
+    backend, law = build_law({"kind": "custom", "degree": 5, "params": ["c"],
+                              "coeffs": coeffs})
+    assert (backend, law.kind, law.c) == ("SER", "custom", None)
+    assert calls == [5]
 
 
 # -- exit codes --------------------------------------------------------------
@@ -213,6 +241,18 @@ def test_recurse_command(capsys):
     payload = json.loads(out)
     assert payload["table_recursion"]["checked"] > 0
     assert payload["table_recursion"]["failures"] == []
+    assert all(row["ok"] for row in payload["actions"])
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_recurse_on_series_model_of_family_law(capsys, kind):
+    # the law, not the backend, says whether it has the form x + y - c xy
+    rc, out, err = run_cli(capsys, "recurse", "--fgl",
+                           json.dumps({"kind": kind, "backend": "SER"}),
+                           "--i", "1", "--window", "3", "--degree", "12")
+    assert rc == 0, err
+    payload = json.loads(out)
+    assert payload["table_recursion"] == {"checked": 2, "failures": []}
     assert all(row["ok"] for row in payload["actions"])
 
 

@@ -2,15 +2,16 @@
 
 import pytest
 
-from fada.algebra import Localized
+from fada.algebra import Localized, TorusAlgebra
 from fada.connective import (ConnectiveContext, bullet_yw0_check,
                              check_recursion, conjugation_check,
                              connective_scalar, dual_y_vanishing_check,
                              dynkin_involution, hecke_action_check)
 from fada.duals import DualElement, bullet, dual_x, odot
 from fada.errors import UnsupportedTheoryError
+from fada.fgl import FormalGroupLaw
 from fada.scalars import Scalar
-from fada.twisted import ExpansionTables
+from fada.twisted import ExpansionTables, TwistedAlgebra
 
 import util
 
@@ -28,14 +29,25 @@ def test_connective_scalar_per_backend():
     assert connective_scalar(util.algebra("A1", "CON").torus) == Scalar.param("c", ("c",))
     assert connective_scalar(util.algebra("A1", "MUL").torus) == 1
     assert connective_scalar(util.algebra("A1", "ADD").torus).is_zero()
+    # the law carries its c, whichever backend models it
     ser = util.algebra("A1", "SER", fgl="connective", precision=6)
     assert connective_scalar(ser.torus) == Scalar.param("c", ("c",))
+    ser_add = util.algebra("A1", "SER", fgl="additive", precision=6)
+    assert connective_scalar(ser_add.torus) == Scalar.const(0, ())
+    ser_mul = util.algebra("A1", "SER", fgl="multiplicative", precision=6)
+    assert connective_scalar(ser_mul.torus) == Scalar.const(1, ())
 
 
 def test_non_connective_laws_are_rejected():
     hyp = util.algebra("A1", "SER", fgl="hyperbolic", precision=6)
     with pytest.raises(UnsupportedTheoryError):
         ConnectiveContext(hyp)
+    # a custom law is outside the family even when its table is x + y - c xy
+    table = FormalGroupLaw.connective().table(4)
+    custom = TorusAlgebra(util.datum("A1"), "SER", "small",
+                          fgl=FormalGroupLaw.custom(table, 4, ("c",)), precision=4)
+    with pytest.raises(UnsupportedTheoryError):
+        ConnectiveContext(TwistedAlgebra(custom))
 
 
 # -- operators ---------------------------------------------------------------

@@ -70,6 +70,12 @@ def test_builtin_tables():
     assert con[(1, 1)] == -Scalar.param("c", ("c",))
     assert set(con) == {(1, 0), (0, 1), (1, 1)}
 
+    # each table is x + y - c xy for the c the law carries
+    for law in (FormalGroupLaw.additive(), FormalGroupLaw.multiplicative(),
+                FormalGroupLaw.connective()):
+        assert law.table(4).get((1, 1), Scalar.const(0, law.params)) == -law.c
+    assert FormalGroupLaw.hyperbolic().c is None
+
 
 def test_hyperbolic_table_matches_geometric_expansion():
     # (x + y - cxy) / (1 + axy) = sum_k (-a)^k (xy)^k (x + y - cxy), so the

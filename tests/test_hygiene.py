@@ -1,5 +1,6 @@
 """Static hygiene of the package: no unused imports, no orphaned private
-helpers, a clean public name list."""
+helpers, no defaulted parameter that no call passes, a clean public name
+list."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ import fada
 
 PACKAGE = sorted(Path(fada.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = sorted(p for d in ("src", "perfbench", "scripts", "tests")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def _annotations(tree):
@@ -108,6 +112,105 @@ def test_scanner_flags_orphaned_helpers():
 
 def test_no_orphaned_private_helpers():
     assert orphaned_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def _functions(tree):
+    """(function, class name or None, decorator names) for every function
+    definition in the tree."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child, cls, {d.id for d in child.decorator_list
+                                   if isinstance(d, ast.Name)}
+                yield from visit(child, None)
+            else:
+                yield from visit(child, cls)
+    return visit(tree, None)
+
+
+def dead_knobs(defining, calling):
+    """The defaulted parameters, as 'module:function(param=)', of the
+    functions in `defining` (module name -> text) that no call in `calling`
+    (the same) passes, by keyword or by position.
+
+    Calls match by name: f(...) and obj.f(...) call every function f, and
+    C(...) calls C.__init__, as does cls(...) inside a classmethod of C.  A
+    call with *args passes every position, one with **kwargs every name."""
+    passed = {}  # callee name -> [positional count, keyword names]
+    for text in calling.values():
+        tree = ast.parse(text)
+        classmethod_of = {}  # id of a node inside a classmethod -> its class
+        for fn, cls, decorators in _functions(tree):
+            if "classmethod" in decorators:
+                classmethod_of.update((id(n), cls) for n in ast.walk(fn))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "cls" and id(call) in classmethod_of:
+                name = classmethod_of[id(call)]
+            seen = passed.setdefault(name, [0, set()])
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            seen[0] = max(seen[0], float("inf") if starred else len(call.args))
+            seen[1] |= {k.arg for k in call.keywords}
+    knobs = []
+    for module, text in defining.items():
+        for fn, cls, decorators in _functions(ast.parse(text)):
+            bound = cls is not None and "staticmethod" not in decorators
+            name = cls if fn.name == "__init__" and cls else fn.name
+            npos, keywords = passed.get(name, (0, set()))
+            if None in keywords:
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, a) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for i, arg in defaulted:
+                by_position = i is not None and npos + bound > i
+                if not by_position and arg.arg not in keywords:
+                    qual = "%s.%s" % (cls, fn.name) if cls else fn.name
+                    knobs.append("%s:%s(%s=)" % (module, qual, arg.arg))
+    return sorted(knobs)
+
+
+def test_scanner_flags_dead_knobs():
+    source = ("class C:\n"
+              "    def __init__(self, a, b=1, c=2, d=3):\n"
+              "        pass\n"
+              "    @classmethod\n"
+              "    def make(cls):\n"
+              "        return cls(0, d=4)\n"
+              "    def m(self, x=0, y=0, *, z=1):\n"
+              "        pass\n"
+              "    @staticmethod\n"
+              "    def s(x=0):\n"
+              "        pass\n"
+              "def f(a, b=None, c=None):\n"
+              "    return C(1, 2).m(3)\n"
+              "def g(p=1, q=2):\n"
+              "    pass\n"
+              "def h(r=1):\n"
+              "    pass\n")
+    calls = ("from m import C, f, g, h\n"
+             "f(1, c=2)\n"
+             "C.s(5)\n"
+             "g(*[1, 2])\n"
+             "h(**{})\n")
+    assert dead_knobs({"m": source}, {"m": source, "n": calls}) == [
+        "m:C.__init__(c=)", "m:C.m(y=)", "m:C.m(z=)", "m:f(b=)"]
+    # without the classmethod, nothing passes d
+    assert "m:C.__init__(d=)" in dead_knobs(
+        {"m": source}, {"m": source.replace("cls(0, d=4)", "None"), "n": calls})
+
+
+def test_no_dead_knobs():
+    calling = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
+    assert dead_knobs({p.stem: p.read_text() for p in PACKAGE}, calling) == []
 
 
 def test_public_names_resolve_once():
