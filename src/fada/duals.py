@@ -17,7 +17,12 @@ The small-torus GKM conditions ask, for every finite positive root alpha and
 each degree d up to a chosen bound, that the d-th orbit difference
 (1 - t_{alpha^v})^d f, and the (d-1)-th difference of f minus its reflected
 orbit, lie in x_alpha^d S; the big-torus conditions are the classical
-pairwise divisibility conditions along real affine reflections.
+pairwise divisibility conditions along real affine reflections.  Both checks
+simplify each value once to a ring element and divide differences of those.
+The small-torus check walks the translation chains of the window, where
+t_mu (u t_a) = u t_{a + u^-1 mu} is a vector sum, and shares each difference
+among the orbits through its point.  On the exact backends a zero
+difference passes without a division.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
-from .roots import AffRoot, AffineElt, Vec, Window, vscale
+from .roots import AffRoot, AffineElt, Vec, Window
 from .twisted import ExpansionTables, TwistedElement, combine_rows
 
 
@@ -264,39 +269,25 @@ class GkmReport:
         return "%s for alpha=%r d=%d w=%s not in x^%d S" % (reason, root, d, name(w), d)
 
 
-def _in_ideal(torus: TorusAlgebra, v: Localized, beta: AffRoot, d: int) -> bool:
-    """Whether v is regular and divisible by x_beta^d."""
-    s = v.simplify()
-    return not s.den and torus.divides(s.num, beta, d) is not None
-
-
-def _check_regular(f: DualElement, report: GkmReport) -> None:
+def _regular_values(f: DualElement, report: GkmReport) -> Optional[List[AlgebraElement]]:
+    """The window's values in window order, each simplified once to a ring
+    element; None when some value keeps a denominator, each such value
+    recorded as a violation."""
+    values = []
     for w in f.window.elements:
         report.checked += 1
-        if f.get(w).simplify().den:
+        s = f.get(w).simplify()
+        if s.den_map:
             report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
+        values.append(s.num)
+    return None if report.violations else values
 
 
-def _orbit_values(f: DualElement, shifts: List[AffineElt],
-                  w: AffineElt) -> List[Localized]:
-    """f[t w] for t in shifts, up to the first point t w outside the window."""
-    values = []
-    for t in shifts:
-        tw = f.torus.group.mul(t, w)
-        if tw not in f.window:
-            break
-        values.append(f.get(tw))
-    return values
-
-
-def _leading_differences(values: List[Localized]) -> List[Localized]:
-    """((1 - t)^k g)[0] for k < len(values), where values[j] = g[j] and
-    (t g)[j] = g[j + 1]."""
-    out = []
-    while values:
-        out.append(values[0])
-        values = [a - b for a, b in zip(values, values[1:])]
-    return out
+def _divisible(torus: TorusAlgebra, g: AlgebraElement, beta: AffRoot, d: int) -> bool:
+    """Whether x_beta^d divides g; an exact zero without dividing."""
+    if not g.terms and g.prec is None:
+        return True
+    return torus.divides(g, beta, d) is not None
 
 
 def gkm_check_small(f: DualElement, degree_bound: int,
@@ -314,46 +305,46 @@ def gkm_check_small(f: DualElement, degree_bound: int,
         argument is eta_{t^j} eta_{s_alpha} eta_w, not s_alpha applied after
         the translation.
 
-    Each orbit is read once per (alpha, w) and differenced degree by degree.
-    Orbit points outside the window are skipped and reported, never
-    silently treated as zero.
+    For each alpha, D_k[x] = D_{k-1}[x] - D_{k-1}[t x] (D_0 = f) is built
+    once along the translation chains (`Window.root_steps`) for every x with
+    x, t x, ..., t^k x in the window, and None for the others.  Then
+    ((1 - t)^d f)[w] = D_d[w], and the reflected difference is
+    D_{d-1}[w] - D_{d-1}[s_alpha w].  A zero difference passes with no
+    division on the exact backends; on SER it is divided, so exhausted
+    precision still raises.  A condition whose points leave the window is
+    skipped and reported, never treated as zero.
     """
     torus = f.torus
-    group = torus.group
-    datum = torus.datum
     report = GkmReport(torus.torus, torus.ring.backend, degree_bound, f.window)
-    _check_regular(f, report)
-    if report.violations:
+    values = _regular_values(f, report)
+    if values is None:
         return report
 
-    for alpha in datum.positive_roots:
+    for alpha in torus.datum.positive_roots:
         beta = (alpha, 0)
-        s_alpha = group.affine_reflection(beta)
-        shifts = [group.translation(vscale(j, datum.coroot_of[alpha]))
-                  for j in range(degree_bound + 1)]
-        for w in f.window.elements:
-            orbit = _orbit_values(f, shifts, w)
-            lead = _leading_differences(orbit)
-            refl = []
-            if not grassmannian:
-                # the degrees the orbit reaches need len(orbit) - 1 points
-                mirror = _orbit_values(f, shifts[:len(orbit) - 1], group.mul(s_alpha, w))
-                refl = _leading_differences([a - b for a, b in zip(orbit, mirror)])
+        shift, reflect = f.window.root_steps(alpha)
+        diffs = [values]
+        for _ in range(degree_bound):
+            prev = diffs[-1]
+            diffs.append([None if g is None or j is None or prev[j] is None else g - prev[j]
+                          for g, j in zip(prev, shift)])
+        for k, w in enumerate(f.window.elements):
             for d in range(1, degree_bound + 1):
-                if d >= len(lead):
+                if diffs[d][k] is None:
                     report.skipped.append(GkmRecord(alpha, d, w, ORBIT_LEAVES))
                     continue
                 report.checked += 1
-                if not _in_ideal(torus, lead[d], beta, d):
+                if not _divisible(torus, diffs[d][k], beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, BINOMIAL_SUM))
                     continue
                 if grassmannian:
                     continue
-                if d > len(refl):
+                mirror = None if reflect[k] is None else diffs[d - 1][reflect[k]]
+                if mirror is None:
                     report.skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
                     continue
                 report.checked += 1
-                if not _in_ideal(torus, refl[d - 1], beta, d):
+                if not _divisible(torus, diffs[d - 1][k] - mirror, beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
     return report
 
@@ -364,18 +355,18 @@ def gkm_check_big(f: DualElement) -> GkmReport:
     torus = f.torus
     group = torus.group
     report = GkmReport(torus.torus, torus.ring.backend, 1, f.window)
-    _check_regular(f, report)
-    if report.violations:
+    values = _regular_values(f, report)
+    if values is None:
         return report
     elements = f.window.elements
     for a_idx, w in enumerate(elements):
-        for w2 in elements[a_idx + 1:]:
+        for b_idx, w2 in enumerate(elements[a_idx + 1:], a_idx + 1):
             r = group.mul(w2, group.inv(w))
             beta = group.as_reflection(r)
             if beta is None:
                 continue
             report.checked += 1
-            if not _in_ideal(torus, f.get(w) - f.get(w2), beta, 1):
+            if not _divisible(torus, values[a_idx] - values[b_idx], beta, 1):
                 report.violations.append(GkmRecord(beta, 1, w, DIFFERENCE))
     return report
 

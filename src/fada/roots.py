@@ -409,10 +409,29 @@ class Window:
     words: Dict[AffineElt, Tuple[int, ...]]
     lengths: Dict[AffineElt, int]
     index: Dict[AffineElt, int] = field(default_factory=dict)
+    _root_steps: Dict[Vec, Tuple[Tuple[Optional[int], ...], Tuple[Optional[int], ...]]] = \
+        field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.index:
             self.index = {x: k for k, x in enumerate(self.elements)}
+
+    def root_steps(self, alpha: Vec) -> Tuple[Tuple[Optional[int], ...],
+                                              Tuple[Optional[int], ...]]:
+        """For each element x, by position, the positions of t_{alpha^v} x and
+        of s_alpha x, or None outside the window.  Built once per root with no
+        group product: t_mu (u t_a) = u t_{a + u^-1 mu}, s_alpha (u t_a) =
+        (s_alpha u) t_a."""
+        if alpha not in self._root_steps:
+            coroot = self.group.datum.coroot_of[alpha]
+            s = self.group.datum.reflection(alpha)
+            shifted = (AffineElt(x.w, tuple(a + b for a, b in
+                                            zip(x.t, matvec(x.w.cmat_inv, coroot))))
+                       for x in self.elements)
+            reflected = (AffineElt(s * x.w, x.t) for x in self.elements)
+            self._root_steps[alpha] = (tuple(map(self.index.get, shifted)),
+                                       tuple(map(self.index.get, reflected)))
+        return self._root_steps[alpha]
 
     def __contains__(self, x: AffineElt) -> bool:
         return x in self.index

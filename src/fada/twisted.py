@@ -13,10 +13,10 @@ expand the same way.
 The inverse change of basis, eta_w = sum_u b_{w,u} X_{I_u} (or Y_{I_u}), is
 stored once per algebra and flavor: the row of eta_w depends only on w and on
 shorter elements, never on the window it was asked for in, so every window on
-one algebra reads and extends the same rows.  The exact backends (ADD, MUL,
-CON) realize the group law x + y - c x y, for which X_{I_w} does not depend
-on the reduced word; there the row of s_i u follows from the row of u by left
-multiplication with eta_{s_i} (the Kostant-Kumar recursion).  Other laws break
+one algebra reads and extends the same rows.  For the group laws
+x + y - c x y, on any backend, X_{I_w} does not depend on the reduced word,
+so the row of s_i u follows from the row of u by left multiplication with
+eta_{s_i} (the Kostant-Kumar recursion).  Other laws break
 the braid relations (Bressler-Evens, Trans. AMS 1990), so their rows are
 solved by back-substitution in the localized ring, which also serves as the
 independent oracle for the recursion.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .algebra import EXACT_BACKENDS, AlgebraElement, Localized, TorusAlgebra
+from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
 from .roots import AffineElt, Vec, Window, vneg
 from .scalars import Scalar
@@ -234,8 +234,8 @@ class ExpansionTables:
 
     The table is a window view over the algebra's row store, which it extends
     by the rows the store lacks: by the left-descent recursion (`predict_row`)
-    on the exact backends, whose laws are all of the form x + y - c x y, and
-    by back-substitution (`back_substitute`) for every other law, where the
+    for the laws of the form x + y - c x y, whatever the backend, and by
+    back-substitution (`back_substitute`) for every other law, where the
     braid relations fail and the recursion does not apply.  Rows are shared
     between tables and must not be modified.
     """
@@ -246,7 +246,7 @@ class ExpansionTables:
         self.window = window
         self.flavor = flavor
         store = algebra.rows[flavor]
-        if algebra.torus.ring.backend in EXACT_BACKENDS:
+        if algebra.torus.ring.fgl.c is not None:
             _extend_by_recursion(algebra, window, flavor)
         else:
             for w, row in back_substitute(algebra, window, flavor, store).items():

@@ -1,6 +1,7 @@
 """CLI surface: determinism, exit codes, and the frozen output files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -254,6 +255,49 @@ def test_recurse_on_series_model_of_family_law(capsys, kind):
     payload = json.loads(out)
     assert payload["table_recursion"] == {"checked": 2, "failures": []}
     assert all(row["ok"] for row in payload["actions"])
+
+
+SER_CONNECTIVE = json.dumps({"kind": "connective", "backend": "SER"})
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--window", "3"),
+    ("expand", "--window", "5", "--degree", "8"),
+    ("gkm", "--root", "A2", "--window", "4", "--degree", "8"),
+])
+def test_series_model_of_connective_law_keeps_its_precision(capsys, argv):
+    # its rows come from the recursion, which loses no precision
+    rc, out, err = run_cli(capsys, *argv, "--fgl", SER_CONNECTIVE)
+    assert rc == 0, err
+    if argv[0] == "gkm":
+        assert json.loads(out)["all_passed"] is True
+
+
+# SHA-256 of the JSON output, recorded before GKM moved to ring values along
+# translation chains
+GKM_DIGESTS = [
+    (("--fgl", "additive", "--root", "A2", "--window", "4"),
+     "702162c594e7fa931a823170a8290e81ccda58eb95773167e21c739be049188c"),
+    (("--root", "A2", "--window", "5"),
+     "9704a6f6a7b58b736fbaca4c19ec3fa0f5cde8bd74e6f6a2e9624fa4922ff880"),
+    (("--root", "B3", "--window", "3"),
+     "d8c75921abb3fea6786a7fc0e0410640553bdff18bd6446546f52a9ddf4f29c5"),
+    (("--root", "G2", "--fgl", "hyperbolic", "--window", "2"),
+     "96bd548b308b5fec874fa5e2fe50ca7ca45b822043be19555fb95352468483ec"),
+    (("--root", "A1", "--torus", "big", "--window", "5"),
+     "68b2b875a6c9e7d8df71c63beedd67081b91f2e3bcb72eaf7bf63043871cd754"),
+    (("--root", "A2", "--torus", "big", "--window", "3"),
+     "3cbe53eff1ba345f60a09b47f6e1ae0a7df34267144f9d385d01c5056b03084f"),
+    (("--root", "A2", "--window", "4", "--grassmannian"),
+     "5073061e54afbdb050faf7403cec37e208c055259f9f828a85233ffebc1ee4eb"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GKM_DIGESTS, ids=[" ".join(a) for a, _ in GKM_DIGESTS])
+def test_gkm_output_matches_recorded_digest(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, "gkm", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_braid_check_connective_holds(capsys):

@@ -343,7 +343,9 @@ def binomial_gkm(f, degree_bound, grassmannian=False):
     ("A2", "ADD", None, 8, 4, 2),
     ("G2", "CON", None, 8, 3, 2),
     ("A1", "SER", "hyperbolic", 12, 3, 2),
-], ids=["A1-CON", "A2-ADD", "G2-CON", "A1-SER-hyperbolic"])
+    ("B2", "MUL", None, 8, 4, 2),
+    ("A2", "CON", None, 8, 5, 3),
+], ids=["A1-CON", "A2-ADD", "G2-CON", "A1-SER-hyperbolic", "B2-MUL", "A2-CON"])
 def test_small_gkm_matches_the_binomial_sum_oracle(rtype, backend, fgl, precision,
                                                    length, degree_bound):
     alg = util.algebra(rtype, backend, "small", fgl=fgl, precision=precision)
@@ -352,11 +354,16 @@ def test_small_gkm_matches_the_binomial_sum_oracle(rtype, backend, fgl, precisio
     duals = [dual_x(tables, w) for w in window.elements]
     rng = random.Random(length * 1000 + degree_bound)
     shallow = [w for w in window.elements if window.lengths[w] <= 2]
-    for _ in range(8):
+    roots = alg.torus.datum.positive_roots
+    for k in range(12):
         f = rng.choice(duals)
         v = rng.choice(shallow)
         bad = dict(f.values)
-        bad[v] = f.get(v) + rng.randint(1, 7)
+        bump = rng.randint(1, 7)
+        if k >= 8:
+            # a bump in x_alpha S passes degree 1 and fails degree 2
+            bump = bump * alg.torus.x_root((rng.choice(roots), 0))
+        bad[v] = f.get(v) + bump
         duals.append(DualElement(alg.torus, window, bad))
     seen = Counter()
     for f in duals:
@@ -369,6 +376,8 @@ def test_small_gkm_matches_the_binomial_sum_oracle(rtype, backend, fgl, precisio
             seen.update(r.reason for r in rep.skipped + rep.violations)
     # skips and violations both occur, so the comparison is not vacuous
     assert seen[ORBIT_LEAVES] and seen[BINOMIAL_SUM] + seen[REFLECTED_SUM]
+    # on G2 at this window no reflected orbit leaves before its orbit does
+    assert seen[REFLECTED_ORBIT_LEAVES] or rtype == "G2"
 
 
 # -- GKM, big torus ---------------------------------------------------------

@@ -326,6 +326,22 @@ def test_window_translations():
     assert {x.t for x in trans} == {(j,) for j in range(-4, 5)}
 
 
+@pytest.mark.parametrize("rtype, length", [("A1", 6), ("A2", 4), ("B2", 4), ("G2", 4)])
+def test_root_steps_are_left_products(rtype, length):
+    g = group(rtype)
+    win = g.window(length)
+    for alpha in g.datum.positive_roots:
+        shift, reflect = win.root_steps(alpha)
+        t = g.translation(g.datum.coroot_of[alpha])
+        s = g.affine_reflection((alpha, 0))
+        assert shift == tuple(win.index.get(g.mul(t, x)) for x in win.elements)
+        assert reflect == tuple(win.index.get(g.mul(s, x)) for x in win.elements)
+        assert any(k is not None for k in reflect) and None in shift
+        assert win.root_steps(alpha)[0] is shift
+    assert any(any(k is not None for k in win.root_steps(alpha)[0])
+               for alpha in g.datum.positive_roots)
+
+
 def test_descents():
     g = group("A1")
     s0 = g.simple(0)

@@ -269,10 +269,35 @@ def test_route_is_chosen_by_backend_and_law(monkeypatch):
         t = TorusAlgebra(util.datum("A2"), backend, "small")
         tables = ExpansionTables(TwistedAlgebra(t), t.group.window(3))
         assert len(tables.b) == len(tables.window.elements) == 19
+    # the series model of a law x + y - c x y recurses too
+    ser = TorusAlgebra(util.datum("A2"), "SER", "small", fgl=util.law_of("connective"),
+                       precision=12)
+    assert len(ExpansionTables(TwistedAlgebra(ser), ser.group.window(3)).b) == 19
     hyp = TorusAlgebra(util.datum("A2"), "SER", "small", fgl=util.law_of("hyperbolic"),
                        precision=12)
     with pytest.raises(BackSubstitutionCalled):
         ExpansionTables(TwistedAlgebra(hyp), hyp.group.window(3))
+
+
+@pytest.mark.parametrize("flavor", ["x", "y"])
+@pytest.mark.parametrize("rtype, length", [("A1", 5), ("A2", 3)])
+def test_series_connective_rows_are_the_exact_rows_at_full_precision(rtype, length, flavor):
+    con = TorusAlgebra(util.datum(rtype), "CON", "small")
+    ser = TorusAlgebra(util.datum(rtype), "SER", "small", fgl=util.law_of("connective"),
+                       precision=10)
+    window = con.group.window(length)
+    want = ExpansionTables(TwistedAlgebra(con), window, flavor).b
+    got = ExpansionTables(TwistedAlgebra(ser), ser.group.window(length), flavor).b
+    entries = 0
+    for w in window.elements:
+        assert set(got[w]) == set(want[w]), window.word(w)
+        for u, c in want[w].items():
+            g = got[w][u]
+            assert g.den_map == c.den_map, (window.word(w), window.word(u))
+            assert g.num.prec == 10, (window.word(w), window.word(u))
+            assert g.num == con.to_series(c.num, ser), (window.word(w), window.word(u))
+            entries += 1
+    assert entries > len(window.elements)
 
 
 @pytest.mark.parametrize("flavor", ["x", "y"])
