@@ -299,7 +299,9 @@ class Localized:
     """num / prod_b x_b^{m_b}, the denominator `den_map` a dict of nonzero
     lattice points b with multiplicities m_b, never mutated once built; `den`
     is the same as a sorted tuple with repeats.  Sums go over the lcm
-    (pointwise max) of denominators, and a - b == 0 decides a == b.  b and
+    (pointwise max) of denominators, and a - b == 0 decides a == b.  a / d
+    is defined when d's numerator is a unit monomial; it subtracts d's
+    multiplicities from a's and cancels nothing further.  b and
     -b stay apart (x_{-b} = -e_b x_b on MUL and CON), so denominators print
     with the signs they were built with."""
 
@@ -438,18 +440,32 @@ class Localized:
                 "element is genuinely localized (denominator %r)" % (s.den,))
         return s.num
 
-    def inverse(self) -> "Localized":
-        """Inverse, defined when the numerator is a single unit monomial."""
+    def __truediv__(self, other):
+        """self / other for a divisor u / prod_b x_b^{m_b} whose numerator u
+        is a unit monomial.  The multiplicities are subtracted: a power of
+        x_b that other's denominator has beyond ours is multiplied into the
+        numerator, and one that ours has beyond other's stays in the
+        denominator, uncancelled until `simplify`."""
+        other = self._coerce(other)
         ring = self.torus.ring
-        if len(self.num.terms) != 1:
+        if len(other.num.terms) != 1:
             raise MembershipError("numerator is not a unit monomial")
-        (key, coeff), = self.num.terms.items()
+        (key, coeff), = other.num.terms.items()
         if coeff not in (1, -1):
             raise MembershipError("numerator coefficient is not a unit")
         if ring.backend in ("ADD", "SER") and any(key[:ring.nvars]):
             raise MembershipError("numerator is not a unit in this backend")
-        unit = AlgebraElement(ring, {tuple(-v for v in key): coeff}, None)
-        return Localized(self.torus, Localized(self.torus, unit)._over(self.den_map))
+        num = self.num * coeff
+        if any(key):
+            num = num * AlgebraElement(ring, {tuple(-v for v in key): 1}, None)
+        den_map = dict(self.den_map)
+        for b, m in other.den_map.items():
+            k = den_map.pop(b, 0) - m
+            if k > 0:
+                den_map[b] = k
+            elif k:
+                num = num * ring.x_pow(b, -k)
+        return Localized(self.torus, num, den_map)
 
     def __repr__(self):
         if not self.den_map:

@@ -411,6 +411,8 @@ class Window:
     index: Dict[AffineElt, int] = field(default_factory=dict)
     _root_steps: Dict[Vec, Tuple[Tuple[Optional[int], ...], Tuple[Optional[int], ...]]] = \
         field(default_factory=dict, init=False, repr=False, compare=False)
+    _reflection_pairs: Optional[Tuple[Tuple[int, int, AffRoot], ...]] = \
+        field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.index:
@@ -432,6 +434,22 @@ class Window:
             self._root_steps[alpha] = (tuple(map(self.index.get, shifted)),
                                        tuple(map(self.index.get, reflected)))
         return self._root_steps[alpha]
+
+    def reflection_pairs(self) -> Tuple[Tuple[int, int, AffRoot], ...]:
+        """(a, b, beta) for every pair of positions a < b whose elements
+        differ by a real affine reflection, x_b x_a^-1 = s_beta with beta
+        positive, in order of a and then b.  Built once."""
+        if self._reflection_pairs is None:
+            group = self.group
+            pairs = []
+            for a, x in enumerate(self.elements):
+                x_inv = group.inv(x)
+                for b in range(a + 1, len(self.elements)):
+                    beta = group.as_reflection(group.mul(self.elements[b], x_inv))
+                    if beta is not None:
+                        pairs.append((a, b, beta))
+            self._reflection_pairs = tuple(pairs)
+        return self._reflection_pairs
 
     def __contains__(self, x: AffineElt) -> bool:
         return x in self.index

@@ -19,7 +19,9 @@ so the row of s_i u follows from the row of u by left multiplication with
 eta_{s_i} (the Kostant-Kumar recursion).  Other laws break
 the braid relations (Bressler-Evens, Trans. AMS 1990), so their rows are
 solved by back-substitution in the localized ring, which also serves as the
-independent oracle for the recursion.
+independent oracle for the recursion.  Back-substitution divides each
+summed entry once by the diagonal of X_{I_w}, a unit over a product of
+x_beta, by subtracting denominator multiplicities.
 """
 from __future__ import annotations
 
@@ -210,12 +212,22 @@ Row = Dict[AffineElt, Localized]
 def combine_rows(terms: Iterable[Tuple[Union[int, Localized], Row]]) -> Row:
     """sum_u c_u row_u for the pairs (c_u, row_u), simplified, without its
     negligible entries; two rows are equal when their difference is empty."""
+    return _settled(_row_sum(terms))
+
+
+def _row_sum(terms: Iterable[Tuple[Union[int, Localized], Row]]) -> Row:
+    """sum_u c_u row_u, each entry over the lcm of its terms' denominators."""
     out: Row = {}
     for c, row in terms:
         for v, b in row.items():
             delta = c * b
             out[v] = out[v] + delta if v in out else delta
-    simplified = ((v, c.simplify()) for v, c in out.items())
+    return out
+
+
+def _settled(row: Row) -> Row:
+    """The row with each entry simplified and the negligible ones dropped."""
+    simplified = ((v, c.simplify()) for v, c in row.items())
     return {v: c for v, c in simplified if not c.is_negligible()}
 
 
@@ -285,21 +297,30 @@ def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x",
                     ) -> Dict[AffineElt, Row]:
     """The rows of eta_w for every w of the window, solved from the word
     products X_{I_w} in increasing length; rows in `known` are taken as
-    given.  Writes to no store."""
+    given.  Writes to no store.
+
+    With X_{I_w} = sum_u a_{w,u} eta_u, the entry of eta_w at v is s_v /
+    a_{w,w}, s_v = delta_{wv} - sum_{u != w} a_{w,u} b_{u,v} summed
+    unsimplified.  a_{w,w} is a unit over a product of x_beta, so the
+    division subtracts denominator multiplicities and multiplies no x_beta
+    in to be divided back out, which on SER would cost one degree of
+    certified precision each; each entry is then simplified once.
+    """
     _require_flavor(flavor)
+    one = Localized(algebra.torus, algebra.torus.ring.one())
     rows: Dict[AffineElt, Row] = {}
     for w in window.elements:
         if known is not None and w in known:
             rows[w] = known[w]
             continue
         aw = _word_row(algebra, window, flavor, w)
-        diag_inv = aw[w].inverse()
+        diag = aw[w]
         if any(u != w and u not in rows for u in aw):
             raise ConfigError(
                 "expansion of X_{I_w} is not triangular; unexpected "
                 "support at an element not yet solved")
-        rows[w] = combine_rows([(1, {w: diag_inv})] + [
-            (-(diag_inv * c), rows[u]) for u, c in aw.items() if u != w])
+        s = _row_sum([(1, {w: one})] + [(-c, rows[u]) for u, c in aw.items() if u != w])
+        rows[w] = _settled({v: e / diag for v, e in s.items()})
     return rows
 
 

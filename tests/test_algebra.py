@@ -302,12 +302,49 @@ def test_localized_inverse():
     a = util.alpha_vec(t)
     e_alpha = t.ring.element({(1,): Scalar.const(1)})
     f = Localized(t, e_alpha, (a,))
-    inv = f.inverse()
-    assert (f * inv) == Localized(t, t.ring.one())
+    one = Localized(t, t.ring.one())
+    inv = one / f
+    assert not inv.den_map
+    assert (f * inv) == one
     with pytest.raises(MembershipError):
-        Localized(t, t.simple_x(1)).inverse()  # two-term numerator
+        one / Localized(t, t.simple_x(1))  # two-term numerator
     with pytest.raises(MembershipError):
-        Localized(t, t.ring.from_scalar(2)).inverse()
+        one / Localized(t, t.ring.from_scalar(2))
+    # a monomial of positive degree is no unit of the series ring
+    s = torus("A1", "SER", fgl="hyperbolic")
+    with pytest.raises(MembershipError):
+        Localized(s, s.ring.one()) / Localized(s, s.ring.x_of(a))
+
+
+@pytest.mark.parametrize("backend,fgl", [
+    ("ADD", None), ("MUL", None), ("CON", None), ("SER", "hyperbolic"),
+])
+@given(data=st.data())
+def test_division_by_a_unit_over_x_multiplies_by_the_inverse(backend, fgl, data):
+    t = torus("A2", backend, fgl=fgl)
+    ring = t.ring
+    group_ring = backend in ("MUL", "CON")
+    lattice = st.integers(-2, 2) if group_ring else st.integers(0, 2)
+    d_den = data.draw(st.lists(points, min_size=1, max_size=3))
+    unit_key = data.draw(st.tuples(*[st.integers(-2, 2)] * 2)) if group_ring else (0, 0)
+    unit_key += tuple(data.draw(st.integers(-1, 1)) if backend == "CON" else 0
+                      for _ in ring.params)
+    d = Localized(t, AlgebraElement(ring, {unit_key: data.draw(st.sampled_from([1, -1]))},
+                                    None), d_den)
+    keys = st.tuples(lattice, lattice, *[st.integers(0, 1)] * len(ring.params))
+    num = AlgebraElement(ring, data.draw(st.dictionaries(keys, coeffs, min_size=1,
+                                                         max_size=3)), None)
+    shared = data.draw(st.lists(st.sampled_from(d_den), max_size=3))
+    f = Localized(t, num, shared + data.draw(st.lists(points, max_size=2)))
+    got = f / d
+    want = f * util.reference_inverse(d)
+    assert got == want
+    # the multiplicities are subtracted, and nothing more is cancelled
+    assert got.den_map == {b: m - d.den_map.get(b, 0) for b, m in f.den_map.items()
+                           if m > d.den_map.get(b, 0)}
+    if got.num.prec is None:
+        # over the reference's denominator the numerators agree term for term
+        assert got._over(want.den_map).terms == want.num.terms
 
 
 def test_localized_rejects_zero_denominator():

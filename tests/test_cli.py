@@ -115,9 +115,27 @@ def test_exit_two_on_config_error(capsys):
 def test_exit_two_on_exhausted_precision(capsys):
     # the hyperbolic table at the default degree cannot certify the window
     rc, _, err = run_cli(capsys, "expand", "--fgl", "hyperbolic",
-                         "--window", "3")
+                         "--window", "5")
     assert rc == 2
     assert "precision" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--fgl", "hyperbolic", "--window", "3"),
+    ("expand", "--fgl", "hyperbolic", "--window", "4"),
+    ("gkm", "--root", "A2", "--fgl", "hyperbolic", "--window", "3"),
+    ("gkm", "--root", "A1", "--fgl", "hyperbolic", "--window", "4"),
+])
+def test_hyperbolic_rows_keep_precision_at_the_default_degree(capsys, argv):
+    # back-substitution divides by the diagonal without multiplying its
+    # x_beta out, so these windows are certified at the default degree
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    doc = json.loads(out)
+    if argv[0] == "expand":
+        assert doc["tables"] and all(table["rows"] for table in doc["tables"])
+    else:
+        assert doc["all_passed"] and doc["checked"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -342,6 +342,22 @@ def test_root_steps_are_left_products(rtype, length):
                for alpha in g.datum.positive_roots)
 
 
+@pytest.mark.parametrize("rtype, length", [("A1", 5), ("A2", 3), ("B2", 3), ("G2", 2)])
+def test_reflection_pairs_are_the_window_reflections(rtype, length):
+    g = group(rtype)
+    win = g.window(length)
+    pairs = win.reflection_pairs()
+    n = len(win.elements)
+    for a, b, beta in pairs:
+        assert a < b < n and not g.is_negative_root(beta)
+        assert g.mul(g.affine_reflection(beta), win.elements[a]) == win.elements[b]
+    # every reflection pair, once, in order of the first and then the second
+    want = [(a, b) for a in range(n) for b in range(a + 1, n)
+            if g.as_reflection(g.mul(win.elements[b], g.inv(win.elements[a])))]
+    assert [(a, b) for a, b, _ in pairs] == want and want
+    assert win.reflection_pairs() is pairs
+
+
 def test_descents():
     g = group("A1")
     s0 = g.simple(0)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from fada import connective, twisted
+from fada import connective, polyops, twisted
 from fada.algebra import Localized, TorusAlgebra
 from fada.cli import loc_json
 from fada.errors import ConfigError, NotApplicableError
 from fada.scalars import Scalar
 from fada.twisted import (ExpansionTables, TwistedAlgebra, back_substitute,
-                          braid_check)
+                          braid_check, combine_rows)
 
 import util
 
@@ -254,6 +254,72 @@ def test_recursion_rows_match_back_substitution(rtype, backend, torus, length, f
         for u, c in want[w].items():
             assert got[w][u] == c, (window.word(w), window.word(u))
             assert loc_json(got[w][u]) == loc_json(c), (window.word(w), window.word(u))
+
+
+# -- back-substitution against the multiplied-out inverse --------------------
+
+
+def multiplied_out_rows(alg, window, flavor):
+    """Back-substitution with the inverse of the diagonal a_{w,w} multiplied
+    out into one product of x_beta, multiplied into every term and divided
+    back out by `combine_rows`."""
+    rows = {}
+    for w in window.elements:
+        aw = alg.word_product(flavor, window.compat_word(w)).terms
+        diag_inv = util.reference_inverse(aw[w])
+        rows[w] = combine_rows([(1, {w: diag_inv})] + [
+            (-(diag_inv * c), rows[u]) for u, c in aw.items() if u != w])
+    return rows
+
+
+EXACT_ROW_CASES = ([(rtype, "small", length) for rtype, length in
+                    (("A1", 4), ("A2", 4), ("B2", 3), ("G2", 3))]
+                   + [("A1", "big", 4), ("A2", "big", 2)])
+
+
+@pytest.mark.parametrize("flavor", ["x", "y"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("rtype, torus, length", EXACT_ROW_CASES)
+def test_back_substitution_matches_the_multiplied_out_inverse(rtype, torus, length,
+                                                              backend, flavor):
+    t = TorusAlgebra(util.datum(rtype), backend, torus)
+    alg = TwistedAlgebra(t)
+    window = t.group.window(length)
+    got = back_substitute(alg, window, flavor)
+    want = multiplied_out_rows(alg, window, flavor)
+    for w in window.elements:
+        assert set(got[w]) == set(want[w]), window.word(w)
+        for u, c in want[w].items():
+            assert got[w][u].den_map == c.den_map, (window.word(w), window.word(u))
+            assert got[w][u].num.terms == c.num.terms, (window.word(w), window.word(u))
+
+
+@pytest.mark.parametrize("rtype, length, law, precision, flavor, least", [
+    ("A2", 3, "hyperbolic", 12, "x", 7),
+    ("B2", 2, "hyperbolic", 12, "x", 11),
+    ("A2", 3, "connective", 12, "x", 7),
+    ("A2", 3, "connective", 12, "y", 7),
+])
+def test_series_back_substitution_extends_the_multiplied_out_rows(
+        rtype, length, law, precision, flavor, least):
+    t = TorusAlgebra(util.datum(rtype), "SER", "small", fgl=util.law_of(law),
+                     precision=precision)
+    alg = TwistedAlgebra(t)
+    window = t.group.window(length)
+    got = back_substitute(alg, window, flavor)
+    want = multiplied_out_rows(alg, window, flavor)
+    gained = 0
+    for w in window.elements:
+        assert set(got[w]) == set(want[w]), window.word(w)
+        for u, c in want[w].items():
+            g = got[w][u]
+            assert g.den_map == c.den_map, (window.word(w), window.word(u))
+            # certified at least as far, and the same terms up to the old cut
+            assert g.num.prec >= c.num.prec, (window.word(w), window.word(u))
+            assert polyops.ptruncate(g.num.terms, c.num.prec, t.ring.nvars) == c.num.terms
+            gained += g.num.prec > c.num.prec
+    assert gained
+    assert min(c.num.prec for row in got.values() for c in row.values()) >= least
 
 
 class BackSubstitutionCalled(Exception):

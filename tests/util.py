@@ -10,7 +10,7 @@ solves afresh on every call and reuses only the cached word products.
 
 from typing import Dict, Optional, Tuple
 
-from fada.algebra import Localized, TorusAlgebra
+from fada.algebra import AlgebraElement, Localized, TorusAlgebra
 from fada.fgl import FormalGroupLaw
 from fada.roots import FiniteRootDatum
 from fada.twisted import ExpansionTables, TwistedAlgebra
@@ -96,3 +96,14 @@ def tw_zero(x) -> bool:
 
 def loc_eq(x, y) -> bool:
     return x == y
+
+
+def reference_inverse(d: Localized) -> Localized:
+    """The inverse of u / prod_b x_b^{m_b}, u a unit monomial, multiplied out
+    into one ring element u^{-1} prod_b x_b^{m_b}."""
+    ring = d.torus.ring
+    (key, coeff), = d.num.terms.items()
+    inv = AlgebraElement(ring, {tuple(-v for v in key): coeff}, None)
+    for b, m in d.den_map.items():
+        inv = inv * ring.x_pow(b, m)
+    return Localized(d.torus, inv)
