@@ -142,14 +142,16 @@ class FormalGroupLaw:
         return out
 
     def inverse(self, p: Terms, prec: int, nvars: int) -> Terms:
-        """The formal inverse i(p) with F(p, i(p)) = 0, solved term by term."""
+        """The formal inverse i(p) with F(p, i(p)) = 0, solved degree by degree.
+
+        Before step d, cur agrees with i(p) through degree d - 1, so F(p, cur)
+        starts at degree d and step d runs `add` at precision d, the one
+        degree it certifies."""
         self._check_args(prec, nvars, p)
         cur = polyops.pneg(p)
-        while True:
-            err = self.add(p, cur, prec, nvars)
-            if not err:
-                return cur
-            cur = polyops.psub(cur, err)
+        for d in range(2, prec + 1):
+            cur = polyops.psub(cur, self.add(p, cur, d, nvars))
+        return cur
 
     def multiple(self, p: Terms, n: int, prec: int, nvars: int) -> Terms:
         """The n-fold formal sum [n](p); negative n uses the formal inverse."""

@@ -400,7 +400,9 @@ class Window:
     """All affine Weyl elements of length at most `length_bound`.
 
     Elements are canonically ordered by (length, lexicographically least
-    reduced word); `words` holds that least word for each element.
+    reduced word); `words` holds that least word for each element.  Compat
+    words are cached per element on first request, also for elements outside
+    the window whose minimal coset representative lies inside it.
     """
 
     group: "AffineWeylGroup"
@@ -413,6 +415,8 @@ class Window:
         field(default_factory=dict, init=False, repr=False, compare=False)
     _reflection_pairs: Optional[Tuple[Tuple[int, int, AffRoot], ...]] = \
         field(default=None, init=False, repr=False, compare=False)
+    _compat: Dict[AffineElt, Tuple[int, ...]] = \
+        field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.index:
@@ -469,10 +473,13 @@ class Window:
 
     def compat_word(self, x: AffineElt) -> Tuple[int, ...]:
         """A reduced word of the form (finite word of u) + (word of v), x = u v
-        with v of minimal length in W x."""
-        u, v = self.group.coset_decompose(x)
-        self.require(v)
-        return self.group.datum.weyl_words[u] + self.words[v]
+        with v of minimal length in W x.  Cached per element."""
+        word = self._compat.get(x)
+        if word is None:
+            u, v = self.group.coset_decompose(x)
+            self.require(v)
+            word = self._compat[x] = self.group.datum.weyl_words[u] + self.words[v]
+        return word
 
     def minimal_coset_reps(self) -> Tuple[AffineElt, ...]:
         return tuple(x for x in self.elements if self.group.is_minimal_rep(x))

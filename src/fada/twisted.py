@@ -332,7 +332,8 @@ def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
     (1, -x_i) for X and (1 - c x_i, x_i) for Y, and Op_i Op_{I_v} is
     Op_{I_{s_i v}} when s_i v > v and c Op_{I_v} otherwise.  So the entry
     r_v of the row of eta_u puts a s_i(r_v) at v and b s_i(r_v) at s_i v
-    when s_i v > v, and (a + b c) s_i(r_v) at v otherwise.  That needs
+    when s_i v > v, and (a + b c) s_i(r_v) at v otherwise; s_i v > v is
+    tested as "i is no left descent of v", one root action.  That needs
     Op_{I_w} to be independent of the reduced word, which holds for the
     group laws x + y - c x y.
     """
@@ -344,10 +345,9 @@ def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
     a_down = a + b * c
     terms: List[Tuple[Union[int, Localized], Row]] = []
     for v, r in row.items():
-        siv = group.mul(si, v)
         image = torus.act_loc(si, r)
-        if group.length(siv) > group.length(v):
-            terms += [(a, {v: image}), (b, {siv: image})]
+        if not group.left_descent(v, i):
+            terms += [(a, {v: image}), (b, {group.mul(si, v): image})]
         else:
             terms.append((a_down, {v: image}))
     return combine_rows(terms)

@@ -1,6 +1,7 @@
 """Formal group laws, their action on folded term dicts, and SER series."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fada import polyops
 from fada.algebra import AlgebraElement, FormalRing
@@ -178,6 +179,52 @@ def test_inverse_is_two_sided(law):
     x = var(0, 1, law.params)
     assert law.add(x, law.inverse(x, 7, 1), 7, 1) == {}
     assert law.add(law.inverse(x, 7, 1), x, 7, 1) == {}
+
+
+def fixed_point_inverse(law, p, prec, nvars):
+    """The formal inverse by the fixed-point loop with one full-precision add
+    per step, an oracle for `FormalGroupLaw.inverse`."""
+    cur = polyops.pneg(p)
+    while True:
+        err = law.add(p, cur, prec, nvars)
+        if not err:
+            return cur
+        cur = polyops.psub(cur, err)
+
+
+INVERSE_LAWS = [
+    FormalGroupLaw.additive(),
+    FormalGroupLaw.multiplicative(),
+    FormalGroupLaw.connective(),
+    FormalGroupLaw.hyperbolic(),
+    FormalGroupLaw.custom({(1, 0): Scalar.const(1, ("b",)),
+                           (0, 1): Scalar.const(1, ("b",)),
+                           (1, 1): Scalar.monomial(("b",), (1,), 2)}, 12, ("b",)),
+]
+
+
+@st.composite
+def inverse_cases(draw):
+    law = draw(st.sampled_from(INVERSE_LAWS))
+    nvars = draw(st.integers(1, 3))
+    prec = draw(st.integers(1, 12))
+    term = st.tuples(
+        st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).filter(any),
+        st.lists(st.integers(0, 2), min_size=len(law.params),
+                 max_size=len(law.params)),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    p = {}
+    for e, f, k in draw(st.lists(term, min_size=1, max_size=3)):
+        p = polyops.padd(p, {tuple(e + f): k})
+    return law, nvars, prec, p
+
+
+@given(inverse_cases())
+def test_inverse_matches_the_fixed_point_loop(case):
+    law, nvars, prec, p = case
+    inv = law.inverse(p, prec, nvars)
+    assert inv == fixed_point_inverse(law, p, prec, nvars)
+    assert law.add(p, inv, prec, nvars) == {}
 
 
 def test_multiple():

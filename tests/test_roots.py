@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fada.errors import ConfigError, WindowExceededError
-from fada.roots import AffineElt, AffineWeylGroup, FiniteRootDatum
+from fada.roots import AffineElt, AffineWeylGroup, FiniteRootDatum, Window
 
 import util
 
@@ -443,6 +443,59 @@ def test_compat_word():
         k = g.datum.weyl_lengths[u]
         assert word[:k] == g.datum.weyl_words[u]
         assert all(i != 0 for i in word[:k])
+
+
+LAYER1_CASES = [("A1", "small", 6), ("A2", "small", 4), ("B2", "small", 4),
+                ("G2", "small", 4), ("A1", "big", 6)]
+
+
+def coset_word(g, win, x):
+    """The compat word by its defining formula, with no cache."""
+    u, v = g.coset_decompose(x)
+    win.require(v)
+    return g.datum.weyl_words[u] + win.words[v]
+
+
+@pytest.mark.parametrize("rtype, torus, length", LAYER1_CASES)
+def test_compat_words_are_cached_per_element(rtype, torus, length):
+    g = util.algebra(rtype, "CON", torus).torus.group
+    win = g.window(length)
+    for x in win.elements:
+        word = win.compat_word(x)
+        assert word == coset_word(g, win, x)
+        assert win.compat_word(x) is word
+    smaller = g.window(length - 1)
+    for x in smaller.elements:
+        assert smaller.compat_word(x) == win.compat_word(x)
+
+
+@pytest.mark.parametrize("rtype, torus, length", LAYER1_CASES)
+def test_compat_word_outside_the_window(rtype, torus, length):
+    g = util.algebra(rtype, "CON", torus).torus.group
+    win = g.window(length - 2)
+    outside = [x for x in g.window(length).elements if x not in win]
+    raised = 0
+    for x in outside:
+        if g.coset_decompose(x)[1] in win:
+            assert win.compat_word(x) == coset_word(g, win, x)
+            continue
+        raised += 1
+        for _ in range(2):
+            with pytest.raises(WindowExceededError):
+                win.compat_word(x)
+    assert raised
+
+
+def test_window_equality_and_repr_ignore_the_compat_cache():
+    g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
+    win = g.window(3)
+    fresh = Window(g, win.length_bound, win.elements, win.words, win.lengths)
+    for x in win.elements:
+        win.compat_word(x)
+    assert win._compat and not fresh._compat
+    assert win == fresh
+    assert repr(win) == repr(fresh)
+    assert "_compat" not in repr(win)
 
 
 def test_bruhat_order():

@@ -1,0 +1,30 @@
+"""The maintenance scripts under scripts/, each run as a user runs it, so a
+change to ``fada`` that breaks one fails here rather than on its next use."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)] + list(argv),
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_regen_golden_compares_every_golden():
+    lines = run_script("regen_golden.py")
+    assert [line.split()[0] for line in lines] == ["ok"] * 3
+
+
+def test_gkm_survey_finds_no_violation():
+    lines = run_script("gkm_survey.py")
+    assert lines
+    assert all("violations=0" in line for line in lines)
+
+
+def test_peterson_survey_runs():
+    run_script("peterson_survey.py")

@@ -256,6 +256,18 @@ def test_recursion_rows_match_back_substitution(rtype, backend, torus, length, f
             assert loc_json(got[w][u]) == loc_json(c), (window.word(w), window.word(u))
 
 
+@pytest.mark.parametrize("rtype, torus, length", [
+    ("A1", "small", 6), ("A2", "small", 4), ("B2", "small", 4),
+    ("G2", "small", 4), ("A1", "big", 6)])
+def test_predict_row_descent_test_matches_lengths(rtype, torus, length):
+    # predict_row takes s_i v > v as "i is no left descent of v"
+    g = util.algebra(rtype, "CON", torus).torus.group
+    for v in g.window(length).elements:
+        for i in g.labels:
+            longer = g.length(g.mul(g.simple(i), v)) > g.length(v)
+            assert (not g.left_descent(v, i)) == longer, (v, i)
+
+
 # -- back-substitution against the multiplied-out inverse --------------------
 
 
