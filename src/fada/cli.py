@@ -207,8 +207,8 @@ def cmd_gkm(cfg: JobConfig) -> Tuple[dict, bool]:
     group = algebra.torus.group
     window = group.window(cfg.window)
     tables = ExpansionTables(algebra, window)
-    degree_bound = int(cfg.extra.get("gkm_degree", 2))
-    grassmannian = bool(cfg.extra.get("grassmannian", False))
+    degree_bound = cfg.extra["gkm_degree"]
+    grassmannian = cfg.extra["grassmannian"]
     reports = []
     ok = True
     for w in window.elements:
@@ -292,7 +292,7 @@ def cmd_recurse(cfg: JobConfig) -> Tuple[dict, bool]:
     out_window = group.window(cfg.window - 1)
     tables = ExpansionTables(algebra, window)
     i = int(cfg.extra["i"])
-    basis = cfg.extra.get("basis", "X")
+    basis = cfg.extra["basis"]
     word = cfg.extra.get("v")
     if word is not None:
         targets = [group.from_word(word)]
@@ -325,11 +325,9 @@ def cmd_recurse(cfg: JobConfig) -> Tuple[dict, bool]:
 
 
 def cmd_a1hat(cfg: JobConfig) -> Tuple[dict, bool]:
-    choice = str(cfg.extra.get("c", "generic"))
-    law = {"0": "additive", "1": "multiplicative", "generic": "connective"}.get(choice)
-    if law is None:
-        raise ConfigError("--c must be 0, 1 or generic")
-    kmax = int(cfg.extra.get("kmax", 3))
+    choice = cfg.extra["c"]
+    law = {"0": "additive", "1": "multiplicative", "generic": "connective"}[choice]
+    kmax = cfg.extra["kmax"]
     local = JobConfig("A1", law, "small", kmax)
     algebra = make_algebra(local)
     group = algebra.torus.group
@@ -338,8 +336,7 @@ def cmd_a1hat(cfg: JobConfig) -> Tuple[dict, bool]:
         closed = eta_sigma_closed(algebra, k)
         row = sorted((sigma_index(group, w), loc_json(c)) for w, c in closed.items())
         table.append({"k": k, "coeffs": [[j, c] for j, c in row]})
-    report = appendix_crosscheck(algebra, kmax,
-                                 degree_bound=int(cfg.extra.get("gkm_degree", 2)))
+    report = appendix_crosscheck(algebra, kmax, degree_bound=cfg.extra["gkm_degree"])
     payload = {
         "schema": SCHEMA,
         "command": "a1hat",

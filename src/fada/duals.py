@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .roots import AffRoot, AffineElt, Vec, Window
-from .twisted import ExpansionTables, TwistedElement, combine_rows
+from .twisted import ExpansionTables, TwistedElement, combine_rows, row_sum
 
 
 class DualElement:
@@ -57,10 +57,8 @@ class DualElement:
         return Localized(self.torus, self.torus.ring.zero())
 
     def __add__(self, other: "DualElement") -> "DualElement":
-        out = dict(self.values)
-        for w, v in other.values.items():
-            out[w] = out[w] + v if w in out else v
-        return DualElement(self.torus, self.window, out)
+        return DualElement(self.torus, self.window,
+                           row_sum(((1, self.values), (1, other.values))))
 
     def __sub__(self, other: "DualElement") -> "DualElement":
         return self + (-other)
@@ -86,9 +84,6 @@ class DualElement:
     def restrict(self, window: Window) -> "DualElement":
         vals = {w: v for w, v in self.values.items() if w in window}
         return DualElement(self.torus, window, vals)
-
-    def support(self) -> List[AffineElt]:
-        return list(self.values)
 
     def __repr__(self):
         group = self.torus.group
@@ -388,10 +383,7 @@ class TranslationDual:
     def __eq__(self, other):
         if not isinstance(other, TranslationDual):
             return NotImplemented
-        for k in set(self.values) | set(other.values):
-            if not (self.get(k) == other.get(k)):
-                return False
-        return True
+        return not combine_rows(((1, self.values), (-1, other.values)))
 
     def __hash__(self):
         raise TypeError("TranslationDual is unhashable")

@@ -30,17 +30,15 @@ from .algebra import AlgebraElement, Localized
 from .duals import DualElement, TranslationDual, restrict_to_translations
 from .errors import ConfigError, MembershipError
 from .roots import AffineElt, Vec, Window
-from .twisted import ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows
+from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows,
+                      row_sum)
 
 
 def pr(algebra: TwistedAlgebra, z: TwistedElement) -> TwistedElement:
     """Project eta_x to eta at the unique translation in the coset x W."""
     group = algebra.torus.group
-    out: Dict[AffineElt, Localized] = {}
-    for x, c in z.terms.items():
-        t = group.translation(x.w.act_coroot(x.t))
-        out[t] = out[t] + c if t in out else c
-    return TwistedElement(algebra, out)
+    return TwistedElement(algebra, row_sum(
+        (1, {group.translation(x.w.act_coroot(x.t)): c}) for x, c in z.terms.items()))
 
 
 def is_translation_supported(algebra: TwistedAlgebra, z: TwistedElement) -> bool:
@@ -265,11 +263,8 @@ def antipode(algebra: TwistedAlgebra, z: TwistedElement) -> TwistedElement:
     if not is_translation_supported(algebra, z):
         raise MembershipError("antipode is defined on translation-supported elements")
     group = algebra.torus.group
-    out: Dict[AffineElt, Localized] = {}
-    for x, c in z.terms.items():
-        t = group.translation(tuple(-a for a in x.t))
-        out[t] = out[t] + c if t in out else c
-    return TwistedElement(algebra, out)
+    return TwistedElement(algebra, row_sum(
+        (1, {group.translation(tuple(-a for a in x.t)): c}) for x, c in z.terms.items()))
 
 
 Coproduct = Dict[Tuple[Vec, Vec], Localized]
@@ -285,11 +280,7 @@ def coproduct(algebra: TwistedAlgebra, z: TwistedElement) -> Coproduct:
 
 def coproduct_multiply(a: Coproduct, b: Coproduct) -> Coproduct:
     """Product in the tensor square of the translation group algebra."""
-    out: Coproduct = {}
-    for (l1, r1), c1 in a.items():
-        for (l2, r2), c2 in b.items():
-            key = (tuple(x + y for x, y in zip(l1, l2)),
-                   tuple(x + y for x, y in zip(r1, r2)))
-            val = c1 * c2
-            out[key] = out[key] + val if key in out else val
-    return {k: v for k, v in out.items() if not v.simplify().is_zero()}
+    out = row_sum((c1, {(tuple(x + y for x, y in zip(l1, l2)),
+                         tuple(x + y for x, y in zip(r1, r2))): c2})
+                  for (l1, r1), c1 in a.items() for (l2, r2), c2 in b.items())
+    return {k: v for k, v in out.items() if not v.is_zero()}

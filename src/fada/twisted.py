@@ -22,6 +22,12 @@ solved by back-substitution in the localized ring, which also serves as the
 independent oracle for the recursion.  Back-substitution divides each
 summed entry once by the diagonal of X_{I_w}, a unit over a product of
 x_beta, by subtracting denominator multiplicities.
+
+Twisted elements, rows, duals and the Peterson projections are all maps
+from affine Weyl elements to localized values.  `row_sum` is the one linear
+combination sum_u c_u map_u of such maps, left unsimplified, and
+`combine_rows` is the same sum settled; a difference that settles to the
+empty map is the one equality test of maps.
 """
 from __future__ import annotations
 
@@ -58,10 +64,7 @@ class TwistedElement:
 
     def __add__(self, other):
         other = self.algebra.coerce(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out[w] + c if w in out else c
-        return TwistedElement(self.algebra, out)
+        return TwistedElement(self.algebra, row_sum(((1, self.terms), (1, other.terms))))
 
     __radd__ = __add__
 
@@ -95,9 +98,6 @@ class TwistedElement:
     def __hash__(self):
         raise TypeError("TwistedElement is unhashable")
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
-
     def simplify(self) -> "TwistedElement":
         return TwistedElement(self.algebra, {w: c.simplify() for w, c in self.terms.items()})
 
@@ -105,9 +105,6 @@ class TwistedElement:
         if w in self.terms:
             return self.terms[w]
         return Localized(self.algebra.torus, self.algebra.torus.ring.zero())
-
-    def support(self) -> List[AffineElt]:
-        return list(self.terms)
 
     def __repr__(self):
         group = self.algebra.torus.group
@@ -207,20 +204,23 @@ class TwistedAlgebra:
 
 
 Row = Dict[AffineElt, Localized]
+Coefficient = Union[int, Scalar, Localized]
 
 
-def combine_rows(terms: Iterable[Tuple[Union[int, Localized], Row]]) -> Row:
+def combine_rows(terms: Iterable[Tuple[Coefficient, Row]]) -> Row:
     """sum_u c_u row_u for the pairs (c_u, row_u), simplified, without its
     negligible entries; two rows are equal when their difference is empty."""
-    return _settled(_row_sum(terms))
+    return _settled(row_sum(terms))
 
 
-def _row_sum(terms: Iterable[Tuple[Union[int, Localized], Row]]) -> Row:
-    """sum_u c_u row_u, each entry over the lcm of its terms' denominators."""
+def row_sum(terms: Iterable[Tuple[Coefficient, Row]]) -> Row:
+    """sum_u c_u row_u, each entry over the lcm of its terms' denominators.
+    The keys may be anything hashable: elements, lattice points, pairs.
+    An entry with the coefficient 1 is taken as it is, not copied."""
     out: Row = {}
     for c, row in terms:
         for v, b in row.items():
-            delta = c * b
+            delta = b if type(c) is int and c == 1 else c * b
             out[v] = out[v] + delta if v in out else delta
     return out
 
@@ -319,7 +319,7 @@ def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x",
             raise ConfigError(
                 "expansion of X_{I_w} is not triangular; unexpected "
                 "support at an element not yet solved")
-        s = _row_sum([(1, {w: one})] + [(-c, rows[u]) for u, c in aw.items() if u != w])
+        s = row_sum([(1, {w: one})] + [(-c, rows[u]) for u, c in aw.items() if u != w])
         rows[w] = _settled({v: e / diag for v, e in s.items()})
     return rows
 
@@ -343,7 +343,7 @@ def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
     xi = Localized(torus, torus.x_root(group.simple_root(i)))
     a, b = (1, -xi) if flavor == "x" else (1 - xi * c, xi)
     a_down = a + b * c
-    terms: List[Tuple[Union[int, Localized], Row]] = []
+    terms: List[Tuple[Coefficient, Row]] = []
     for v, r in row.items():
         image = torus.act_loc(si, r)
         if not group.left_descent(v, i):
@@ -405,15 +405,13 @@ def braid_check(algebra: TwistedAlgebra, i: int, j: int) -> BraidReport:
     word_b = tuple((j, i)[k % 2] for k in range(m))
     lhs = algebra.x_word(word_a)
     rhs = algebra.x_word(word_b)
-    diff_support = set(lhs.terms) | set(rhs.terms)
+    diff = row_sum(((1, lhs.terms), (-1, rhs.terms)))
     group = algebra.torus.group
-    for w in sorted(diff_support, key=lambda x: (group.length(x),
-                                                 group.reduced_word(x))):
-        ca = lhs.coefficient(w)
-        cb = rhs.coefficient(w)
-        if not (ca == cb):
-            name = group.word_name(group.reduced_word(w))
-            return BraidReport(i, j, m, False,
-                              witness="eta[%s]: %r vs %r" % (name, ca.simplify(),
-                                                             cb.simplify()))
+    # settle the entries in order and stop at the first that does not vanish:
+    # on SER a later entry may need more precision than the witness does
+    for w in sorted(diff, key=lambda x: (group.length(x), group.reduced_word(x))):
+        if _settled({w: diff[w]}):
+            return BraidReport(i, j, m, False, witness="eta[%s]: %r vs %r" % (
+                group.word_name(group.reduced_word(w)),
+                lhs.coefficient(w).simplify(), rhs.coefficient(w).simplify()))
     return BraidReport(i, j, m, True)

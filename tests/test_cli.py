@@ -246,6 +246,19 @@ def test_expand_empty_window_contains_only_identity(capsys):
     assert len(rows) == 1 and rows[0]["word"] == []
 
 
+def test_expand_one_word_prints_its_row_of_the_full_table(capsys):
+    rc, out, _ = run_cli(capsys, "expand", "--window", "3")
+    assert rc == 0
+    (want,) = [r for r in json.loads(out)["tables"][0]["rows"] if r["word"] == [0, 1]]
+    rc, out, _ = run_cli(capsys, "expand", "--word", "0,1", "--window", "3")
+    assert rc == 0
+    assert json.loads(out)["tables"][0]["rows"] == [want]
+    rc, out, err = run_cli(capsys, "expand", "--word", "0,1,0,1", "--window", "3")
+    assert rc == 2
+    assert out == ""
+    assert "rerun with window >= 4" in err
+
+
 def test_expand_both_tori(capsys):
     rc, out, _ = run_cli(capsys, "expand", "--window", "1", "--torus", "both")
     assert rc == 0

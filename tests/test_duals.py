@@ -280,6 +280,66 @@ def test_gkm_summary_line():
     assert "0 violations" in rep.summary()
 
 
+# -- GKM records as text -------------------------------------------------------
+
+def bumped(f, v, bump):
+    """f with `bump` added to its value at v."""
+    values = dict(f.values)
+    values[v] = f.get(v) + bump
+    return DualElement(f.torus, f.window, values)
+
+
+def described(rep, reason):
+    return [rep.describe(r) for r in rep.skipped + rep.violations if r.reason == reason]
+
+
+def test_describe_not_regular():
+    alg, _ = setup_a1("CON", 4)
+    t = alg.torus
+    g = t.group
+    vals = {g.identity: Localized(t, t.ring.one(), (util.alpha_vec(t),))}
+    rep = gkm_check_small(DualElement(t, g.window(4), vals), 1)
+    assert [rep.describe(r) for r in rep.violations] == ["value at e is not regular"]
+
+
+def test_describe_binomial_sum_and_orbit_leaves():
+    alg, tables = setup_a1("CON", 4)
+    g = alg.torus.group
+    f = dual_x(tables, g.from_word((0, 1)))
+    rep = gkm_check_small(bumped(f, g.from_word((1, 0, 1, 0)), 1), 2)
+    assert [rep.describe(r) for r in rep.violations] == [
+        "binomial sum for alpha=(1,) d=1 w=s1 s0 s1 s0 not in x^1 S",
+        "binomial sum for alpha=(1,) d=2 w=s1 s0 s1 s0 not in x^2 S"]
+    assert "alpha=(1,) d=2 w=s0 s1 s0: orbit leaves window" in described(rep, ORBIT_LEAVES)
+
+
+def test_describe_reflected_sum():
+    # a bump in x_alpha S passes degree 1 and fails degree 2
+    alg, tables = setup_a1("CON", 4)
+    t = alg.torus
+    g = t.group
+    f = dual_x(tables, g.from_word((0, 1)))
+    rep = gkm_check_small(bumped(f, g.from_word((0, 1, 0)), t.simple_x(1)), 2)
+    assert described(rep, REFLECTED_SUM) == [
+        "reflected sum for alpha=(1,) d=2 w=s1 s0 not in x^2 S"]
+    assert described(rep, BINOMIAL_SUM) == [
+        "binomial sum for alpha=(1,) d=2 w=s1 not in x^2 S"]
+
+
+def test_describe_difference():
+    alg = util.algebra("A1", "CON", "big")
+    tables = util.tables(alg, 4)
+    g = alg.torus.group
+    s1 = g.simple(1)
+    rep = gkm_check_big(bumped(dual_x(tables, s1), s1, 1))
+    assert [rep.describe(r) for r in rep.violations] == [
+        "f[e] - f[s1] not divisible by x_((1,), 0)",
+        "f[s1] - f[s0 s1] not divisible by x_((-1,), 1)",
+        "f[s1] - f[s1 s0] not divisible by x_((1,), 1)",
+        "f[s1] - f[s0 s1 s0 s1] not divisible by x_((-1,), 2)",
+        "f[s1] - f[s1 s0 s1 s0] not divisible by x_((1,), 2)"]
+
+
 def binomial_gkm(f, degree_bound, grassmannian=False):
     """Oracle for `gkm_check_small`: each condition as a signed binomial sum
     over the orbit points, recomputed for every degree.  Returns the checked

@@ -217,3 +217,61 @@ def test_public_names_resolve_once():
     names = fada.__all__
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(fada, n)] == []
+
+
+# the one sum of maps, and the product loop kept by hand for speed
+ACCUMULATORS = ["twisted:TwistedElement.__mul__", "twisted:row_sum"]
+
+
+def _is_accumulation(node):
+    """Whether `node` is the statement out[k] = out[k] + v if k in out else v."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Subscript)
+            and isinstance(node.value, ast.IfExp)):
+        return False
+    target, body, test = node.targets[0], node.value.body, node.value.test
+    src = ast.unparse
+    return (isinstance(body, ast.BinOp) and isinstance(body.op, ast.Add)
+            and src(body.left) == src(target)
+            and isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.In)
+            and src(test.left) == src(target.slice)
+            and src(test.comparators[0]) == src(target.value))
+
+
+def accumulation_loops(sources):
+    """The functions, as 'module:Class.name', that sum into a dict by hand
+    with out[k] = out[k] + v if k in out else v."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + [child.name]
+            elif _is_accumulation(child):
+                found.add("%s:%s" % (module, ".".join(scope)))
+            visit(child, module, inner)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, [])
+    return sorted(found)
+
+
+def test_scanner_flags_accumulation_loops():
+    source = ("def f(pairs):\n"
+              "    out = {}\n"
+              "    for k, v in pairs:\n"
+              "        out[k] = out[k] + v if k in out else v\n"
+              "    return out\n"
+              "class C:\n"
+              "    def g(self, acc, k, v):\n"
+              "        acc[k] = acc[k] + v if k in acc else v\n"
+              "    def h(self, acc, k, v):\n"
+              "        acc[k] = acc.get(k, 0) + v\n"
+              "        acc[k] = acc[k] + v if k in self.other else v\n")
+    assert accumulation_loops({"m": source}) == ["m:C.g", "m:f"]
+
+
+def test_maps_are_summed_only_by_row_sum():
+    assert accumulation_loops({p.stem: p.read_text() for p in PACKAGE}) == ACCUMULATORS

@@ -334,6 +334,24 @@ def test_series_back_substitution_extends_the_multiplied_out_rows(
     assert min(c.num.prec for row in got.values() for c in row.values()) >= least
 
 
+def test_series_tables_grow_by_back_substitution():
+    def hyperbolic_a2():
+        return TwistedAlgebra(TorusAlgebra(util.datum("A2"), "SER", "small",
+                                           fgl=util.law_of("hyperbolic"), precision=10))
+
+    alg = hyperbolic_a2()
+    g = alg.torus.group
+    small = ExpansionTables(alg, g.window(2))
+    large = ExpansionTables(alg, g.window(3))
+    # the solved rows are taken as known, not solved again
+    for w in small.window.elements:
+        assert large.b[w] is small.b[w]
+    fresh = ExpansionTables(hyperbolic_a2(), g.window(3))
+    assert len(large.b) == len(fresh.b) == 19
+    for w, row in large.b.items():
+        assert not combine_rows(((1, row), (-1, fresh.b[w]))), large.window.word(w)
+
+
 class BackSubstitutionCalled(Exception):
     pass
 
