@@ -25,7 +25,7 @@ from .duals import (DualElement, GkmReport, TranslationDual, bullet,
 from .peterson import (CentralizerReport, PetersonContext, PetersonExpansion,
                        StructurePair, antipode, centralizer_check,
                        centralizer_report, coproduct, coproduct_multiply,
-                       counit, is_translation_supported, k_star, pr)
+                       counit, is_translation_supported, pr)
 from .connective import (ConnectiveContext, RecursionReport, check_recursion,
                          connective_scalar, conjugation_check,
                          dynkin_involution, hecke_action_check)
@@ -50,7 +50,7 @@ __all__ = [
     "coproduct_multiply", "counit", "dual_x", "dynkin_involution",
     "eta_sigma_closed", "from_descriptor", "gkm_check_big",
     "gkm_check_small", "hecke_action_check", "is_translation_supported",
-    "k_star", "mu_unit", "mu_unit_inverse", "odot",
+    "mu_unit", "mu_unit_inverse", "odot",
     "pair", "phi", "pr", "pr_star", "restrict_to_translations", "s_leq",
     "s_leq_coeffs", "sigma", "sigma_index", "sigma_word",
     "w_invariance_report",

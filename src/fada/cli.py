@@ -290,9 +290,9 @@ def cmd_recurse(cfg: JobConfig) -> Tuple[dict, bool]:
     ctx = ConnectiveContext(algebra)
     window = group.window(cfg.window)
     out_window = group.window(cfg.window - 1)
-    tables = ExpansionTables(algebra, window)
     i = int(cfg.extra["i"])
     basis = cfg.extra["basis"]
+    tables = ExpansionTables(algebra, window, basis.lower())
     word = cfg.extra.get("v")
     if word is not None:
         targets = [group.from_word(word)]
@@ -305,9 +305,7 @@ def cmd_recurse(cfg: JobConfig) -> Tuple[dict, bool]:
                                   basis=basis)
         ok = ok and good
         rows.append({"v": list(word), "ok": good})
-    table_report = check_recursion(ctx, out_window,
-                                   flavor="x" if basis == "X" else "y",
-                                   letters=(i,))
+    table_report = check_recursion(ctx, out_window, basis.lower(), letters=(i,))
     ok = ok and table_report.passed
     payload = {
         "schema": SCHEMA,

@@ -11,8 +11,10 @@ Key facts implemented and cross-checked by the test-suite:
   * Y_i = c - X_i satisfies Y_i^2 = c Y_i, and Y_i = 1/x_{-alpha_i} eta_e
     + 1/x_{alpha_i} eta_{s_i}, so Y-words are eta-triangular with unit
     diagonal and admit the same expansion tables as X-words.
-  * X_{I_w} = sum over v <= w of (-1)^{l(v)} c^{l(w)-l(v)} Y_{I_v}, and the
-    dual transition Y*_w = (-1)^{l(w)} sum over v >= w of c^{l(v)-l(w)} X*_v.
+  * X_{I_w} = sum over v <= w of (-1)^{l(v)} c^{l(w)-l(v)} Y_{I_v}.  The
+    dual Y*_w of Y_{I_w} is read off the Y-flavor table, as X*_w is off the
+    X-flavor one; the dual transition Y*_w = (-1)^{l(w)} sum over v >= w of
+    c^{l(v)-l(w)} X*_v is the test-suite's oracle for it.
   * Left multiplication by eta_i induces two-case recursions on both
     expansion tables (the X-flavor and the Y-flavor).  `twisted.predict_row`
     implements them; on the exact backends they build every row of the
@@ -22,7 +24,7 @@ Key facts implemented and cross-checked by the test-suite:
     roots, and acts on duals by Y_{w_0} . X*_{v} = sign(v2) c^{l(w_0)-l(v2)}
     X*_{v1} for the coset factorization v = v1 v2 (v1 minimal in v W).
   * The Hecke-type action X_{-i} (.) X*_v = 0 or c X*_v + X*_{s_i v}
-    according to whether s_i v > v.
+    according to whether s_i v > v, and Y_{-i} on Y*_v alike.
 """
 from __future__ import annotations
 
@@ -95,16 +97,9 @@ class ConnectiveContext:
              self.y_word(window.compat_word(v)).terms)
             for v in window.elements if group.bruhat_leq(v, w)))
 
-    def dual_y_in_x(self, tables: ExpansionTables, window: Window,
-                    w: AffineElt) -> DualElement:
-        """Y*_w as sign(w) sum over v >= w of c^{l(v)-l(w)} X*_v, evaluated
-        inside the window (the sum is finite on each argument)."""
-        group = self.group
-        lw = group.length(w)
-        sign_w = group.sign(w)
-        return DualElement(self.torus, window, row_sum(
-            (sign_w * self.cpow(group.length(v) - lw), dual_x(tables, v).values)
-            for v in window.elements if group.bruhat_leq(w, v)))
+    def dual_y_in_x(self, window: Window, w: AffineElt) -> DualElement:
+        """Y*_w, the functional dual to Y_{I_w}, from the Y-flavor table."""
+        return dual_x(ExpansionTables(self.algebra, window, "y"), w)
 
 
 # -- recursion checks ------------------------------------------------------
@@ -158,26 +153,22 @@ def hecke_action_check(ctx: ConnectiveContext, tables: ExpansionTables,
                        window: Window, out_window: Window, i: int,
                        v: AffineElt, basis: str = "X") -> bool:
     """X_{-i} (.) X*_v (or Y_{-i} (.) Y*_v) equals 0 when s_i v > v and
-    c X*_v + X*_{s_i v} (resp. the Y-starred version) otherwise."""
+    c X*_v + X*_{s_i v} (resp. the Y-starred version) otherwise.
+
+    Both duals are read off the table of the basis's flavor: `tables` when
+    its flavor matches, else that flavor's view over the same window."""
     group = ctx.group
     if basis not in ("X", "Y"):
         raise UnsupportedTheoryError("basis must be X or Y")
-    siv = group.mul(group.simple(i), v)
-    up = not group.left_descent(v, i)
-    if basis == "X":
-        op = ctx.x_neg(i)
-        f = dual_x(tables, v)
-        g = None if up else dual_x(tables, siv)
-    else:
-        op = ctx.y_neg(i)
-        f = ctx.dual_y_in_x(tables, window, v)
-        g = None if up else ctx.dual_y_in_x(tables, window, siv)
+    op = ctx.x_neg(i) if basis == "X" else ctx.y_neg(i)
+    if tables.flavor != basis.lower():
+        tables = ExpansionTables(ctx.algebra, window, basis.lower())
+    f = dual_x(tables, v)
     lhs = odot(op, f, out_window)
-    if up:
-        rhs = DualElement.zero(ctx.torus, out_window)
-    else:
-        rhs = f.restrict(out_window).scale(ctx.c) + g.restrict(out_window)
-    return lhs == rhs
+    if not group.left_descent(v, i):
+        return lhs == DualElement.zero(ctx.torus, out_window)
+    g = dual_x(tables, group.mul(group.simple(i), v))
+    return lhs == f.restrict(out_window).scale(ctx.c) + g.restrict(out_window)
 
 
 def bullet_yw0_check(ctx: ConnectiveContext, tables: ExpansionTables,
@@ -203,11 +194,10 @@ def bullet_yw0_check(ctx: ConnectiveContext, tables: ExpansionTables,
     return lhs == rhs, not lhs.values
 
 
-def dual_y_vanishing_check(ctx: ConnectiveContext, tables: ExpansionTables,
-                           window: Window, out_window: Window,
-                           w: AffineElt) -> bool:
+def dual_y_vanishing_check(ctx: ConnectiveContext, window: Window,
+                           out_window: Window, w: AffineElt) -> bool:
     """Y_{w_0} . Y*_w = 0 for minimal w: the Y-flavor dual rows are killed."""
-    ystar = ctx.dual_y_in_x(tables, window, w)
+    ystar = ctx.dual_y_in_x(window, w)
     return not bullet(ctx.y_w0(), ystar, out_window).values
 
 

@@ -15,12 +15,13 @@ or group-algebra models elsewhere in the package; every kind is also handled
 through truncated power series with tracked precision.
 
 Coefficient tables are kept as `Scalar` values, the form a custom descriptor
-is parsed into.  The series operations `add`, `inverse` and `multiple` take
-and return folded term dicts (see `polyops`): the exponents of `nvars`
-variables followed by one exponent per parameter of the law, cut at a
-precision counted in the variables only.  They carry no precision of their
-own: the one truncated-series type of the package is the SER
-`AlgebraElement`, which wraps their results.
+is parsed into.  The series operations `add` and `inverse` take and return
+folded term dicts (see `polyops`): the exponents of `nvars` variables
+followed by one exponent per parameter of the law, cut at a precision
+counted in the variables only.  They carry no precision of their own: the
+one truncated-series type of the package is the SER `AlgebraElement`, which
+wraps their results.  Formal multiples [k](x_i) are built from them, once
+per ring, by `FormalRing.x_of`.
 """
 from __future__ import annotations
 
@@ -152,16 +153,6 @@ class FormalGroupLaw:
         for d in range(2, prec + 1):
             cur = polyops.psub(cur, self.add(p, cur, d, nvars))
         return cur
-
-    def multiple(self, p: Terms, n: int, prec: int, nvars: int) -> Terms:
-        """The n-fold formal sum [n](p); negative n uses the formal inverse."""
-        self._check_args(prec, nvars, p)
-        if n < 0:
-            return self.multiple(self.inverse(p, prec, nvars), -n, prec, nvars)
-        acc: Terms = {}
-        for _ in range(n):
-            acc = self.add(acc, p, prec, nvars) if acc else p
-        return acc
 
     # -- axioms ------------------------------------------------------------
 

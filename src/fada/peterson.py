@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .algebra import AlgebraElement, Localized
-from .duals import DualElement, TranslationDual, restrict_to_translations
 from .errors import ConfigError, MembershipError
 from .roots import AffineElt, Vec, Window
 from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows,
@@ -44,11 +43,6 @@ def pr(algebra: TwistedAlgebra, z: TwistedElement) -> TwistedElement:
 def is_translation_supported(algebra: TwistedAlgebra, z: TwistedElement) -> bool:
     group = algebra.torus.group
     return all(group.is_translation(x) for x in z.terms)
-
-
-def k_star(f: DualElement) -> TranslationDual:
-    """Keep the values at pure translations, discard the rest."""
-    return restrict_to_translations(f)
 
 
 @dataclass

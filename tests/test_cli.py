@@ -331,6 +331,38 @@ def test_gkm_output_matches_recorded_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the JSON output and the exit code, recorded before the Y-basis
+# duals were read from the Y-flavor table
+RECURSE_DIGESTS = [
+    (("--root", "A1", "--fgl", "additive", "--window", "6", "--i", "0", "--basis", "X"),
+     "f6c1bdfa943cd7d7a0bfc3d615dce97c9fc84d2094744564b7e63e47d27ef727", 0),
+    (("--root", "A1", "--fgl", "multiplicative", "--window", "6", "--i", "1", "--basis", "Y"),
+     "ef26101a2d499873329535fbc5cacb1dff0faa02b399085280356b1b10e072f7", 0),
+    (("--root", "A2", "--window", "4", "--i", "1", "--basis", "X"),
+     "31de73b05c1fa74bdcabe84372a8243690b72ba1cac38a77c76cc76e71c6a531", 0),
+    (("--root", "A2", "--window", "4", "--i", "2", "--basis", "Y"),
+     "27c3783a6f41940fbcc0ccdda23d786b6ea5a2adc988694dff2f7b679529a590", 0),
+    (("--root", "B2", "--fgl", "multiplicative", "--window", "3", "--i", "2", "--basis", "X"),
+     "d0dc612a88b1faa983da3e955fdc589f3186249a3ae26e94326add7ba436eec5", 0),
+    (("--root", "B2", "--fgl", "additive", "--window", "3", "--i", "0", "--basis", "Y"),
+     "f3a64acc9f200765975589a89a62ed4d10ec43923c811db3e50e730e8e6dc36c", 0),
+    (("--root", "G2", "--window", "3", "--i", "1", "--basis", "Y"),
+     "abd76406e68e7d8d114dea7ad173b3e07ef7e2833c52b0f52d6d7d5ccd59380a", 0),
+    (("--root", "A2", "--fgl", SER_CONNECTIVE, "--window", "3", "--i", "0", "--basis", "Y"),
+     "a70d09c494123ef5386bd434be875126f7303f3f937c346887a9f48480e4f18b", 0),
+    (("--root", "A2", "--fgl", SER_CONNECTIVE, "--window", "3", "--i", "1", "--basis", "X"),
+     "02dc1c9c1a50f5ee164482aa48b5a28b8db12ba1b330b179db5c6ff1ddef5036", 0),
+]
+
+
+@pytest.mark.parametrize("argv,digest,code", RECURSE_DIGESTS,
+                         ids=[" ".join(a) for a, _, _ in RECURSE_DIGESTS])
+def test_recurse_output_matches_recorded_digest(capsys, argv, digest, code):
+    rc, out, _ = run_cli(capsys, "recurse", *argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_braid_check_connective_holds(capsys):
     rc, out, _ = run_cli(capsys, "braid-check", "--root", "A2",
                          "--fgl", "connective", "--i", "1", "--j", "2")

@@ -132,13 +132,29 @@ def test_x_in_y_reconstructs_demazure_words(backend):
 def test_dual_y_pairs_against_y_words():
     alg, ctx = ctx_a1()
     from fada.duals import pair
-    tables = util.tables(alg, 4)
-    win = tables.window
+    win = alg.torus.group.window(4)
     for w in win.elements:
-        ystar = ctx.dual_y_in_x(tables, win, w)
+        ystar = ctx.dual_y_in_x(win, w)
         for v in win.elements:
             got = pair(ctx.y_word(win.compat_word(v)), ystar)
             assert got == (1 if v == w else 0), (win.word(w), win.word(v))
+
+
+# (root type, backend, law of SER, precision, window length)
+DUAL_Y_CASES = [(rtype, backend, None, 8, length)
+                for rtype, length in (("A1", 6), ("A2", 4), ("B2", 3), ("G2", 3))
+                for backend in BACKENDS]
+DUAL_Y_CASES += [("A1", "SER", "connective", 10, 4), ("A2", "SER", "connective", 10, 3)]
+
+
+@pytest.mark.parametrize("rtype,backend,fgl,precision,length", DUAL_Y_CASES,
+                         ids=["%s-%s-L%d" % (r, b, n) for r, b, _, _, n in DUAL_Y_CASES])
+def test_dual_y_matches_the_bruhat_interval_sum(rtype, backend, fgl, precision, length):
+    alg = util.algebra(rtype, backend, "small", fgl=fgl, precision=precision)
+    ctx = ConnectiveContext(alg)
+    win = alg.torus.group.window(length)
+    for w, want in util.dual_y_by_bruhat_sum(ctx, win).items():
+        assert ctx.dual_y_in_x(win, w) == want, win.word(w)
 
 
 # -- recursion checks --------------------------------------------------------
@@ -259,10 +275,9 @@ def test_bullet_yw0_diagonal_on_minimal_columns():
 def test_dual_y_rows_are_killed():
     alg, ctx = ctx_a1()
     g = alg.torus.group
-    tables = util.tables(alg, 4)
     win, out = g.window(4), g.window(3)
     for word in ((), (0,), (1, 0)):
-        assert dual_y_vanishing_check(ctx, tables, win, out, g.from_word(word))
+        assert dual_y_vanishing_check(ctx, win, out, g.from_word(word))
 
 
 # -- conjugation by the longest element --------------------------------------

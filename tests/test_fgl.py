@@ -227,26 +227,48 @@ def test_inverse_matches_the_fixed_point_loop(case):
     assert law.add(p, inv, prec, nvars) == {}
 
 
+def repeated_sum(law, p, n, prec, nvars):
+    """[n](p) as the n-fold formal sum of p, or of its inverse for n < 0, an
+    oracle for the cached multiples of `FormalRing`."""
+    if n < 0:
+        p, n = law.inverse(p, prec, nvars), -n
+    acc = {}
+    for _ in range(n):
+        acc = law.add(acc, p, prec, nvars) if acc else p
+    return acc
+
+
 def test_multiple():
     P = ("c",)
     c = Scalar.param("c", P)
     law = FormalGroupLaw.connective()
+    ring = FormalRing("SER", 1, law, 6)
     x = var(0, 1, P)
-    two = law.multiple(x, 2, 6, 1)
+    two = ring.x_of((2,)).terms
     assert coeff(two, (1,), P) == 2
     assert coeff(two, (2,), P) == -c
     assert coeff(two, (3,), P).is_zero()
-    assert law.multiple(x, 0, 6, 1) == {}
-    assert law.multiple(x, -1, 6, 1) == law.inverse(x, 6, 1)
-    assert law.multiple(x, 3, 6, 1) == law.add(x, two, 6, 1)
+    assert ring.x_of((0,)).terms == {}
+    assert ring.x_of((-1,)).terms == law.inverse(x, 6, 1)
+    assert ring.x_of((3,)).terms == law.add(x, two, 6, 1)
 
     # multiplicative [3](x) = 1 - (1-x)^3
-    m = FormalGroupLaw.multiplicative()
-    three = m.multiple(var(0, 1), 3, 6, 1)
+    three = FormalRing("SER", 1, FormalGroupLaw.multiplicative(), 6).x_of((3,)).terms
     assert coeff(three, (1,)) == 3
     assert coeff(three, (2,)) == -3
     assert coeff(three, (3,)) == 1
     assert coeff(three, (4,)).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "connective",
+                                  "hyperbolic"])
+@pytest.mark.parametrize("prec", [3, 6, 9])
+def test_formal_multiples_match_repeated_sums(kind, prec):
+    law = from_descriptor({"kind": kind})
+    ring = FormalRing("SER", 1, law, prec)
+    x = var(0, 1, law.params)
+    for k in (1, -1, 2, -2, 3, -3, 4, -4):
+        assert ring.x_of((k,)).terms == repeated_sum(law, x, k, prec, 1), k
 
 
 def test_add_rejects_constant_terms():
@@ -300,7 +322,7 @@ def test_formal_multiples_are_built_once_per_ring(monkeypatch):
         acc = None
         for i, k in enumerate(mu):
             if k:
-                part = law.multiple(var(i, n, law.params), k, prec, n)
+                part = repeated_sum(law, var(i, n, law.params), k, prec, n)
                 acc = part if acc is None else law.add(acc, part, prec, n)
         want[mu] = acc
     calls = []

@@ -1,6 +1,6 @@
 """Static hygiene of the package: no unused imports, no orphaned private
-helpers, no defaulted parameter that no call passes, a clean public name
-list."""
+helpers, no defaulted parameter that no call passes, no parameter that no
+body reads, a clean public name list."""
 
 import ast
 from pathlib import Path
@@ -211,6 +211,58 @@ def test_scanner_flags_dead_knobs():
 def test_no_dead_knobs():
     calling = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
     assert dead_knobs({p.stem: p.read_text() for p in PACKAGE}, calling) == []
+
+
+def unread_parameters(sources):
+    """The parameters, as 'module:function(param)', that the body of their
+    function (nested functions included) never reads, in `sources` (module
+    name -> text); the self or cls of a method is not counted."""
+    found = []
+    for module, text in sources.items():
+        for fn, cls, decorators in _functions(ast.parse(text)):
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            if cls is not None and "staticmethod" not in decorators:
+                params = params[1:]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            qual = "%s.%s" % (cls, fn.name) if cls else fn.name
+            found += ["%s:%s(%s)" % (module, qual, a.arg) for a in params
+                      if a.arg not in read]
+    return sorted(found)
+
+
+def test_scanner_flags_unread_parameters():
+    source = ("class C:\n"
+              "    def m(self, a, b):\n"
+              "        return a\n"
+              "    @staticmethod\n"
+              "    def s(x, y):\n"
+              "        return y\n"
+              "    @classmethod\n"
+              "    def k(cls, z):\n"
+              "        return cls\n"
+              "def f(p, *args, q, **kw):\n"
+              "    def inner(r):\n"
+              "        return p\n"
+              "    return inner(q)\n"
+              "def g(t):\n"
+              "    t = 1\n")
+    assert unread_parameters({"m": source}) == [
+        "m:C.k(z)", "m:C.m(b)", "m:C.s(x)", "m:f(args)", "m:f(kw)", "m:g(t)",
+        "m:inner(r)"]
+
+
+# parameter -> why it stays
+UNREAD = {
+    "connective:bullet_yw0_check(window)":
+        "the benchmark's connective workload passes it by position",
+}
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters({p.stem: p.read_text() for p in MODULES}) == sorted(UNREAD)
 
 
 def test_public_names_resolve_once():

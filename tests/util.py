@@ -11,9 +11,10 @@ solves afresh on every call and reuses only the cached word products.
 from typing import Dict, Optional, Tuple
 
 from fada.algebra import AlgebraElement, Localized, TorusAlgebra
+from fada.duals import DualElement, dual_x
 from fada.fgl import FormalGroupLaw
-from fada.roots import FiniteRootDatum
-from fada.twisted import ExpansionTables, TwistedAlgebra
+from fada.roots import AffineElt, FiniteRootDatum, Window
+from fada.twisted import ExpansionTables, TwistedAlgebra, row_sum
 
 _DATA: Dict[str, FiniteRootDatum] = {}
 _ALG: Dict[Tuple, TwistedAlgebra] = {}
@@ -48,6 +49,22 @@ def algebra(rtype: str = "A1", backend: str = "CON", torus: str = "small",
 
 def tables(alg: TwistedAlgebra, length: int) -> ExpansionTables:
     return ExpansionTables(alg, alg.torus.group.window(length))
+
+
+def dual_y_by_bruhat_sum(ctx, window: Window) -> Dict[AffineElt, DualElement]:
+    """Y*_w = sign(w) sum over v >= w of c^{l(v)-l(w)} X*_v for every w of
+    the window, evaluated inside it from the X-flavor duals: the closed-form
+    transition, an oracle for `ConnectiveContext.dual_y_in_x`."""
+    group = ctx.group
+    xtables = ExpansionTables(ctx.algebra, window)
+    xstar = {v: dual_x(xtables, v).values for v in window.elements}
+    out = {}
+    for w in window.elements:
+        lw = group.length(w)
+        out[w] = DualElement(ctx.torus, window, row_sum(
+            (group.sign(w) * ctx.cpow(group.length(v) - lw), xstar[v])
+            for v in window.elements if group.bruhat_leq(w, v)))
+    return out
 
 
 # -- small-rank shorthands --------------------------------------------------
