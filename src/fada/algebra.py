@@ -299,7 +299,11 @@ class Localized:
     """num / prod_b x_b^{m_b}, the denominator `den_map` a dict of nonzero
     lattice points b with multiplicities m_b, never mutated once built; `den`
     is the same as a sorted tuple with repeats.  Sums go over the lcm
-    (pointwise max) of denominators, and a - b == 0 decides a == b.  a / d
+    (pointwise max) of denominators, and a - b == 0 decides a == b.  An exact
+    zero (no terms, no precision: ADD, MUL, CON) adds nothing and lifts
+    nothing: the other summand comes back as it is, whatever the zero's
+    denominator.  A SER zero vanishes only through O(p) over its denominator,
+    so it is summed over the lcm like any other value.  a / d
     is defined when d's numerator is a unit monomial; it subtracts d's
     multiplicities from a's and cancels nothing further.  b and
     -b stay apart (x_{-b} = -e_b x_b on MUL and CON), so denominators print
@@ -362,8 +366,15 @@ class Localized:
     def __neg__(self):
         return Localized(self.torus, -self.num, self.den_map)
 
+    def _is_exact_zero(self) -> bool:
+        return not self.num.terms and self.num.prec is None
+
     def __add__(self, other):
         other = self._coerce(other)
+        if other._is_exact_zero():
+            return self
+        if self._is_exact_zero():
+            return other
         if self.den_map == other.den_map:
             return Localized(self.torus, self.num + other.num, self.den_map)
         lcm = dict(self.den_map)

@@ -141,9 +141,47 @@ def coeffs_json(window: Window, table: Dict[AffineElt, Localized]) -> List[objec
 
 def emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out: List[str] = []
+        _json_chunks(payload, "", out)
+        out.append("\n")
+        sys.stdout.write("".join(out))
         return
     _emit_text(payload, indent="")
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_chunks(node: object, pad: str, out: List[str]) -> None:
+    """The text of json.dumps(node, sort_keys=True, indent=2), appended to
+    `out` in pieces.  With `indent` set, json.dumps runs its pure-Python
+    encoder; this walk calls the C string escaper directly and leaves the
+    other scalars to json.dumps, which prints them alike at any indent.
+    Dict keys must be strings, as in every payload."""
+    kind = type(node)
+    if kind is str:
+        out.append(_ESCAPE(node))
+    elif kind is int:
+        out.append(repr(node))
+    elif isinstance(node, (dict, list, tuple)):
+        if not node:
+            out.append("{}" if isinstance(node, dict) else "[]")
+            return
+        inner = pad + "  "
+        if isinstance(node, dict):
+            opening, closing = "{\n" + inner, "\n" + pad + "}"
+            entries = ((_ESCAPE(k) + ": ", v) for k, v in sorted(node.items()))
+        else:
+            opening, closing = "[\n" + inner, "\n" + pad + "]"
+            entries = (("", v) for v in node)
+        sep = opening
+        for prefix, value in entries:
+            out += (sep, prefix)
+            _json_chunks(value, inner, out)
+            sep = ",\n" + inner
+        out.append(closing)
+    else:
+        out.append(json.dumps(node))
 
 
 def _emit_text(node: object, indent: str) -> None:

@@ -12,6 +12,8 @@ and the left-side Hecke action
 
 for z = sum_w c_w eta_w.  Both need the shifted arguments to stay inside the
 window of f; otherwise a WindowExceededError pinpoints the length required.
+`pair`, `bullet` and `odot` check every shifted point against the window,
+then read only the support of f: a point where f vanishes adds no term.
 
 The small-torus GKM conditions ask, for every finite positive root alpha and
 each degree d up to a chosen bound, that the d-th orbit difference
@@ -111,7 +113,9 @@ def pair(z: TwistedElement, f: DualElement) -> Localized:
     """<z, f> = sum_w c_w f[w], left-linear over the localized ring."""
     out = Localized(f.torus, f.torus.ring.zero())
     for w, c in z.terms.items():
-        out = out + c * f.get(w)
+        f.window.require(w, "dual evaluation")
+        if w in f.values:
+            out = out + c * f.values[w]
     return out
 
 
@@ -125,7 +129,8 @@ def bullet(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement
         for w, c in z.terms.items():
             uw = group.mul(u, w)
             f.window.require(uw, "bullet shift u*w")
-            acc = acc + torus.act_loc(u, c) * f.get(uw)
+            if uw in f.values:
+                acc = acc + torus.act_loc(u, c) * f.values[uw]
         if not acc.is_zero():
             values[u] = acc.simplify()
     return DualElement(torus, out_window, values)
@@ -141,7 +146,8 @@ def odot(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
         for v, c in z.terms.items():
             shifted = group.mul(group.inv(v), u)
             f.window.require(shifted, "odot shift v^{-1}*u")
-            acc = acc + c * torus.act_loc(v, f.get(shifted))
+            if shifted in f.values:
+                acc = acc + c * torus.act_loc(v, f.values[shifted])
         if not acc.is_zero():
             values[u] = acc.simplify()
     return DualElement(torus, out_window, values)

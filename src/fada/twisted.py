@@ -301,10 +301,13 @@ def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x",
 
     With X_{I_w} = sum_u a_{w,u} eta_u, the entry of eta_w at v is s_v /
     a_{w,w}, s_v = delta_{wv} - sum_{u != w} a_{w,u} b_{u,v} summed
-    unsimplified.  a_{w,w} is a unit over a product of x_beta, so the
-    division subtracts denominator multiplicities and multiplies no x_beta
-    in to be divided back out, which on SER would cost one degree of
-    certified precision each; each entry is then simplified once.
+    unsimplified.  On the exact backends a partial sum that cancels to zero
+    is passed over, so the next term is not lifted to the lcm of the terms
+    before it; SER sums lift as before.  a_{w,w} is a unit over a product
+    of x_beta, so the division subtracts denominator multiplicities and
+    multiplies no x_beta in to be divided back out, which on SER would cost
+    one degree of certified precision each; each entry is then simplified
+    once.
     """
     _require_flavor(flavor)
     one = Localized(algebra.torus, algebra.torus.ring.one())

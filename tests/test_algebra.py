@@ -454,3 +454,51 @@ def test_simplify_keeps_b_and_minus_b_apart():
     assert s.den == greedy_den(f) == (a,)
     assert s == f
     assert Localized(t, t.ring.one(), (a, na, a)).den == (na, a, a)
+
+
+# -- exact zeros in sums ------------------------------------------------------
+
+
+def lattice_points(n):
+    return st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+
+
+@pytest.mark.parametrize("rtype", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("backend", ["ADD", "MUL", "CON"])
+@given(data=st.data())
+def test_an_exact_zero_adds_nothing_and_lifts_nothing(rtype, backend, data):
+    t = torus(rtype, backend)
+    ring = t.ring
+    pts = lattice_points(ring.nvars)
+    lattice = st.integers(0, 2) if backend == "ADD" else st.integers(-2, 2)
+    keys = st.tuples(*[lattice] * ring.nvars, *[st.integers(0, 1)] * len(ring.params))
+    x = Localized(t, AlgebraElement(ring, data.draw(st.dictionaries(
+        keys, coeffs, min_size=1, max_size=3)), None), data.draw(st.lists(pts, max_size=3)))
+    z = Localized(t, ring.zero(), data.draw(st.lists(pts, max_size=3)))
+    for got, want in ((z + x, util.lifted_sum(z, x)), (x + z, util.lifted_sum(x, z)),
+                      (x - z, util.lifted_sum(x, -z)), (z - x, util.lifted_sum(z, -x))):
+        assert got.den_map == x.den_map
+        assert got == want
+        # over the lifted sum's denominator the numerators agree term for term
+        assert got._over(want.den_map).terms == want.num.terms
+
+
+@pytest.mark.parametrize("rtype,fgl", [("A1", "hyperbolic"), ("A2", "connective")])
+@given(data=st.data())
+def test_a_truncated_zero_still_costs_its_denominator(rtype, fgl, data):
+    # a SER zero vanishes only through O(p) over its denominator: the sum
+    # carries that denominator, and with it the lower certified precision
+    t = torus(rtype, "SER", fgl=fgl, precision=6)
+    ring = t.ring
+    pts = lattice_points(ring.nvars)
+    b = data.draw(pts)
+    x = Localized(t, ring.x_of(data.draw(pts)) + ring.one(),
+                  data.draw(st.lists(pts.filter(lambda p: p != b), max_size=2)))
+    z = Localized(t, ring.zero(), [b] + data.draw(st.lists(pts, max_size=2)))
+    extra = sum(max(m - x.den_map.get(p, 0), 0) for p, m in z.den_map.items())
+    assert extra >= 1
+    for got, want in ((z + x, util.lifted_sum(z, x)), (x + z, util.lifted_sum(x, z)),
+                      (x - z, util.lifted_sum(x, -z)), (z - x, util.lifted_sum(z, -x))):
+        assert (got.num.terms, got.num.prec, got.den_map) == (
+            want.num.terms, want.num.prec, want.den_map)
+        assert len(got.den) == len(x.den) + extra

@@ -476,3 +476,68 @@ def test_translation_dual_basics():
     with pytest.raises(TypeError):
         hash(g)
     assert "t(1,)" in repr(g)
+
+
+# -- support-only loops against the full-window oracles -----------------------
+
+ORACLE_CASES = [(rtype, backend, length, None, 8)
+                for rtype, length in (("A1", 6), ("A2", 4), ("B2", 3), ("G2", 3))
+                for backend in BACKENDS] + [("A1", "SER", 4, "connective", 10)]
+
+
+@pytest.mark.parametrize("rtype,backend,length,fgl,precision", ORACLE_CASES,
+                         ids=["%s-%s-L%d" % c[:3] for c in ORACLE_CASES])
+def test_dual_loops_match_full_window_oracles(rtype, backend, length, fgl, precision):
+    alg = util.algebra(rtype, backend, "small", fgl, precision)
+    tables = util.tables(alg, length)
+    win = tables.window
+    g = alg.torus.group
+    out = g.window(length - 1)
+    ops = [op(i) for i in range(g.datum.rank + 1) for op in (alg.x_op, alg.y_op)]
+    words = [alg.x_word(win.compat_word(v)) for v in win.elements]
+    for w in win.elements:
+        f = dual_x(tables, w)
+        for z in words:
+            got, want = pair(z, f), util.pair_full(z, f)
+            assert got == want
+        for z in ops:
+            for act, oracle in ((bullet, util.bullet_full), (odot, util.odot_full)):
+                got, want = act(z, f, out), oracle(z, f, out)
+                # the same simplified values, denominators as printed included
+                assert got.values.keys() == want.values.keys()
+                for u, a in got.values.items():
+                    b = want.values[u]
+                    assert (a.num.terms, a.num.prec, a.den_map) == (
+                        b.num.terms, b.num.prec, b.den_map)
+
+
+@pytest.mark.parametrize("act,oracle,name", [
+    (bullet, util.bullet_full, "bullet shift u*w"),
+    (odot, util.odot_full, "odot shift v^{-1}*u"),
+])
+def test_a_shift_off_the_support_still_leaves_the_window(act, oracle, name):
+    # f vanishes everywhere but at e, and the out window is the whole window:
+    # the shifts of its longest elements leave it where f is zero
+    alg, tables = setup_a1("CON", 4)
+    t, win = alg.torus, tables.window
+    f = DualElement(t, win, {t.group.from_word(()): Localized(t, t.ring.one())})
+    z = alg.x_op(1)
+    with pytest.raises(WindowExceededError) as want:
+        oracle(z, f, win)
+    with pytest.raises(WindowExceededError) as got:
+        act(z, f, win)
+    assert str(got.value) == str(want.value)
+    assert name in str(got.value)
+
+
+def test_a_pairing_off_the_support_still_leaves_the_window():
+    alg, tables = setup_a1("CON", 4)
+    t, win = alg.torus, tables.window
+    f = DualElement(t, win, {t.group.from_word(()): Localized(t, t.ring.one())})
+    far = alg.x_word((1, 0, 1, 0, 1))
+    with pytest.raises(WindowExceededError) as want:
+        util.pair_full(far, f)
+    with pytest.raises(WindowExceededError) as got:
+        pair(far, f)
+    assert str(got.value) == str(want.value)
+    assert "dual evaluation" in str(got.value)

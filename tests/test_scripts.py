@@ -28,3 +28,8 @@ def test_gkm_survey_finds_no_violation():
 
 def test_peterson_survey_runs():
     run_script("peterson_survey.py")
+
+
+def test_bench_prints_its_usage():
+    lines = run_script("bench.py", "--help")
+    assert lines[0].startswith("usage: bench.py")

@@ -14,7 +14,7 @@ from fada.algebra import AlgebraElement, Localized, TorusAlgebra
 from fada.duals import DualElement, dual_x
 from fada.fgl import FormalGroupLaw
 from fada.roots import AffineElt, FiniteRootDatum, Window
-from fada.twisted import ExpansionTables, TwistedAlgebra, row_sum
+from fada.twisted import ExpansionTables, TwistedAlgebra, TwistedElement, row_sum
 
 _DATA: Dict[str, FiniteRootDatum] = {}
 _ALG: Dict[Tuple, TwistedAlgebra] = {}
@@ -65,6 +65,66 @@ def dual_y_by_bruhat_sum(ctx, window: Window) -> Dict[AffineElt, DualElement]:
             (group.sign(w) * ctx.cpow(group.length(v) - lw), xstar[v])
             for v in window.elements if group.bruhat_leq(w, v)))
     return out
+
+
+# -- sums over the lcm, and the dual loops over the whole window -------------
+
+
+def lifted_sum(a: Localized, b: Localized) -> Localized:
+    """a + b with both numerators written over the lcm of the denominators,
+    exact zeros included: an oracle for `Localized.__add__`, which passes an
+    exact zero through without lifting."""
+    if a.den_map == b.den_map:
+        return Localized(a.torus, a.num + b.num, a.den_map)
+    lcm = dict(a.den_map)
+    for p, m in b.den_map.items():
+        lcm[p] = max(m, lcm.get(p, 0))
+    return Localized(a.torus, a._over(lcm) + b._over(lcm), lcm)
+
+
+def _zero(f: DualElement) -> Localized:
+    return Localized(f.torus, f.torus.ring.zero())
+
+
+def pair_full(z: TwistedElement, f: DualElement) -> Localized:
+    """<z, f> with a lifted term for every point of z, zero or not: an
+    oracle for `duals.pair`, which reads only the support of f."""
+    out = _zero(f)
+    for w, c in z.terms.items():
+        out = lifted_sum(out, c * f.get(w))
+    return out
+
+
+def bullet_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
+    """(z . f)[u] = sum_w u(c_w) f[uw] over every w, an oracle for
+    `duals.bullet`."""
+    torus, group = f.torus, f.torus.group
+    values = {}
+    for u in out_window.elements:
+        acc = _zero(f)
+        for w, c in z.terms.items():
+            uw = group.mul(u, w)
+            f.window.require(uw, "bullet shift u*w")
+            acc = lifted_sum(acc, torus.act_loc(u, c) * f.get(uw))
+        if not acc.is_zero():
+            values[u] = acc.simplify()
+    return DualElement(torus, out_window, values)
+
+
+def odot_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
+    """(z o f)[u] = sum_v c_v v(f[v^{-1} u]) over every v, an oracle for
+    `duals.odot`."""
+    torus, group = f.torus, f.torus.group
+    values = {}
+    for u in out_window.elements:
+        acc = _zero(f)
+        for v, c in z.terms.items():
+            shifted = group.mul(group.inv(v), u)
+            f.window.require(shifted, "odot shift v^{-1}*u")
+            acc = lifted_sum(acc, c * torus.act_loc(v, f.get(shifted)))
+        if not acc.is_zero():
+            values[u] = acc.simplify()
+    return DualElement(torus, out_window, values)
 
 
 # -- small-rank shorthands --------------------------------------------------
