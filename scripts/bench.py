@@ -18,7 +18,7 @@ The file records three things, on the machine the script runs on:
 
 With ``--compare OLD.json`` the script also compares the CLI runs with
 those of an earlier file and exits 1 when an exit code or a stdout digest
-differs.  ``--parts`` runs a subset of the three.
+differs.
 """
 
 import argparse
@@ -34,7 +34,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-PARTS = ("perfbench", "cli", "tier1")
 SEED = 101
 REPEATS = 3
 
@@ -142,20 +141,14 @@ def compare(old: list, new: list) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
-    parser.add_argument("--parts", nargs="+", choices=PARTS, default=list(PARTS))
     parser.add_argument("--compare", help="an earlier BENCH file whose CLI runs must agree")
     args = parser.parse_args(argv)
-    report = {"machine": machine()}
-    if "perfbench" in args.parts:
-        report["perfbench"] = run_perfbench()
-    if "cli" in args.parts:
-        report["cli"] = run_cli()
-    if "tier1" in args.parts:
-        report["tier1"] = run_tier1()
+    report = {"machine": machine(), "perfbench": run_perfbench(), "cli": run_cli(),
+              "tier1": run_tier1()}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.compare and "cli" in args.parts:
+    if args.compare:
         with open(args.compare) as fh:
             changed = compare(json.load(fh).get("cli", []), report["cli"])
         for line in changed:

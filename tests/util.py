@@ -88,7 +88,7 @@ def _zero(f: DualElement) -> Localized:
 
 def pair_full(z: TwistedElement, f: DualElement) -> Localized:
     """<z, f> with a lifted term for every point of z, zero or not: an
-    oracle for `duals.pair`, which reads only the support of f."""
+    oracle for `duals.pair`, whose sum passes exact zeros through."""
     out = _zero(f)
     for w, c in z.terms.items():
         out = lifted_sum(out, c * f.get(w))
@@ -97,7 +97,7 @@ def pair_full(z: TwistedElement, f: DualElement) -> Localized:
 
 def bullet_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
     """(z . f)[u] = sum_w u(c_w) f[uw] over every w, an oracle for
-    `duals.bullet`."""
+    `duals.bullet`, which skips the zeros of f on the exact backends."""
     torus, group = f.torus, f.torus.group
     values = {}
     for u in out_window.elements:
@@ -113,7 +113,7 @@ def bullet_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualEl
 
 def odot_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
     """(z o f)[u] = sum_v c_v v(f[v^{-1} u]) over every v, an oracle for
-    `duals.odot`."""
+    `duals.odot`, which skips the zeros of f on the exact backends."""
     torus, group = f.torus, f.torus.group
     values = {}
     for u in out_window.elements:
