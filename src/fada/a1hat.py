@@ -174,10 +174,9 @@ class CrosscheckReport:
 
 
 def appendix_crosscheck(algebra: TwistedAlgebra, kmax: int,
-                        degree_bound: int = 2,
-                        check_gkm: bool = True) -> CrosscheckReport:
-    """Compare every closed-form expansion with the triangular solve and,
-    optionally, run small-torus GKM on each dual basis element."""
+                        degree_bound: int = 2) -> CrosscheckReport:
+    """Compare every closed-form expansion with the triangular solve, and run
+    small-torus GKM on each dual basis element."""
     torus = algebra.torus
     group = torus.group
     _require_rank_one(group)
@@ -191,8 +190,7 @@ def appendix_crosscheck(algebra: TwistedAlgebra, kmax: int,
         for u in combine_rows(((1, closed), (-1, solved))):
             report.mismatches.append(
                 "eta_{sigma_%d}: coefficient at %s differs" % (k, group.element_name(u)))
-    if check_gkm:
-        for k in range(-kmax, kmax + 1):
-            f = dual_x(tables, sigma(group, k))
-            report.gkm.append(gkm_check_small(f, degree_bound))
+    for k in range(-kmax, kmax + 1):
+        f = dual_x(tables, sigma(group, k))
+        report.gkm.append(gkm_check_small(f, degree_bound))
     return report

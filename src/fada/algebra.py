@@ -272,6 +272,11 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_exact_zero(self) -> bool:
+        """Zero with no precision to pay for: a zero of ADD, MUL or CON.  A
+        SER zero only vanishes through O(p)."""
+        return not self.terms and self.prec is None
+
     def coefficients(self) -> Dict[Vec, Scalar]:
         """The terms regrouped by lattice key, each coefficient a Scalar over
         the ring's parameters."""
@@ -366,14 +371,15 @@ class Localized:
     def __neg__(self):
         return Localized(self.torus, -self.num, self.den_map)
 
-    def _is_exact_zero(self) -> bool:
-        return not self.num.terms and self.num.prec is None
+    def is_exact_zero(self) -> bool:
+        """An exact zero numerator, whatever the denominator."""
+        return self.num.is_exact_zero()
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other._is_exact_zero():
+        if other.is_exact_zero():
             return self
-        if self._is_exact_zero():
+        if self.is_exact_zero():
             return other
         if self.den_map == other.den_map:
             return Localized(self.torus, self.num + other.num, self.den_map)
@@ -442,14 +448,6 @@ class Localized:
             if k < m:
                 left[b] = m - k
         return Localized(self.torus, num, left)
-
-    def as_element(self) -> AlgebraElement:
-        """The underlying ring element; raises if a denominator survives."""
-        s = self.simplify()
-        if s.den_map:
-            raise MembershipError(
-                "element is genuinely localized (denominator %r)" % (s.den,))
-        return s.num
 
     def __truediv__(self, other):
         """self / other for a divisor u / prod_b x_b^{m_b} whose numerator u

@@ -69,6 +69,9 @@ def build_datum(spec: object) -> FiniteRootDatum:
         return FiniteRootDatum.from_type(spec)
     if isinstance(spec, dict):
         if "type" in spec:
+            if not isinstance(spec["type"], str):
+                raise ConfigError("root 'type' must be a name such as 'A2', not %s"
+                                  % json.dumps(spec["type"]))
             return FiniteRootDatum.from_type(spec["type"])
         if "cartan" in spec:
             return FiniteRootDatum.from_cartan(spec["cartan"], spec.get("label"))
@@ -241,11 +244,18 @@ def cmd_expand(cfg: JobConfig) -> Tuple[dict, bool]:
 
 
 def cmd_gkm(cfg: JobConfig) -> Tuple[dict, bool]:
+    if cfg.torus == "big":
+        # the big-torus conditions have degree 1 and no Grassmannian variant;
+        # a --gkm-degree that passed the range check is at least 1
+        for key in ("gkm_degree", "grassmannian"):
+            if cfg.extra.get(key):
+                raise ConfigError("--%s applies to the small torus only"
+                                  % key.replace("_", "-"))
     algebra = make_algebra(cfg)
     group = algebra.torus.group
     window = group.window(cfg.window)
     tables = ExpansionTables(algebra, window)
-    degree_bound = cfg.extra["gkm_degree"]
+    degree_bound = cfg.extra.get("gkm_degree", 2)
     grassmannian = cfg.extra["grassmannian"]
     reports = []
     ok = True
@@ -444,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gkm", help="GKM divisibility checks on dual bases")
     _common(p)
-    p.add_argument("--gkm-degree", type=int, default=2)
+    p.add_argument("--gkm-degree", type=int)
     p.add_argument("--grassmannian", action="store_true")
 
     p = sub.add_parser("peterson", help="Peterson basis expansions")

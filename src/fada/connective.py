@@ -35,7 +35,6 @@ from .algebra import Localized, TorusAlgebra
 from .duals import DualElement, bullet, dual_x, odot
 from .errors import UnsupportedTheoryError
 from .roots import AffineElt, Window, vneg
-from .scalars import Scalar
 from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement,
                       back_substitute, combine_rows, connective_scalar,
                       predict_row, row_sum)
@@ -49,9 +48,6 @@ class ConnectiveContext:
         self.torus = algebra.torus
         self.group = algebra.torus.group
         self.c = connective_scalar(algebra.torus)
-
-    def cpow(self, k: int) -> Scalar:
-        return self.c ** k
 
     # -- operators ---------------------------------------------------------
 
@@ -93,7 +89,7 @@ class ConnectiveContext:
         group = self.group
         lw = group.length(w)
         return TwistedElement(self.algebra, row_sum(
-            (group.sign(v) * self.cpow(lw - group.length(v)),
+            (group.sign(v) * self.c ** (lw - group.length(v)),
              self.y_word(window.compat_word(v)).terms)
             for v in window.elements if group.bruhat_leq(v, w)))
 
@@ -187,7 +183,7 @@ def bullet_yw0_check(ctx: ConnectiveContext, tables: ExpansionTables,
     v1, u2 = group.coset_decompose_right(v)
     l2 = ctx.torus.datum.weyl_lengths[u2]
     l_w0 = len(ctx.torus.datum.positive_roots)
-    coeff = ctx.cpow(l_w0 - l2)
+    coeff = ctx.c ** (l_w0 - l2)
     if l2 % 2:
         coeff = -coeff
     rhs = dual_x(tables, v1).restrict(out_window).scale(coeff)

@@ -12,12 +12,13 @@ and the left-side Hecke action
 
 for z = sum_w c_w eta_w.  Both need the shifted arguments to stay inside the
 window of f; otherwise a WindowExceededError pinpoints the length required.
-`pair` sums c_w f[w] over every w of z, and on the exact backends a point
-where f vanishes adds an exact zero, which lifts nothing.  `bullet` and
-`odot` check every shifted point against the window; on the exact backends
-they then skip the points where f vanishes and act on no coefficient there.
-On SER a zero value is O(p) over its denominator and lowers the certified
-precision of the sum, so every point is summed there.
+`pair` sums c_w f[w] over every w of z; a point where f vanishes adds the
+ring's zero, which adds nothing when it is an exact zero
+(`Localized.is_exact_zero`).  `bullet` and `odot` check every shifted point
+against the window, then skip the points where f vanishes when the ring's
+zero is exact, and act on no coefficient there.  A zero that is not exact
+vanishes only through O(p) and lowers the certified precision of the sum,
+so there every point is summed.
 
 The small-torus GKM conditions ask, for every finite positive root alpha and
 each degree d up to a chosen bound, that the d-th orbit difference
@@ -27,15 +28,15 @@ pairwise divisibility conditions along real affine reflections.  Both checks
 simplify each value once to a ring element and divide differences of those.
 The small-torus check walks the translation chains of the window, where
 t_mu (u t_a) = u t_{a + u^-1 mu} is a vector sum, and shares each difference
-among the orbits through its point.  On the exact backends a zero
-difference passes without a division.
+among the orbits through its point.  A difference that is an exact zero
+passes without a division.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
-from .algebra import EXACT_BACKENDS, AlgebraElement, Localized, TorusAlgebra
+from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .roots import AffRoot, AffineElt, Vec, Window
 from .twisted import ExpansionTables, TwistedElement, combine_rows, row_sum
 
@@ -125,16 +126,17 @@ def bullet(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement
     """(z . f)[u] = sum_w u(c_w) f[uw]."""
     torus = f.torus
     group = torus.group
-    support_only = torus.ring.backend in EXACT_BACKENDS
+    zero = Localized(torus, torus.ring.zero())
+    skip_zeros = zero.is_exact_zero()
     values: Dict[AffineElt, Localized] = {}
     for u in out_window.elements:
-        acc = Localized(torus, torus.ring.zero())
+        acc = zero
         for w, c in z.terms.items():
             uw = group.mul(u, w)
             f.window.require(uw, "bullet shift u*w")
-            if support_only and uw not in f.values:
+            if skip_zeros and uw not in f.values:
                 continue
-            acc = acc + torus.act_loc(u, c) * f.get(uw)
+            acc = acc + torus.act_loc(u, c) * f.values.get(uw, zero)
         if not acc.is_zero():
             values[u] = acc.simplify()
     return DualElement(torus, out_window, values)
@@ -144,16 +146,17 @@ def odot(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
     """(z o f)[u] = sum_v c_v v(f[v^{-1} u])."""
     torus = f.torus
     group = torus.group
-    support_only = torus.ring.backend in EXACT_BACKENDS
+    zero = Localized(torus, torus.ring.zero())
+    skip_zeros = zero.is_exact_zero()
     values: Dict[AffineElt, Localized] = {}
     for u in out_window.elements:
-        acc = Localized(torus, torus.ring.zero())
+        acc = zero
         for v, c in z.terms.items():
             shifted = group.mul(group.inv(v), u)
             f.window.require(shifted, "odot shift v^{-1}*u")
-            if support_only and shifted not in f.values:
+            if skip_zeros and shifted not in f.values:
                 continue
-            acc = acc + c * torus.act_loc(v, f.get(shifted))
+            acc = acc + c * torus.act_loc(v, f.values.get(shifted, zero))
         if not acc.is_zero():
             values[u] = acc.simplify()
     return DualElement(torus, out_window, values)
@@ -292,7 +295,7 @@ def _regular_values(f: DualElement, report: GkmReport) -> Optional[List[AlgebraE
 
 def _divisible(torus: TorusAlgebra, g: AlgebraElement, beta: AffRoot, d: int) -> bool:
     """Whether x_beta^d divides g; an exact zero without dividing."""
-    if not g.terms and g.prec is None:
+    if g.is_exact_zero():
         return True
     return torus.divides(g, beta, d) is not None
 
@@ -316,9 +319,9 @@ def gkm_check_small(f: DualElement, degree_bound: int,
     once along the translation chains (`Window.root_steps`) for every x with
     x, t x, ..., t^k x in the window, and None for the others.  Then
     ((1 - t)^d f)[w] = D_d[w], and the reflected difference is
-    D_{d-1}[w] - D_{d-1}[s_alpha w].  A zero difference passes with no
-    division on the exact backends; on SER it is divided, so exhausted
-    precision still raises.  A condition whose points leave the window is
+    D_{d-1}[w] - D_{d-1}[s_alpha w].  A difference that is an exact zero
+    passes with no division; a SER zero is divided, so exhausted precision
+    still raises.  A condition whose points leave the window is
     skipped and reported, never treated as zero.
     """
     torus = f.torus

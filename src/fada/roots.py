@@ -19,6 +19,7 @@ of affine elements is one table lookup plus one integer matrix-vector product.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul as _imul
@@ -38,10 +39,6 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def vscale(k: int, a: Vec) -> Vec:
-    return tuple(k * x for x in a)
-
-
 def matvec(m: Mat, v: Vec) -> Vec:
     return tuple([sum(map(_imul, row, v)) for row in m])
 
@@ -52,10 +49,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def identity_mat(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 # -- finite Weyl group elements -------------------------------------------
@@ -199,9 +192,7 @@ class FiniteRootDatum:
                     d[j] = d[i] * Fraction(A[i][j], A[j][i])
                     frontier.append(j)
         assert all(x is not None for x in d)
-        scale = 1
-        for x in d:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+        scale = math.lcm(*(x.denominator for x in d))
         self.symmetrizer: Vec = tuple(int(x * scale) for x in d)
         if any(x <= 0 for x in self.symmetrizer):
             raise ConfigError("Cartan matrix is not symmetrizable with positive weights")
@@ -246,7 +237,7 @@ class FiniteRootDatum:
         a * b = (a * b') * s_i for b = b' * s_i along b's least reduced word."""
         n = self.rank
         gens = [self._simple_matrices(i) for i in range(n)]
-        ident = identity_mat(n)
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         index: Dict[Mat, int] = {ident: 0}
         mats: List[Mat] = [ident]
         cmats: List[Mat] = [ident]
@@ -365,12 +356,6 @@ class FiniteRootDatum:
         return {0: 2, 1: 3, 2: 4, 3: 6}.get(prod)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
-
-
 def _leading_minor(m: List[List[Fraction]], k: int) -> Fraction:
     sub = [row[:k] for row in m[:k]]
     det = Fraction(1)
@@ -484,14 +469,10 @@ class Window:
     def minimal_coset_reps(self) -> Tuple[AffineElt, ...]:
         return tuple(x for x in self.elements if self.group.is_minimal_rep(x))
 
-    def translations(self) -> Tuple[AffineElt, ...]:
-        ident = self.group.datum.weyl_identity
-        return tuple(x for x in self.elements if x.w is ident)
-
 
 class AffineWeylGroup:
     """The affine Weyl group of a finite root datum, with length-bounded
-    enumeration, reduced words, inversions and Bruhat order."""
+    enumeration, reduced words and Bruhat order."""
 
     def __init__(self, datum: FiniteRootDatum):
         self.datum = datum
@@ -526,14 +507,11 @@ class AffineWeylGroup:
     def inv(self, x: AffineElt) -> AffineElt:
         return AffineElt(x.w.inverse(), vneg(x.w.act_coroot(x.t)))
 
-    def product(self, xs: Iterable[AffineElt]) -> AffineElt:
-        out = self.identity
-        for x in xs:
-            out = self.mul(out, x)
-        return out
-
     def from_word(self, word: Iterable[int]) -> AffineElt:
-        return self.product(self.generators[i] for i in word)
+        out = self.identity
+        for i in word:
+            out = self.mul(out, self.generators[i])
+        return out
 
     def translation(self, lam: Vec) -> AffineElt:
         return AffineElt(self.datum.weyl_identity, tuple(lam))
@@ -546,7 +524,8 @@ class AffineWeylGroup:
         mu, m = beta
         if mu not in self.datum.coroot_of:
             raise ConfigError("%r is not a real affine root" % (beta,))
-        return AffineElt(self.datum.reflection(mu), vscale(m, self.datum.coroot_of[mu]))
+        coroot = self.datum.coroot_of[mu]
+        return AffineElt(self.datum.reflection(mu), tuple(m * v for v in coroot))
 
     def as_reflection(self, r: AffineElt) -> Optional[AffRoot]:
         """The positive real affine root beta with r = s_beta, if one exists."""
@@ -579,9 +558,6 @@ class AffineWeylGroup:
         mu, m = beta
         return (x.w.act_root(mu), m - self.datum.pairing(x.t, mu))
 
-    def act_inv(self, x: AffineElt, beta: AffRoot) -> AffRoot:
-        return self.act(self.inv(x), beta)
-
     def is_negative_root(self, beta: AffRoot) -> bool:
         mu, m = beta
         if m != 0:
@@ -604,7 +580,7 @@ class AffineWeylGroup:
         return self.is_negative_root(self.act(x, self.simple_root(i)))
 
     def left_descent(self, x: AffineElt, i: int) -> bool:
-        return self.is_negative_root(self.act_inv(x, self.simple_root(i)))
+        return self.is_negative_root(self.act(self.inv(x), self.simple_root(i)))
 
     def sign(self, x: AffineElt) -> int:
         return -1 if self.length(x) % 2 else 1
@@ -663,15 +639,6 @@ class AffineWeylGroup:
         """x = v u with u finite and v minimal in x W; lengths add."""
         u, v = self.coset_decompose(self.inv(x))
         return self.inv(v), u.inverse()
-
-    def inversions(self, x: AffineElt) -> List[AffRoot]:
-        """Left inversions {beta > 0 : x^{-1}(beta) < 0}, from a reduced word."""
-        out: List[AffRoot] = []
-        prefix = self.identity
-        for i in self.reduced_word(x):
-            out.append(self.act(prefix, self.simple_root(i)))
-            prefix = self.mul(prefix, self.generators[i])
-        return out
 
     def reduced_word(self, x: AffineElt) -> Tuple[int, ...]:
         """Lexicographically least reduced word, by greedy left descents."""

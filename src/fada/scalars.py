@@ -46,8 +46,8 @@ class Scalar:
         return Scalar(params, {e: 1})
 
     @staticmethod
-    def monomial(params: Tuple[str, ...], expo: Expt, coeff: int = 1) -> "Scalar":
-        return Scalar(params, {tuple(expo): coeff})
+    def monomial(params: Tuple[str, ...], expo: Expt) -> "Scalar":
+        return Scalar(params, {tuple(expo): 1})
 
     # -- predicates --------------------------------------------------------
 

@@ -282,10 +282,6 @@ class ExpansionTables:
             self.window.require(u, "eta support of the element")
         return combine_rows((c, self.b[u]) for u, c in z.terms.items())
 
-    def x_coefficients_regular(self, expansion: Dict[AffineElt, Localized]) -> bool:
-        """Whether every coefficient lies in S (no surviving denominator)."""
-        return all(not c.simplify().den for c in expansion.values())
-
 
 def _word_row(algebra: TwistedAlgebra, window: Window, flavor: str,
               w: AffineElt) -> Row:

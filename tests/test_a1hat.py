@@ -131,10 +131,10 @@ def test_eta_sigma_closed_identity():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_closed_forms_match_triangular_solve(backend):
     alg = util.algebra("A1", backend)
-    rep = appendix_crosscheck(alg, 4, check_gkm=False)
+    rep = appendix_crosscheck(alg, 4)
     assert rep.passed, rep.mismatches
     assert rep.compared == 9
-    assert not rep.gkm
+    assert len(rep.gkm) == 9
 
 
 def test_crosscheck_with_gkm():

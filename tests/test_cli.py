@@ -46,6 +46,9 @@ def test_build_datum_inline_json_and_file(tmp_path):
         build_datum("@" + str(tmp_path / "missing.json"))
     with pytest.raises(ConfigError):
         build_datum({"neither": 1})
+    for root in ('{"type": 5}', '{"type": null}'):
+        with pytest.raises(ConfigError, match="'type' must be a name"):
+            build_datum(root)
 
 
 def test_build_law_descriptors(monkeypatch):
@@ -110,6 +113,15 @@ def test_exit_two_on_config_error(capsys):
     assert rc == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag", [("--gkm-degree", "5"), ("--grassmannian",)])
+def test_big_torus_gkm_rejects_the_small_torus_flags(capsys, flag):
+    # the big-torus check has degree 1 and no Grassmannian variant
+    rc, out, err = run_cli(capsys, "gkm", "--torus", "big", "--window", "2", *flag)
+    assert rc == 2
+    assert out == ""
+    assert "error: %s applies to the small torus only" % flag[0] in err
 
 
 def test_exit_two_on_exhausted_precision(capsys):
@@ -433,7 +445,8 @@ INTS = st.integers(-2, 4).map(str) | st.just("x")
 COMMON = {
     "--root": st.sampled_from(["A1", "A2", "B2", "E9",
                                '{"cartan": [[2, -1], [-1, 2]]}',
-                               '{"cartan": [[2, 0], [0, 2]]}', "{bad"]),
+                               '{"cartan": [[2, 0], [0, 2]]}', "{bad",
+                               '{"type": 5}', '{"type": null}']),
     "--fgl": st.sampled_from(["additive", "multiplicative", "connective",
                               "hyperbolic", "nonsense",
                               '{"kind": "connective", "backend": "ADD"}']),

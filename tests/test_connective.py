@@ -266,7 +266,7 @@ def test_bullet_yw0_diagonal_on_minimal_columns():
     g = alg.torus.group
     tables = util.tables(alg, 4)
     out = g.window(3)
-    cpow = Localized(alg.torus, alg.torus.ring.from_scalar(ctx.cpow(1)))
+    cpow = Localized(alg.torus, alg.torus.ring.from_scalar(ctx.c))
     for v in out.minimal_coset_reps():
         lhs = bullet(ctx.y_w0(), dual_x(tables, v), out)
         assert lhs == dual_x(tables, v).restrict(out).scale(cpow), out.word(v)

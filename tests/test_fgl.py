@@ -199,7 +199,7 @@ INVERSE_LAWS = [
     FormalGroupLaw.hyperbolic(),
     FormalGroupLaw.custom({(1, 0): Scalar.const(1, ("b",)),
                            (0, 1): Scalar.const(1, ("b",)),
-                           (1, 1): Scalar.monomial(("b",), (1,), 2)}, 12, ("b",)),
+                           (1, 1): Scalar.monomial(("b",), (1,)) * 2}, 12, ("b",)),
 ]
 
 
@@ -307,7 +307,7 @@ def test_from_descriptor_custom_roundtrip():
     law = from_descriptor(desc)
     law.validate(4)
     tab = law.table(4)
-    assert tab[(1, 1)] == Scalar.monomial(("b",), (1,), 2)
+    assert tab[(1, 1)] == Scalar.monomial(("b",), (1,)) * 2
     with pytest.raises(ConfigError):
         from_descriptor({"kind": "custom", "params": [], "degree": 3,
                          "coeffs": [[1, 0, "1"], [0, 1, "not_a_param"]]})

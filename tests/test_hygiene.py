@@ -1,6 +1,7 @@
 """Static hygiene of the package: no unused imports, no orphaned private
-helpers, no defaulted parameter that no call passes, no parameter that no
-body reads, a clean public name list."""
+helpers, no public function that only tests call, no defaulted parameter
+that only tests pass, no parameter that no body reads, a clean public name
+list."""
 
 import ast
 from pathlib import Path
@@ -9,11 +10,21 @@ import pytest
 
 import fada
 
-PACKAGE = sorted(Path(fada.__file__).parent.glob("*.py"))
+PACKAGE_DIR = Path(fada.__file__).resolve().parent
+PACKAGE = sorted(PACKAGE_DIR.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parent.parent
-CALLERS = sorted(p for d in ("src", "perfbench", "scripts", "tests")
-                 for p in (ROOT / d).rglob("*.py"))
+# the code whose calls justify library surface: a name or a value that only
+# tests use does not; the package's __init__ re-exports names and calls none
+CALLERS = sorted(p for d in ("src", "perfbench", "scripts")
+                 for p in (ROOT / d).rglob("*.py")
+                 if p != PACKAGE_DIR / "__init__.py")
+
+
+def caller_sources():
+    """The callers' texts, package modules by module name, the rest by path."""
+    return {p.stem if p.parent == PACKAGE_DIR else str(p.relative_to(ROOT)): p.read_text()
+            for p in CALLERS}
 
 
 def _annotations(tree):
@@ -114,6 +125,92 @@ def test_no_orphaned_private_helpers():
     assert orphaned_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
+def uncalled_public_names(sources, defining):
+    """The public functions and methods, as 'module:Class.name', of the
+    modules `defining` among `sources` (module name -> text) that no code in
+    `sources` names outside their own definition.
+
+    A name counts as an identifier, an attribute, an imported name or a
+    string constant equal to it, so a getattr by name or a patch list names
+    its function too.  Dunder methods are called by the language."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs = {}  # name -> ids of the nodes that name it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            refs.setdefault(name, set()).add(id(node))
+    found = []
+    for module in defining:
+        for fn, cls, _ in _functions(trees[module]):
+            if fn.name.startswith("_"):
+                continue
+            inside = {id(n) for n in ast.walk(fn)}
+            if refs.get(fn.name, set()) <= inside:
+                found.append("%s:%s" % (module, "%s.%s" % (cls, fn.name) if cls else fn.name))
+    return sorted(found)
+
+
+def test_scanner_flags_uncalled_public_names():
+    source = ("class C:\n"
+              "    def used(self):\n"
+              "        return self.helper()\n"
+              "    def helper(self):\n"
+              "        return 1\n"
+              "    def recursive(self):\n"
+              "        return self.recursive()\n"
+              "    def by_string(self):\n"
+              "        pass\n"
+              "    def __repr__(self):\n"
+              "        return ''\n"
+              "def _private():\n"
+              "    pass\n"
+              "def loose():\n"
+              "    pass\n")
+    caller = "import m\nm.C().used()\ngetattr(m.C, 'by_string')\n"
+    assert uncalled_public_names({"m": source, "n": caller}, ["m"]) == [
+        "m:C.recursive", "m:loose"]
+    assert uncalled_public_names({"m": source}, ["m"]) == [
+        "m:C.by_string", "m:C.recursive", "m:C.used", "m:loose"]
+    assert uncalled_public_names(
+        {"m": source, "n": caller + "from m import loose\n"}, ["m"]) == ["m:C.recursive"]
+
+
+# constructions of the paper that the library defines for its readers and
+# the tests check, though no code of the package calls them -> why they stay
+PAPER_API = {
+    "algebra:TorusAlgebra.augmentation": "the counit of S, on which the Hopf structure rests",
+    "algebra:TorusAlgebra.demazure": "the classical Demazure operator Delta_i on S",
+    "algebra:TorusAlgebra.kappa": "kappa_i of the quadratic relation X_i^2 = kappa_i X_i",
+    "algebra:TorusAlgebra.to_series": "an exact-backend element in the SER model of its law",
+    "connective:ConnectiveContext.x_in_y": "the transition from the X- to the Y-basis",
+    "connective:ConnectiveContext.y_w0_closed": "the closed form of Y_{w_0}",
+    "connective:conjugation_check": "eta_{w_0} X_i eta_{w_0} = X_{-i*}",
+    "connective:dual_y_vanishing_check": "Y_{w_0} kills the Y-flavor duals Y*_w",
+    "duals:characteristic": "the characteristic map of S into the duals, w -> w(u)",
+    "duals:pr_star": "the pull-back of a lattice function through pr",
+    "duals:restrict_to_translations": "the restriction of a dual to the translations",
+    "peterson:antipode": "the antipode of the Peterson subalgebra",
+    "peterson:coproduct": "the coproduct of the Peterson subalgebra",
+    "peterson:coproduct_multiply": "the product of the Peterson subalgebra's tensor square",
+    "peterson:counit": "the counit of the Peterson subalgebra",
+    "scalars:Scalar.substitute": "specializes c, as to the ADD (c = 0) and MUL (c = 1) models",
+}
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names(caller_sources(),
+                                 [p.stem for p in MODULES]) == sorted(PAPER_API)
+
+
 def _functions(tree):
     """(function, class name or None, decorator names) for every function
     definition in the tree."""
@@ -208,9 +305,17 @@ def test_scanner_flags_dead_knobs():
         {"m": source}, {"m": source.replace("cls(0, d=4)", "None"), "n": calls})
 
 
+# defaulted parameter -> why it stays though only tests pass it
+KNOBS = {
+    "polyops:pdiv_exact(poly=)":
+        "the tests' general division oracle, against which the one-variable "
+        "and chain divisions are checked, needs polynomial slots",
+}
+
+
 def test_no_dead_knobs():
-    calling = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
-    assert dead_knobs({p.stem: p.read_text() for p in PACKAGE}, calling) == []
+    assert dead_knobs({p.stem: p.read_text() for p in PACKAGE},
+                      caller_sources()) == sorted(KNOBS)
 
 
 def unread_parameters(sources):

@@ -125,14 +125,6 @@ def test_peterson_needs_small_torus():
         PetersonContext(alg, alg.torus.group.window(2))
 
 
-def test_lam_of_indexing():
-    alg, ctx = context("CON")
-    g = alg.torus.group
-    u = g.from_word(SIGMA[2])
-    assert ctx.lam_of(u) == (-1,)
-    assert ctx.defining_translation(u) == g.translation((-1,))
-
-
 # -- the translation element and its square ---------------------------------
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -162,7 +154,7 @@ def test_d_expansion_of_the_square(backend):
     t = alg.torus
     g = t.group
     z = alg.z_alpha((1,))
-    d = ctx.d_expansion(z * z, verify=True)
+    d = util.verified_d_expansion(ctx, z * z)
     by_word = {ctx.window.word(v): c for v, c in d.items()}
     zero = Localized(t, t.ring.zero())
     assert by_word.get(SIGMA[2], zero) == 1
@@ -212,9 +204,10 @@ def test_structure_pair_verified_route():
     alg = util.algebra("A1", "CON", "small")
     ctx = PetersonContext(alg, alg.torus.group.window(8))
     g = alg.torus.group
-    p = ctx.structure_pair(g.from_word(SIGMA[1]), g.from_word(SIGMA[1]),
-                           verify=True)
+    p = ctx.structure_pair(g.from_word(SIGMA[1]), g.from_word(SIGMA[1]))
     assert p.identity_holds
+    p1 = ctx.element(g.from_word(SIGMA[1]))
+    assert util.verified_d_expansion(ctx, p1 * p1) == p.frak_row
     assert set(p.frak_row) <= set(ctx.minimal)
     # X_{(0)} X_{(0)} collapses through the quadratic relation
     d_words = {ctx.window.word(v): c for v, c in p.d_row.items()}

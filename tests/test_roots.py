@@ -127,7 +127,7 @@ def test_act_inverse_roundtrip():
     g = group("A2")
     x = g.from_word((0, 1, 2))
     for beta in [((1, 0), 0), ((0, -1), 2), ((1, 1), -1)]:
-        assert g.act_inv(x, g.act(x, beta)) == beta
+        assert g.act(g.inv(x), g.act(x, beta)) == beta
 
 
 def test_affine_reflection_roundtrip():
@@ -321,7 +321,7 @@ def test_window_ordering_and_require():
 def test_window_translations():
     g = group("A1")
     win = g.window(8)
-    trans = win.translations()
+    trans = [x for x in win.elements if g.is_translation(x)]
     assert len(trans) == 9
     assert {x.t for x in trans} == {(j,) for j in range(-4, 5)}
 
@@ -367,14 +367,6 @@ def test_descents():
     assert g.right_descent(x, 1)
     assert g.left_descent(x, 0)
     assert not g.left_descent(x, 1)
-
-
-def test_inversions_count_matches_length():
-    g = group("A2")
-    for x in g.window(4).elements:
-        inv = g.inversions(x)
-        assert len(inv) == g.length(x)
-        assert len(set(inv)) == len(inv)
 
 
 def test_reduced_word_standalone():

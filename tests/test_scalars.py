@@ -13,7 +13,7 @@ def sc(terms):
 
 
 def c_pow(k, coeff=1):
-    return Scalar.monomial(P, (k, 0), coeff)
+    return Scalar.monomial(P, (k, 0)) * coeff
 
 
 exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))

@@ -189,15 +189,6 @@ def test_tables_invert_each_other(backend):
         assert w in row
 
 
-def test_x_coefficients_regular():
-    alg = rank_one("CON")
-    tables = util.tables(alg, 4)
-    g = alg.torus.group
-    assert tables.x_coefficients_regular(tables.eta_in_x(g.from_word((0, 1))))
-    exp = tables.expand_in_x(alg.x_op(0) * Localized(alg.torus, alg.torus.ring.one(), (util.alpha_vec(alg.torus),)))
-    assert not tables.x_coefficients_regular(exp)
-
-
 @pytest.mark.parametrize("rtype, backend, length", [("A2", "CON", 3), ("A1", "MUL", 4)])
 def test_rows_are_stored_once_per_algebra_and_flavor(rtype, backend, length):
     torus = TorusAlgebra(util.datum(rtype), backend, "small")

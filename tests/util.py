@@ -14,7 +14,8 @@ from fada.algebra import AlgebraElement, Localized, TorusAlgebra
 from fada.duals import DualElement, dual_x
 from fada.fgl import FormalGroupLaw
 from fada.roots import AffineElt, FiniteRootDatum, Window
-from fada.twisted import ExpansionTables, TwistedAlgebra, TwistedElement, row_sum
+from fada.twisted import (ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows,
+                          row_sum)
 
 _DATA: Dict[str, FiniteRootDatum] = {}
 _ALG: Dict[Tuple, TwistedAlgebra] = {}
@@ -62,8 +63,20 @@ def dual_y_by_bruhat_sum(ctx, window: Window) -> Dict[AffineElt, DualElement]:
     for w in window.elements:
         lw = group.length(w)
         out[w] = DualElement(ctx.torus, window, row_sum(
-            (group.sign(w) * ctx.cpow(group.length(v) - lw), xstar[v])
+            (group.sign(w) * ctx.c ** (group.length(v) - lw), xstar[v])
             for v in window.elements if group.bruhat_leq(w, v)))
+    return out
+
+
+def verified_d_expansion(ctx, z: TwistedElement) -> Dict[AffineElt, Localized]:
+    """`PetersonContext.d_expansion` of z, after checking that these Peterson
+    coefficients d_u rebuild the whole Demazure expansion of z, the
+    non-minimal columns included: sum_u d_u P_u = z, column by column."""
+    out = ctx.d_expansion(z)
+    diff = combine_rows([(1, ctx.tables.expand_in_x(z))] + [
+        (-d, ctx.x_expansion(u)) for u, d in out.items()])
+    assert not diff, ("the Peterson expansion misses the Demazure coefficients at",
+                      [ctx.window.word(v) for v in diff])
     return out
 
 
