@@ -21,11 +21,24 @@ parameters, CON has c, and SER has the parameters of its law.  `Scalar`
 coefficients appear only at the boundary: `FormalRing.element` folds them in
 and `AlgebraElement.coefficients` regroups the terms into them.
 
+ADD, MUL and CON key their terms by exponent tuples.  SER packs each key
+into one integer on its ring's `polyops.SeriesCodec` (`FormalRing.codec`),
+so that its truncated products, substitutions and series divisions add
+integers instead of building tuples.  SER packs where terms enter: the
+`AlgebraElement` constructor, which `FormalRing.element`, `one`,
+`from_scalar` and `Localized.__truediv__` go through, and `zero` and the
+cached x-series, built on packed keys by the law.  It unpacks only where terms
+leave: `AlgebraElement.terms`, `coefficients` and `__repr__`.  So `terms` is
+keyed by exponent tuples on every backend, and nothing outside this module
+and `polyops` (and the law's series operations) sees a packed key.
+
 `TorusAlgebra.divide` divides by powers of x_b: on MUL and CON by a running
 sum along each chain lambda + Z*b of lattice points, with no polynomial
 division.  On ADD x_b is the linear form l_b = sum_i b_i x_i, and on SER l_b is
-its lowest form; both divide by l_b with `polyops.pdiv_linear`, synthetic
-division in one variable, SER once per lattice degree in `series_div_exact`.
+its lowest form; both divide by l_b by synthetic division in one variable,
+ADD with `polyops.pdiv_linear` and SER once per lattice degree in
+`polyops.series_div_exact`, on the layout of x_b that `FormalRing.divisor`
+builds once per ring.
 """
 from __future__ import annotations
 
@@ -34,7 +47,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from . import polyops
 from .errors import ConfigError, MembershipError, PrecisionError
 from .fgl import FormalGroupLaw, from_descriptor
-from .polyops import Terms
+from .polyops import Series, Terms
 from .scalars import Scalar
 from .roots import AffineElt, AffineWeylGroup, AffRoot, FiniteRootDatum, Vec
 
@@ -62,9 +75,13 @@ class FormalRing:
         self.precision = precision
         if backend == "SER" and precision < 1:
             raise ConfigError("series precision must be at least 1")
+        # the packed-key layout of SER terms; the exact backends keep tuples
+        self.codec = (polyops.SeriesCodec(nvars, len(self.params))
+                      if backend == "SER" else None)
         self._x_cache: Dict[Vec, "AlgebraElement"] = {}
         self._x_pow_cache: Dict[Tuple[Vec, int], "AlgebraElement"] = {}
-        self._multiple_cache: Dict[Tuple[int, int], Terms] = {}
+        self._multiple_cache: Dict[Tuple[int, int], Series] = {}
+        self._divisor_cache: Dict[Vec, polyops.SeriesDivisor] = {}
 
     # -- constants and the scalar boundary ---------------------------------
 
@@ -127,60 +144,75 @@ class FormalRing:
         return self._x_pow_cache[mu, k]
 
     def _x_series(self, mu: Vec) -> "AlgebraElement":
-        prec, n = self.precision, self.nvars
-        acc: Optional[Terms] = None
+        prec, codec = self.precision, self.codec
+        acc: Optional[Series] = None
         for i, k in enumerate(mu):
             if not k:
                 continue
             part = self._multiple(i, k)
-            acc = part if acc is None else self.fgl.add(acc, part, prec, n)
+            acc = part if acc is None else self.fgl.add(acc, part, prec, codec)
         return AlgebraElement._cut(self, acc or {}, prec)
 
-    def _multiple(self, i: int, k: int) -> Terms:
+    def _multiple(self, i: int, k: int) -> Series:
         """The formal multiple [k](x_i) for k != 0, cached: [k] is F([k - 1], x_i)
         and [-k] is F([-k + 1], [-1](x_i)), so the law's inverse runs once per
         variable."""
         if (i, k) not in self._multiple_cache:
-            prec, n = self.precision, self.nvars
+            prec, codec = self.precision, self.codec
             if k == 1:
-                out = {tuple(int(j == i) for j in range(n + len(self.params))): 1}
+                out = {codec.units[i]: 1}
             elif k == -1:
-                out = self.fgl.inverse(self._multiple(i, 1), prec, n)
+                out = self.fgl.inverse(self._multiple(i, 1), prec, codec)
             else:
                 step = 1 if k > 0 else -1
                 out = self.fgl.add(self._multiple(i, k - step), self._multiple(i, step),
-                                   prec, n)
+                                   prec, codec)
             self._multiple_cache[i, k] = out
         return self._multiple_cache[i, k]
+
+    def divisor(self, b: Vec) -> polyops.SeriesDivisor:
+        """x_b laid out as a series divisor, once per ring (SER only)."""
+        if b not in self._divisor_cache:
+            self._divisor_cache[b] = polyops.SeriesDivisor(self.x_of(b)._terms, self.codec)
+        return self._divisor_cache[b]
 
 
 class AlgebraElement:
     """An element of a FormalRing: folded keys to nonzero ints.  SER elements
     carry the lattice degree to which their terms are certified and drop the
-    terms beyond it."""
+    terms beyond it.  `_terms` holds the ring's own keys, packed on SER;
+    `terms` gives them as exponent tuples on every backend."""
 
-    __slots__ = ("ring", "terms", "prec")
+    __slots__ = ("ring", "_terms", "prec")
 
     def __init__(self, ring: FormalRing, terms: Terms, prec: Optional[int]):
+        """An element from terms keyed by exponent tuples; SER packs them and
+        drops those beyond `prec` (by default the ring's precision)."""
         self.ring = ring
-        if ring.backend == "SER":
+        if ring.codec is not None:
             if prec is None:
                 prec = ring.precision
-            terms = polyops.ptruncate(terms, prec, ring.nvars)
+            terms = polyops.ptruncate(ring.codec.pack_terms(terms), prec, ring.codec)
         else:
             prec = None
-        self.terms = terms
+        self._terms = terms
         self.prec = prec
 
     @classmethod
-    def _cut(cls, ring: FormalRing, terms: Terms, prec: Optional[int]) -> "AlgebraElement":
-        """An element whose terms are cut at `prec` already, such as products
-        from `polyops.pmul(..., prec)` (SER elements always carry one)."""
+    def _cut(cls, ring: FormalRing, terms: Dict, prec: Optional[int]) -> "AlgebraElement":
+        """An element from terms in the ring's own keys, cut at `prec`
+        already, such as products from `polyops.pmul(..., prec)` (SER
+        elements always carry one)."""
         out = cls.__new__(cls)
         out.ring = ring
-        out.terms = terms
+        out._terms = terms
         out.prec = prec
         return out
+
+    @property
+    def terms(self) -> Terms:
+        codec = self.ring.codec
+        return self._terms if codec is None else codec.unpack_terms(self._terms)
 
     # -- helpers -----------------------------------------------------------
 
@@ -196,9 +228,18 @@ class AlgebraElement:
             return self.prec
         return min(self.prec, other.prec)
 
-    def with_terms(self, terms: Terms) -> "AlgebraElement":
-        """Terms no higher in lattice degree than ours, at our precision."""
+    def with_terms(self, terms: Dict) -> "AlgebraElement":
+        """Terms in the ring's own keys, no higher in lattice degree than
+        ours, at our precision."""
         return AlgebraElement._cut(self.ring, terms, self.prec)
+
+    def _sum(self, other: "AlgebraElement", terms: Dict) -> "AlgebraElement":
+        """The sum or difference `terms` of self and other, at the joined
+        precision: cut again only when the precisions differ."""
+        prec = self._join(other)
+        if self.prec != other.prec:
+            terms = polyops.ptruncate(terms, prec, self.ring.codec)
+        return AlgebraElement._cut(self.ring, terms, prec)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -206,8 +247,7 @@ class AlgebraElement:
         if not isinstance(other, (AlgebraElement, int, Scalar)):
             return NotImplemented
         other = self._coerce(other)
-        return AlgebraElement(self.ring, polyops.padd(self.terms, other.terms),
-                              self._join(other))
+        return self._sum(other, polyops.padd(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -215,25 +255,24 @@ class AlgebraElement:
         if not isinstance(other, (AlgebraElement, int, Scalar)):
             return NotImplemented
         other = self._coerce(other)
-        return AlgebraElement(self.ring, polyops.psub(self.terms, other.terms),
-                              self._join(other))
+        return self._sum(other, polyops.psub(self._terms, other._terms))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self.with_terms(polyops.pneg(self.terms))
+        return self.with_terms(polyops.pneg(self._terms))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.with_terms(polyops.pscale(self.terms, other))
+            return self.with_terms(polyops.pscale(self._terms, other))
         if isinstance(other, Scalar):
             other = self.ring.from_scalar(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         prec = self._join(other)
         return AlgebraElement._cut(
-            self.ring, polyops.pmul(self.terms, other.terms, prec, self.ring.nvars), prec)
+            self.ring, polyops.pmul(self._terms, other._terms, prec, self.ring.codec), prec)
 
     __rmul__ = __mul__
 
@@ -245,7 +284,8 @@ class AlgebraElement:
         for _ in range(n):
             out = out * base
         if self.prec is not None:
-            out = AlgebraElement(self.ring, out.terms, self.prec)
+            out = AlgebraElement._cut(
+                self.ring, polyops.ptruncate(out._terms, self.prec, self.ring.codec), self.prec)
         return out
 
     def _coerce(self, other) -> "AlgebraElement":
@@ -262,20 +302,21 @@ class AlgebraElement:
             return NotImplemented
         prec = self._join(other)
         if prec is None:
-            return self.terms == other.terms
-        n = self.ring.nvars
-        return polyops.ptruncate(self.terms, prec, n) == polyops.ptruncate(other.terms, prec, n)
+            return self._terms == other._terms
+        codec = self.ring.codec
+        return (polyops.ptruncate(self._terms, prec, codec)
+                == polyops.ptruncate(other._terms, prec, codec))
 
     def __hash__(self):
         raise TypeError("AlgebraElement is unhashable; compare with ==")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_exact_zero(self) -> bool:
         """Zero with no precision to pay for: a zero of ADD, MUL or CON.  A
         SER zero only vanishes through O(p)."""
-        return not self.terms and self.prec is None
+        return not self._terms and self.prec is None
 
     def coefficients(self) -> Dict[Vec, Scalar]:
         """The terms regrouped by lattice key, each coefficient a Scalar over
@@ -439,7 +480,7 @@ class Localized:
             if num.prec is not None and self.den_map:
                 # a numerator that vanishes through O(p) over a denominator
                 # of valuation d is only known to vanish through O(p - d)
-                num = AlgebraElement(num.ring, {}, num.prec - len(self.den))
+                num = AlgebraElement._cut(num.ring, {}, num.prec - len(self.den))
             return Localized(self.torus, num)
         left: Dict[Vec, int] = {}
         for b in sorted(self.den_map):
@@ -457,7 +498,7 @@ class Localized:
         denominator, uncancelled until `simplify`."""
         other = self._coerce(other)
         ring = self.torus.ring
-        if len(other.num.terms) != 1:
+        if len(other.num._terms) != 1:
             raise MembershipError("numerator is not a unit monomial")
         (key, coeff), = other.num.terms.items()
         if coeff not in (1, -1):
@@ -534,15 +575,15 @@ class TorusAlgebra:
         n = self.ring.nvars
         if f.ring.backend in ("MUL", "CON"):
             # the action permutes lattice points; the c slot rides along
-            out = {self.act_vec(x, k[:n]) + k[n:]: c for k, c in f.terms.items()}
-            return AlgebraElement(f.ring, out, f.prec)
+            out = {self.act_vec(x, k[:n]) + k[n:]: c for k, c in f._terms.items()}
+            return AlgebraElement._cut(f.ring, out, None)
         # ADD and SER act by substituting each variable's image series
         images = []
         for i in range(n):
             basis = tuple(1 if j == i else 0 for j in range(n))
-            images.append(self.ring.x_of(self.act_vec(x, basis)).terms)
-        out = polyops.psubstitute(f.terms, images, f.prec)
-        return AlgebraElement(f.ring, out, f.prec)
+            images.append(self.ring.x_of(self.act_vec(x, basis))._terms)
+        out = polyops.psubstitute(f._terms, images, f.prec, self.ring.codec)
+        return AlgebraElement._cut(f.ring, out, f.prec)
 
     def act_loc(self, x: AffineElt, f: Localized) -> Localized:
         # the action is a bijection of the lattice: multiplicities carry over
@@ -568,14 +609,14 @@ class TorusAlgebra:
             return self._chain_quotient(f, b)
         if ring.backend == "ADD":
             # x_b is the linear form sum_i b_i x_i itself
-            q = polyops.pdiv_linear(f.terms, b)
+            q = polyops.pdiv_linear(f._terms, b)
             return None if q is None else AlgebraElement._cut(ring, q, None)
         # x_b has lattice valuation 1, and the quotient is cut at f.prec - 1
         if f.prec < 1:
             raise PrecisionError(
                 "series precision exhausted in division; rerun with precision >= %d"
                 % (ring.precision + 1 - f.prec))
-        res = polyops.series_div_exact(f.terms, ring.x_of(b).terms, f.prec, ring.nvars)
+        res = polyops.series_div_exact(f._terms, ring.divisor(b), f.prec)
         return None if res is None else AlgebraElement._cut(ring, *res)
 
     def _chain_quotient(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
@@ -586,7 +627,7 @@ class TorusAlgebra:
         lift = (0,) * len(b) + ((1,) if self.ring.backend == "CON" else ())
         # chains are keyed by their point with slot i in [0, b_i), c slot lifted
         chains: Dict[Vec, List[Tuple[int, int]]] = {}
-        for e, c in f.terms.items():
+        for e, c in f._terms.items():
             t = e[i] // b[i]
             base = tuple([v - t * s + h for v, s, h in zip(e, step, lift)])
             chains.setdefault(base, []).append((t, c))
@@ -636,7 +677,7 @@ class TorusAlgebra:
         if self.ring.backend in ("MUL", "CON"):
             n = self.ring.nvars
             total: Dict[Vec, int] = {}
-            for e, c in f.terms.items():
+            for e, c in f._terms.items():
                 total[e[n:]] = total.get(e[n:], 0) + c
             return Scalar(self.ring.params, total)
         return f.coefficient((0,) * self.ring.nvars)

@@ -255,7 +255,8 @@ def cmd_gkm(cfg: JobConfig) -> Tuple[dict, bool]:
     group = algebra.torus.group
     window = group.window(cfg.window)
     tables = ExpansionTables(algebra, window)
-    degree_bound = cfg.extra.get("gkm_degree", 2)
+    # the big-torus conditions have degree 1 (x_beta divides f(w) - f(s_beta w))
+    degree_bound = 1 if cfg.torus == "big" else cfg.extra.get("gkm_degree", 2)
     grassmannian = cfg.extra["grassmannian"]
     reports = []
     ok = True

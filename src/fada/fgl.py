@@ -16,12 +16,12 @@ through truncated power series with tracked precision.
 
 Coefficient tables are kept as `Scalar` values, the form a custom descriptor
 is parsed into.  The series operations `add` and `inverse` take and return
-folded term dicts (see `polyops`): the exponents of `nvars` variables
-followed by one exponent per parameter of the law, cut at a precision
-counted in the variables only.  They carry no precision of their own: the
-one truncated-series type of the package is the SER `AlgebraElement`, which
-wraps their results.  Formal multiples [k](x_i) are built from them, once
-per ring, by `FormalRing.x_of`.
+term dicts on the packed keys of a `polyops.SeriesCodec`: the exponents of
+its variables followed by one exponent per parameter of the law, cut at a
+precision counted in the variables only.  They carry no precision of their
+own: the one truncated-series type of the package is the SER
+`AlgebraElement`, which wraps their results, on its ring's codec.  Formal
+multiples [k](x_i) are built from them, once per ring, by `FormalRing.x_of`.
 """
 from __future__ import annotations
 
@@ -29,14 +29,14 @@ from typing import Dict, Optional, Tuple
 
 from . import polyops
 from .errors import ConfigError, PrecisionError
-from .polyops import Terms
+from .polyops import Series, SeriesCodec
 from .scalars import Scalar
 
 
-def _constant(s: Scalar, nvars: int) -> Terms:
-    """The folded terms of the scalar s as a series of degree zero."""
-    zero = (0,) * nvars
-    return {zero + e: c for e, c in s.terms.items()}
+def _constant(s: Scalar, codec: SeriesCodec) -> Series:
+    """The scalar s as a series of degree zero."""
+    zero = (0,) * codec.nvars
+    return {codec.pack(zero + e): c for e, c in s.terms.items()}
 
 
 class FormalGroupLaw:
@@ -116,42 +116,42 @@ class FormalGroupLaw:
 
     # -- series operations -------------------------------------------------
 
-    def _check_args(self, prec: int, nvars: int, *series: Terms) -> None:
+    def _check_args(self, prec: int, codec: SeriesCodec, *series: Series) -> None:
         for s in series:
-            if polyops.pvaluation(s, nvars) == 0:
+            if polyops.pvaluation(s, codec) == 0:
                 raise ValueError("formal group law arguments must have zero constant term")
         if prec < 1:
             raise PrecisionError("cannot certify any positive degree (precision %d)" % prec)
 
-    def add(self, p: Terms, q: Terms, prec: int, nvars: int) -> Terms:
-        """F(p, q) cut at degree `prec`, for series in `nvars` variables over
-        the law's parameters, themselves cut at `prec`."""
-        self._check_args(prec, nvars, p, q)
-        out: Terms = {}
-        one = {(0,) * (nvars + len(self.params)): 1}
-        pows_p: Dict[int, Terms] = {0: one}
-        pows_q: Dict[int, Terms] = {0: one}
+    def add(self, p: Series, q: Series, prec: int, codec: SeriesCodec) -> Series:
+        """F(p, q) cut at degree `prec`, for series on the keys of `codec`
+        (its variables, then the law's parameters), themselves cut at `prec`."""
+        self._check_args(prec, codec, p, q)
+        out: Series = {}
+        one = {codec.offset: 1}
+        pows_p: Dict[int, Series] = {0: one}
+        pows_q: Dict[int, Series] = {0: one}
 
         def power(cache, base, k):
             if k not in cache:
-                cache[k] = polyops.pmul(power(cache, base, k - 1), base, prec, nvars)
+                cache[k] = polyops.pmul(power(cache, base, k - 1), base, prec, codec)
             return cache[k]
 
         for (i, j), a_ij in sorted(self.table(prec).items()):
-            term = polyops.pmul(power(pows_p, p, i), power(pows_q, q, j), prec, nvars)
-            out = polyops.padd(out, polyops.pmul(term, _constant(a_ij, nvars)))
+            term = polyops.pmul(power(pows_p, p, i), power(pows_q, q, j), prec, codec)
+            out = polyops.padd(out, polyops.pmul(term, _constant(a_ij, codec), prec, codec))
         return out
 
-    def inverse(self, p: Terms, prec: int, nvars: int) -> Terms:
+    def inverse(self, p: Series, prec: int, codec: SeriesCodec) -> Series:
         """The formal inverse i(p) with F(p, i(p)) = 0, solved degree by degree.
 
         Before step d, cur agrees with i(p) through degree d - 1, so F(p, cur)
         starts at degree d and step d runs `add` at precision d, the one
         degree it certifies."""
-        self._check_args(prec, nvars, p)
+        self._check_args(prec, codec, p)
         cur = polyops.pneg(p)
         for d in range(2, prec + 1):
-            cur = polyops.psub(cur, self.add(p, cur, d, nvars))
+            cur = polyops.psub(cur, self.add(p, cur, d, codec))
         return cur
 
     # -- axioms ------------------------------------------------------------
@@ -169,10 +169,10 @@ class FormalGroupLaw:
                 raise ConfigError("F(0, y) must equal y; found coefficient at y^%d" % j)
             if tab.get((j, i), Scalar.const(0, self.params)) != cij:
                 raise ConfigError("coefficient table is not symmetric at (%d, %d)" % (i, j))
-        x, y, z = ({tuple(int(j == i) for j in range(3 + len(self.params))): 1}
-                   for i in range(3))
-        left = self.add(self.add(x, y, degree, 3), z, degree, 3)
-        right = self.add(x, self.add(y, z, degree, 3), degree, 3)
+        codec = SeriesCodec(3, len(self.params))
+        x, y, z = ({u: 1} for u in codec.units)
+        left = self.add(self.add(x, y, degree, codec), z, degree, codec)
+        right = self.add(x, self.add(y, z, degree, codec), degree, codec)
         if left != right:
             raise ConfigError("associativity fails up to degree %d" % degree)
 

@@ -1,38 +1,134 @@
 """Sparse Laurent polynomial and truncated power-series arithmetic over Z.
 
-Every function works on plain dicts mapping exponent tuples to nonzero ints.
-The ring elements of the package fold the coefficient ring of the formal
-group law into the key: a key is the lattice exponents (``nvars`` slots)
-followed by one exponent per law parameter, so Z[c, c^{-1}][Lambda] and
-Z[c, a][[Lambda]] are themselves (truncated) polynomial rings and one product
-loop and one exact division serve every model.  `Scalar` keeps its
-parameter-only terms in the same format and calls the same functions.
+Every function works on plain dicts mapping keys to nonzero ints.  The ring
+elements of the package fold the coefficient ring of the formal group law
+into the key: a key holds the lattice exponents (``nvars`` slots) followed by
+one exponent per law parameter, so Z[c, c^{-1}][Lambda] and Z[c, a][[Lambda]]
+are themselves (truncated) polynomial rings and one product loop and one
+exact division serve every model.
 
-Division by x_b on the polynomial and series models needs less: by
-F(x, y) = x + y + ..., the lowest form of x_b is the integer linear form
-l_b = sum_i b_i x_i (on the additive model x_b is l_b).  `pdiv_linear`
-divides by l_b in one synthetic-division pass, and `series_div_exact` walks
-the lattice-degree buckets of a series once, dividing each by l_b.
+Keys come in two formats:
 
-Exponents may be negative (Laurent keys) unless a function says otherwise.
-The optional `trunc` argument drops terms whose lattice degree, the sum of
-the first ``nvars`` slots, exceeds the bound; parameter exponents never count.
-`trunc=None` means exact arithmetic.
+* Exact arithmetic (ADD, MUL, CON and `Scalar`) keys are exponent tuples.
+  `pmul` without a bound, `pdiv_exact` and `pdiv_linear` take these.
+* Truncated series (SER and the formal group laws) keys are packed integers,
+  as a `SeriesCodec` lays them out.  `pmul` with a bound, `ptruncate`,
+  `pvaluation` and `series_div_exact` take these; `psubstitute` takes either.
+
+`padd`, `psub`, `pneg` and `pscale` never look inside a key and serve both.
+
+A packed key has one fixed-width digit of `DIGIT` bits per slot, slot i at
+bits [DIGIT*i, DIGIT*(i + 1)), and above them a lattice-degree digit, the sum
+of the lattice exponents.  A lattice digit is the exponent itself, which is
+never negative in a series; a parameter digit is the exponent plus a bias,
+so parameters may be negative.  A key sum, less the codec's `offset` (the
+bias counted twice), is then the key of the monomial product, integer order
+is lattice-degree order first, and the terms of degree at most p are the
+keys below `SeriesCodec.limit(p)`.
+
+Digit width and range check.  `DIGIT` is 32.  A valid digit lies below
+2**(DIGIT - 1): exponents in [0, 2**31) on a lattice slot and
+[-2**30, 2**30) on a parameter slot.  `SeriesCodec.pack` raises ValueError
+outside that range, and `limit` refuses a bound of 2**31 - 1 or more, so a
+term that survives truncation has valid lattice digits.  A parameter digit
+can still leave its range in a product; the sum of two valid keys that does
+so sets the top bit of the lowest digit that left, so `pmul` and
+`series_div_exact` test the keys they form for those bits and raise the same
+ValueError instead of letting a carry corrupt a key.
+
+Division by x_b on the polynomial and series models needs less than a
+general division: by F(x, y) = x + y + ..., the lowest form of x_b is the
+integer linear form l_b = sum_i b_i x_i (on the additive model x_b is l_b).
+`pdiv_linear` divides by l_b in one synthetic-division pass, and
+`series_div_exact` walks the lattice-degree buckets of a series once,
+dividing each by l_b the same way; its divisor's layout is a
+`SeriesDivisor`, built once per divisor.
+
+Exact exponents may be negative (Laurent keys) unless a function says
+otherwise.  `trunc` bounds the lattice degree, the sum of the first
+``nvars`` slots; parameter exponents never count.
 """
 from __future__ import annotations
 
-from operator import add, sub
+from functools import reduce
+from operator import add, or_, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Expt = Tuple[int, ...]
 Terms = Dict[Expt, int]
+Series = Dict[int, int]
+
+DIGIT = 32
+_LOW = (1 << DIGIT) - 1
+_TOP = 1 << (DIGIT - 1)
+_BIAS = 1 << (DIGIT - 2)
 
 
 def grlex_key(e: Expt):
     return (sum(e), e)
 
 
-def _accumulate(out: Terms, b: Terms, sign: int = 1) -> Terms:
+class SeriesCodec:
+    """Packed integer keys for series in `nvars` lattice variables over
+    `nparams` parameters (see the module docstring)."""
+
+    __slots__ = ("nvars", "shift", "offset", "guard", "units", "_slots", "_lattice",
+                 "_param_mask")
+
+    def __init__(self, nvars: int, nparams: int):
+        width = nvars + nparams
+        self.nvars = nvars
+        # the position of the lattice-degree digit
+        self.shift = DIGIT * width
+        # (position, bias) of each slot's digit
+        self._slots = tuple((DIGIT * i, _BIAS if i >= nvars else 0) for i in range(width))
+        self._lattice = tuple(DIGIT * i for i in range(nvars))
+        self.offset = sum(b << p for p, b in self._slots)
+        # lattice digits stay below any bound `limit` accepts: only a
+        # parameter digit can leave its range
+        self.guard = sum(_TOP << p for p, b in self._slots if b)
+        self._param_mask = sum(_LOW << p for p, b in self._slots if b)
+        # the key of x_i
+        self.units = tuple(self.offset + (1 << self.shift) + (1 << DIGIT * i)
+                           for i in range(nvars))
+
+    def limit(self, trunc: int) -> int:
+        """The least key of lattice degree trunc + 1."""
+        if trunc + 1 >= _TOP:
+            raise ValueError("lattice degree %d outside the packed key range" % trunc)
+        return (trunc + 1) << self.shift
+
+    def pack(self, e: Expt) -> int:
+        if len(e) != len(self._slots):
+            raise ValueError("key %r has the wrong number of slots" % (e,))
+        key = sum(e[:self.nvars]) << self.shift
+        for (p, b), v in zip(self._slots, e):
+            d = v + b
+            if not 0 <= d < _TOP:
+                raise ValueError("exponent %d outside the packed key range" % v)
+            key += d << p
+        return key
+
+    def unpack(self, key: int) -> Expt:
+        return tuple(((key >> p) & _LOW) - b for p, b in self._slots)
+
+    def pack_terms(self, terms: Terms) -> Series:
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms: Series) -> Terms:
+        return {self.unpack(k): c for k, c in terms.items()}
+
+    def check(self, keys) -> None:
+        """Raise unless every key has valid parameter digits."""
+        if self.guard and reduce(or_, keys, 0) & self.guard:
+            raise ValueError("exponent outside the packed key range")
+
+    def split(self, key: int) -> Tuple[Expt, int]:
+        """The lattice exponents of a key, and the key of its parameter part."""
+        return tuple((key >> p) & _LOW for p in self._lattice), key & self._param_mask
+
+
+def _accumulate(out: Dict, b: Dict, sign: int = 1) -> Dict:
     """Add sign * b into out in place, dropping cancelled keys."""
     get = out.get
     for e, c in b.items():
@@ -44,90 +140,98 @@ def _accumulate(out: Terms, b: Terms, sign: int = 1) -> Terms:
     return out
 
 
-def padd(a: Terms, b: Terms) -> Terms:
+def padd(a: Dict, b: Dict) -> Dict:
     return _accumulate(dict(a), b)
 
 
-def pneg(a: Terms) -> Terms:
+def pneg(a: Dict) -> Dict:
     return {e: -c for e, c in a.items()}
 
 
-def psub(a: Terms, b: Terms) -> Terms:
+def psub(a: Dict, b: Dict) -> Dict:
     return _accumulate(dict(a), b, -1)
 
 
-def pscale(a: Terms, s: int) -> Terms:
+def pscale(a: Dict, s: int) -> Dict:
     if not s:
         return {}
     return {e: c * s for e, c in a.items()}
 
 
-def pmul(a: Terms, b: Terms, trunc: Optional[int] = None,
-         nvars: Optional[int] = None) -> Terms:
-    """The product a * b; with `trunc`, only terms of lattice degree (the sum
-    of the first `nvars` slots) at most `trunc` are formed."""
-    out: Terms = {}
+def pmul(a: Dict, b: Dict, trunc: Optional[int] = None,
+         codec: Optional[SeriesCodec] = None) -> Dict:
+    """The product a * b: exact on tuple keys, or, with `trunc`, on the
+    packed keys of `codec`, forming only the terms of lattice degree at most
+    `trunc`."""
+    out: Dict = {}
     get = out.get
     if trunc is None:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(map(add, e1, e2))
                 out[e] = get(e, 0) + c1 * c2
-    else:
-        # group b by lattice degree so each term of a stops at its budget
-        # before any out-of-range key is built
-        by_degree: Dict[int, List[Tuple[Expt, int]]] = {}
-        for e2, c2 in b.items():
-            by_degree.setdefault(sum(e2[:nvars]), []).append((e2, c2))
-        layers = sorted(by_degree.items())
-        for e1, c1 in a.items():
-            budget = trunc - sum(e1[:nvars])
-            for d2, items in layers:
-                if d2 > budget:
-                    break
-                for e2, c2 in items:
-                    e = tuple(map(add, e1, e2))
-                    out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+        return {e: c for e, c in out.items() if c}
+    # b less the offset, in key order: each term of a stops at the first
+    # product past the bound, before any out-of-range key is stored
+    off = codec.offset
+    right = sorted([(k - off, c) for k, c in b.items()])
+    limit = codec.limit(trunc)
+    for k1, c1 in a.items():
+        room = limit - k1
+        for k2, c2 in right:
+            if k2 >= room:
+                break
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    out = {k: c for k, c in out.items() if c}
+    codec.check(out)
+    return out
 
 
-def ptruncate(a: Terms, trunc: int, nvars: int) -> Terms:
-    return {e: c for e, c in a.items() if sum(e[:nvars]) <= trunc}
+def ptruncate(a: Series, trunc: int, codec: SeriesCodec) -> Series:
+    limit = codec.limit(trunc)
+    return {k: c for k, c in a.items() if k < limit}
 
 
-def pvaluation(a: Terms, nvars: int) -> Optional[int]:
+def pvaluation(a: Series, codec: SeriesCodec) -> Optional[int]:
     """Smallest lattice degree with a nonzero term, or None for zero."""
-    if not a:
-        return None
-    return min(sum(e[:nvars]) for e in a)
+    return min(a) >> codec.shift if a else None
 
 
-def psubstitute(a: Terms, images: Sequence[Terms], trunc: Optional[int] = None) -> Terms:
+def psubstitute(a: Dict, images: Sequence[Dict], trunc: Optional[int] = None,
+                codec: Optional[SeriesCodec] = None) -> Dict:
     """Ring homomorphism sending lattice variable i to images[i].
 
-    The lattice slots are the first ``len(images)`` slots of each key; the
-    parameter slots ride along.  Lattice exponents must be nonnegative
-    (polynomial and series elements only).
+    Exact on tuple keys, whose lattice slots are the first ``len(images)``,
+    or cut at `trunc` on the packed keys of `codec`.  The parameter slots
+    ride along.  Lattice exponents must be nonnegative (polynomial and
+    series elements only).
     """
     n = len(images)
-    pow_cache: List[Dict[int, Terms]] = [{1: im} for im in images]
+    pow_cache: List[Dict[int, Dict]] = [{1: im} for im in images]
 
-    def power(i: int, k: int) -> Terms:
+    def power(i: int, k: int) -> Dict:
         cache = pow_cache[i]
         if k not in cache:
-            cache[k] = pmul(power(i, k - 1), images[i], trunc, n)
+            cache[k] = pmul(power(i, k - 1), images[i], trunc, codec)
         return cache[k]
 
-    zero = (0,) * n
-    out: Terms = {}
+    if codec is None:
+        zero = (0,) * n
+
+        def split(e):
+            return e[:n], zero + e[n:]
+    else:
+        split = codec.split
+    out: Dict = {}
     for e, c in a.items():
-        term = {zero + e[n:]: c}
-        for i in range(n):
-            k = e[i]
+        lattice, rest = split(e)
+        term = {rest: c}
+        for i, k in enumerate(lattice):
             if k < 0:
                 raise ValueError("substitution requires nonnegative exponents")
             if k:
-                term = pmul(term, power(i, k), trunc, n)
+                term = pmul(term, power(i, k), trunc, codec)
         _accumulate(out, term)
     return out
 
@@ -232,56 +336,101 @@ def pdiv_linear(num: Terms, form: Sequence[int]) -> Optional[Terms]:
     return quo
 
 
-def series_div_exact(num: Terms, den: Terms, prec: int,
-                     nvars: int) -> Optional[Tuple[Terms, int]]:
-    """Divide truncated series num by den, requiring exact divisibility.
+class SeriesDivisor:
+    """A series divisor laid out for `series_div_exact`: the pivot variable
+    x_j of its lowest form l = sum_i b_i x_i, and its layers of lattice
+    degree above 1, each less the codec's offset.
 
-    `den` must have lattice valuation 1 and an integer linear lowest form
-    l = sum_i b_i x_i, as every x_b has (F(x, y) = x + y + ...).  One pass
-    over the numerator's lattice-degree buckets, upward to `prec`, divides
-    each by l with `pdiv_linear` and subtracts that slice of the quotient
+    The divisor must have lattice valuation 1 and an integer linear lowest
+    form, as every x_b has (F(x, y) = x + y + ...)."""
+
+    __slots__ = ("codec", "position", "pivot", "unit", "rest", "higher")
+
+    def __init__(self, den: Series, codec: SeriesCodec):
+        if not den:
+            raise ZeroDivisionError("series division by zero")
+        layers: Dict[int, List[Tuple[int, int]]] = {}
+        for k, c in den.items():
+            layers.setdefault(k >> codec.shift, []).append((k - codec.offset, c))
+        form = [den.get(u, 0) for u in codec.units]
+        if min(layers) != 1 or len(layers[1]) != sum(map(bool, form)):
+            raise ValueError("series division needs a divisor whose lowest form "
+                             "is an integer linear form")
+        j = next(i for i, v in enumerate(form) if v)
+        self.codec = codec
+        self.position = DIGIT * j
+        self.pivot = form[j]
+        # a term's quotient key is its key less x_j; the other terms of l
+        # times that quotient move one exponent from x_j to x_i
+        self.unit = codec.units[j] - codec.offset
+        self.rest = [((1 << DIGIT * i) - (1 << self.position), v)
+                     for i, v in enumerate(form) if v and i != j]
+        self.higher = sorted((d, layer) for d, layer in layers.items() if d > 1)
+
+
+def series_div_exact(num: Series, den: SeriesDivisor,
+                     prec: int) -> Optional[Tuple[Series, int]]:
+    """Divide the truncated series num by den, requiring exact divisibility.
+
+    One pass over the numerator's lattice-degree buckets, upward to `prec`,
+    divides each by den's lowest form l by synthetic division in the pivot
+    variable (as `pdiv_linear` does) and subtracts that slice of the quotient
     times each higher layer of den from the later buckets in place.  Returns
     (quotient, quotient_precision) or None when some bucket fails to divide.
     The quotient is certified to degree prec - 1.
     """
-    if not den:
-        raise ZeroDivisionError("series division by zero")
-    layers: Dict[int, Terms] = {}
-    for e, c in den.items():
-        layers.setdefault(sum(e[:nvars]), {})[e] = c
-    width = len(next(iter(den)))
-    form = [den.get(tuple(int(j == i) for j in range(width)), 0) for i in range(nvars)]
-    if min(layers) != 1 or len(layers[1]) != sum(map(bool, form)):
-        raise ValueError("series division needs a divisor whose lowest form "
-                         "is an integer linear form")
     qprec = prec - 1
     if qprec < 0:
         return ({}, -1)
-    buckets: Dict[int, Terms] = {}
-    for e, c in num.items():
-        buckets.setdefault(sum(e[:nvars]), {})[e] = c
-    higher = sorted((d, t) for d, t in layers.items() if d > 1)
-    quo: Terms = {}
+    codec = den.codec
+    position, pivot, unit, rest = den.position, den.pivot, den.unit, den.rest
+    buckets: Dict[int, Series] = {}
+    for k, c in num.items():
+        buckets.setdefault(k >> codec.shift, {})[k] = c
+    quo: Series = {}
     for v in range(min(buckets, default=prec + 1), prec + 1):
         bucket = buckets.get(v)
         if not bucket:
             continue
-        qslice = pdiv_linear(bucket, form)
-        if qslice is None:
+        codec.check(bucket)
+        groups: Dict[int, Series] = {}
+        for k, c in bucket.items():
+            groups.setdefault((k >> position) & _LOW, {})[k] = c
+        qslice: Series = {}
+        for x in range(max(groups), 0, -1):
+            group = groups.get(x)
+            if not group:
+                continue
+            below = groups.setdefault(x - 1, {})
+            get = below.get
+            for k, c in group.items():
+                qc, r = divmod(c, pivot)
+                if r:
+                    return None
+                qslice[k - unit] = qc
+                for step, b in rest:
+                    kk = k + step
+                    s = get(kk, 0) - b * qc
+                    if s:
+                        below[kk] = s
+                    else:
+                        del below[kk]
+        # a multiple of l leaves nothing at x_j^0
+        if groups.get(0):
             return None
         # slices sit in distinct lattice degrees and never cancel
         quo.update(qslice)
-        for d, layer in higher:
+        for d, layer in den.higher:
             if v - 1 + d > prec:
                 break
             target = buckets.setdefault(v - 1 + d, {})
             get = target.get
-            for e1, c1 in qslice.items():
-                for e2, c2 in layer.items():
-                    e = tuple(map(add, e1, e2))
-                    s = get(e, 0) - c1 * c2
+            for k1, c1 in qslice.items():
+                for k2, c2 in layer:
+                    k = k1 + k2
+                    s = get(k, 0) - c1 * c2
                     if s:
-                        target[e] = s
+                        target[k] = s
                     else:
-                        del target[e]
+                        del target[k]
     return (quo, qprec)

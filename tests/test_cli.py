@@ -124,6 +124,14 @@ def test_big_torus_gkm_rejects_the_small_torus_flags(capsys, flag):
     assert "error: %s applies to the small torus only" % flag[0] in err
 
 
+def test_big_torus_gkm_prints_its_degree_bound(capsys):
+    rc, out, _ = run_cli(capsys, "gkm", "--torus", "big", "--window", "1")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["degree_bound"] == 1
+    assert all("D=1" in r["summary"] for r in doc["reports"])
+
+
 def test_exit_two_on_exhausted_precision(capsys):
     # the hyperbolic table at the default degree cannot certify the window
     rc, _, err = run_cli(capsys, "expand", "--fgl", "hyperbolic",
@@ -327,13 +335,46 @@ GKM_DIGESTS = [
      "d8c75921abb3fea6786a7fc0e0410640553bdff18bd6446546f52a9ddf4f29c5"),
     (("--root", "G2", "--fgl", "hyperbolic", "--window", "2"),
      "96bd548b308b5fec874fa5e2fe50ca7ca45b822043be19555fb95352468483ec"),
+    # the two big-torus runs recorded again when `degree_bound` began to print
+    # 1, the degree of the big-torus conditions, instead of the small-torus
+    # default 2; nothing else in their output moved
     (("--root", "A1", "--torus", "big", "--window", "5"),
-     "68b2b875a6c9e7d8df71c63beedd67081b91f2e3bcb72eaf7bf63043871cd754"),
+     "24664726037fa67b6f231c62b600aa7758f105ba409698c31d197902151d6980"),
     (("--root", "A2", "--torus", "big", "--window", "3"),
-     "3cbe53eff1ba345f60a09b47f6e1ae0a7df34267144f9d385d01c5056b03084f"),
+     "815363813a0126204f9a78d0479d21924e5fafc79bbf4e9fd99d2b0534689fcc"),
     (("--root", "A2", "--window", "4", "--grassmannian"),
      "5073061e54afbdb050faf7403cec37e208c055259f9f828a85233ffebc1ee4eb"),
 ]
+
+
+# SHA-256 of the JSON output and the exit code of runs on the series backend,
+# recorded before SER terms moved to packed integer keys
+SER_DIGESTS = [
+    (("expand", "--fgl", "hyperbolic", "--window", "4"),
+     "46708425dfa7e7ff9ac49c1b2cca9b21d5c0aa425f8dbb12796b0ce8349bb911", 0),
+    (("expand", "--root", "A2", "--fgl", "hyperbolic", "--window", "3", "--degree", "12"),
+     "e7aa6f27fc46963cb421d435bb6ef2da262da2adede4fcfc62a6041ab9464a2e", 0),
+    (("gkm", "--root", "B2", "--fgl", "hyperbolic", "--window", "2", "--degree", "12"),
+     "7412461474a095af5a66ce3b9ab758b050ea7ecb8b39137d9e7928ce496f45cf", 0),
+    (("peterson", "--root", "A1", "--fgl", "hyperbolic", "--window", "6", "--u", "0",
+      "--degree", "15"),
+     "f6a7ce94f5fbdf884418cdf24607ec50748f0249c5f4d58289679279fe5b2f3f", 0),
+]
+
+
+@pytest.mark.parametrize("argv,digest,code", SER_DIGESTS,
+                         ids=[" ".join(a) for a, _, _ in SER_DIGESTS])
+def test_series_output_matches_recorded_digest(capsys, argv, digest, code):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_exhausted_series_precision_names_the_bound(capsys):
+    rc, out, err = run_cli(capsys, "expand", "--fgl", "hyperbolic", "--window", "5")
+    assert (rc, out) == (2, "")
+    assert err == ("error: series precision exhausted by a localized denominator; "
+                   "rerun with precision >= 10\n")
 
 
 @pytest.mark.parametrize("argv,digest", GKM_DIGESTS, ids=[" ".join(a) for a, _ in GKM_DIGESTS])

@@ -1,5 +1,6 @@
 """Folded-key Laurent arithmetic against sympy, lattice-degree truncation,
-and division by x_b against the general division and the old slice loop."""
+division by x_b against the general division and the old slice loop, and
+the packed series kernels against the tuple-keyed ones they replaced."""
 
 from functools import lru_cache
 
@@ -80,8 +81,9 @@ def test_series_product_truncates_by_lattice_degree_only():
     assert prod.coefficient((4,)) == c ** 5 * a ** 3 + c ** 3 * a ** 2
     assert prod.coefficient((5,)).is_zero()
     assert all(e[0] <= 4 for e in prod.terms)
-    raw = polyops.pmul(f.terms, g.terms, 4, ring.nvars)
-    assert raw == prod.terms
+    codec = ring.codec
+    raw = polyops.pmul(codec.pack_terms(f.terms), codec.pack_terms(g.terms), 4, codec)
+    assert codec.unpack_terms(raw) == prod.terms
     assert polyops.pmul(f.terms, g.terms)[(5, -3, 2)] == 1
 
 
@@ -144,15 +146,15 @@ def slice_loop_div(num, den, prec, nvars):
     """Series division as it was before `pdiv_linear`: divide the lowest
     slice of the remainder by the lowest form of den with `pdiv_exact`, and
     subtract the slice times the whole of den, one lattice degree at a time."""
-    dval = polyops.pvaluation(den, nvars)
+    dval = util.tuple_pvaluation(den, nvars)
     dlow = {e: c for e, c in den.items() if sum(e[:nvars]) == dval}
     qprec = prec - dval
     if qprec < 0:
         return ({}, -1)
     quo = {}
-    rem = polyops.ptruncate(num, prec, nvars)
+    rem = util.tuple_ptruncate(num, prec, nvars)
     while True:
-        v = polyops.pvaluation(rem, nvars)
+        v = util.tuple_pvaluation(rem, nvars)
         if v is None or v - dval > qprec:
             break
         rlow = {e: c for e, c in rem.items() if sum(e[:nvars]) == v}
@@ -160,8 +162,17 @@ def slice_loop_div(num, den, prec, nvars):
         if qslice is None:
             return None
         quo.update(qslice)
-        rem = polyops.psub(rem, polyops.pmul(qslice, den, prec, nvars))
+        rem = polyops.psub(rem, util.tuple_pmul(qslice, den, prec, nvars))
     return (quo, qprec)
+
+
+def series_div(num, den, prec, nvars):
+    """`polyops.series_div_exact` on tuple-keyed terms of `nvars` lattice
+    slots, packed on the way in and unpacked on the way out."""
+    codec = polyops.SeriesCodec(nvars, len(next(iter(den or num))) - nvars)
+    got = polyops.series_div_exact(
+        codec.pack_terms(num), polyops.SeriesDivisor(codec.pack_terms(den), codec), prec)
+    return got if got is None else (codec.unpack_terms(got[0]), got[1])
 
 
 def tanh_law():
@@ -203,9 +214,9 @@ def series_divisions(draw):
     # ignore every term beyond the precision it is given
     cut = ring.precision + 2
     num = {
-        "x_b": polyops.pmul(f, den, cut, nvars),
-        "x_b^2": polyops.pmul(polyops.pmul(f, den, cut, nvars), den, cut, nvars),
-        "x_b + r": polyops.padd(polyops.pmul(f, den, cut, nvars), draw(terms)),
+        "x_b": util.tuple_pmul(f, den, cut, nvars),
+        "x_b^2": util.tuple_pmul(util.tuple_pmul(f, den, cut, nvars), den, cut, nvars),
+        "x_b + r": polyops.padd(util.tuple_pmul(f, den, cut, nvars), draw(terms)),
         "any": f,
     }[draw(st.sampled_from(["x_b", "x_b^2", "x_b + r", "any"]))]
     # shrinks towards the full precision, where the higher layers of x_b act
@@ -216,12 +227,12 @@ def series_divisions(draw):
 @given(series_divisions())
 def test_series_div_exact_matches_the_slice_loop(case):
     num, den, prec, nvars = case
-    got = polyops.series_div_exact(num, den, prec, nvars)
+    got = series_div(num, den, prec, nvars)
     assert got == slice_loop_div(num, den, prec, nvars)
     if got is not None and got[1] >= 0:
         # divide the quotient again, as `TorusAlgebra.divide` does for x_b^m
         quo, qprec = got
-        again = polyops.series_div_exact(quo, den, qprec, nvars)
+        again = series_div(quo, den, qprec, nvars)
         assert again == slice_loop_div(quo, den, qprec, nvars)
 
 
@@ -240,26 +251,131 @@ def test_series_div_exact_recovers_every_multiple_of_x_b(law, case):
          mono(last + [3]): 5}
     for b in points:
         den = ring.x_of(b).terms
-        num = polyops.pmul(f, den, 8, nvars)
-        quo, qprec = polyops.series_div_exact(num, den, 8, nvars)
+        num = util.tuple_pmul(f, den, 8, nvars)
+        quo, qprec = series_div(num, den, 8, nvars)
         assert (quo, qprec) == slice_loop_div(num, den, 8, nvars)
-        assert qprec == 7 and quo == polyops.ptruncate(f, 7, nvars)
+        assert qprec == 7 and quo == util.tuple_ptruncate(f, 7, nvars)
 
 
 def test_series_div_exact_below_the_divisor_valuation_certifies_nothing():
     den = ser_ring("hyperbolic", 2, 6).x_of((1, -1)).terms
-    num = polyops.pmul({(1, 0, 0, 0): 1}, den, 6, 2)
-    assert polyops.series_div_exact(num, den, 0, 2) == ({}, -1)
+    num = util.tuple_pmul({(1, 0, 0, 0): 1}, den, 6, 2)
+    assert series_div(num, den, 0, 2) == ({}, -1)
     assert slice_loop_div(num, den, 0, 2) == ({}, -1)
     # at precision 1 the multiple of degree 2 is invisible: zero through O(1)
-    assert polyops.series_div_exact(num, den, 1, 2) == ({}, 0)
+    assert series_div(num, den, 1, 2) == ({}, 0)
     assert slice_loop_div(num, den, 1, 2) == ({}, 0)
 
 
 def test_series_div_exact_needs_a_linear_lowest_form():
     with pytest.raises(ZeroDivisionError):
-        polyops.series_div_exact({(1,): 1}, {}, 4, 1)
+        series_div({(1,): 1}, {}, 4, 1)
     for den in ({(0,): 1, (1,): 1}, {(2,): 1}, {(1, 1): 1}):
         with pytest.raises(ValueError):
-            polyops.series_div_exact({(3,) + (0,) * (len(next(iter(den))) - 1): 1},
-                                     den, 4, 1)
+            series_div({(3,) + (0,) * (len(next(iter(den))) - 1): 1}, den, 4, 1)
+
+
+# -- packed series kernels against the tuple-keyed ones ------------------------
+
+
+@st.composite
+def ser_shapes(draw):
+    """A codec of 1-3 lattice slots and 0-2 parameter slots, and a strategy
+    for tuple-keyed series on it: nonnegative lattice exponents, parameter
+    exponents of either sign, empty dicts included."""
+    nvars, nparams = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    keys = st.tuples(*[st.integers(0, 3)] * nvars, *[st.integers(-3, 3)] * nparams)
+    series = st.dictionaries(keys, st.integers(-4, 4).filter(bool), max_size=6)
+    return polyops.SeriesCodec(nvars, nparams), series
+
+
+@given(ser_shapes(), st.data())
+def test_pack_round_trip_orders_by_lattice_degree(shape, data):
+    codec, series = shape
+    t = data.draw(series)
+    packed = codec.pack_terms(t)
+    assert codec.unpack_terms(packed) == t
+    n = codec.nvars
+    for e1, k1 in zip(t, packed):
+        assert k1 >> codec.shift == sum(e1[:n])
+        for e2, k2 in zip(t, packed):
+            # a key sum less the offset is the monomial product
+            assert k1 + k2 - codec.offset == codec.pack(tuple(map(sum, zip(e1, e2))))
+            if sum(e1[:n]) < sum(e2[:n]):
+                assert k1 < k2
+
+
+def test_out_of_range_exponents_raise():
+    codec = polyops.SeriesCodec(2, 1)
+    top, low = 2 ** (polyops.DIGIT - 2) - 1, -2 ** (polyops.DIGIT - 2)
+    for e in [(0, 0, top), (0, 0, low), (2 ** (polyops.DIGIT - 1) - 1, 0, 0)]:
+        assert codec.unpack(codec.pack(e)) == e
+    for e in [(-1, 0, 0), (0, 2 ** (polyops.DIGIT - 1), 0), (0, 0, top + 1), (0, 0, low - 1),
+              (1, 0)]:
+        with pytest.raises(ValueError):
+            codec.pack(e)
+    # products that leave the range raise instead of carrying into the next digit
+    for v in (top, low):
+        mono = codec.pack_terms({(1, 0, v): 1})
+        with pytest.raises(ValueError):
+            polyops.pmul(mono, mono, 4, codec)
+    with pytest.raises(ValueError):
+        codec.limit(2 ** (polyops.DIGIT - 1))
+
+
+@given(ser_shapes(), st.data(), st.integers(0, 8))
+def test_packed_product_truncation_and_valuation_match_tuples(shape, data, trunc):
+    codec, series = shape
+    a, b = data.draw(series), data.draw(series)
+    n = codec.nvars
+    pa, pb = codec.pack_terms(a), codec.pack_terms(b)
+    assert codec.unpack_terms(polyops.pmul(pa, pb, trunc, codec)) == util.tuple_pmul(a, b, trunc, n)
+    assert codec.unpack_terms(polyops.ptruncate(pa, trunc, codec)) == util.tuple_ptruncate(a, trunc, n)
+    assert polyops.pvaluation(pa, codec) == util.tuple_pvaluation(a, n)
+
+
+@given(ser_shapes(), st.data(), st.integers(0, 6))
+def test_packed_substitution_matches_tuples(shape, data, trunc):
+    codec, series = shape
+    a = data.draw(series)
+    images = [data.draw(series) for _ in range(codec.nvars)]
+    got = polyops.psubstitute(codec.pack_terms(a), [codec.pack_terms(i) for i in images],
+                              trunc, codec)
+    assert codec.unpack_terms(got) == util.tuple_psubstitute(a, images, trunc)
+    # the exact route, on tuple keys, is the same homomorphism untruncated
+    assert polyops.psubstitute(a, images) == util.tuple_psubstitute(a, images)
+
+
+@st.composite
+def ser_divisions(draw):
+    """A divisor with an integer linear lowest form and random higher layers,
+    and a numerator that is a multiple of it, a multiple plus a remainder,
+    anything, or empty."""
+    codec, series = draw(ser_shapes())
+    n, width = codec.nvars, len(codec.unpack(codec.offset))
+    form = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    den = {tuple(int(j == i) for j in range(width)): v for i, v in enumerate(form) if v}
+    for e, c in draw(series).items():
+        if sum(e[:n]) >= 2:
+            den[e] = c
+    f, r = draw(series), draw(series)
+    cut = draw(st.integers(0, 8))
+    num = draw(st.sampled_from([
+        util.tuple_pmul(f, den, cut, n),
+        polyops.padd(util.tuple_pmul(f, den, cut, n), r), f, {}]))
+    return codec, num, den, draw(st.integers(0, 8))
+
+
+@given(ser_divisions())
+@example((polyops.SeriesCodec(1, 1), {(1, 0): 1}, {(1, 0): 2}, 3))
+@example((polyops.SeriesCodec(2, 0), {(0, 0): 1}, {(1, 0): 1}, 3))
+@example((polyops.SeriesCodec(1, 1), {}, {(1, 0): 1, (2, -1): 3}, 0))
+def test_packed_series_division_matches_tuples(case):
+    codec, num, den, prec = case
+    want = util.tuple_series_div_exact(num, den, prec, codec.nvars)
+    got = polyops.series_div_exact(
+        codec.pack_terms(num), polyops.SeriesDivisor(codec.pack_terms(den), codec), prec)
+    assert (got is None) == (want is None)
+    if got is not None:
+        quo, qprec = got
+        assert (codec.unpack_terms(quo), qprec) == want

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fada import connective, polyops, twisted
+from fada import connective, twisted
 from fada.algebra import Localized, TorusAlgebra
 from fada.cli import loc_json
 from fada.errors import ConfigError, NotApplicableError
@@ -319,7 +319,7 @@ def test_series_back_substitution_extends_the_multiplied_out_rows(
             assert g.den_map == c.den_map, (window.word(w), window.word(u))
             # certified at least as far, and the same terms up to the old cut
             assert g.num.prec >= c.num.prec, (window.word(w), window.word(u))
-            assert polyops.ptruncate(g.num.terms, c.num.prec, t.ring.nvars) == c.num.terms
+            assert util.tuple_ptruncate(g.num.terms, c.num.prec, t.ring.nvars) == c.num.terms
             gained += g.num.prec > c.num.prec
     assert gained
     assert min(c.num.prec for row in got.values() for c in row.values()) >= least

@@ -8,8 +8,10 @@ whose rows the cache keeps, and for the oracle of `check_recursion`, which
 solves afresh on every call and reuses only the cached word products.
 """
 
-from typing import Dict, Optional, Tuple
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from fada import polyops
 from fada.algebra import AlgebraElement, Localized, TorusAlgebra
 from fada.duals import DualElement, dual_x
 from fada.fgl import FormalGroupLaw
@@ -197,3 +199,122 @@ def reference_inverse(d: Localized) -> Localized:
     for b, m in d.den_map.items():
         inv = inv * ring.x_pow(b, m)
     return Localized(d.torus, inv)
+
+
+# -- the series kernels on exponent tuples, oracles for the packed ones ------
+#
+# The truncated product, truncation, valuation, substitution and series
+# division as they ran on tuple-keyed terms before SER moved to packed keys.
+
+Terms = Dict[Tuple[int, ...], int]
+
+
+def tuple_pmul(a: Terms, b: Terms, trunc: Optional[int] = None,
+               nvars: Optional[int] = None) -> Terms:
+    """The product a * b; with `trunc`, only terms of lattice degree (the sum
+    of the first `nvars` slots) at most `trunc` are formed."""
+    out: Terms = {}
+    get = out.get
+    if trunc is None:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+    else:
+        by_degree: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
+        for e2, c2 in b.items():
+            by_degree.setdefault(sum(e2[:nvars]), []).append((e2, c2))
+        layers = sorted(by_degree.items())
+        for e1, c1 in a.items():
+            budget = trunc - sum(e1[:nvars])
+            for d2, items in layers:
+                if d2 > budget:
+                    break
+                for e2, c2 in items:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_ptruncate(a: Terms, trunc: int, nvars: int) -> Terms:
+    return {e: c for e, c in a.items() if sum(e[:nvars]) <= trunc}
+
+
+def tuple_pvaluation(a: Terms, nvars: int) -> Optional[int]:
+    """Smallest lattice degree with a nonzero term, or None for zero."""
+    if not a:
+        return None
+    return min(sum(e[:nvars]) for e in a)
+
+
+def tuple_psubstitute(a: Terms, images: Sequence[Terms],
+                      trunc: Optional[int] = None) -> Terms:
+    """Ring homomorphism sending lattice variable i to images[i], the
+    parameter slots riding along, one product chain per term."""
+    n = len(images)
+    pow_cache: List[Dict[int, Terms]] = [{1: im} for im in images]
+
+    def power(i: int, k: int) -> Terms:
+        cache = pow_cache[i]
+        if k not in cache:
+            cache[k] = tuple_pmul(power(i, k - 1), images[i], trunc, n)
+        return cache[k]
+
+    zero = (0,) * n
+    out: Terms = {}
+    for e, c in a.items():
+        term = {zero + e[n:]: c}
+        for i in range(n):
+            k = e[i]
+            if k < 0:
+                raise ValueError("substitution requires nonnegative exponents")
+            if k:
+                term = tuple_pmul(term, power(i, k), trunc, n)
+        out = polyops.padd(out, term)
+    return out
+
+
+def tuple_series_div_exact(num: Terms, den: Terms, prec: int,
+                           nvars: int) -> Optional[Tuple[Terms, int]]:
+    """Divide truncated series num by den, requiring exact divisibility, one
+    lattice-degree bucket at a time with `polyops.pdiv_linear`."""
+    if not den:
+        raise ZeroDivisionError("series division by zero")
+    layers: Dict[int, Terms] = {}
+    for e, c in den.items():
+        layers.setdefault(sum(e[:nvars]), {})[e] = c
+    width = len(next(iter(den)))
+    form = [den.get(tuple(int(j == i) for j in range(width)), 0) for i in range(nvars)]
+    if min(layers) != 1 or len(layers[1]) != sum(map(bool, form)):
+        raise ValueError("series division needs a divisor whose lowest form "
+                         "is an integer linear form")
+    qprec = prec - 1
+    if qprec < 0:
+        return ({}, -1)
+    buckets: Dict[int, Terms] = {}
+    for e, c in num.items():
+        buckets.setdefault(sum(e[:nvars]), {})[e] = c
+    higher = sorted((d, t) for d, t in layers.items() if d > 1)
+    quo: Terms = {}
+    for v in range(min(buckets, default=prec + 1), prec + 1):
+        bucket = buckets.get(v)
+        if not bucket:
+            continue
+        qslice = polyops.pdiv_linear(bucket, form)
+        if qslice is None:
+            return None
+        quo.update(qslice)
+        for d, layer in higher:
+            if v - 1 + d > prec:
+                break
+            target = buckets.setdefault(v - 1 + d, {})
+            get = target.get
+            for e1, c1 in qslice.items():
+                for e2, c2 in layer.items():
+                    e = tuple(map(add, e1, e2))
+                    s = get(e, 0) - c1 * c2
+                    if s:
+                        target[e] = s
+                    else:
+                        del target[e]
+    return (quo, qprec)
