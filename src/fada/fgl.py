@@ -125,21 +125,25 @@ class FormalGroupLaw:
 
     def add(self, p: Series, q: Series, prec: int, codec: SeriesCodec) -> Series:
         """F(p, q) cut at degree `prec`, for series on the keys of `codec`
-        (its variables, then the law's parameters), themselves cut at `prec`."""
+        (its variables, then the law's parameters), themselves cut at `prec`.
+
+        F(p, q) = sum_j (sum_i a_ij p^i) q^j: the inner sums first, then
+        Horner's rule in q, one truncated product per power of q."""
         self._check_args(prec, codec, p, q)
+        pows: Dict[int, Series] = {0: {codec.offset: 1}}
+
+        def power(i: int) -> Series:
+            if i not in pows:
+                pows[i] = polyops.pmul(power(i - 1), p, prec, codec)
+            return pows[i]
+
+        inner: Dict[int, Series] = {}
+        for (i, j), a_ij in self.table(prec).items():
+            term = polyops.pmul(power(i), _constant(a_ij, codec), prec, codec)
+            inner[j] = polyops.padd(inner.get(j, {}), term)
         out: Series = {}
-        one = {codec.offset: 1}
-        pows_p: Dict[int, Series] = {0: one}
-        pows_q: Dict[int, Series] = {0: one}
-
-        def power(cache, base, k):
-            if k not in cache:
-                cache[k] = polyops.pmul(power(cache, base, k - 1), base, prec, codec)
-            return cache[k]
-
-        for (i, j), a_ij in sorted(self.table(prec).items()):
-            term = polyops.pmul(power(pows_p, p, i), power(pows_q, q, j), prec, codec)
-            out = polyops.padd(out, polyops.pmul(term, _constant(a_ij, codec), prec, codec))
+        for j in range(max(inner), -1, -1):
+            out = polyops.padd(polyops.pmul(out, q, prec, codec), inner.get(j, {}))
         return out
 
     def inverse(self, p: Series, prec: int, codec: SeriesCodec) -> Series:

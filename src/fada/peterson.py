@@ -20,6 +20,14 @@ representatives, so products expand by reading off one table.  The separate
 d-table (structure constants of the Demazure basis itself) ties the two
 pictures together through the comparison identity checked in
 ``structure_pair``.
+
+For the group laws x + y - c x y the d-table needs no eta-expansion: the
+Hecke relations give X_{I_u} X_{I_v} = c^m X_{I_{u*v}}, one monomial at the
+Demazure product u*v (`twisted.demazure_walk`).  The identity then compares
+the Peterson product, expanded through the eta basis, with this Hecke
+combinatorics, two independent routes.  Other laws break the braid
+relations, and their d-table multiplies the word products out in the eta
+basis and expands the result back (the eta-route).
 """
 from __future__ import annotations
 
@@ -30,7 +38,7 @@ from .algebra import AlgebraElement, Localized
 from .errors import ConfigError, MembershipError
 from .roots import AffineElt, Vec, Window
 from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows,
-                      row_sum)
+                      demazure_walk, row_sum)
 
 
 def pr(algebra: TwistedAlgebra, z: TwistedElement) -> TwistedElement:
@@ -134,12 +142,31 @@ class PetersonContext:
 
     def x_product_expansion(self, w2: AffineElt, v: AffineElt
                             ) -> Dict[AffineElt, Localized]:
-        """Demazure coefficients of X_{I_{w2}} X_{I_v}."""
+        """Demazure coefficients of X_{I_{w2}} X_{I_v}.
+
+        For the group laws x + y - c x y this is {w: c^m} for the Demazure
+        walk (w, m) of the word I_{w2} from v, empty when c^m vanishes (the
+        additive law with m > 0), and it asks the window for w alone, the
+        longest element of the eta-support.  Other laws take the eta-route:
+        the product of the two word elements, expanded back in the X basis.
+        """
         key = (w2, v)
         if key not in self._xprods:
-            prod = (self.algebra.x_word(self.window.compat_word(w2))
-                    * self.algebra.x_word(self.window.compat_word(v)))
-            self._xprods[key] = self.tables.expand_in_x(prod)
+            word = self.window.compat_word(w2)
+            torus = self.algebra.torus
+            c = torus.ring.fgl.c
+            if c is None:
+                prod = (self.algebra.x_word(word)
+                        * self.algebra.x_word(self.window.compat_word(v)))
+                row = self.tables.expand_in_x(prod)
+            else:
+                w, m = demazure_walk(torus.group, word, v)
+                coeff = c ** m
+                row = {}
+                if not coeff.is_zero():
+                    self.window.require(w, "eta support of the element")
+                    row = {w: Localized(torus, torus.ring.from_scalar(coeff))}
+            self._xprods[key] = row
         return self._xprods[key]
 
     def structure_pair(self, u: AffineElt, v: AffineElt) -> "StructurePair":

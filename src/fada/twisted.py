@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
-from .roots import AffineElt, Vec, Window, vneg
+from .roots import AffineElt, AffineWeylGroup, Vec, Window, vneg
 from .scalars import Scalar
 
 
@@ -277,9 +277,13 @@ class ExpansionTables:
         return self.b[w]
 
     def expand_in_x(self, z: TwistedElement) -> Dict[AffineElt, Localized]:
-        """Left-coefficient expansion of z in the X_{I_w} basis."""
-        for u in z.terms:
-            self.window.require(u, "eta support of the element")
+        """Left-coefficient expansion of z in the X_{I_w} basis.  When the
+        eta-support leaves the window, the error names its longest element,
+        so the window it asks for holds the whole support."""
+        outside = [u for u in z.terms if u not in self.window.index]
+        if outside:
+            self.window.require(max(outside, key=self.window.group.length),
+                                "eta support of the element")
         return combine_rows((c, self.b[u]) for u, c in z.terms.items())
 
 
@@ -350,6 +354,27 @@ def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
         else:
             terms.append((a_down, {v: image}))
     return combine_rows(terms)
+
+
+def demazure_walk(group: AffineWeylGroup, word: Sequence[int], v: AffineElt
+                  ) -> Tuple[AffineElt, int]:
+    """(w, m) with Op_{i_1} ... Op_{i_k} Op_{I_v} = c^m Op_{I_w} for the
+    word i_1 ... i_k, Op standing for X or Y.
+
+    The rule of `predict_row`: Op_i Op_{I_w} is Op_{I_{s_i w}} when s_i w > w
+    and c Op_{I_w} otherwise (Kostant-Kumar), the second from Op_i^2 = c Op_i,
+    which holds for Y_i as for X_i.  So the letters are read from right to
+    left, starting at w = v: a left descent i of w adds 1 to m, any other
+    letter moves w to s_i w.  The w reached is the Demazure product of the
+    word with v.  Like `predict_row`, this needs the group law x + y - c x y.
+    """
+    w, m = v, 0
+    for i in reversed(word):
+        if group.left_descent(w, i):
+            m += 1
+        else:
+            w = group.mul(group.simple(i), w)
+    return w, m
 
 
 def _extend_by_recursion(algebra: TwistedAlgebra, window: Window, flavor: str) -> None:

@@ -423,6 +423,65 @@ def test_recurse_output_matches_recorded_digest(capsys, argv, digest, code):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the JSON output and the exit code of `peterson` runs with a
+# structure section, recorded before the Demazure-word products of the
+# connective family were read off the Demazure product
+PETERSON_STRUCTURE_DIGESTS = [
+    (("--root", "A1", "--window", "6", "--u", "1,0", "--structure-length", "4"),
+     "ef24664eec79a1eeb57327b951eadad98448abdae0a59814bbac4dc0b25748d9", 0),
+    (("--root", "A1", "--window", "6", "--u", "0", "--fgl", "additive",
+      "--structure-length", "4"),
+     "5a7f8b05ffa74b04c8786b9ca6430d035ec6e898d4333b41b8ce86436e404b73", 0),
+    (("--root", "A1", "--window", "6", "--u", "0", "--fgl", "multiplicative",
+      "--structure-length", "4"),
+     "4b3d22875606692480d05e3d1a97d2502c1f5b96c5ed6ed96f47d1542e79b46a", 0),
+    (("--root", "A1", "--window", "4", "--u", "0", "--fgl", SER_CONNECTIVE,
+      "--structure-length", "3", "--degree", "7"),
+     "61167c1a7ce469f3ac927dd6b3b38278cb2ba899a9ac39974c6edf6e6e7f88da", 0),
+    (("--root", "A1", "--window", "4", "--u", "1,0", "--fgl", "hyperbolic",
+      "--structure-length", "2", "--degree", "10"),
+     "e55c11e359b53056e05d90e5487c9a077931ea59341bbe643b73a6eb82a1a9f0", 0),
+    (("--root", "A2", "--window", "8", "--u", "0", "--structure-length", "2"),
+     "e9a57a32a22ff8cb27d0784ca57c3ef70a93cd313939c0c4c37cfcca9ef9b987", 0),
+    (("--root", "A2", "--window", "8", "--u", "0", "--fgl", "additive",
+      "--structure-length", "2"),
+     "bd2c5bd602982787a1bc8483af94baf18ca545b3d95c70c3ba096cfba962ffee", 0),
+]
+
+
+@pytest.mark.parametrize("argv,digest,code", PETERSON_STRUCTURE_DIGESTS,
+                         ids=[" ".join(a) for a, _, _ in PETERSON_STRUCTURE_DIGESTS])
+def test_peterson_structure_output_matches_recorded_digest(capsys, argv, digest, code):
+    rc, out, _ = run_cli(capsys, "peterson", *argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_series_connective_structure_runs_below_the_division_precision(capsys):
+    # the d-rows of the connective family divide nothing, so the structure
+    # section of this run needs no more precision than P_{s_0} itself
+    rc, out, _ = run_cli(capsys, "peterson", "--root", "A1", "--window", "4", "--u", "0",
+                         "--fgl", SER_CONNECTIVE, "--structure-length", "3", "--degree", "6")
+    assert rc == 0
+    structure = json.loads(out)["structure"]
+    assert len(structure) == 10
+    assert all(p["identity_holds"] for p in structure)
+
+
+@pytest.mark.parametrize("argv,need", [
+    (("--window", "3", "--u", "0", "--structure-length", "10"), 4),
+    (("--window", "4", "--u", "0", "--structure-length", "4"), 6),
+    (("--root", "A2", "--window", "4", "--u", "0", "--structure-length", "2"), 8),
+])
+def test_structure_section_outside_the_window_names_the_window_needed(capsys, argv, need):
+    rc, out, err = run_cli(capsys, "peterson", *argv)
+    assert (rc, out) == (2, "")
+    size = argv[argv.index("--window") + 1]
+    assert err == ("error: element of length %d lies outside window of size %s "
+                   "(eta support of the element); rerun with window >= %d\n"
+                   % (need, size, need))
+
+
 def test_braid_check_connective_holds(capsys):
     rc, out, _ = run_cli(capsys, "braid-check", "--root", "A2",
                          "--fgl", "connective", "--i", "1", "--j", "2")

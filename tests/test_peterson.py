@@ -5,7 +5,7 @@ import pytest
 from fada.algebra import Localized
 from fada.duals import (dual_x, gkm_check_small, pr_star,
                         restrict_to_translations, w_invariance_report)
-from fada.errors import ConfigError, MembershipError
+from fada.errors import ConfigError, MembershipError, WindowExceededError
 from fada.peterson import (PetersonContext, antipode, centralizer_check,
                            centralizer_report, coproduct, coproduct_multiply,
                            counit, is_translation_supported, pr)
@@ -215,6 +215,79 @@ def test_structure_pair_verified_route():
     # while the Peterson product genuinely spreads out
     frak_words = {ctx.window.word(v) for v in p.frak_row}
     assert frak_words == {SIGMA[1], SIGMA[2], SIGMA[3]}
+
+
+def test_structure_identity_outside_the_family():
+    # the hyperbolic law, whose braid relations fail from rank two on,
+    # keeps the eta-route for the d-table
+    alg = util.algebra("A1", "SER", "small", "hyperbolic", precision=10)
+    ctx = PetersonContext(alg, alg.torus.group.window(4))
+    g = alg.torus.group
+    pairs = ctx.structure_constants(2)
+    assert len(pairs) == 6
+    for p in pairs:
+        assert p.identity_holds, (ctx.window.word(p.u), ctx.window.word(p.v))
+    s0 = g.from_word(SIGMA[1])
+    d_row = ctx.structure_pair(s0, s0).d_row
+    assert set(d_row) == {s0}
+    assert d_row[s0] == alg.torus.kappa(1)
+
+
+# -- the Demazure walk against the eta-route ---------------------------------
+
+def _outcome(f):
+    """f(), or the text of the error when it leaves the window."""
+    try:
+        return f()
+    except WindowExceededError as exc:
+        return str(exc)
+
+
+def assert_walk_matches_eta_route(ctx, pairs) -> int:
+    """Compare `x_product_expansion` with the eta-route on each pair: the
+    same entries and values, or the same window error.  Returns the number
+    of window errors."""
+    errors = 0
+    for w2, v in pairs:
+        want = _outcome(lambda: util.eta_route_x_product(ctx, w2, v))
+        got = _outcome(lambda: ctx.x_product_expansion(w2, v))
+        where = (ctx.window.word(w2), ctx.window.word(v))
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, where
+            errors += 1
+        else:
+            assert set(got) == set(want), where
+            assert all(got[w] == want[w] for w in want), where
+    return errors
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_demazure_walk_matches_the_eta_route_rank_one(backend):
+    alg = util.algebra("A1", backend, "small")
+    ctx = PetersonContext(alg, alg.torus.group.window(8))
+    elements = ctx.window.elements
+    assert assert_walk_matches_eta_route(
+        ctx, [(w2, v) for w2 in elements for v in elements])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("rtype,length", [("A2", 4), ("B2", 3), ("G2", 3)])
+def test_demazure_walk_matches_the_eta_route_rank_two(rtype, length, backend):
+    alg = util.algebra(rtype, backend, "small")
+    ctx = PetersonContext(alg, alg.torus.group.window(length))
+    lengths = ctx.window.lengths
+    assert_walk_matches_eta_route(ctx, [
+        (w2, v) for w2 in ctx.window.elements for v in ctx.window.elements
+        if lengths[w2] + lengths[v] <= length])
+
+
+def test_demazure_walk_matches_the_eta_route_on_series():
+    # at precision 9 the eta-route divides every pair of the window exactly
+    alg = util.algebra("A1", "SER", "small", "connective", precision=9)
+    ctx = PetersonContext(alg, alg.torus.group.window(4))
+    elements = ctx.window.elements
+    assert assert_walk_matches_eta_route(
+        ctx, [(w2, v) for w2 in elements for v in elements])
 
 
 # -- Hopf structure ----------------------------------------------------------

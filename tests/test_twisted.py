@@ -5,10 +5,10 @@ import pytest
 from fada import connective, twisted
 from fada.algebra import Localized, TorusAlgebra
 from fada.cli import loc_json
-from fada.errors import ConfigError, NotApplicableError
+from fada.errors import ConfigError, NotApplicableError, WindowExceededError
 from fada.scalars import Scalar
 from fada.twisted import (ExpansionTables, TwistedAlgebra, back_substitute,
-                          braid_check, combine_rows)
+                          braid_check, combine_rows, demazure_walk)
 
 import util
 
@@ -257,6 +257,45 @@ def test_predict_row_descent_test_matches_lengths(rtype, torus, length):
         for i in g.labels:
             longer = g.length(g.mul(g.simple(i), v)) > g.length(v)
             assert (not g.left_descent(v, i)) == longer, (v, i)
+
+
+def test_expand_in_x_names_a_window_that_suffices():
+    # the error names the longest element of the eta-support outside the
+    # window, so expanding again at the window it asks for succeeds
+    alg = util.algebra("A1", "CON", "small")
+    window = alg.torus.group.window(5)
+    tables = util.tables(alg, 5)
+    named = 0
+    for w2 in window.elements:
+        for v in window.elements:
+            prod = alg.x_word(window.compat_word(w2)) * alg.x_word(window.compat_word(v))
+            try:
+                tables.expand_in_x(prod)
+            except WindowExceededError as exc:
+                need = int(str(exc).rsplit(">= ", 1)[1])
+                assert util.tables(alg, need).expand_in_x(prod)
+                named += 1
+    assert named
+
+
+@pytest.mark.parametrize("rtype, length", [("A1", 4), ("A2", 2)])
+@pytest.mark.parametrize("flavor", ["x", "y"])
+def test_demazure_walk_multiplies_word_elements(rtype, length, flavor):
+    # Op_{I_w2} Op_{I_v} = c^m Op_{I_w} for (w, m) the walk of I_w2 from v,
+    # checked in the eta basis; w is the Demazure product, of length
+    # l(w2) + l(v) - m
+    alg = util.algebra(rtype, "CON", "small")
+    g = alg.torus.group
+    window = g.window(length)
+    c = alg.torus.ring.fgl.c
+    for w2 in window.elements:
+        for v in window.elements:
+            w, m = demazure_walk(g, window.compat_word(w2), v)
+            assert g.length(w) == g.length(w2) + g.length(v) - m
+            lhs = (alg.word_product(flavor, window.compat_word(w2))
+                   * alg.word_product(flavor, window.compat_word(v)))
+            rhs = alg.coerce(c ** m) * alg.word_product(flavor, g.reduced_word(w))
+            assert util.tw_zero(lhs - rhs), (window.word(w2), window.word(v))
 
 
 # -- back-substitution against the multiplied-out inverse --------------------

@@ -82,6 +82,16 @@ def verified_d_expansion(ctx, z: TwistedElement) -> Dict[AffineElt, Localized]:
     return out
 
 
+def eta_route_x_product(ctx, w2: AffineElt, v: AffineElt) -> Dict[AffineElt, Localized]:
+    """X_{I_{w2}} X_{I_v} multiplied out in the eta basis and expanded back
+    in the X basis: the route `PetersonContext.x_product_expansion` takes for
+    laws outside the family x + y - c x y, and the oracle of its Demazure
+    walk inside it."""
+    alg, window = ctx.algebra, ctx.window
+    prod = alg.x_word(window.compat_word(w2)) * alg.x_word(window.compat_word(v))
+    return ctx.tables.expand_in_x(prod)
+
+
 # -- sums over the lcm, and the dual loops over the whole window -------------
 
 
