@@ -13,32 +13,31 @@ Backends:
 The big torus has character lattice Q + Z*delta (coordinates: simple roots,
 then delta); the small torus has Q only, and translations act trivially on it.
 
-Every element stores its terms as one dict from folded keys to nonzero ints
-(see `polyops`): ``nvars`` lattice slots -- exponents of x_1..x_nvars for
-ADD/SER, a lattice point for MUL/CON -- followed by one exponent per
+Every element stores its terms as one dict from folded monomials to nonzero
+ints (see `polyops`): ``nvars`` lattice slots -- exponents of x_1..x_nvars
+for ADD/SER, a lattice point for MUL/CON -- followed by one exponent per
 parameter of the law, in ``ring.params`` order.  ADD and MUL have no
 parameters, CON has c, and SER has the parameters of its law.  `Scalar`
 coefficients appear only at the boundary: `FormalRing.element` folds them in
 and `AlgebraElement.coefficients` regroups the terms into them.
 
-ADD, MUL and CON key their terms by exponent tuples.  SER packs each key
-into one integer on its ring's `polyops.SeriesCodec` (`FormalRing.codec`),
-so that its truncated products, substitutions and series divisions add
-integers instead of building tuples.  SER packs where terms enter: the
-`AlgebraElement` constructor, which `FormalRing.element`, `one`,
-`from_scalar` and `Localized.__truediv__` go through, and `zero` and the
-cached x-series, built on packed keys by the law.  It unpacks only where terms
-leave: `AlgebraElement.terms`, `coefficients` and `__repr__`.  So `terms` is
-keyed by exponent tuples on every backend, and nothing outside this module
-and `polyops` (and the law's series operations) sees a packed key.
+On every backend each monomial is packed into one integer key on its ring's
+`polyops.KeyCodec` (`FormalRing.codec`), so products, substitutions, the
+Weyl action and divisions add integers instead of building tuples.  Terms
+are packed where they enter: the `AlgebraElement` constructor, which
+`FormalRing.element`, `one`, `from_scalar` and the exact x_mu go through,
+and `zero` and the cached x-series, built on packed keys by the law.  They
+are unpacked only where they leave: `AlgebraElement.terms`, `coefficients`
+(and so `__repr__` and `TorusAlgebra.augmentation`).  So `terms` is keyed by
+exponent tuples, and nothing outside this module and `polyops` (and the
+law's series operations) sees a packed key.
 
 `TorusAlgebra.divide` divides by powers of x_b: on MUL and CON by a running
 sum along each chain lambda + Z*b of lattice points, with no polynomial
-division.  On ADD x_b is the linear form l_b = sum_i b_i x_i, and on SER l_b is
-its lowest form; both divide by l_b by synthetic division in one variable,
-ADD with `polyops.pdiv_linear` and SER once per lattice degree in
-`polyops.series_div_exact`, on the layout of x_b that `FormalRing.divisor`
-builds once per ring.
+division.  On ADD x_b is the linear form l_b = sum_i b_i x_i, and on SER l_b
+is its lowest form; both divide by synthetic division in one variable, once
+per lattice degree, in `polyops.series_div_exact` (ADD with no precision
+bound), on the layout of x_b that `FormalRing.divisor` builds once per ring.
 """
 from __future__ import annotations
 
@@ -75,9 +74,8 @@ class FormalRing:
         self.precision = precision
         if backend == "SER" and precision < 1:
             raise ConfigError("series precision must be at least 1")
-        # the packed-key layout of SER terms; the exact backends keep tuples
-        self.codec = (polyops.SeriesCodec(nvars, len(self.params))
-                      if backend == "SER" else None)
+        # the packed-key layout of every element's terms
+        self.codec = polyops.KeyCodec(nvars, len(self.params))
         self._x_cache: Dict[Vec, "AlgebraElement"] = {}
         self._x_pow_cache: Dict[Tuple[Vec, int], "AlgebraElement"] = {}
         self._multiple_cache: Dict[Tuple[int, int], Series] = {}
@@ -171,36 +169,36 @@ class FormalRing:
         return self._multiple_cache[i, k]
 
     def divisor(self, b: Vec) -> polyops.SeriesDivisor:
-        """x_b laid out as a series divisor, once per ring (SER only)."""
+        """x_b laid out as a divisor, once per ring (ADD and SER)."""
         if b not in self._divisor_cache:
             self._divisor_cache[b] = polyops.SeriesDivisor(self.x_of(b)._terms, self.codec)
         return self._divisor_cache[b]
 
 
 class AlgebraElement:
-    """An element of a FormalRing: folded keys to nonzero ints.  SER elements
-    carry the lattice degree to which their terms are certified and drop the
-    terms beyond it.  `_terms` holds the ring's own keys, packed on SER;
-    `terms` gives them as exponent tuples on every backend."""
+    """An element of a FormalRing: folded monomials to nonzero ints.  SER
+    elements carry the lattice degree to which their terms are certified and
+    drop the terms beyond it.  `_terms` holds the ring's packed keys; `terms`
+    gives them as exponent tuples."""
 
     __slots__ = ("ring", "_terms", "prec")
 
     def __init__(self, ring: FormalRing, terms: Terms, prec: Optional[int]):
-        """An element from terms keyed by exponent tuples; SER packs them and
-        drops those beyond `prec` (by default the ring's precision)."""
+        """An element from terms keyed by exponent tuples, packed; SER drops
+        those beyond `prec` (by default the ring's precision)."""
         self.ring = ring
-        if ring.codec is not None:
+        self._terms = ring.codec.pack_terms(terms)
+        if ring.backend == "SER":
             if prec is None:
                 prec = ring.precision
-            terms = polyops.ptruncate(ring.codec.pack_terms(terms), prec, ring.codec)
+            self._terms = polyops.ptruncate(self._terms, prec, ring.codec)
         else:
             prec = None
-        self._terms = terms
         self.prec = prec
 
     @classmethod
-    def _cut(cls, ring: FormalRing, terms: Dict, prec: Optional[int]) -> "AlgebraElement":
-        """An element from terms in the ring's own keys, cut at `prec`
+    def _cut(cls, ring: FormalRing, terms: Series, prec: Optional[int]) -> "AlgebraElement":
+        """An element from terms on the ring's packed keys, cut at `prec`
         already, such as products from `polyops.pmul(..., prec)` (SER
         elements always carry one)."""
         out = cls.__new__(cls)
@@ -211,8 +209,7 @@ class AlgebraElement:
 
     @property
     def terms(self) -> Terms:
-        codec = self.ring.codec
-        return self._terms if codec is None else codec.unpack_terms(self._terms)
+        return self.ring.codec.unpack_terms(self._terms)
 
     # -- helpers -----------------------------------------------------------
 
@@ -228,12 +225,12 @@ class AlgebraElement:
             return self.prec
         return min(self.prec, other.prec)
 
-    def with_terms(self, terms: Dict) -> "AlgebraElement":
-        """Terms in the ring's own keys, no higher in lattice degree than
+    def with_terms(self, terms: Series) -> "AlgebraElement":
+        """Terms on the ring's packed keys, no higher in lattice degree than
         ours, at our precision."""
         return AlgebraElement._cut(self.ring, terms, self.prec)
 
-    def _sum(self, other: "AlgebraElement", terms: Dict) -> "AlgebraElement":
+    def _sum(self, other: "AlgebraElement", terms: Series) -> "AlgebraElement":
         """The sum or difference `terms` of self and other, at the joined
         precision: cut again only when the precisions differ."""
         prec = self._join(other)
@@ -401,8 +398,9 @@ class Localized:
         prec = self.num.prec
         if prec is None:
             return True
-        if prec - len(self.den) < 0:
-            hint = self.torus.ring.precision + len(self.den) - prec
+        degree = sum(self.den_map.values())
+        if prec - degree < 0:
+            hint = self.torus.ring.precision + degree - prec
             raise PrecisionError(
                 "series precision exhausted by a localized denominator; "
                 "rerun with precision >= %d"
@@ -480,7 +478,7 @@ class Localized:
             if num.prec is not None and self.den_map:
                 # a numerator that vanishes through O(p) over a denominator
                 # of valuation d is only known to vanish through O(p - d)
-                num = AlgebraElement._cut(num.ring, {}, num.prec - len(self.den))
+                num = AlgebraElement._cut(num.ring, {}, num.prec - sum(self.den_map.values()))
             return Localized(self.torus, num)
         left: Dict[Vec, int] = {}
         for b in sorted(self.den_map):
@@ -500,14 +498,17 @@ class Localized:
         ring = self.torus.ring
         if len(other.num._terms) != 1:
             raise MembershipError("numerator is not a unit monomial")
-        (key, coeff), = other.num.terms.items()
+        (key, coeff), = other.num._terms.items()
         if coeff not in (1, -1):
             raise MembershipError("numerator coefficient is not a unit")
-        if ring.backend in ("ADD", "SER") and any(key[:ring.nvars]):
+        if ring.backend in ("ADD", "SER") and any(ring.codec.split(key)[0]):
             raise MembershipError("numerator is not a unit in this backend")
         num = self.num * coeff
-        if any(key):
-            num = num * AlgebraElement(ring, {tuple(-v for v in key): 1}, None)
+        offset = ring.codec.offset
+        if key != offset:
+            # keys are affine in the exponents: the inverse monomial's key
+            # is the reflection of this one through the key of 1
+            num = num * AlgebraElement._cut(ring, {2 * offset - key: 1}, None)
         den_map = dict(self.den_map)
         for b, m in other.den_map.items():
             k = den_map.pop(b, 0) - m
@@ -542,6 +543,11 @@ class TorusAlgebra:
         self.group = AffineWeylGroup(datum)
         nvars = datum.rank + (1 if torus == "big" else 0)
         self.ring = FormalRing(backend, nvars, fgl, precision)
+        # per group element, the images of the lattice variables for
+        # `act_elem`; per lattice point b, the layout of x_b for
+        # `_chain_quotient`
+        self._actions: Dict[AffineElt, List] = {}
+        self._chains: Dict[Vec, Tuple[int, int, int]] = {}
 
     # -- lattice embedding -------------------------------------------------
 
@@ -572,18 +578,25 @@ class TorusAlgebra:
         return x.w.act_root(mu) + (m - self.datum.pairing(x.t, mu),)
 
     def act_elem(self, x: AffineElt, f: AlgebraElement) -> AlgebraElement:
-        n = self.ring.nvars
-        if f.ring.backend in ("MUL", "CON"):
-            # the action permutes lattice points; the c slot rides along
-            out = {self.act_vec(x, k[:n]) + k[n:]: c for k, c in f._terms.items()}
-            return AlgebraElement._cut(f.ring, out, None)
+        ring = self.ring
+        codec = ring.codec
+        images = self._actions.get(x)
+        if images is None:
+            n = ring.nvars
+            basis = [self.act_vec(x, tuple(int(j == i) for j in range(n))) for i in range(n)]
+            if ring.backend in ("MUL", "CON"):
+                # the key step of each basis image, degree digit included
+                zero = (0,) * len(ring.params)
+                images = [codec.pack(v + zero) - codec.offset for v in basis]
+            else:
+                images = [ring.x_of(v)._terms for v in basis]
+            self._actions[x] = images
+        if ring.backend in ("MUL", "CON"):
+            # the action is linear on lattice points; the c slot rides along
+            return AlgebraElement._cut(ring, polyops.pmove(f._terms, images, codec), None)
         # ADD and SER act by substituting each variable's image series
-        images = []
-        for i in range(n):
-            basis = tuple(1 if j == i else 0 for j in range(n))
-            images.append(self.ring.x_of(self.act_vec(x, basis))._terms)
-        out = polyops.psubstitute(f._terms, images, f.prec, self.ring.codec)
-        return AlgebraElement._cut(f.ring, out, f.prec)
+        return AlgebraElement._cut(ring, polyops.psubstitute(f._terms, images, f.prec, codec),
+                                   f.prec)
 
     def act_loc(self, x: AffineElt, f: Localized) -> Localized:
         # the action is a bijection of the lattice: multiplicities carry over
@@ -607,12 +620,10 @@ class TorusAlgebra:
         ring = self.ring
         if ring.backend in ("MUL", "CON"):
             return self._chain_quotient(f, b)
-        if ring.backend == "ADD":
-            # x_b is the linear form sum_i b_i x_i itself
-            q = polyops.pdiv_linear(f._terms, b)
-            return None if q is None else AlgebraElement._cut(ring, q, None)
-        # x_b has lattice valuation 1, and the quotient is cut at f.prec - 1
-        if f.prec < 1:
+        # x_b has lattice valuation 1: on SER the quotient is cut at
+        # f.prec - 1, and on ADD, where x_b is the linear form sum_i b_i x_i
+        # itself, it is exact
+        if f.prec is not None and f.prec < 1:
             raise PrecisionError(
                 "series precision exhausted in division; rerun with precision >= %d"
                 % (ring.precision + 1 - f.prec))
@@ -622,26 +633,34 @@ class TorusAlgebra:
     def _chain_quotient(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
         """x_b = c^{-1}(1 - e_{-b}) (c = 1 on MUL) divides f iff f sums to 0 along
         each chain lam + Z*b, parameter slots fixed; q_lam = c sum_{j>=0} f_{lam+jb}."""
-        i = next(j for j, v in enumerate(b) if v)
-        step = b + (0,) * len(self.ring.params)
-        lift = (0,) * len(b) + ((1,) if self.ring.backend == "CON" else ())
+        ring = self.ring
+        codec = ring.codec
+        if b not in self._chains:
+            # the key steps of b and of the c slot (keys are affine in the
+            # exponents)
+            step = codec.pack(b + (0,) * len(ring.params)) - codec.offset
+            lift = (codec.pack((0,) * len(b) + (1,)) - codec.offset
+                    if ring.backend == "CON" else 0)
+            self._chains[b] = (next(j for j, v in enumerate(b) if v), step, lift)
+        i, step, lift = self._chains[b]
         # chains are keyed by their point with slot i in [0, b_i), c slot lifted
-        chains: Dict[Vec, List[Tuple[int, int]]] = {}
-        for e, c in f._terms.items():
-            t = e[i] // b[i]
-            base = tuple([v - t * s + h for v, s, h in zip(e, step, lift)])
-            chains.setdefault(base, []).append((t, c))
-        q: Terms = {}
+        chains: Dict[int, List[Tuple[int, int]]] = {}
+        for k, c in f._terms.items():
+            t = codec.exponent(k, i) // b[i]
+            chains.setdefault(k - t * step + lift, []).append((t, c))
+        # a chain key out of range could alias another chain
+        codec.check(chains)
+        q: Series = {}
         for base, points in chains.items():
             points.sort(reverse=True)
             total, top = 0, points[0][0]
             for t, c in points:
                 for u in range(t + 1, top + 1) if total else ():
-                    q[tuple([v + u * s for v, s in zip(base, step)])] = total
+                    q[base + u * step] = total
                 total, top = total + c, t
             if total:
                 return None
-        return AlgebraElement._cut(self.ring, q, None)
+        return AlgebraElement._cut(ring, q, None)
 
     def divide_once(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
         """f / x_b as a ring element, or None when not exactly divisible."""
@@ -675,11 +694,7 @@ class TorusAlgebra:
     def augmentation(self, f: AlgebraElement) -> Scalar:
         """The counit: e_lam -> 1 on group-ring models, x -> 0 on series."""
         if self.ring.backend in ("MUL", "CON"):
-            n = self.ring.nvars
-            total: Dict[Vec, int] = {}
-            for e, c in f._terms.items():
-                total[e[n:]] = total.get(e[n:], 0) + c
-            return Scalar(self.ring.params, total)
+            return sum(f.coefficients().values(), Scalar.const(0, self.ring.params))
         return f.coefficient((0,) * self.ring.nvars)
 
     # -- backend bridges ---------------------------------------------------

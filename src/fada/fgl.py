@@ -16,12 +16,15 @@ through truncated power series with tracked precision.
 
 Coefficient tables are kept as `Scalar` values, the form a custom descriptor
 is parsed into.  The series operations `add` and `inverse` take and return
-term dicts on the packed keys of a `polyops.SeriesCodec`: the exponents of
-its variables followed by one exponent per parameter of the law, cut at a
-precision counted in the variables only.  They carry no precision of their
-own: the one truncated-series type of the package is the SER
-`AlgebraElement`, which wraps their results, on its ring's codec.  Formal
-multiples [k](x_i) are built from them, once per ring, by `FormalRing.x_of`.
+term dicts on packed keys, the one key layout of every ring element (see
+`polyops`): the keys of a `polyops.KeyCodec` whose lattice slots are the
+series variables, followed by one slot per parameter of the law, cut at a
+precision counted in the variables only.  A coefficient a_ij is packed where
+it enters a product (`_constant`); nothing here unpacks.  The operations
+carry no precision of their own: the one truncated-series type of the
+package is the SER `AlgebraElement`, which wraps their results, on its
+ring's codec.  Formal multiples [k](x_i) are built from them, once per ring,
+by `FormalRing.x_of`.
 """
 from __future__ import annotations
 
@@ -29,11 +32,11 @@ from typing import Dict, Optional, Tuple
 
 from . import polyops
 from .errors import ConfigError, PrecisionError
-from .polyops import Series, SeriesCodec
+from .polyops import KeyCodec, Series
 from .scalars import Scalar
 
 
-def _constant(s: Scalar, codec: SeriesCodec) -> Series:
+def _constant(s: Scalar, codec: KeyCodec) -> Series:
     """The scalar s as a series of degree zero."""
     zero = (0,) * codec.nvars
     return {codec.pack(zero + e): c for e, c in s.terms.items()}
@@ -107,7 +110,8 @@ class FormalGroupLaw:
         a = Scalar.param("a", params)
         tab: Dict[Tuple[int, int], Scalar] = {}
         s = Scalar.const(1, params)
-        for k in range(degree):
+        # (k + 1, k) is the first entry of each k, of degree 2k + 1
+        for k in range((degree + 1) // 2):
             for ij, v in (((k + 1, k), s), ((k, k + 1), s), ((k + 1, k + 1), -(s * c))):
                 if sum(ij) <= degree:
                     tab[ij] = v
@@ -116,14 +120,14 @@ class FormalGroupLaw:
 
     # -- series operations -------------------------------------------------
 
-    def _check_args(self, prec: int, codec: SeriesCodec, *series: Series) -> None:
+    def _check_args(self, prec: int, codec: KeyCodec, *series: Series) -> None:
         for s in series:
             if polyops.pvaluation(s, codec) == 0:
                 raise ValueError("formal group law arguments must have zero constant term")
         if prec < 1:
             raise PrecisionError("cannot certify any positive degree (precision %d)" % prec)
 
-    def add(self, p: Series, q: Series, prec: int, codec: SeriesCodec) -> Series:
+    def add(self, p: Series, q: Series, prec: int, codec: KeyCodec) -> Series:
         """F(p, q) cut at degree `prec`, for series on the keys of `codec`
         (its variables, then the law's parameters), themselves cut at `prec`.
 
@@ -146,7 +150,7 @@ class FormalGroupLaw:
             out = polyops.padd(polyops.pmul(out, q, prec, codec), inner.get(j, {}))
         return out
 
-    def inverse(self, p: Series, prec: int, codec: SeriesCodec) -> Series:
+    def inverse(self, p: Series, prec: int, codec: KeyCodec) -> Series:
         """The formal inverse i(p) with F(p, i(p)) = 0, solved degree by degree.
 
         Before step d, cur agrees with i(p) through degree d - 1, so F(p, cur)
@@ -173,7 +177,7 @@ class FormalGroupLaw:
                 raise ConfigError("F(0, y) must equal y; found coefficient at y^%d" % j)
             if tab.get((j, i), Scalar.const(0, self.params)) != cij:
                 raise ConfigError("coefficient table is not symmetric at (%d, %d)" % (i, j))
-        codec = SeriesCodec(3, len(self.params))
+        codec = KeyCodec(3, len(self.params))
         x, y, z = ({u: 1} for u in codec.units)
         left = self.add(self.add(x, y, degree, codec), z, degree, codec)
         right = self.add(x, self.add(y, z, degree, codec), degree, codec)

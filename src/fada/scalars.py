@@ -9,17 +9,25 @@ group laws, the printed coefficients of the CLI and the parameter c handed to
 the connective constructions.
 
 Terms are stored as a dict mapping exponent tuples (one slot per parameter) to
-nonzero ints, the format of `polyops`, whose product and exact division the
-arithmetic here calls.  The zero scalar has an empty term dict.
+nonzero ints.  Products pack them on a parameter-only `polyops.KeyCodec` for
+the one packed `polyops.pmul` and unpack the result; exact division calls
+`polyops.pdiv_exact`, which takes the tuples themselves.  The zero scalar has
+an empty term dict.
 """
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Dict, Mapping, Tuple, Union
 
 from . import polyops
 
 Expt = Tuple[int, ...]
+
+@lru_cache(maxsize=None)
+def _codec(nparams: int) -> polyops.KeyCodec:
+    return polyops.KeyCodec(0, nparams)
+
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^]))")
 
@@ -89,7 +97,10 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, (Scalar, int)):
             return NotImplemented
-        return Scalar(self.params, polyops.pmul(self.terms, self._coerce(other).terms))
+        codec = _codec(len(self.params))
+        prod = polyops.pmul(codec.pack_terms(self.terms),
+                            codec.pack_terms(self._coerce(other).terms), None, codec)
+        return Scalar(self.params, codec.unpack_terms(prod))
 
     __rmul__ = __mul__
 

@@ -15,6 +15,11 @@ from fada.scalars import Scalar
 import util
 
 
+# nonzero rank-two lattice points: negative and non-primitive ones included
+points = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+coeffs = st.integers(-3, 3).filter(bool)
+
+
 def torus(rtype="A1", backend="CON", kind="small", fgl=None, precision=8):
     return util.algebra(rtype, backend, kind, fgl, precision).torus
 
@@ -100,6 +105,24 @@ def test_big_torus_sees_translations():
     assert t.act_elem(s0, x_a) == t.x_root(((-1,), 2))
 
 
+@pytest.mark.parametrize("rtype,backend,kind", [
+    ("A1", "MUL", "small"), ("A2", "CON", "small"),
+    ("A1", "CON", "big"), ("A2", "MUL", "big"),
+])
+@given(data=st.data())
+def test_group_ring_action_moves_each_key_by_act_vec(rtype, backend, kind, data):
+    # on MUL and CON the action maps the packed key of each lattice point to
+    # that of its image, degree digit included: compare packed terms
+    t = torus(rtype, backend, kind)
+    ring = t.ring
+    n = ring.nvars
+    keys = st.tuples(*[st.integers(-3, 3)] * (n + len(ring.params)))
+    f = AlgebraElement(ring, data.draw(st.dictionaries(keys, coeffs, max_size=6)), None)
+    x = t.group.from_word(tuple(data.draw(st.lists(st.integers(0, t.datum.rank), max_size=5))))
+    moved = {t.act_vec(x, e[:n]) + e[n:]: c for e, c in f.terms.items()}
+    assert t.act_elem(x, f)._terms == ring.codec.pack_terms(moved)
+
+
 def test_act_loc():
     t = torus("A1", "CON")
     s1 = t.group.simple(1)
@@ -138,14 +161,11 @@ def test_divide_once_group_ring_units():
     assert q == e_alpha
 
 
-# nonzero rank-two lattice points: negative and non-primitive ones included
-points = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
-coeffs = st.integers(-3, 3).filter(bool)
-
-
 @pytest.mark.parametrize("rtype,backend,kind", [
+    ("A1", "MUL", "small"), ("A1", "CON", "small"),
     ("A2", "MUL", "small"), ("A2", "CON", "small"),
     ("A1", "MUL", "big"), ("A1", "CON", "big"),
+    ("A2", "MUL", "big"), ("A2", "CON", "big"),
 ])
 @given(data=st.data())
 def test_chain_division_matches_repeated_pdiv_exact(rtype, backend, kind, data):
@@ -153,7 +173,7 @@ def test_chain_division_matches_repeated_pdiv_exact(rtype, backend, kind, data):
     ring = t.ring
     keys = st.tuples(*[st.integers(-2, 2)] * (ring.nvars + len(ring.params)))
     f = AlgebraElement(ring, data.draw(st.dictionaries(keys, coeffs, max_size=5)), None)
-    b = data.draw(points)
+    b = data.draw(st.tuples(*[st.integers(-2, 2)] * ring.nvars).filter(any))
     m = data.draw(st.integers(1, 3))
     p = data.draw(st.integers(0, 3))
     if p:
@@ -166,7 +186,8 @@ def test_chain_division_matches_repeated_pdiv_exact(rtype, backend, kind, data):
         want, k = q, k + 1
     q, got = t.divide(f, b, m)
     assert got == k
-    assert q.terms == want
+    # packed terms, degree digit included
+    assert q._terms == ring.codec.pack_terms(want)
     assert k >= min(p, m)
 
 

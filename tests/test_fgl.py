@@ -18,13 +18,13 @@ def var(i, nvars, params=()):
 def add(law, p, q, prec, nvars):
     """law.add on tuple-keyed terms in `nvars` variables: packed on the way
     in, unpacked on the way out."""
-    codec = polyops.SeriesCodec(nvars, len(law.params))
+    codec = polyops.KeyCodec(nvars, len(law.params))
     return codec.unpack_terms(law.add(codec.pack_terms(p), codec.pack_terms(q), prec, codec))
 
 
 def inverse(law, p, prec, nvars):
     """law.inverse on tuple-keyed terms in `nvars` variables."""
-    codec = polyops.SeriesCodec(nvars, len(law.params))
+    codec = polyops.KeyCodec(nvars, len(law.params))
     return codec.unpack_terms(law.inverse(codec.pack_terms(p), prec, codec))
 
 

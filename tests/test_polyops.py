@@ -1,6 +1,6 @@
 """Folded-key Laurent arithmetic against sympy, lattice-degree truncation,
 division by x_b against the general division and the old slice loop, and
-the packed series kernels against the tuple-keyed ones they replaced."""
+the packed kernels against the tuple-keyed ones they replaced."""
 
 from functools import lru_cache
 
@@ -18,6 +18,7 @@ import util
 # two lattice slots and one parameter slot, as in a rank-two CON ring
 X, Y, C = sympy.symbols("x y c")
 NAMES = ("x", "y", "c")
+CON2 = polyops.KeyCodec(2, 1)
 
 keys = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
 laurent = st.dictionaries(keys, st.integers(-4, 4).filter(bool), max_size=4)
@@ -39,22 +40,23 @@ def sympy_divides(num, den):
 
 @given(laurent, laurent)
 def test_pmul_matches_sympy(p, q):
-    got = to_sympy(polyops.pmul(p, q))
+    prod = polyops.pmul(CON2.pack_terms(p), CON2.pack_terms(q), None, CON2)
+    got = to_sympy(CON2.unpack_terms(prod))
     assert sympy.expand(got - to_sympy(p) * to_sympy(q)) == 0
 
 
 @given(laurent, nonzero)
 def test_pdiv_exact_inverts_pmul(p, q):
-    assert polyops.pdiv_exact(polyops.pmul(p, q), q) == p
+    assert polyops.pdiv_exact(util.tuple_pmul(p, q), q) == p
 
 
 @given(laurent, nonzero, st.one_of(st.just({}), nonzero))
 def test_pdiv_exact_fails_exactly_on_a_remainder(p, q, r):
-    num = polyops.padd(polyops.pmul(p, q), r)
+    num = polyops.padd(util.tuple_pmul(p, q), r)
     quo = polyops.pdiv_exact(num, q)
     assert (quo is not None) == sympy_divides(num, q)
     if quo is not None:
-        assert polyops.pmul(quo, q) == num
+        assert util.tuple_pmul(quo, q) == num
 
 
 @given(laurent, nonzero, st.one_of(st.just({}), nonzero))
@@ -84,7 +86,7 @@ def test_series_product_truncates_by_lattice_degree_only():
     codec = ring.codec
     raw = polyops.pmul(codec.pack_terms(f.terms), codec.pack_terms(g.terms), 4, codec)
     assert codec.unpack_terms(raw) == prod.terms
-    assert polyops.pmul(f.terms, g.terms)[(5, -3, 2)] == 1
+    assert util.tuple_pmul(f.terms, g.terms)[(5, -3, 2)] == 1
 
 
 def test_series_terms_from_outside_are_truncated():
@@ -100,6 +102,23 @@ def test_series_terms_from_outside_are_truncated():
     assert ring.element({(5,): 1}).is_zero()
 
 
+# -- shapes of packed keys -----------------------------------------------------
+
+SERIES, LAURENT = st.integers(0, 3), st.integers(-3, 3)
+
+
+@st.composite
+def key_shapes(draw, lattice=SERIES):
+    """A codec of 1-3 lattice slots and 0-2 parameter slots, and a strategy
+    for tuple-keyed terms on it: lattice exponents drawn from `lattice`
+    (nonnegative for series, of either sign for Laurent keys), parameter
+    exponents of either sign, empty dicts included."""
+    nvars, nparams = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    keys = st.tuples(*[lattice] * nvars, *[st.integers(-3, 3)] * nparams)
+    terms = st.dictionaries(keys, st.integers(-4, 4).filter(bool), max_size=6)
+    return polyops.KeyCodec(nvars, nparams), terms
+
+
 # -- division by a linear form -------------------------------------------------
 
 
@@ -109,41 +128,72 @@ def linear(form, width):
             for i, v in enumerate(form) if v}
 
 
-# two lattice slots with nonnegative exponents, as on ADD, then one parameter
-# slot that rides along
-poly_keys = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2))
-polys = st.dictionaries(poly_keys, st.integers(-4, 4).filter(bool), max_size=6)
-forms = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+def linear_div(num, form, width):
+    """Division by l = sum_i form[i] x_i as ADD divides by x_b: through
+    `polyops.series_div_exact` with no precision bound, on tuple-keyed terms
+    of `width` slots, packed on the way in and unpacked on the way out."""
+    codec = polyops.KeyCodec(len(form), width - len(form))
+    got = polyops.series_div_exact(
+        codec.pack_terms(num), polyops.SeriesDivisor(codec.pack_terms(linear(form, width)), codec),
+        None)
+    if got is None:
+        return None
+    quo, qprec = got
+    assert qprec is None
+    return codec.unpack_terms(quo)
 
 
-@given(polys, forms, st.one_of(st.just({}), polys.filter(bool)), st.booleans())
-@example({(1, 2, 0): 1, (0, 0, 1): -2}, (2, -3), {}, False)
-@example({(1, 2, 0): 1, (0, 0, 1): -2}, (2, -3), {(3, 0, 0): 1}, False)
-@example({(1, 1, 0): 3}, (0, -3), {(0, 2, 0): 1}, True)
-def test_pdiv_linear_matches_pdiv_exact(f, form, r, params):
-    if not params:
-        f, r = ({e[:2]: c for e, c in t.items() if not e[2]} for t in (f, r))
-    width = 3 if params else 2
-    num = polyops.padd(polyops.pmul(f, linear(form, width)), r)
-    got = polyops.pdiv_linear(num, form)
-    assert got == polyops.pdiv_exact(num, linear(form, width), 2)
-    if not r:
-        assert got == f
+@st.composite
+def linear_divisions(draw):
+    """A codec shape, a nonzero integer linear form on its lattice slots, and
+    a numerator that is a multiple of the form, a multiple plus a remainder,
+    anything, or empty, on Laurent keys."""
+    codec, terms = draw(key_shapes(LAURENT))
+    n, width = codec.nvars, len(codec.unpack(codec.offset))
+    form = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)))
+    f, r = draw(terms), draw(terms)
+    num = draw(st.sampled_from([
+        util.tuple_pmul(f, linear(form, width)),
+        polyops.padd(util.tuple_pmul(f, linear(form, width)), r), f, {}]))
+    return num, form, width
 
 
-def test_pdiv_linear_needs_a_quotient_over_z():
+@given(linear_divisions())
+@example(({(1, 2, 0): 2, (0, 3, 0): -3, (1, 0, 1): 2, (0, 1, 1): -3}, (2, -3), 3))
+@example(({(2, 2, 0): 2, (1, 3, 0): -3, (3, 0, 0): 1}, (2, -3), 3))
+@example(({(1, 1, 0): 3, (0, 2, 0): 1}, (0, -3), 3))
+@example(({(0, -1): 2, (-1, 0): 1}, (2, 1), 2))
+def test_linear_division_matches_tuples_and_pdiv_exact(case):
+    num, form, width = case
+    n = len(form)
+    got = linear_div(num, form, width)
+    assert got == util.tuple_pdiv_linear(num, form)
+    laurent_quo = polyops.pdiv_exact(num, linear(form, width))
+    if got is not None:
+        assert got == laurent_quo
+        assert util.tuple_pmul(got, linear(form, width)) == num
+    if all(v >= 0 for e in num for v in e[:n]):
+        # a polynomial numerator: the polynomial quotient, if there is one
+        assert got == polyops.pdiv_exact(num, linear(form, width), n)
+
+
+def test_linear_division_needs_a_quotient_over_z():
     # x - y = (2x - 2y) / 2 divides over Q only; 2x - 2y divides over Z
     num = {(1, 0): 1, (0, 1): -1}
-    assert polyops.pdiv_linear(num, (2, -2)) is None
+    assert linear_div(num, (2, -2), 2) is None
     assert polyops.pdiv_exact(num, linear((2, -2), 2), 2) is None
-    assert polyops.pdiv_linear(polyops.pscale(num, 2), (2, -2)) == {(0, 0): 1}
-    assert polyops.pdiv_linear({}, (0, 1)) == {}
+    assert linear_div(polyops.pscale(num, 2), (2, -2), 2) == {(0, 0): 1}
+    assert linear_div({}, (0, 1), 2) == {}
+    # x^{-1} y + 1 is x^{-1} (x + y) in the Laurent ring, but the division
+    # by x + y is polynomial in its pivot x
+    assert linear_div({(-1, 1): 1, (0, 0): 1}, (1, 1), 2) is None
+    assert polyops.pdiv_exact({(-1, 1): 1, (0, 0): 1}, linear((1, 1), 2)) == {(-1, 0): 1}
     with pytest.raises(ZeroDivisionError):
-        polyops.pdiv_linear(num, (0, 0))
+        linear_div(num, (0, 0), 2)
 
 
 def slice_loop_div(num, den, prec, nvars):
-    """Series division as it was before `pdiv_linear`: divide the lowest
+    """Series division as it was before synthetic division: divide the lowest
     slice of the remainder by the lowest form of den with `pdiv_exact`, and
     subtract the slice times the whole of den, one lattice degree at a time."""
     dval = util.tuple_pvaluation(den, nvars)
@@ -169,7 +219,7 @@ def slice_loop_div(num, den, prec, nvars):
 def series_div(num, den, prec, nvars):
     """`polyops.series_div_exact` on tuple-keyed terms of `nvars` lattice
     slots, packed on the way in and unpacked on the way out."""
-    codec = polyops.SeriesCodec(nvars, len(next(iter(den or num))) - nvars)
+    codec = polyops.KeyCodec(nvars, len(next(iter(den or num))) - nvars)
     got = polyops.series_div_exact(
         codec.pack_terms(num), polyops.SeriesDivisor(codec.pack_terms(den), codec), prec)
     return got if got is None else (codec.unpack_terms(got[0]), got[1])
@@ -275,21 +325,10 @@ def test_series_div_exact_needs_a_linear_lowest_form():
             series_div({(3,) + (0,) * (len(next(iter(den))) - 1): 1}, den, 4, 1)
 
 
-# -- packed series kernels against the tuple-keyed ones ------------------------
+# -- packed kernels against the tuple-keyed ones -------------------------------
 
 
-@st.composite
-def ser_shapes(draw):
-    """A codec of 1-3 lattice slots and 0-2 parameter slots, and a strategy
-    for tuple-keyed series on it: nonnegative lattice exponents, parameter
-    exponents of either sign, empty dicts included."""
-    nvars, nparams = draw(st.integers(1, 3)), draw(st.integers(0, 2))
-    keys = st.tuples(*[st.integers(0, 3)] * nvars, *[st.integers(-3, 3)] * nparams)
-    series = st.dictionaries(keys, st.integers(-4, 4).filter(bool), max_size=6)
-    return polyops.SeriesCodec(nvars, nparams), series
-
-
-@given(ser_shapes(), st.data())
+@given(key_shapes(LAURENT), st.data())
 def test_pack_round_trip_orders_by_lattice_degree(shape, data):
     codec, series = shape
     t = data.draw(series)
@@ -306,24 +345,44 @@ def test_pack_round_trip_orders_by_lattice_degree(shape, data):
 
 
 def test_out_of_range_exponents_raise():
-    codec = polyops.SeriesCodec(2, 1)
+    codec = polyops.KeyCodec(2, 1)
     top, low = 2 ** (polyops.DIGIT - 2) - 1, -2 ** (polyops.DIGIT - 2)
-    for e in [(0, 0, top), (0, 0, low), (2 ** (polyops.DIGIT - 1) - 1, 0, 0)]:
-        assert codec.unpack(codec.pack(e)) == e
-    for e in [(-1, 0, 0), (0, 2 ** (polyops.DIGIT - 1), 0), (0, 0, top + 1), (0, 0, low - 1),
-              (1, 0)]:
-        with pytest.raises(ValueError):
-            codec.pack(e)
-    # products that leave the range raise instead of carrying into the next digit
+    # every slot, lattice slots included, takes exponents in [low, top]
+    for i in range(3):
+        for v in (top, low):
+            e = tuple(v if j == i else 0 for j in range(3))
+            assert codec.unpack(codec.pack(e)) == e
+            with pytest.raises(ValueError):
+                codec.pack(tuple(v + (1 if v > 0 else -1) if j == i else 0 for j in range(3)))
+    with pytest.raises(ValueError):
+        codec.pack((1, 0))
+    # products that leave the range raise instead of carrying into the next
+    # digit: exact ones in any slot, cut ones in a parameter slot
+    for i in range(3):
+        for v in (top, low):
+            mono = codec.pack_terms({tuple(v if j == i else 0 for j in range(3)): 1})
+            with pytest.raises(ValueError):
+                polyops.pmul(mono, mono, None, codec)
     for v in (top, low):
         mono = codec.pack_terms({(1, 0, v): 1})
         with pytest.raises(ValueError):
             polyops.pmul(mono, mono, 4, codec)
+    # a bound below 2**30 keeps every lattice exponent of a series term valid
+    assert codec.limit(top) == (top + 1) << codec.shift
     with pytest.raises(ValueError):
-        codec.limit(2 ** (polyops.DIGIT - 1))
+        codec.limit(top + 1)
 
 
-@given(ser_shapes(), st.data(), st.integers(0, 8))
+@given(key_shapes(LAURENT), st.data())
+def test_packed_exact_product_matches_tuples(shape, data):
+    codec, terms = shape
+    a, b = data.draw(terms), data.draw(terms)
+    # packed keys, degree digit included, not only the exponents they decode to
+    got = polyops.pmul(codec.pack_terms(a), codec.pack_terms(b), None, codec)
+    assert got == codec.pack_terms(util.tuple_pmul(a, b))
+
+
+@given(key_shapes(), st.data(), st.integers(0, 8))
 def test_packed_product_truncation_and_valuation_match_tuples(shape, data, trunc):
     codec, series = shape
     a, b = data.draw(series), data.draw(series)
@@ -334,7 +393,7 @@ def test_packed_product_truncation_and_valuation_match_tuples(shape, data, trunc
     assert polyops.pvaluation(pa, codec) == util.tuple_pvaluation(a, n)
 
 
-@given(ser_shapes(), st.data(), st.integers(0, 6))
+@given(key_shapes(), st.data(), st.integers(0, 6))
 def test_packed_substitution_matches_tuples(shape, data, trunc):
     codec, series = shape
     a = data.draw(series)
@@ -342,8 +401,10 @@ def test_packed_substitution_matches_tuples(shape, data, trunc):
     got = polyops.psubstitute(codec.pack_terms(a), [codec.pack_terms(i) for i in images],
                               trunc, codec)
     assert codec.unpack_terms(got) == util.tuple_psubstitute(a, images, trunc)
-    # the exact route, on tuple keys, is the same homomorphism untruncated
-    assert polyops.psubstitute(a, images) == util.tuple_psubstitute(a, images)
+    # the exact route, as on ADD, is the same homomorphism untruncated
+    got = polyops.psubstitute(codec.pack_terms(a), [codec.pack_terms(i) for i in images],
+                              None, codec)
+    assert codec.unpack_terms(got) == util.tuple_psubstitute(a, images)
 
 
 @st.composite
@@ -351,7 +412,7 @@ def ser_divisions(draw):
     """A divisor with an integer linear lowest form and random higher layers,
     and a numerator that is a multiple of it, a multiple plus a remainder,
     anything, or empty."""
-    codec, series = draw(ser_shapes())
+    codec, series = draw(key_shapes())
     n, width = codec.nvars, len(codec.unpack(codec.offset))
     form = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
     den = {tuple(int(j == i) for j in range(width)): v for i, v in enumerate(form) if v}
@@ -367,9 +428,9 @@ def ser_divisions(draw):
 
 
 @given(ser_divisions())
-@example((polyops.SeriesCodec(1, 1), {(1, 0): 1}, {(1, 0): 2}, 3))
-@example((polyops.SeriesCodec(2, 0), {(0, 0): 1}, {(1, 0): 1}, 3))
-@example((polyops.SeriesCodec(1, 1), {}, {(1, 0): 1, (2, -1): 3}, 0))
+@example((polyops.KeyCodec(1, 1), {(1, 0): 1}, {(1, 0): 2}, 3))
+@example((polyops.KeyCodec(2, 0), {(0, 0): 1}, {(1, 0): 1}, 3))
+@example((polyops.KeyCodec(1, 1), {}, {(1, 0): 1, (2, -1): 3}, 0))
 def test_packed_series_division_matches_tuples(case):
     codec, num, den, prec = case
     want = util.tuple_series_div_exact(num, den, prec, codec.nvars)

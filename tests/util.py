@@ -211,10 +211,11 @@ def reference_inverse(d: Localized) -> Localized:
     return Localized(d.torus, inv)
 
 
-# -- the series kernels on exponent tuples, oracles for the packed ones ------
+# -- the ring kernels on exponent tuples, oracles for the packed ones --------
 #
-# The truncated product, truncation, valuation, substitution and series
-# division as they ran on tuple-keyed terms before SER moved to packed keys.
+# The exact and truncated product, truncation, valuation, substitution,
+# division by a linear form and series division as they ran on tuple-keyed
+# terms before every backend moved to packed keys.
 
 Terms = Dict[Tuple[int, ...], int]
 
@@ -284,10 +285,59 @@ def tuple_psubstitute(a: Terms, images: Sequence[Terms],
     return out
 
 
+def tuple_pdiv_linear(num: Terms, form: Sequence[int]) -> Optional[Terms]:
+    """Exact division of num by the integer linear form l = sum_i form[i] x_i.
+
+    Synthetic division in one pivot variable x_j: the terms are grouped once
+    by their x_j exponent and the groups walked from the top down.  Each
+    group divided by form[j] x_j is a slice of the quotient, and that slice
+    times l - form[j] x_j is subtracted from the group below.  Returns None
+    when form[j] does not divide a coefficient or a term is left at x_j^0
+    or below.  The first len(form) slots of each key are the lattice
+    variables; the parameter slots after them ride along.
+    """
+    if not any(form):
+        raise ZeroDivisionError("division by the zero linear form")
+    if not num:
+        return {}
+    j = next(i for i, v in enumerate(form) if v)
+    pivot = form[j]
+    rest = [(i, v) for i, v in enumerate(form) if v and i != j]
+    groups: Dict[int, Terms] = {}
+    for e, c in num.items():
+        groups.setdefault(e[j], {})[e] = c
+    quo: Terms = {}
+    for k in range(max(groups), 0, -1):
+        group = groups.get(k)
+        if not group:
+            continue
+        below = groups.setdefault(k - 1, {})
+        get = below.get
+        for e, c in group.items():
+            qc, r = divmod(c, pivot)
+            if r:
+                return None
+            key = list(e)
+            key[j] = k - 1
+            quo[tuple(key)] = qc
+            for i, v in rest:
+                key[i] += 1
+                ee = tuple(key)
+                key[i] -= 1
+                s = get(ee, 0) - v * qc
+                if s:
+                    below[ee] = s
+                else:
+                    del below[ee]
+    if any(group for k, group in groups.items() if k < 1):
+        return None
+    return quo
+
+
 def tuple_series_div_exact(num: Terms, den: Terms, prec: int,
                            nvars: int) -> Optional[Tuple[Terms, int]]:
     """Divide truncated series num by den, requiring exact divisibility, one
-    lattice-degree bucket at a time with `polyops.pdiv_linear`."""
+    lattice-degree bucket at a time with `tuple_pdiv_linear`."""
     if not den:
         raise ZeroDivisionError("series division by zero")
     layers: Dict[int, Terms] = {}
@@ -310,7 +360,7 @@ def tuple_series_div_exact(num: Terms, den: Terms, prec: int,
         bucket = buckets.get(v)
         if not bucket:
             continue
-        qslice = polyops.pdiv_linear(bucket, form)
+        qslice = tuple_pdiv_linear(bucket, form)
         if qslice is None:
             return None
         quo.update(qslice)
