@@ -381,8 +381,9 @@ def series_div_exact(num: Series, den: SeriesDivisor,
                         below[kk] = s
                     else:
                         del below[kk]
-        # a multiple of l leaves nothing at x_j^0 (nor below it)
-        if any(group for x, group in groups.items() if x <= _BIAS):
+        # a multiple of l leaves nothing at x_j^0, nor below it, where the
+        # walk never reaches
+        if groups.get(_BIAS) or min(groups) < _BIAS:
             return None
         # slices sit in distinct lattice degrees and never cancel
         quo.update(qslice)

@@ -24,6 +24,7 @@ from . import polyops
 
 Expt = Tuple[int, ...]
 
+
 @lru_cache(maxsize=None)
 def _codec(nparams: int) -> polyops.KeyCodec:
     return polyops.KeyCodec(0, nparams)
