@@ -12,13 +12,14 @@ The file records three things, on the machine the script runs on:
   and ``recurse --i 1`` on A1 L=8, A2 L=6 and B3 L=4), three fresh
   processes each, with their wall times, exit code and the SHA-256 of stdout.
   An exit code is data, not a failure: ``peterson --u 0`` on B3 L=4 exits
-  2, because P_{s_0} needs window 8 there;
+  2, because P_{s_0} needs window 8 there, so ``peterson --u 0`` on B3 L=8
+  is timed as well, as one extra run after the twelve;
 * ``tier1``: one run of the tier-1 suite, its wall time, its pass and fail
   counts and the time of each acceptance criterion.
 
 With ``--compare OLD.json`` the script also compares the CLI runs with
 those of an earlier file and exits 1 when an exit code or a stdout digest
-differs.
+differs.  A run the earlier file lacks is named on stderr and not compared.
 """
 
 import argparse
@@ -43,6 +44,8 @@ NORTH_STAR = [
     for command in ("expand", "gkm", "peterson", "recurse")
 ]
 EXTRA = {"peterson": ["--u", "0"], "recurse": ["--i", "1"]}
+# timed after the twelve: the B3 peterson run above ends in its exit-2 path
+EXTRA_RUNS = [("peterson", "B3", "8")]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 CRITERION = re.compile(r"criterion\s+(\d+): (\w+)\s+.*\(([\d.]+)s, budget ([\d.]+)s\)")
 SUMMARY = re.compile(r"(\d+) (\w+)")
@@ -98,7 +101,7 @@ def run_perfbench() -> dict:
 def run_cli() -> list:
     env = environment()
     out = []
-    for command, root, window in NORTH_STAR:
+    for command, root, window in NORTH_STAR + EXTRA_RUNS:
         argv = [command, "--root", root, "--window", window] + EXTRA.get(command, [])
         times, digests, codes = [], set(), set()
         for _ in range(REPEATS):
@@ -131,11 +134,18 @@ def run_tier1() -> dict:
             "counts": counts, "criteria": {str(k): criteria[k] for k in sorted(criteria)}}
 
 
-def compare(old: list, new: list) -> list:
-    """The north-star runs whose exit code or stdout differs between two files."""
+def compare(old: list, new: list) -> tuple:
+    """The CLI runs of the newer file whose exit code or stdout differs from
+    the older file's, and those the older file lacks."""
     before = {tuple(run["argv"]): (run["exit"], run["stdout_sha256"]) for run in old}
-    return [" ".join(run["argv"]) for run in new
-            if before.get(tuple(run["argv"])) != (run["exit"], run["stdout_sha256"])]
+    changed, missing = [], []
+    for run in new:
+        key = tuple(run["argv"])
+        if key not in before:
+            missing.append(" ".join(key))
+        elif before[key] != (run["exit"], run["stdout_sha256"]):
+            changed.append(" ".join(key))
+    return changed, missing
 
 
 def main(argv=None) -> int:
@@ -150,7 +160,9 @@ def main(argv=None) -> int:
         fh.write("\n")
     if args.compare:
         with open(args.compare) as fh:
-            changed = compare(json.load(fh).get("cli", []), report["cli"])
+            changed, missing = compare(json.load(fh).get("cli", []), report["cli"])
+        for line in missing:
+            sys.stderr.write("bench: not in %s, not compared: %s\n" % (args.compare, line))
         for line in changed:
             sys.stderr.write("bench: differs from %s: %s\n" % (args.compare, line))
         if changed:

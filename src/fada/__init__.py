@@ -18,10 +18,9 @@ from .scalars import Scalar
 from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .twisted import (BraidReport, ExpansionTables, TwistedAlgebra,
                       TwistedElement, braid_check)
-from .duals import (DualElement, GkmReport, TranslationDual, bullet,
-                    characteristic, dual_x, gkm_check_big, gkm_check_small,
-                    odot, pair, phi, pr_star, restrict_to_translations,
-                    w_invariance_report)
+from .duals import (DualElement, GkmReport, bullet, characteristic, dual_x,
+                    gkm_check_big, gkm_check_small, odot, pair, phi, pr_star,
+                    restrict_to_translations, w_invariance_report)
 from .peterson import (CentralizerReport, PetersonContext, PetersonExpansion,
                        StructurePair, antipode, centralizer_check,
                        centralizer_report, coproduct, coproduct_multiply,
@@ -42,7 +41,7 @@ __all__ = [
     "FormalGroupLaw", "GkmReport", "Localized", "MembershipError",
     "NotApplicableError", "PetersonContext", "PetersonExpansion",
     "PrecisionError", "RecursionReport", "Scalar", "StructurePair",
-    "TorusAlgebra", "TranslationDual", "TwistedAlgebra", "TwistedElement",
+    "TorusAlgebra", "TwistedAlgebra", "TwistedElement",
     "UnsupportedTheoryError", "Window", "WindowExceededError",
     "antipode", "appendix_crosscheck", "braid_check", "bullet",
     "centralizer_check", "centralizer_report", "characteristic",

@@ -18,7 +18,7 @@ from .a1hat import appendix_crosscheck, eta_sigma_closed, sigma_index
 from .algebra import EXACT_BACKENDS, AlgebraElement, Localized, TorusAlgebra
 from .connective import ConnectiveContext, check_recursion, hecke_action_check
 from .duals import dual_x, gkm_check_big, gkm_check_small
-from .errors import ConfigError, FadaError, MembershipError
+from .errors import ConfigError, FadaError, MembershipError, WindowExceededError
 from .peterson import PetersonContext, centralizer_report
 from .roots import AffineElt, AffineWeylGroup, FiniteRootDatum, Window
 from .twisted import ExpansionTables, TwistedAlgebra, braid_check
@@ -345,6 +345,10 @@ def cmd_recurse(cfg: JobConfig) -> Tuple[dict, bool]:
     word = cfg.extra.get("v")
     if word is not None:
         targets = [group.from_word(word)]
+        if targets[0] not in out_window:
+            raise WindowExceededError(
+                "--v has length %d, but recurse checks lengths up to the window less "
+                "one, %d; rerun with --window >= %d" % (len(word), cfg.window - 1, len(word) + 1))
     else:
         targets = list(out_window.elements)
     rows = []

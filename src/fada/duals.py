@@ -376,56 +376,23 @@ def gkm_check_big(f: DualElement) -> GkmReport:
     return report
 
 
-# -- duals on the translation lattice --------------------------------------
+# -- functions on the translation lattice -----------------------------------
+# A lattice function is a plain dict from lattice points to localized values,
+# as `peterson.coproduct` is one on pairs of them: two are summed and compared
+# through `row_sum` and `combine_rows`.
 
 
-class TranslationDual:
-    """A function on translation lattice points, the small-torus counterpart
-    of duals restricted through the translation projection."""
-
-    __slots__ = ("torus", "values")
-
-    def __init__(self, torus: TorusAlgebra, values: Dict[Vec, Localized]):
-        self.torus = torus
-        self.values = {tuple(k): v for k, v in values.items() if not v.is_zero()}
-
-    def get(self, lam: Vec) -> Localized:
-        lam = tuple(lam)
-        if lam in self.values:
-            return self.values[lam]
-        return Localized(self.torus, self.torus.ring.zero())
-
-    def __eq__(self, other):
-        if not isinstance(other, TranslationDual):
-            return NotImplemented
-        return not combine_rows(((1, self.values), (-1, other.values)))
-
-    def __hash__(self):
-        raise TypeError("TranslationDual is unhashable")
-
-    def __repr__(self):
-        parts = ["t%r -> %r" % (k, v) for k, v in sorted(self.values.items())]
-        return "TranslationDual{%s}" % "; ".join(parts)
+def restrict_to_translations(f: DualElement) -> Dict[Vec, Localized]:
+    """The lattice function lam -> f[t_lam], on the translations of f's support."""
+    group = f.torus.group
+    return {w.t: v for w, v in f.values.items() if group.is_translation(w)}
 
 
-def restrict_to_translations(f: DualElement) -> TranslationDual:
-    """Keep only the values at translation elements t_lam."""
-    values = {}
-    for w, v in f.values.items():
-        if f.torus.group.is_translation(w):
-            values[w.t] = v
-    return TranslationDual(f.torus, values)
-
-
-def pr_star(torus: TorusAlgebra, g: TranslationDual, window: Window) -> DualElement:
-    """Pull a translation-lattice function back through pr(w t_lam) = t_{w lam}.
+def pr_star(torus: TorusAlgebra, g: Dict[Vec, Localized], window: Window) -> DualElement:
+    """Pull a lattice function back through pr(w t_lam) = t_{w lam}.
 
     The image is constant on cosets u W by construction, hence invariant for
     the bullet action of the finite Weyl group.
     """
-    values = {}
-    for x in window.elements:
-        v = g.get(x.w.act_coroot(x.t))
-        if not v.is_zero():
-            values[x] = v
-    return DualElement(torus, window, values)
+    pulled = ((x, g.get(x.w.act_coroot(x.t))) for x in window.elements)
+    return DualElement(torus, window, {x: v for x, v in pulled if v is not None})

@@ -14,8 +14,11 @@ kinds.  Their coefficient tables are finite, and they admit exact polynomial
 or group-algebra models elsewhere in the package; every kind is also handled
 through truncated power series with tracked precision.
 
-Coefficient tables are kept as `Scalar` values, the form a custom descriptor
-is parsed into.  The series operations `add` and `inverse` take and return
+Each law keeps one table of coefficients as `Scalar` values, the form a
+custom descriptor is parsed into.  A custom or connective-family table is
+complete when the law is made; the hyperbolic one is built to the largest
+degree asked for so far, and rebuilt only when a larger degree is asked
+for.  `table(d)` cuts the table to degree d.  The series operations `add` and `inverse` take and return
 term dicts on packed keys, the one key layout of every ring element (see
 `polyops`): the keys of a `polyops.KeyCodec` whose lattice slots are the
 series variables, followed by one slot per parameter of the law, cut at a
@@ -53,8 +56,13 @@ class FormalGroupLaw:
         self.table_degree = table_degree
         # the c of x + y - c*xy for a law of the connective family, else None
         self.c = c
-        self._table_cache: Dict[int, Dict[Tuple[int, int], Scalar]] = {}
-        self._custom: Optional[Dict[Tuple[int, int], Scalar]] = None
+        # the one coefficient table: the hyperbolic one is complete through
+        # degree self._built, every other one is complete when made
+        self._table: Dict[Tuple[int, int], Scalar] = {}
+        self._built: Optional[int] = 0 if kind == "hyperbolic" else None
+        if c is not None:
+            one = Scalar.const(1, params)
+            self._table = {(1, 0): one, (0, 1): one, (1, 1): -c}
 
     # -- constructors ------------------------------------------------------
 
@@ -77,44 +85,35 @@ class FormalGroupLaw:
     @staticmethod
     def custom(coeffs: Dict[Tuple[int, int], Scalar], degree: int, params: Tuple[str, ...]) -> "FormalGroupLaw":
         fgl = FormalGroupLaw("custom", params, degree, None)
-        fgl._custom = dict(coeffs)
+        fgl._table = dict(coeffs)
         fgl.validate(degree)
         return fgl
 
     # -- coefficient table -------------------------------------------------
 
     def table(self, degree: int) -> Dict[Tuple[int, int], Scalar]:
-        """Coefficients a_ij for 1 <= i + j <= degree."""
+        """The nonzero coefficients a_ij with 1 <= i + j <= degree, cut from the
+        law's one table, which is first extended if it stops below `degree`."""
         if self.table_degree is not None and degree > self.table_degree:
             raise PrecisionError(
                 "table for %s known to degree %d, requested %d"
                 % (self.kind, self.table_degree, degree)
             )
-        if degree in self._table_cache:
-            return self._table_cache[degree]
-        if self.c is not None:
-            one = Scalar.const(1, self.params)
-            tab = {(1, 0): one, (0, 1): one, (1, 1): -self.c}
-        elif self.kind == "hyperbolic":
-            tab = self._hyperbolic_table(degree)
-        else:
-            tab = {ij: c for ij, c in self._custom.items() if ij[0] + ij[1] <= degree}
-        tab = {ij: c for ij, c in tab.items() if not c.is_zero()}
-        self._table_cache[degree] = tab
-        return tab
+        if self._built is not None and degree > self._built:
+            self._table = self._hyperbolic_table(degree)
+            self._built = degree
+        return {ij: a for ij, a in self._table.items()
+                if ij[0] + ij[1] <= degree and not a.is_zero()}
 
     def _hyperbolic_table(self, degree: int) -> Dict[Tuple[int, int], Scalar]:
-        # (x + y - c*xy) / (1 + a*xy) = sum_k (-a)^k (xy)^k (x + y - c*xy)
-        params = self.params
-        c = Scalar.param("c", params)
-        a = Scalar.param("a", params)
+        # (x + y - c*xy) / (1 + a*xy) = sum_k (-a)^k (xy)^k (x + y - c*xy),
+        # whose entries for k start at degree 2k + 1
+        c, a = (Scalar.param(name, self.params) for name in ("c", "a"))
         tab: Dict[Tuple[int, int], Scalar] = {}
-        s = Scalar.const(1, params)
-        # (k + 1, k) is the first entry of each k, of degree 2k + 1
+        s = Scalar.const(1, self.params)
         for k in range((degree + 1) // 2):
-            for ij, v in (((k + 1, k), s), ((k, k + 1), s), ((k + 1, k + 1), -(s * c))):
-                if sum(ij) <= degree:
-                    tab[ij] = v
+            tab[(k + 1, k)] = tab[(k, k + 1)] = s
+            tab[(k + 1, k + 1)] = -(s * c)
             s = s * -a
         return tab
 
@@ -155,8 +154,10 @@ class FormalGroupLaw:
 
         Before step d, cur agrees with i(p) through degree d - 1, so F(p, cur)
         starts at degree d and step d runs `add` at precision d, the one
-        degree it certifies."""
+        degree it certifies.  The table is asked for at `prec` first, so it is
+        built once and each step cuts it."""
         self._check_args(prec, codec, p)
+        self.table(prec)
         cur = polyops.pneg(p)
         for d in range(2, prec + 1):
             cur = polyops.psub(cur, self.add(p, cur, d, codec))

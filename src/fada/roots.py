@@ -133,7 +133,6 @@ class FiniteRootDatum:
         self._validate()
         self._build_weyl()
         self._close_roots()
-        self._affine_cartan()
 
     # -- constructors ------------------------------------------------------
 
@@ -331,28 +330,17 @@ class FiniteRootDatum:
 
     # -- affine data -------------------------------------------------------
 
-    def _affine_cartan(self) -> None:
-        n = self.rank
-        A = self.cartan
-        th = self.theta
-        thv = self.theta_coroot
-
-        def unit(i: int) -> Vec:
-            return tuple(1 if j == i else 0 for j in range(n))
-
-        rows: List[Tuple[int, ...]] = []
-        top = [2] + [-self.pairing(thv, unit(j)) for j in range(n)]
-        rows.append(tuple(top))
-        for i in range(n):
-            row = [-self.pairing(unit(i), th)] + list(A[i])
-            rows.append(tuple(row))
-        self.affine_cartan: Mat = tuple(rows)
-
     def braid_order(self, i: int, j: int) -> Optional[int]:
-        """Order of s_i s_j in the affine group; None means infinite."""
+        """Order of s_i s_j in the affine group; None means infinite.
+
+        It is read off a_ij a_ji, a_ij = <alpha_i^v, alpha_j>, with
+        alpha_0 = -theta and alpha_0^v = -theta^v."""
         if i == j:
             return 1
-        prod = self.affine_cartan[i][j] * self.affine_cartan[j][i]
+        units = [tuple(int(m == k) for m in range(self.rank)) for k in range(self.rank)]
+        simple = [(vneg(self.theta_coroot), vneg(self.theta))] + [(e, e) for e in units]
+        (coi, ri), (coj, rj) = simple[i], simple[j]
+        prod = self.pairing(coi, rj) * self.pairing(coj, ri)
         return {0: 2, 1: 3, 2: 4, 3: 6}.get(prod)
 
 
@@ -602,8 +590,6 @@ class AffineWeylGroup:
                     if self.right_descent(x, i):
                         continue
                     y = self.mul(x, self.generators[i])
-                    if y in lengths:
-                        continue
                     cand = words[x] + (i,)
                     if y not in nxt or cand < nxt[y]:
                         nxt[y] = cand

@@ -24,8 +24,10 @@ summed entry once by the diagonal of X_{I_w}, a unit over a product of
 x_beta, by subtracting denominator multiplicities.
 
 Twisted elements, rows, duals and the Peterson projections are all maps
-from affine Weyl elements to localized values.  `row_sum` is the one linear
-combination sum_u c_u map_u of such maps, left unsimplified, and
+from affine Weyl elements to localized values, and functions on the
+translation lattice are maps from lattice points.  `row_sum` is the one
+accumulator of such maps: it forms every linear combination
+sum_u c_u map_u, the twisted product included, left unsimplified, and
 `combine_rows` is the same sum settled; a difference that settles to the
 empty map is the one equality test of maps.
 """
@@ -78,15 +80,13 @@ class TwistedElement:
         return (-self) + other
 
     def __mul__(self, other):
+        # sum_w c * (sum_w2 w(c2) eta_{w w2}), one row per term of self
         other = self.algebra.coerce(other)
         torus = self.algebra.torus
-        out: Dict[AffineElt, Localized] = {}
-        for w, c in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = torus.group.mul(w, w2)
-                val = c * torus.act_loc(w, c2)
-                out[key] = out[key] + val if key in out else val
-        return TwistedElement(self.algebra, out)
+        mul, act = torus.group.mul, torus.act_loc
+        return TwistedElement(self.algebra, row_sum(
+            (c, {mul(w, w2): act(w, c2) for w2, c2 in other.terms.items()})
+            for w, c in self.terms.items()))
 
     def __rmul__(self, other):
         # scalars embed as coefficients of eta_e, so coerce and multiply

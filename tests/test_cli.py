@@ -234,6 +234,24 @@ def test_peterson_index_outside_the_window_names_the_window_needed(capsys):
     assert "non-minimal" not in err
 
 
+@pytest.mark.parametrize("word,needed", [("1,2,1,0", 5), ("1,2,1,0,1,2", 7)])
+def test_recurse_v_outside_the_checked_window_names_the_window_needed(capsys, word, needed):
+    # recurse checks the elements of length < window; outside them the dual
+    # X*_v is zero on the window, so the action would hold vacuously
+    def recurse(window):
+        return run_cli(capsys, "recurse", "--root", "A2", "--window", str(window),
+                       "--i", "1", "--v", word)
+
+    for window in (3, needed - 1):
+        rc, out, err = recurse(window)
+        assert rc == 2 and out == ""
+        assert "rerun with --window >= %d" % needed in err
+    rc, out, err = recurse(needed)
+    assert rc == 0, err
+    actions = json.loads(out)["actions"]
+    assert actions and all(row["ok"] for row in actions)
+
+
 # -- spec'd behaviors --------------------------------------------------------
 
 def test_gkm_all_pass(capsys):

@@ -9,12 +9,12 @@ import pytest
 from fada.algebra import AlgebraElement, Localized
 from fada.connective import ConnectiveContext
 from fada.errors import WindowExceededError
-from fada.twisted import TwistedElement
+from fada.twisted import TwistedElement, combine_rows
 from fada.duals import (BINOMIAL_SUM, NOT_REGULAR, ORBIT_LEAVES,
                         REFLECTED_ORBIT_LEAVES, REFLECTED_SUM, DualElement,
-                        GkmRecord, TranslationDual, bullet, characteristic,
-                        dual_x, gkm_check_big, gkm_check_small, odot, pair,
-                        phi, pr_star, restrict_to_translations,
+                        GkmRecord, bullet, characteristic, dual_x,
+                        gkm_check_big, gkm_check_small, odot, pair, phi,
+                        pr_star, restrict_to_translations,
                         w_invariance_report)
 
 import util
@@ -166,13 +166,13 @@ def test_out_window_must_leave_room():
 # -- invariance -------------------------------------------------------------
 
 def invariant_translation_function(t, window):
-    g = TranslationDual(t, {
+    g = {
         (0,): Localized(t, t.ring.one()),
         (1,): Localized(t, t.simple_x(1)),
         (-1,): Localized(t, t.neg_simple_x(1)),
         (2,): Localized(t, t.simple_x(1) * t.simple_x(1)),
         (-2,): Localized(t, t.ring.from_scalar(3)),
-    })
+    }
     return g, pr_star(t, g, window)
 
 
@@ -182,7 +182,17 @@ def test_pr_star_is_coset_constant():
     g, f = invariant_translation_function(t, t.group.window(4))
     rep = w_invariance_report(f)
     assert rep.invariant and rep.checked > 0
-    assert restrict_to_translations(f) == g
+    assert not combine_rows(((1, restrict_to_translations(f)), (-1, g)))
+
+
+def test_pr_star_reads_lattice_points_the_function_leaves_out_as_zero():
+    alg, _ = setup_a1()
+    t = alg.torus
+    win = t.group.window(4)
+    g = {(1,): Localized(t, t.ring.one()), (0,): Localized(t, t.ring.zero())}
+    f = pr_star(t, g, win)
+    assert f.values and all(x.w.act_coroot(x.t) == (1,) for x in f.values)
+    assert restrict_to_translations(f) == {(1,): g[(1,)]}
 
 
 def test_bullet_invariance_holds_but_odot_fails():
@@ -465,19 +475,6 @@ def test_big_gkm_rejects_perturbation():
     bad[w0] = f.get(w0) + 1
     rep = gkm_check_big(DualElement(t, win, bad))
     assert not rep.passed
-
-
-def test_translation_dual_basics():
-    alg, _ = setup_a1()
-    t = alg.torus
-    g = TranslationDual(t, {(1,): Localized(t, t.ring.one()),
-                            (0,): Localized(t, t.ring.zero())})
-    assert (0,) not in g.values
-    assert g.get((1,)) == 1
-    assert g.get((5,)).is_zero()
-    with pytest.raises(TypeError):
-        hash(g)
-    assert "t(1,)" in repr(g)
 
 
 # -- support-only loops against the full-window oracles -----------------------

@@ -117,6 +117,26 @@ def test_table_beyond_custom_degree_raises():
     assert law.table(3) == coeffs
     with pytest.raises(PrecisionError):
         law.table(4)
+    with pytest.raises(PrecisionError):
+        add(law, var(0, 2, P), var(1, 2, P), 4, 2)
+
+
+def test_inverse_builds_the_hyperbolic_table_once(monkeypatch):
+    builds = []
+    build = FormalGroupLaw._hyperbolic_table
+
+    def counted(self, degree):
+        builds.append(degree)
+        return build(self, degree)
+
+    monkeypatch.setattr(FormalGroupLaw, "_hyperbolic_table", counted)
+    law = FormalGroupLaw.hyperbolic()
+    inverse(law, var(0, 1, law.params), 12, 1)
+    assert builds == [12]
+    # each cut of the one table is the table a fresh law builds to that degree
+    for d in range(1, 13):
+        assert law.table(d) == FormalGroupLaw.hyperbolic().table(d), d
+    assert builds == [12] + list(range(1, 13))
 
 
 # -- the group operation ----------------------------------------------------

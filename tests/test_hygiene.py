@@ -376,8 +376,8 @@ def test_public_names_resolve_once():
     assert [n for n in names if not hasattr(fada, n)] == []
 
 
-# the one sum of maps, and the product loop kept by hand for speed
-ACCUMULATORS = ["twisted:TwistedElement.__mul__", "twisted:row_sum"]
+# the one sum of maps: every other map, the twisted product included, is summed through it
+ACCUMULATORS = ["twisted:row_sum"]
 
 
 def _is_accumulation(node):

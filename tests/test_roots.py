@@ -56,6 +56,25 @@ def test_braid_orders():
     assert d2.braid_order(0, 2) == 3
 
 
+@pytest.mark.parametrize("rtype", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
+def test_braid_order_is_the_order_of_s_i_s_j_in_the_group(rtype):
+    # the oracle: the least m <= 6 with (s_i s_j)^m = e, else None
+    g = AffineWeylGroup(FiniteRootDatum.from_type(rtype))
+
+    def order(i, j):
+        step = g.mul(g.simple(i), g.simple(j))
+        power = step
+        for m in range(1, 7):
+            if power == g.identity:
+                return m
+            power = g.mul(power, step)
+        return None
+
+    for i in g.labels:
+        for j in g.labels:
+            assert g.datum.braid_order(i, j) == order(i, j), (i, j)
+
+
 def test_from_cartan_validation():
     d = FiniteRootDatum.from_cartan([[2, -1], [-1, 2]], "custom-a2")
     assert d.theta == (1, 1)

@@ -1,6 +1,7 @@
 """The maintenance scripts under scripts/, each run as a user runs it, so a
 change to ``fada`` that breaks one fails here rather than on its next use."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,17 @@ def test_peterson_survey_runs():
 def test_bench_prints_its_usage():
     lines = run_script("bench.py", "--help")
     assert lines[0].startswith("usage: bench.py")
+
+
+def test_bench_compare_names_changed_runs_and_skips_new_ones():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def run(argv, code, digest):
+        return {"argv": argv.split(), "exit": code, "stdout_sha256": digest}
+
+    old = [run("gkm --root A1", 0, "a"), run("expand --root A1", 0, "b")]
+    new = [run("gkm --root A1", 0, "a"), run("expand --root A1", 1, "b"),
+           run("peterson --root B3", 0, "c")]
+    assert bench.compare(old, new) == (["expand --root A1"], ["peterson --root B3"])
