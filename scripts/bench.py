@@ -13,7 +13,8 @@ The file records three things, on the machine the script runs on:
   processes each, with their wall times, exit code and the SHA-256 of stdout.
   An exit code is data, not a failure: ``peterson --u 0`` on B3 L=4 exits
   2, because P_{s_0} needs window 8 there, so ``peterson --u 0`` on B3 L=8
-  is timed as well, as one extra run after the twelve;
+  is timed as well, as an extra run after the twelve, and so is ``gkm`` on
+  A3 L=7, where the GKM checks are most of the run;
 * ``tier1``: one run of the tier-1 suite, its wall time, its pass and fail
   counts and the time of each acceptance criterion.
 
@@ -44,8 +45,9 @@ NORTH_STAR = [
     for command in ("expand", "gkm", "peterson", "recurse")
 ]
 EXTRA = {"peterson": ["--u", "0"], "recurse": ["--i", "1"]}
-# timed after the twelve: the B3 peterson run above ends in its exit-2 path
-EXTRA_RUNS = [("peterson", "B3", "8")]
+# timed after the twelve: the B3 peterson run above ends in its exit-2 path,
+# and the twelve hold no run whose time the GKM checks dominate
+EXTRA_RUNS = [("peterson", "B3", "8"), ("gkm", "A3", "7")]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 CRITERION = re.compile(r"criterion\s+(\d+): (\w+)\s+.*\(([\d.]+)s, budget ([\d.]+)s\)")
 SUMMARY = re.compile(r"(\d+) (\w+)")

@@ -25,16 +25,20 @@ each degree d up to a chosen bound, that the d-th orbit difference
 (1 - t_{alpha^v})^d f, and the (d-1)-th difference of f minus its reflected
 orbit, lie in x_alpha^d S; the big-torus conditions are the classical
 pairwise divisibility conditions along real affine reflections.  Both checks
-simplify each value once to a ring element and divide differences of those.
-The small-torus check walks the translation chains of the window, where
-t_mu (u t_a) = u t_{a + u^-1 mu} is a vector sum, and shares each difference
-among the orbits through its point.  A difference that is an exact zero
-passes without a division.
+simplify each value of the support once to a ring element and divide
+differences of those; when the ring's zero is exact an absent point is an
+exact zero, and a difference that is one passes without a division.  On SER
+a zero is not exact, so there the support is the whole window.  The
+small-torus check walks the translation chains of the window, where
+t_mu (u t_a) = u t_{a + u^-1 mu} is a vector sum, and forms the orbit
+differences only where the support reaches.  Which of its conditions are
+checked or skipped depends on the window alone: that plan is built once per
+root, degree bound and flag, and cached on the window.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .roots import AffRoot, AffineElt, Vec, Window
@@ -183,24 +187,35 @@ def phi(torus: TorusAlgebra, a: AlgebraElement, b: AlgebraElement,
 
 @dataclass
 class InvarianceReport:
+    """Failures are records (u, i), f[u] != f[u s_i]; `describe` turns one
+    into text."""
+
+    window: Window
     checked: int = 0
     skipped: int = 0
-    failures: List[str] = field(default_factory=list)
+    failures: List[Tuple[AffineElt, int]] = field(default_factory=list)
 
     @property
     def invariant(self) -> bool:
         return not self.failures
+
+    def describe(self, failure: Tuple[AffineElt, int]) -> str:
+        u, i = failure
+        name = self.window.group.element_name(u)
+        return "f[%s] != f[%s s%d]" % (name, name, i)
 
 
 def w_invariance_report(f: DualElement) -> InvarianceReport:
     """Constancy of f on cosets u W: f[u] == f[u s_i] for finite i.
 
     Pairs whose partner leaves the window are counted as skipped; invariance
-    is certified only on the pairs both of whose members are enumerable.
+    is certified only on the pairs both of whose members are enumerable.  A
+    pair with neither point in the support of f is checked and passes with no
+    arithmetic: both values are the ring's zero.
     """
     torus = f.torus
     group = torus.group
-    rep = InvarianceReport()
+    rep = InvarianceReport(f.window)
     for u in f.window.elements:
         for i in range(1, torus.datum.rank + 1):
             us = group.mul(u, group.simple(i))
@@ -208,10 +223,8 @@ def w_invariance_report(f: DualElement) -> InvarianceReport:
                 rep.skipped += 1
                 continue
             rep.checked += 1
-            if not (f.get(u) == f.get(us)):
-                rep.failures.append(
-                    "f[%s] != f[%s s%d]" % (group.element_name(u),
-                                            group.element_name(u), i))
+            if (u in f.values or us in f.values) and not (f.get(u) == f.get(us)):
+                rep.failures.append((u, i))
     return rep
 
 
@@ -279,25 +292,93 @@ class GkmReport:
         return "%s for alpha=%r d=%d w=%s not in x^%d S" % (reason, root, d, name(w), d)
 
 
-def _regular_values(f: DualElement, report: GkmReport) -> Optional[List[AlgebraElement]]:
-    """The window's values in window order, each simplified once to a ring
+def _regular_values(f: DualElement, report: GkmReport) -> Optional[Dict[int, AlgebraElement]]:
+    """The values of f by window position, each simplified once to a ring
     element; None when some value keeps a denominator, each such value
-    recorded as a violation."""
-    values = []
-    for w in f.window.elements:
-        report.checked += 1
+    recorded as a violation.  Every window element counts as checked, but
+    when the ring's zero is exact only the support of f is read."""
+    window = f.window
+    report.checked += len(window.elements)
+    if f.torus.ring.zero().is_exact_zero():
+        support = sorted(map(window.index.__getitem__, f.values))
+    else:
+        support = range(len(window.elements))
+    values = {}
+    for k in support:
+        w = window.elements[k]
         s = f.get(w).simplify()
         if s.den_map:
             report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
-        values.append(s.num)
+        values[k] = s.num
     return None if report.violations else values
 
 
-def _divisible(torus: TorusAlgebra, g: AlgebraElement, beta: AffRoot, d: int) -> bool:
-    """Whether x_beta^d divides g; an exact zero without dividing."""
-    if g.is_exact_zero():
+def _minus(a: Optional[AlgebraElement], b: Optional[AlgebraElement]) -> Optional[AlgebraElement]:
+    """a - b, None standing for an exact zero; None when both are."""
+    if b is None:
+        return a
+    return -b if a is None else a - b
+
+
+def _divisible(torus: TorusAlgebra, g: Optional[AlgebraElement], beta: AffRoot, d: int) -> bool:
+    """Whether x_beta^d divides g; None or an exact zero without dividing."""
+    if g is None or g.is_exact_zero():
         return True
     return torus.divides(g, beta, d) is not None
+
+
+class _SmallPlan(NamedTuple):
+    """What the small-torus conditions of one root alpha ask of a window,
+    whatever the dual: for each position x, how many steps t^j x stay in the
+    window (at most the degree bound) and the position whose t-step is x
+    (None outside the window); the number of conditions checked when every
+    one passes; and the skip records in (x, d) order."""
+
+    reach: Tuple[int, ...]
+    preds: Tuple[Optional[int], ...]
+    checked: int
+    skipped: Tuple[GkmRecord, ...]
+
+
+def _mirror(reach: Sequence[int], reflect: Sequence[Optional[int]], k: int,
+            d: int) -> Optional[int]:
+    """The position of s_alpha x_k when its first d - 1 t-steps stay in the
+    window, so that the reflected condition at (x_k, d) is checked; else None."""
+    m = reflect[k]
+    return None if m is None or reach[m] < d - 1 else m
+
+
+def _small_plan(window: Window, alpha: Vec, degree_bound: int,
+                grassmannian: bool) -> _SmallPlan:
+    """The plan of `gkm_check_small` for one root, built once per window and
+    cached there by (alpha, degree bound, grassmannian)."""
+    key = (alpha, degree_bound, grassmannian)
+    plan = window._gkm_plans.get(key)
+    if plan is not None:
+        return plan
+    shift, reflect = window.root_steps(alpha)
+    reach = [0] * len(shift)
+    for _ in range(degree_bound):
+        reach = [0 if j is None else 1 + reach[j] for j in shift]
+    preds: List[Optional[int]] = [None] * len(shift)
+    for k, j in enumerate(shift):
+        if j is not None:
+            preds[j] = k
+    checked, skipped = 0, []
+    for k, w in enumerate(window.elements):
+        for d in range(1, degree_bound + 1):
+            if reach[k] < d:
+                skipped.append(GkmRecord(alpha, d, w, ORBIT_LEAVES))
+            elif grassmannian:
+                checked += 1
+            elif _mirror(reach, reflect, k, d) is None:
+                checked += 1
+                skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
+            else:
+                checked += 2
+    plan = window._gkm_plans[key] = _SmallPlan(tuple(reach), tuple(preds), checked,
+                                               tuple(skipped))
+    return plan
 
 
 def gkm_check_small(f: DualElement, degree_bound: int,
@@ -315,54 +396,68 @@ def gkm_check_small(f: DualElement, degree_bound: int,
         argument is eta_{t^j} eta_{s_alpha} eta_w, not s_alpha applied after
         the translation.
 
-    For each alpha, D_k[x] = D_{k-1}[x] - D_{k-1}[t x] (D_0 = f) is built
-    once along the translation chains (`Window.root_steps`) for every x with
-    x, t x, ..., t^k x in the window, and None for the others.  Then
-    ((1 - t)^d f)[w] = D_d[w], and the reflected difference is
-    D_{d-1}[w] - D_{d-1}[s_alpha w].  A difference that is an exact zero
-    passes with no division; a SER zero is divided, so exhausted precision
-    still raises.  A condition whose points leave the window is
-    skipped and reported, never treated as zero.
+    Which conditions are checked, and which are skipped because their points
+    leave the window, depends on the window alone: `_small_plan` builds the
+    counts and skip records once per root and caches them on the window, and
+    each report gets a fresh list.  A skipped condition is never treated as
+    zero.  With D_0 = f, D_k[x] = D_{k-1}[x] - D_{k-1}[t x] is formed only
+    where x or t x carries a nonzero D_{k-1}, exact zeros dropped.  Then
+    ((1 - t)^d f)[w] = D_d[w] and the reflected difference is
+    D_{d-1}[w] - D_{d-1}[s_alpha w].  Only nonzero differences are divided,
+    in (alpha, w, d) order, binomial condition first, so the first violation
+    and any `PrecisionError` are those of a walk over the whole window; on
+    SER, where no zero is exact, that is the walk.  A binomial violation
+    leaves its reflected condition unchecked.
     """
     torus = f.torus
-    report = GkmReport(torus.torus, torus.ring.backend, degree_bound, f.window)
+    window = f.window
+    report = GkmReport(torus.torus, torus.ring.backend, degree_bound, window)
     values = _regular_values(f, report)
     if values is None:
         return report
 
     for alpha in torus.datum.positive_roots:
         beta = (alpha, 0)
-        shift, reflect = f.window.root_steps(alpha)
+        shift, reflect = window.root_steps(alpha)
+        plan = _small_plan(window, alpha, degree_bound, grassmannian)
+        reach, preds = plan.reach, plan.preds
         diffs = [values]
-        for _ in range(degree_bound):
-            prev = diffs[-1]
-            diffs.append([None if g is None or j is None or prev[j] is None else g - prev[j]
-                          for g, j in zip(prev, shift)])
-        for k, w in enumerate(f.window.elements):
-            for d in range(1, degree_bound + 1):
-                if diffs[d][k] is None:
-                    report.skipped.append(GkmRecord(alpha, d, w, ORBIT_LEAVES))
-                    continue
-                report.checked += 1
-                if not _divisible(torus, diffs[d][k], beta, d):
+        for d in range(1, degree_bound + 1):
+            prev, diff = diffs[-1], {}
+            for k in {x for j in prev for x in (j, preds[j])
+                      if x is not None and reach[x] >= d}:
+                g = _minus(prev.get(k), prev.get(shift[k]))
+                if not g.is_exact_zero():
+                    diff[k] = g
+            diffs.append(diff)
+        visit = set().union(*diffs)
+        if not grassmannian:
+            visit.update(reflect[k] for k in list(visit) if reflect[k] is not None)
+        report.checked += plan.checked
+        unchecked = set()
+        for k in sorted(visit):
+            w = window.elements[k]
+            for d in range(1, reach[k] + 1):
+                m = None if grassmannian else _mirror(reach, reflect, k, d)
+                if not _divisible(torus, diffs[d].get(k), beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, BINOMIAL_SUM))
-                    continue
-                if grassmannian:
-                    continue
-                mirror = None if reflect[k] is None else diffs[d - 1][reflect[k]]
-                if mirror is None:
-                    report.skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
-                    continue
-                report.checked += 1
-                if not _divisible(torus, diffs[d - 1][k] - mirror, beta, d):
+                    if m is not None:
+                        report.checked -= 1
+                    elif not grassmannian:
+                        unchecked.add(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
+                elif m is not None and not _divisible(
+                        torus, _minus(diffs[d - 1].get(k), diffs[d - 1].get(m)), beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
+        report.skipped.extend((r for r in plan.skipped if r not in unchecked) if unchecked
+                              else plan.skipped)
     return report
 
 
 def gkm_check_big(f: DualElement) -> GkmReport:
     """Big-torus GKM: values regular, and f[w] - f[s_beta w] in x_beta S-hat
     for every real affine reflection pairing two window elements, the pairs
-    read from `Window.reflection_pairs`."""
+    read from `Window.reflection_pairs`.  A pair of two exact zeros passes
+    with no subtraction."""
     torus = f.torus
     report = GkmReport(torus.torus, torus.ring.backend, 1, f.window)
     values = _regular_values(f, report)
@@ -371,7 +466,7 @@ def gkm_check_big(f: DualElement) -> GkmReport:
     elements = f.window.elements
     for a_idx, b_idx, beta in f.window.reflection_pairs():
         report.checked += 1
-        if not _divisible(torus, values[a_idx] - values[b_idx], beta, 1):
+        if not _divisible(torus, _minus(values.get(a_idx), values.get(b_idx)), beta, 1):
             report.violations.append(GkmRecord(beta, 1, elements[a_idx], DIFFERENCE))
     return report
 

@@ -386,6 +386,9 @@ class Window:
     index: Dict[AffineElt, int] = field(default_factory=dict)
     _root_steps: Dict[Vec, Tuple[Tuple[Optional[int], ...], Tuple[Optional[int], ...]]] = \
         field(default_factory=dict, init=False, repr=False, compare=False)
+    # small-torus GKM plans by (alpha, degree bound, grassmannian), built by duals
+    _gkm_plans: Dict[Tuple[Vec, int, bool], tuple] = \
+        field(default_factory=dict, init=False, repr=False, compare=False)
     _reflection_pairs: Optional[Tuple[Tuple[int, int, AffRoot], ...]] = \
         field(default=None, init=False, repr=False, compare=False)
     _compat: Dict[AffineElt, Tuple[int, ...]] = \

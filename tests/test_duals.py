@@ -8,7 +8,7 @@ import pytest
 
 from fada.algebra import AlgebraElement, Localized
 from fada.connective import ConnectiveContext
-from fada.errors import WindowExceededError
+from fada.errors import FadaError, WindowExceededError
 from fada.twisted import TwistedElement, combine_rows
 from fada.duals import (BINOMIAL_SUM, NOT_REGULAR, ORBIT_LEAVES,
                         REFLECTED_ORBIT_LEAVES, REFLECTED_SUM, DualElement,
@@ -213,7 +213,7 @@ def test_invariance_report_failures():
     g = alg.torus.group
     rep = w_invariance_report(dual_x(tables, g.simple(1)))
     assert not rep.invariant
-    assert any("s1" in line for line in rep.failures)
+    assert any("s1" in rep.describe(failure) for failure in rep.failures)
 
 
 # -- GKM, small torus -------------------------------------------------------
@@ -450,6 +450,58 @@ def test_small_gkm_matches_the_binomial_sum_oracle(rtype, backend, fgl, precisio
     assert seen[ORBIT_LEAVES] and seen[BINOMIAL_SUM] + seen[REFLECTED_SUM]
     # on G2 at this window no reflected orbit leaves before its orbit does
     assert seen[REFLECTED_ORBIT_LEAVES] or rtype == "G2"
+
+
+def gkm_outcome(check, f, degree_bound, grassmannian):
+    """A GKM report as (checked, skipped, violations), records in order, or
+    the type and text of the error the check raised."""
+    try:
+        rep = check(f, degree_bound, grassmannian=grassmannian)
+    except FadaError as exc:
+        return type(exc).__name__, str(exc)
+    return rep.checked, rep.skipped, rep.violations
+
+
+@pytest.mark.parametrize("rtype,backend,fgl,precision,length", [
+    (rtype, backend, None, 8, length)
+    for rtype, length in (("A1", 6), ("A2", 4), ("B2", 4), ("G2", 5))
+    for backend in BACKENDS
+] + [("A1", "SER", "hyperbolic", 8, 4)])
+def test_small_gkm_matches_the_dense_walk(rtype, backend, fgl, precision, length):
+    alg = util.algebra(rtype, backend, "small", fgl=fgl, precision=precision)
+    t = alg.torus
+    tables = util.tables(alg, length)
+    window = tables.window
+    rng = random.Random(rtype + backend)
+    duals = [dual_x(tables, w) for w in window.elements]
+    shallow = [w for w in window.elements if window.lengths[w] <= 2]
+    roots = t.datum.positive_roots
+    cases = rng.sample(duals, min(10, len(duals)))
+    for k in range(6):
+        bump = rng.randint(1, 7)
+        if k >= 3:
+            bump = bump * t.x_root((rng.choice(roots), 0))
+        cases.append(bumped(rng.choice(duals), rng.choice(shallow), bump))
+    for _ in range(3):
+        cases.append(sum((f.scale(rng.randint(1, 5)) for f in rng.sample(duals, 3)),
+                         DualElement.zero(t, window)))
+    cases.append(DualElement(t, window, {
+        window.elements[1]: Localized(t, t.ring.one(), (util.alpha_vec(t),))}))
+    seen = Counter()
+    for f in cases:
+        for degree_bound in (1, 2, 3):
+            for grassmannian in (False, True):
+                got = gkm_outcome(gkm_check_small, f, degree_bound, grassmannian)
+                assert got == gkm_outcome(util.gkm_check_small_dense, f, degree_bound,
+                                          grassmannian)
+                if isinstance(got[0], str):
+                    seen[got[0]] += 1
+                else:
+                    seen.update(r.reason for r in got[1] + got[2])
+    # skips, violations and, on SER, exhausted precision all occur
+    assert seen[ORBIT_LEAVES] and seen[NOT_REGULAR]
+    assert seen[BINOMIAL_SUM] and seen[REFLECTED_SUM]
+    assert seen["PrecisionError"] or backend != "SER"
 
 
 # -- GKM, big torus ---------------------------------------------------------

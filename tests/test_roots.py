@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from fada.duals import DualElement, _small_plan, dual_x, gkm_check_small
 from fada.errors import ConfigError, WindowExceededError
 from fada.roots import AffineElt, AffineWeylGroup, FiniteRootDatum, Window
 
@@ -359,6 +360,36 @@ def test_root_steps_are_left_products(rtype, length):
         assert win.root_steps(alpha)[0] is shift
     assert any(any(k is not None for k in win.root_steps(alpha)[0])
                for alpha in g.datum.positive_roots)
+
+
+def test_gkm_plans_are_built_once_per_window():
+    alg = util.algebra("A2", "CON", "small")
+    tables = util.tables(alg, 4)
+    # a copy of the window whose plan cache no other test has filled
+    shared = tables.window
+    win = Window(shared.group, shared.length_bound, shared.elements, shared.words,
+                 shared.lengths)
+    roots = alg.torus.datum.positive_roots
+    duals = [DualElement(alg.torus, win, dual_x(tables, w).values) for w in win.elements[:4]]
+    first = [gkm_check_small(f, 2) for f in duals]
+    assert set(win._gkm_plans) == {(alpha, 2, False) for alpha in roots}
+    plans = {alpha: _small_plan(win, alpha, 2, False) for alpha in roots}
+    again = [gkm_check_small(f, 2) for f in duals]
+    assert len(win._gkm_plans) == len(roots)
+    assert all(win._gkm_plans[alpha, 2, False] is plans[alpha] for alpha in roots)
+    # another degree bound or flag is another plan, also built once
+    for key in ((3, False), (2, True)):
+        built = [_small_plan(win, alpha, *key) for alpha in roots]
+        assert not any(plan is plans[alpha] for plan, alpha in zip(built, roots))
+        assert all(_small_plan(win, alpha, *key) is plan for plan, alpha in zip(built, roots))
+    assert len(win._gkm_plans) == 3 * len(roots)
+    # every report owns its list of the plan's skip records
+    a, b = first[0], again[0]
+    kept = list(b.skipped)
+    assert a.skipped == kept and a.skipped is not b.skipped
+    a.skipped.append(a.skipped[0])
+    assert b.skipped == kept
+    assert gkm_check_small(duals[0], 2).skipped == kept
 
 
 @pytest.mark.parametrize("rtype, length", [("A1", 5), ("A2", 3), ("B2", 3), ("G2", 2)])

@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from fada import polyops
 from fada.algebra import AlgebraElement, Localized, TorusAlgebra
-from fada.duals import DualElement, dual_x
+from fada.duals import (BINOMIAL_SUM, NOT_REGULAR, ORBIT_LEAVES, REFLECTED_ORBIT_LEAVES,
+                        REFLECTED_SUM, DualElement, GkmRecord, GkmReport, dual_x)
 from fada.fgl import FormalGroupLaw
 from fada.roots import AffineElt, FiniteRootDatum, Window
 from fada.twisted import (ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows,
@@ -150,6 +151,57 @@ def odot_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualElem
         if not acc.is_zero():
             values[u] = acc.simplify()
     return DualElement(torus, out_window, values)
+
+
+def gkm_check_small_dense(f: DualElement, degree_bound: int,
+                          grassmannian: bool = False) -> GkmReport:
+    """`duals.gkm_check_small` as a dense walk over the whole window: every
+    value is simplified, D_k[x] = D_{k-1}[x] - D_{k-1}[t x] is formed at every
+    x whose orbit stays in the window, zero minus zero included, and the
+    checked and skipped bookkeeping is rebuilt per call.  The oracle of the
+    support-only walk, record for record and in order."""
+    torus, window = f.torus, f.window
+    report = GkmReport(torus.torus, torus.ring.backend, degree_bound, window)
+    values = []
+    for w in window.elements:
+        report.checked += 1
+        s = f.get(w).simplify()
+        if s.den_map:
+            report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
+        values.append(s.num)
+    if report.violations:
+        return report
+
+    def divisible(g, beta, d):
+        return g.is_exact_zero() or torus.divides(g, beta, d) is not None
+
+    for alpha in torus.datum.positive_roots:
+        beta = (alpha, 0)
+        shift, reflect = window.root_steps(alpha)
+        diffs = [values]
+        for _ in range(degree_bound):
+            prev = diffs[-1]
+            diffs.append([None if g is None or j is None or prev[j] is None else g - prev[j]
+                          for g, j in zip(prev, shift)])
+        for k, w in enumerate(window.elements):
+            for d in range(1, degree_bound + 1):
+                if diffs[d][k] is None:
+                    report.skipped.append(GkmRecord(alpha, d, w, ORBIT_LEAVES))
+                    continue
+                report.checked += 1
+                if not divisible(diffs[d][k], beta, d):
+                    report.violations.append(GkmRecord(alpha, d, w, BINOMIAL_SUM))
+                    continue
+                if grassmannian:
+                    continue
+                mirror = None if reflect[k] is None else diffs[d - 1][reflect[k]]
+                if mirror is None:
+                    report.skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
+                    continue
+                report.checked += 1
+                if not divisible(diffs[d - 1][k] - mirror, beta, d):
+                    report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
+    return report
 
 
 # -- small-rank shorthands --------------------------------------------------
