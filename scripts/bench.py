@@ -11,6 +11,9 @@ The file records three things, on the machine the script runs on:
 * ``cli``: the twelve north-star runs (``expand``, ``gkm``, ``peterson --u 0``
   and ``recurse --i 1`` on A1 L=8, A2 L=6 and B3 L=4), three fresh
   processes each, with their wall times, exit code and the SHA-256 of stdout.
+  Each process runs ``fada.cli.main`` under a small timer (`TIMER`), which
+  writes the time of ``main`` after the import to stderr: ``main_s`` is
+  that time, the part of ``wall_s`` that start-up does not move.
   An exit code is data, not a failure: ``peterson --u 0`` on B3 L=4 exits
   2, because P_{s_0} needs window 8 there, so ``peterson --u 0`` on B3 L=8
   is timed as well, as an extra run after the twelve, and so is ``gkm`` on
@@ -49,6 +52,18 @@ EXTRA = {"peterson": ["--u", "0"], "recurse": ["--i", "1"]}
 # and the twelve hold no run whose time the GKM checks dominate
 EXTRA_RUNS = [("peterson", "B3", "8"), ("gkm", "A3", "7")]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+# `python -m fada.cli` with the time of main, after the import, on stderr
+TIMER = """
+import sys, time
+import fada.cli
+start = time.perf_counter()
+try:
+    code = fada.cli.main(sys.argv[1:])
+finally:
+    sys.stderr.write("\\nmain_s %.6f\\n" % (time.perf_counter() - start))
+sys.exit(code)
+"""
+MAIN_S = re.compile(rb"\nmain_s ([\d.]+)\n$")
 CRITERION = re.compile(r"criterion\s+(\d+): (\w+)\s+.*\(([\d.]+)s, budget ([\d.]+)s\)")
 SUMMARY = re.compile(r"(\d+) (\w+)")
 
@@ -100,26 +115,35 @@ def run_perfbench() -> dict:
     return out
 
 
+def run_timed(argv: list) -> tuple:
+    """One fresh CLI process: (wall seconds, main seconds, exit code, stdout)."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", TIMER] + argv, cwd=ROOT,
+                          env=environment(), capture_output=True)
+    wall = time.perf_counter() - start
+    return wall, float(MAIN_S.search(proc.stderr).group(1)), proc.returncode, proc.stdout
+
+
 def run_cli() -> list:
-    env = environment()
     out = []
     for command, root, window in NORTH_STAR + EXTRA_RUNS:
         argv = [command, "--root", root, "--window", window] + EXTRA.get(command, [])
-        times, digests, codes = [], set(), set()
+        times, mains, digests, codes = [], [], set(), set()
         for _ in range(REPEATS):
-            start = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-m", "fada.cli"] + argv, cwd=ROOT,
-                                  env=env, capture_output=True)
-            times.append(time.perf_counter() - start)
-            digests.add(hashlib.sha256(proc.stdout).hexdigest())
-            codes.add(proc.returncode)
+            wall, main_s, code, stdout = run_timed(argv)
+            times.append(wall)
+            mains.append(main_s)
+            digests.add(hashlib.sha256(stdout).hexdigest())
+            codes.add(code)
         if len(digests) > 1 or len(codes) > 1:
             sys.stderr.write("bench: %s gave different output on repeats\n" % " ".join(argv))
         out.append({"argv": argv, "exit": sorted(codes)[0], "stdout_sha256": sorted(digests)[0],
                     "deterministic": len(digests) == 1 and len(codes) == 1,
-                    "wall_s": [round(t, 4) for t in times], "best_s": round(min(times), 4)})
-        sys.stderr.write("bench: %-50s exit %d  %.3f s\n"
-                         % (" ".join(argv), out[-1]["exit"], min(times)))
+                    "wall_s": [round(t, 4) for t in times], "best_s": round(min(times), 4),
+                    "main_s": [round(t, 4) for t in mains],
+                    "main_best_s": round(min(mains), 4)})
+        sys.stderr.write("bench: %-50s exit %d  %.3f s (main %.3f s)\n"
+                         % (" ".join(argv), out[-1]["exit"], min(times), min(mains)))
     return out
 
 

@@ -32,12 +32,15 @@ are unpacked only where they leave: `AlgebraElement.terms`, `coefficients`
 exponent tuples, and nothing outside this module and `polyops` (and the
 law's series operations) sees a packed key.
 
-`TorusAlgebra.divide` divides by powers of x_b: on MUL and CON by a running
-sum along each chain lambda + Z*b of lattice points, with no polynomial
-division.  On ADD x_b is the linear form l_b = sum_i b_i x_i, and on SER l_b
-is its lowest form; both divide by synthetic division in one variable, once
-per lattice degree, in `polyops.series_div_exact` (ADD with no precision
-bound), on the layout of x_b that `FormalRing.divisor` builds once per ring.
+`FormalRing.divide` divides by powers of x_b, on the one layout of x_b that
+`FormalRing.divisor` builds per ring and lattice point b.  On MUL and CON it
+divides by a running sum along each chain lambda + Z*b of lattice points,
+with no polynomial division.  On ADD x_b is the linear form l_b = sum_i b_i
+x_i, and on SER l_b is its lowest form; both divide by synthetic division in
+one variable, once per lattice degree, in `polyops.series_div_exact` (ADD
+with no precision bound).  `Localized.simplify` cancels through it, and
+`TorusAlgebra.divisible` is the one test "x_beta^d divides f" of the GKM
+checks: an exact zero passes with no division.
 """
 from __future__ import annotations
 
@@ -79,7 +82,7 @@ class FormalRing:
         self._x_cache: Dict[Vec, "AlgebraElement"] = {}
         self._x_pow_cache: Dict[Tuple[Vec, int], "AlgebraElement"] = {}
         self._multiple_cache: Dict[Tuple[int, int], Series] = {}
-        self._divisor_cache: Dict[Vec, polyops.SeriesDivisor] = {}
+        self._divisor_cache: Dict[Vec, Union[Tuple[int, int, int], polyops.SeriesDivisor]] = {}
 
     # -- constants and the scalar boundary ---------------------------------
 
@@ -168,11 +171,73 @@ class FormalRing:
             self._multiple_cache[i, k] = out
         return self._multiple_cache[i, k]
 
-    def divisor(self, b: Vec) -> polyops.SeriesDivisor:
-        """x_b laid out as a divisor, once per ring (ADD and SER)."""
-        if b not in self._divisor_cache:
-            self._divisor_cache[b] = polyops.SeriesDivisor(self.x_of(b)._terms, self.codec)
-        return self._divisor_cache[b]
+    # -- division by powers of x_b -----------------------------------------
+
+    def divisor(self, b: Vec) -> Union[Tuple[int, int, int], polyops.SeriesDivisor]:
+        """x_b laid out for division, once per ring.  On MUL and CON: a slot
+        i with b_i != 0, which keys the chains lam + Z*b, and the key steps of
+        b and of the c slot (0 on MUL; keys are affine in the exponents).  On
+        ADD and SER: a `polyops.SeriesDivisor`."""
+        layout = self._divisor_cache.get(b)
+        if layout is None:
+            codec = self.codec
+            if self.backend in ("MUL", "CON"):
+                step = codec.pack(b + (0,) * len(self.params)) - codec.offset
+                lift = (codec.pack((0,) * len(b) + (1,)) - codec.offset
+                        if self.backend == "CON" else 0)
+                layout = (next(j for j, v in enumerate(b) if v), step, lift)
+            else:
+                layout = polyops.SeriesDivisor(self.x_of(b)._terms, codec)
+            self._divisor_cache[b] = layout
+        return layout
+
+    def divide(self, f: "AlgebraElement", b: Vec, m: int) -> Tuple["AlgebraElement", int]:
+        """(f / x_b^k, k) for the largest k <= m with x_b^k dividing f."""
+        if not any(b):
+            raise ConfigError("cannot divide by x_0 = 0")
+        for k in range(m):
+            q = self._quotient(f, b)
+            if q is None:
+                return f, k
+            f = q
+        return f, m
+
+    def _quotient(self, f: "AlgebraElement", b: Vec) -> Optional["AlgebraElement"]:
+        if self.backend in ("MUL", "CON"):
+            return self._chain_quotient(f, b)
+        # x_b has lattice valuation 1: on SER the quotient is cut at
+        # f.prec - 1, and on ADD, where x_b is the linear form sum_i b_i x_i
+        # itself, it is exact
+        if f.prec is not None and f.prec < 1:
+            raise PrecisionError(
+                "series precision exhausted in division; rerun with precision >= %d"
+                % (self.precision + 1 - f.prec))
+        res = polyops.series_div_exact(f._terms, self.divisor(b), f.prec)
+        return None if res is None else AlgebraElement._cut(self, *res)
+
+    def _chain_quotient(self, f: "AlgebraElement", b: Vec) -> Optional["AlgebraElement"]:
+        """x_b = c^{-1}(1 - e_{-b}) (c = 1 on MUL) divides f iff f sums to 0 along
+        each chain lam + Z*b, parameter slots fixed; q_lam = c sum_{j>=0} f_{lam+jb}."""
+        codec = self.codec
+        i, step, lift = self.divisor(b)
+        # chains are keyed by their point with slot i in [0, b_i), c slot lifted
+        chains: Dict[int, List[Tuple[int, int]]] = {}
+        for k, c in f._terms.items():
+            t = codec.exponent(k, i) // b[i]
+            chains.setdefault(k - t * step + lift, []).append((t, c))
+        # a chain key out of range could alias another chain
+        codec.check(chains)
+        q: Series = {}
+        for base, points in chains.items():
+            points.sort(reverse=True)
+            total, top = 0, points[0][0]
+            for t, c in points:
+                for u in range(t + 1, top + 1) if total else ():
+                    q[base + u * step] = total
+                total, top = total + c, t
+            if total:
+                return None
+        return AlgebraElement._cut(self, q, None)
 
 
 class AlgebraElement:
@@ -483,7 +548,7 @@ class Localized:
         left: Dict[Vec, int] = {}
         for b in sorted(self.den_map):
             m = self.den_map[b]
-            num, k = self.torus.divide(num, b, m)
+            num, k = self.torus.ring.divide(num, b, m)
             if k < m:
                 left[b] = m - k
         return Localized(self.torus, num, left)
@@ -543,11 +608,8 @@ class TorusAlgebra:
         self.group = AffineWeylGroup(datum)
         nvars = datum.rank + (1 if torus == "big" else 0)
         self.ring = FormalRing(backend, nvars, fgl, precision)
-        # per group element, the images of the lattice variables for
-        # `act_elem`; per lattice point b, the layout of x_b for
-        # `_chain_quotient`
+        # per group element, the images of the lattice variables for `act_elem`
         self._actions: Dict[AffineElt, List] = {}
-        self._chains: Dict[Vec, Tuple[int, int, int]] = {}
 
     # -- lattice embedding -------------------------------------------------
 
@@ -605,72 +667,15 @@ class TorusAlgebra:
 
     # -- division ----------------------------------------------------------
 
-    def divide(self, f: AlgebraElement, b: Vec, m: int) -> Tuple[AlgebraElement, int]:
-        """(f / x_b^k, k) for the largest k <= m with x_b^k dividing f."""
-        if not any(b):
-            raise ConfigError("cannot divide by x_0 = 0")
-        for k in range(m):
-            q = self._quotient(f, b)
-            if q is None:
-                return f, k
-            f = q
-        return f, m
-
-    def _quotient(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
-        ring = self.ring
-        if ring.backend in ("MUL", "CON"):
-            return self._chain_quotient(f, b)
-        # x_b has lattice valuation 1: on SER the quotient is cut at
-        # f.prec - 1, and on ADD, where x_b is the linear form sum_i b_i x_i
-        # itself, it is exact
-        if f.prec is not None and f.prec < 1:
-            raise PrecisionError(
-                "series precision exhausted in division; rerun with precision >= %d"
-                % (ring.precision + 1 - f.prec))
-        res = polyops.series_div_exact(f._terms, ring.divisor(b), f.prec)
-        return None if res is None else AlgebraElement._cut(ring, *res)
-
-    def _chain_quotient(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
-        """x_b = c^{-1}(1 - e_{-b}) (c = 1 on MUL) divides f iff f sums to 0 along
-        each chain lam + Z*b, parameter slots fixed; q_lam = c sum_{j>=0} f_{lam+jb}."""
-        ring = self.ring
-        codec = ring.codec
-        if b not in self._chains:
-            # the key steps of b and of the c slot (keys are affine in the
-            # exponents)
-            step = codec.pack(b + (0,) * len(ring.params)) - codec.offset
-            lift = (codec.pack((0,) * len(b) + (1,)) - codec.offset
-                    if ring.backend == "CON" else 0)
-            self._chains[b] = (next(j for j, v in enumerate(b) if v), step, lift)
-        i, step, lift = self._chains[b]
-        # chains are keyed by their point with slot i in [0, b_i), c slot lifted
-        chains: Dict[int, List[Tuple[int, int]]] = {}
-        for k, c in f._terms.items():
-            t = codec.exponent(k, i) // b[i]
-            chains.setdefault(k - t * step + lift, []).append((t, c))
-        # a chain key out of range could alias another chain
-        codec.check(chains)
-        q: Series = {}
-        for base, points in chains.items():
-            points.sort(reverse=True)
-            total, top = 0, points[0][0]
-            for t, c in points:
-                for u in range(t + 1, top + 1) if total else ():
-                    q[base + u * step] = total
-                total, top = total + c, t
-            if total:
-                return None
-        return AlgebraElement._cut(ring, q, None)
-
     def divide_once(self, f: AlgebraElement, b: Vec) -> Optional[AlgebraElement]:
         """f / x_b as a ring element, or None when not exactly divisible."""
-        q, k = self.divide(f, tuple(b), 1)
+        q, k = self.ring.divide(f, tuple(b), 1)
         return q if k else None
 
-    def divides(self, f: AlgebraElement, beta: AffRoot, d: int) -> Optional[AlgebraElement]:
-        """f / x_beta^d when x_beta^d divides f, else None."""
-        q, k = self.divide(f, self.embed_root(beta), d)
-        return q if k == d else None
+    def divisible(self, f: AlgebraElement, beta: AffRoot, d: int) -> bool:
+        """Whether x_beta^d divides f.  An exact zero passes with no division;
+        a SER zero is divided, so a precision it exhausts still raises."""
+        return f.is_exact_zero() or self.ring.divide(f, self.embed_root(beta), d)[1] == d
 
     # -- classical operators ----------------------------------------------
 

@@ -25,13 +25,17 @@ each degree d up to a chosen bound, that the d-th orbit difference
 (1 - t_{alpha^v})^d f, and the (d-1)-th difference of f minus its reflected
 orbit, lie in x_alpha^d S; the big-torus conditions are the classical
 pairwise divisibility conditions along real affine reflections.  Both checks
-simplify each value of the support once to a ring element and divide
-differences of those; when the ring's zero is exact an absent point is an
-exact zero, and a difference that is one passes without a division.  On SER
-a zero is not exact, so there the support is the whole window.  The
-small-torus check walks the translation chains of the window, where
+simplify each value of the support once to a ring element and test
+differences of those with `TorusAlgebra.divisible`, their one divisibility
+test; when the ring's zero is exact an absent point is an exact zero, and a
+difference that is one passes without a division.  On SER a zero is not
+exact, so there the support is the whole window.  Both read the window's
+structure by lattice arithmetic, with no group product: the small-torus
+check walks the translation chains of `Window.root_steps`, where
 t_mu (u t_a) = u t_{a + u^-1 mu} is a vector sum, and forms the orbit
-differences only where the support reaches.  Which of its conditions are
+differences only where the support reaches; the big-torus check reads its
+pairs from `Window.reflection_pairs`, where s_{alpha + m delta} (u t_a) =
+(s_alpha u) t_{a + m u^-1 alpha^v}.  Which small-torus conditions are
 checked or skipped depends on the window alone: that plan is built once per
 root, degree bound and flag, and cached on the window.
 """
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
-from .roots import AffRoot, AffineElt, Vec, Window
+from .roots import AffineElt, Vec, Window
 from .twisted import ExpansionTables, TwistedElement, combine_rows, row_sum
 
 
@@ -313,18 +317,11 @@ def _regular_values(f: DualElement, report: GkmReport) -> Optional[Dict[int, Alg
     return None if report.violations else values
 
 
-def _minus(a: Optional[AlgebraElement], b: Optional[AlgebraElement]) -> Optional[AlgebraElement]:
-    """a - b, None standing for an exact zero; None when both are."""
-    if b is None:
+def _minus(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a - b, with no arithmetic when either is an exact zero."""
+    if b.is_exact_zero():
         return a
-    return -b if a is None else a - b
-
-
-def _divisible(torus: TorusAlgebra, g: Optional[AlgebraElement], beta: AffRoot, d: int) -> bool:
-    """Whether x_beta^d divides g; None or an exact zero without dividing."""
-    if g is None or g.is_exact_zero():
-        return True
-    return torus.divides(g, beta, d) is not None
+    return -b if a.is_exact_zero() else a - b
 
 
 class _SmallPlan(NamedTuple):
@@ -416,6 +413,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
     if values is None:
         return report
 
+    zero = torus.ring.zero()
     for alpha in torus.datum.positive_roots:
         beta = (alpha, 0)
         shift, reflect = window.root_steps(alpha)
@@ -426,7 +424,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
             prev, diff = diffs[-1], {}
             for k in {x for j in prev for x in (j, preds[j])
                       if x is not None and reach[x] >= d}:
-                g = _minus(prev.get(k), prev.get(shift[k]))
+                g = _minus(prev.get(k, zero), prev.get(shift[k], zero))
                 if not g.is_exact_zero():
                     diff[k] = g
             diffs.append(diff)
@@ -439,14 +437,14 @@ def gkm_check_small(f: DualElement, degree_bound: int,
             w = window.elements[k]
             for d in range(1, reach[k] + 1):
                 m = None if grassmannian else _mirror(reach, reflect, k, d)
-                if not _divisible(torus, diffs[d].get(k), beta, d):
+                if not torus.divisible(diffs[d].get(k, zero), beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, BINOMIAL_SUM))
                     if m is not None:
                         report.checked -= 1
                     elif not grassmannian:
                         unchecked.add(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
-                elif m is not None and not _divisible(
-                        torus, _minus(diffs[d - 1].get(k), diffs[d - 1].get(m)), beta, d):
+                elif m is not None and not torus.divisible(
+                        _minus(diffs[d - 1].get(k, zero), diffs[d - 1].get(m, zero)), beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
         report.skipped.extend((r for r in plan.skipped if r not in unchecked) if unchecked
                               else plan.skipped)
@@ -463,10 +461,11 @@ def gkm_check_big(f: DualElement) -> GkmReport:
     values = _regular_values(f, report)
     if values is None:
         return report
-    elements = f.window.elements
+    elements, zero = f.window.elements, torus.ring.zero()
     for a_idx, b_idx, beta in f.window.reflection_pairs():
         report.checked += 1
-        if not _divisible(torus, _minus(values.get(a_idx), values.get(b_idx)), beta, 1):
+        if not torus.divisible(_minus(values.get(a_idx, zero), values.get(b_idx, zero)),
+                               beta, 1):
             report.violations.append(GkmRecord(beta, 1, elements[a_idx], DIFFERENCE))
     return report
 

@@ -13,9 +13,9 @@ labels 1..n are the finite simple reflections.
 The finite Weyl group is small (at most 48 elements for the predefined
 types), so a root datum enumerates it once and every element is an index
 into the datum's tables: its multiplication table, inverses, root and coroot
-matrices, the reflection of each root, and the positive root of each
-reflection.  A product of finite elements is one table lookup, and a product
-of affine elements is one table lookup plus one integer matrix-vector product.
+matrices, and the reflection of each root.  A product of finite elements is
+one table lookup, and a product of affine elements is one table lookup plus
+one integer matrix-vector product.
 """
 from __future__ import annotations
 
@@ -169,18 +169,10 @@ class FiniteRootDatum:
                         raise ConfigError("off-diagonal Cartan entries must be <= 0")
                     if (A[i][j] == 0) != (A[j][i] == 0):
                         raise ConfigError("Cartan zero pattern must be symmetric")
-        # connectivity: affinization needs a unique highest root
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if j not in seen and A[i][j] != 0:
-                    seen.add(j)
-                    frontier.append(j)
-        if len(seen) != n:
-            raise ConfigError("Cartan matrix must be irreducible")
-        # symmetrizer d with d_i * A[i][j] = d_j * A[j][i]
+        # symmetrizer d with d_i * A[i][j] = d_j * A[j][i], by a walk of the
+        # Dynkin graph from node 0; a node it never reaches means a reducible
+        # matrix, and affinization needs the unique highest root of an
+        # irreducible one
         d: List[Optional[Fraction]] = [None] * n
         d[0] = Fraction(1)
         frontier = [0]
@@ -190,7 +182,8 @@ class FiniteRootDatum:
                 if A[i][j] != 0 and i != j and d[j] is None:
                     d[j] = d[i] * Fraction(A[i][j], A[j][i])
                     frontier.append(j)
-        assert all(x is not None for x in d)
+        if None in d:
+            raise ConfigError("Cartan matrix must be irreducible")
         scale = math.lcm(*(x.denominator for x in d))
         self.symmetrizer: Vec = tuple(int(x * scale) for x in d)
         if any(x <= 0 for x in self.symmetrizer):
@@ -312,8 +305,6 @@ class FiniteRootDatum:
             raise ConfigError("root system closure is not symmetric")
         if self.weyl_lengths[self.longest_element] != len(self.positive_roots):
             raise ConfigError("finite Weyl group enumeration is inconsistent")
-        self.reflection_roots: Dict[FiniteWeylElt, Vec] = {
-            reflections[a]: a for a in self.positive_roots}
         by_height = sorted(self.positive_roots, key=lambda r: (sum(r), r))
         self.theta: Vec = by_height[-1]
         if len(by_height) > 1 and sum(by_height[-2]) == sum(self.theta):
@@ -418,17 +409,38 @@ class Window:
     def reflection_pairs(self) -> Tuple[Tuple[int, int, AffRoot], ...]:
         """(a, b, beta) for every pair of positions a < b whose elements
         differ by a real affine reflection, x_b x_a^-1 = s_beta with beta
-        positive, in order of a and then b.  Built once."""
+        positive, in order of a and then b.  Built once, with no group
+        product.
+
+        For x = u t_a and a positive root alpha the partners are
+        s_{alpha + m delta} x = (s_alpha u) t_{a + m gamma^v}, gamma =
+        u^-1 alpha, looked up in the window for each m with
+        |<a, gamma> + 2m| <= L + 1.  That bound is one term of the length
+        formula: the term of the positive root +-gamma in the length of the
+        partner is |+-(<a, gamma> + 2m) + chi| with chi 0 or 1, and it is at
+        most the partner's length, at most L.  beta is (alpha, m), or
+        (-alpha, -m) when m < 0."""
         if self._reflection_pairs is None:
-            group = self.group
-            pairs = []
-            for a, x in enumerate(self.elements):
-                x_inv = group.inv(x)
-                for b in range(a + 1, len(self.elements)):
-                    beta = group.as_reflection(group.mul(self.elements[b], x_inv))
-                    if beta is not None:
-                        pairs.append((a, b, beta))
-            self._reflection_pairs = tuple(pairs)
+            datum = self.group.datum
+            bound = self.length_bound + 1
+            pairs, finite_parts = [], {x.w for x in self.elements}
+            for alpha in datum.positive_roots:
+                s, coroot, neg = datum.reflection(alpha), datum.coroot_of[alpha], vneg(alpha)
+                # per finite part u: s_alpha u, gamma^v, and A gamma, so that
+                # <a, gamma> is a dot product with a
+                by_w = {u: (s * u, matvec(u.cmat_inv, coroot),
+                            matvec(datum.cartan, u.inverse().act_root(alpha)))
+                        for u in finite_parts}
+                for a, x in enumerate(self.elements):
+                    su, step, a_gamma = by_w[x.w]
+                    p = sum(map(_imul, x.t, a_gamma))
+                    for m in range(-((bound + p) // 2), (bound - p) // 2 + 1):
+                        b = self.index.get(AffineElt(su, tuple(
+                            [t + m * v for t, v in zip(x.t, step)])))
+                        if b is not None and b > a:
+                            pairs.append((a, b, (alpha, m) if m >= 0 else (neg, -m)))
+            # one reflection per pair (a, b), so beta never decides the order
+            self._reflection_pairs = tuple(sorted(pairs))
         return self._reflection_pairs
 
     def __contains__(self, x: AffineElt) -> bool:
@@ -517,31 +529,6 @@ class AffineWeylGroup:
             raise ConfigError("%r is not a real affine root" % (beta,))
         coroot = self.datum.coroot_of[mu]
         return AffineElt(self.datum.reflection(mu), tuple(m * v for v in coroot))
-
-    def as_reflection(self, r: AffineElt) -> Optional[AffRoot]:
-        """The positive real affine root beta with r = s_beta, if one exists."""
-        mu = self.datum.reflection_roots.get(r.w)
-        if mu is None:
-            return None
-        muv = self.datum.coroot_of[mu]
-        m: Optional[int] = None
-        for a, b in zip(r.t, muv):
-            if b != 0:
-                if a % b != 0:
-                    return None
-                q = a // b
-                if m is None:
-                    m = q
-                elif m != q:
-                    return None
-            elif a != 0:
-                return None
-        if m is None:
-            return None
-        beta: AffRoot = (mu, m)
-        if self.is_negative_root(beta):
-            beta = (vneg(mu), -m)
-        return beta
 
     # -- action on affine roots --------------------------------------------
 

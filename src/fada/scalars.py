@@ -125,6 +125,10 @@ class Scalar:
         return self.params == other.params and self.terms == other.terms
 
     def __hash__(self):
+        zero = (0,) * len(self.params)
+        if self.terms.keys() <= {zero}:
+            # a constant equals its int, so it hashes as that int
+            return hash(self.terms.get(zero, 0))
         return hash((self.params, frozenset(self.terms.items())))
 
     # -- division ----------------------------------------------------------

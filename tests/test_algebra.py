@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from fada import polyops
-from fada.algebra import AlgebraElement, Localized, TorusAlgebra
+from fada.algebra import AlgebraElement, FormalRing, Localized, TorusAlgebra
 from fada.errors import ConfigError, MembershipError, PrecisionError
 from fada.fgl import FormalGroupLaw
 from fada.scalars import Scalar
@@ -136,12 +136,67 @@ def test_act_loc():
 @pytest.mark.parametrize("backend", ["ADD", "MUL", "CON"])
 def test_divides(backend):
     t = torus("A1", backend)
+    ring = t.ring
     a = t.group.simple_root(1)
+    b = t.embed_root(a)
     xa = t.simple_x(1)
-    f = xa * xa * (t.ring.one() + xa)
-    assert t.divides(f, a, 2) == t.ring.one() + xa
-    assert t.divides(f, a, 3) is None
-    assert t.divides(t.ring.zero(), a, 5).is_zero()
+    f = xa * xa * (ring.one() + xa)
+    assert ring.divide(f, b, 2) == (ring.one() + xa, 2)
+    assert ring.divide(f, b, 3) == (ring.one() + xa, 2)
+    assert t.divisible(f, a, 2) and not t.divisible(f, a, 3)
+    q, k = ring.divide(ring.zero(), b, 5)
+    assert q.is_zero() and k == 5 and t.divisible(ring.zero(), a, 5)
+
+
+@pytest.mark.parametrize("backend,kind", [
+    (backend, kind) for backend in ("ADD", "MUL", "CON") for kind in ("small", "big")])
+@given(data=st.data())
+def test_divisible_agrees_with_divide(backend, kind, data):
+    t = torus("A2", backend, kind)
+    ring = t.ring
+    low = 0 if backend == "ADD" else -2
+    keys = st.tuples(*[st.integers(low, 2)] * ring.nvars + [st.integers(-2, 2)] * len(ring.params))
+
+    def draw(size):
+        return AlgebraElement(ring, data.draw(st.dictionaries(keys, coeffs, max_size=size)), None)
+
+    alpha = data.draw(st.sampled_from(t.datum.roots))
+    beta = (alpha, data.draw(st.integers(-1, 1)) if kind == "big" else 0)
+    k, d = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    # g x_beta^k + r: divisible when r is 0 and k >= d, by chance otherwise
+    g, r = draw(4), draw(2)
+    f = (g * ring.x_pow(t.embed_root(beta), k) if k else g) + r
+    got = t.divisible(f, beta, d)
+    assert got == (ring.divide(f, t.embed_root(beta), d)[1] == d)
+    if r.is_zero() and k >= d:
+        assert got
+
+
+@pytest.mark.parametrize("backend", ["ADD", "MUL", "CON"])
+def test_divisible_passes_an_exact_zero_without_dividing(backend, monkeypatch):
+    t = torus("A2", backend)
+    calls = []
+    quotient = FormalRing._quotient
+
+    def counted(ring, f, b):
+        calls.append(b)
+        return quotient(ring, f, b)
+
+    monkeypatch.setattr(FormalRing, "_quotient", counted)
+    beta = t.group.simple_root(1)
+    assert t.divisible(t.ring.zero(), beta, 3) and not calls
+    assert t.divisible(t.simple_x(1) * t.simple_x(2), beta, 1) and len(calls) == 1
+    assert not t.divisible(t.simple_x(2), beta, 1) and len(calls) == 2
+
+
+def test_divisible_divides_a_series_zero():
+    # a SER zero vanishes only through O(p): each division by x_beta costs one
+    # degree of certified precision, so past the precision it raises
+    t = torus("A1", "SER", fgl="hyperbolic", precision=4)
+    beta = t.group.simple_root(1)
+    assert t.divisible(t.ring.zero(), beta, 4)
+    with pytest.raises(PrecisionError):
+        t.divisible(t.ring.zero(), beta, 5)
 
 
 def test_divide_once_polynomial_guard():
@@ -184,7 +239,7 @@ def test_chain_division_matches_repeated_pdiv_exact(rtype, backend, kind, data):
         if q is None:
             break
         want, k = q, k + 1
-    q, got = t.divide(f, b, m)
+    q, got = ring.divide(f, b, m)
     assert got == k
     # packed terms, degree digit included
     assert q._terms == ring.codec.pack_terms(want)
@@ -196,7 +251,7 @@ def test_series_division_names_the_precision_to_rerun_at():
     ring = t.ring
     for f in [AlgebraElement(ring, ring.one().terms, 0), AlgebraElement(ring, {}, 0)]:
         with pytest.raises(PrecisionError) as err:
-            t.divide(f, (1,), 1)
+            t.ring.divide(f, (1,), 1)
         bound = re.search(r"rerun with precision >= (\d+)", str(err.value))
         assert bound and int(bound.group(1)) > ring.precision
 

@@ -370,7 +370,7 @@ def binomial_gkm(f, degree_bound, grassmannian=False):
 
     def in_ideal(acc, beta, d):
         s = acc.simplify()
-        return not s.den and torus.divides(s.num, beta, d) is not None
+        return not s.den and torus.divisible(s.num, beta, d)
 
     def orbit(shifts, w):
         points = [group.mul(t, w) for t in shifts]

@@ -280,7 +280,7 @@ def test_series_div_exact_matches_the_slice_loop(case):
     got = series_div(num, den, prec, nvars)
     assert got == slice_loop_div(num, den, prec, nvars)
     if got is not None and got[1] >= 0:
-        # divide the quotient again, as `TorusAlgebra.divide` does for x_b^m
+        # divide the quotient again, as `FormalRing.divide` does for x_b^m
         quo, qprec = got
         again = series_div(quo, den, qprec, nvars)
         assert again == slice_loop_div(quo, den, qprec, nvars)

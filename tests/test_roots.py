@@ -83,6 +83,9 @@ def test_from_cartan_validation():
         FiniteRootDatum.from_cartan([[2, -2], [-2, 2]], "affine")
     with pytest.raises(ConfigError):
         FiniteRootDatum.from_cartan([[2, 0], [0, 2]], "reducible")
+    # A1 x A2, the lone node last: the walk from node 0 never reaches it
+    with pytest.raises(ConfigError, match="irreducible"):
+        FiniteRootDatum.from_cartan([[2, -1, 0], [-1, 2, 0], [0, 0, 2]], "reducible")
     with pytest.raises(ConfigError):
         FiniteRootDatum.from_type("E11")
 
@@ -155,10 +158,10 @@ def test_affine_reflection_roundtrip():
     for beta in [((1, 0), 0), ((1, 1), 1), ((0, 1), -2)]:
         r = g.affine_reflection(beta)
         assert g.mul(r, r) == g.identity
-        back = g.as_reflection(r)
         mu, m = beta
-        # as_reflection normalizes to the positive form
-        assert back == beta or back == (tuple(-v for v in mu), -m)
+        # beta and -beta give the same reflection
+        assert g.affine_reflection((tuple(-v for v in mu), -m)) == r
+        assert r.w is g.datum.reflection(mu)
     with pytest.raises(ConfigError):
         g.affine_reflection(((2, 0), 1))
 
@@ -243,9 +246,9 @@ def test_reflections_match_the_reflection_formula(rtype):
                 x - d.pairing(coroot, e) * y for x, y in zip(e, alpha))
             assert s.act_coroot(e) == tuple(
                 x - d.pairing(e, alpha) * y for x, y in zip(e, coroot))
-        positive = alpha if alpha in d.positive_roots else tuple(-x for x in alpha)
-        assert d.reflection_roots[s] == positive
-    assert len(d.reflection_roots) == len(d.positive_roots)
+        assert d.reflection(tuple(-x for x in alpha)) is s
+    # distinct positive roots, distinct reflections
+    assert len({d.reflection(a) for a in d.positive_roots}) == len(d.positive_roots)
     assert d.simple_reflections == tuple(d.reflection(e) for e in units)
     assert d.weyl_identity is d.weyl_elements[0]
     assert d.longest_element is d.weyl_elements[-1]
@@ -392,7 +395,9 @@ def test_gkm_plans_are_built_once_per_window():
     assert gkm_check_small(duals[0], 2).skipped == kept
 
 
-@pytest.mark.parametrize("rtype, length", [("A1", 5), ("A2", 3), ("B2", 3), ("G2", 2)])
+@pytest.mark.parametrize("rtype, length", [
+    (rtype, length) for rtype in ("A1", "A2", "B2", "C2", "G2") for length in range(6)
+] + [(rtype, length) for rtype in ("A3", "B3", "C3") for length in range(5)])
 def test_reflection_pairs_are_the_window_reflections(rtype, length):
     g = group(rtype)
     win = g.window(length)
@@ -401,10 +406,16 @@ def test_reflection_pairs_are_the_window_reflections(rtype, length):
     for a, b, beta in pairs:
         assert a < b < n and not g.is_negative_root(beta)
         assert g.mul(g.affine_reflection(beta), win.elements[a]) == win.elements[b]
-    # every reflection pair, once, in order of the first and then the second
+    # every reflection pair, once, in order of the first and then the second:
+    # r = x_b x_a^-1 is an affine reflection iff r.w is a reflection and r^2 = e
+    reflections = {g.datum.reflection(alpha) for alpha in g.datum.positive_roots}
+
+    def is_reflection(r):
+        return r.w in reflections and g.mul(r, r) == g.identity
+
     want = [(a, b) for a in range(n) for b in range(a + 1, n)
-            if g.as_reflection(g.mul(win.elements[b], g.inv(win.elements[a])))]
-    assert [(a, b) for a, b, _ in pairs] == want and want
+            if is_reflection(g.mul(win.elements[b], g.inv(win.elements[a])))]
+    assert [(a, b) for a, b, _ in pairs] == want and (want or length == 0)
     assert win.reflection_pairs() is pairs
 
 

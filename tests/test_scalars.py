@@ -160,3 +160,16 @@ def test_parse_fixed_forms():
 def test_hashable():
     d = {c_pow(1): "x", c_pow(1) + 1: "y"}
     assert d[Scalar.monomial(P, (1, 0))] == "x"
+
+
+def test_constants_hash_as_their_ints():
+    for params in ((), ("c",)):
+        for n in (0, 3, -2):
+            const = Scalar.const(n, params)
+            assert const == n and hash(const) == hash(n)
+            assert n in {const} and const in {n}
+            assert {n: "int"}[const] == "int" and {const: "scalar"}[n] == "scalar"
+    # each constant scalar equals its int, so a mixed set keeps one per value
+    mixed = {3, Scalar.const(3, ()), Scalar.const(3, ("c",)), Scalar.const(0, ("c",)), 0}
+    assert len(mixed) == 2
+    assert Scalar.param("c", ("c",)) not in {1, 0}

@@ -1,6 +1,7 @@
 """The maintenance scripts under scripts/, each run as a user runs it, so a
 change to ``fada`` that breaks one fails here rather than on its next use."""
 
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -36,10 +37,15 @@ def test_bench_prints_its_usage():
     assert lines[0].startswith("usage: bench.py")
 
 
-def test_bench_compare_names_changed_runs_and_skips_new_ones():
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_compare_names_changed_runs_and_skips_new_ones():
+    bench = load_bench()
 
     def run(argv, code, digest):
         return {"argv": argv.split(), "exit": code, "stdout_sha256": digest}
@@ -48,3 +54,14 @@ def test_bench_compare_names_changed_runs_and_skips_new_ones():
     new = [run("gkm --root A1", 0, "a"), run("expand --root A1", 1, "b"),
            run("peterson --root B3", 0, "c")]
     assert bench.compare(old, new) == (["expand --root A1"], ["peterson --root B3"])
+
+
+def test_bench_times_main_inside_the_wall_time_with_the_same_stdout():
+    bench = load_bench()
+    argv = ["a1hat", "--kmax", "0"]
+    wall, main_s, code, stdout = bench.run_timed(argv)
+    assert 0 < main_s <= wall
+    plain = subprocess.run([sys.executable, "-m", "fada.cli"] + argv, cwd=ROOT,
+                           env=bench.environment(), capture_output=True)
+    assert code == plain.returncode == 0
+    assert hashlib.sha256(stdout).digest() == hashlib.sha256(plain.stdout).digest()

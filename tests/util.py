@@ -172,9 +172,6 @@ def gkm_check_small_dense(f: DualElement, degree_bound: int,
     if report.violations:
         return report
 
-    def divisible(g, beta, d):
-        return g.is_exact_zero() or torus.divides(g, beta, d) is not None
-
     for alpha in torus.datum.positive_roots:
         beta = (alpha, 0)
         shift, reflect = window.root_steps(alpha)
@@ -189,7 +186,7 @@ def gkm_check_small_dense(f: DualElement, degree_bound: int,
                     report.skipped.append(GkmRecord(alpha, d, w, ORBIT_LEAVES))
                     continue
                 report.checked += 1
-                if not divisible(diffs[d][k], beta, d):
+                if not torus.divisible(diffs[d][k], beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, BINOMIAL_SUM))
                     continue
                 if grassmannian:
@@ -199,7 +196,7 @@ def gkm_check_small_dense(f: DualElement, degree_bound: int,
                     report.skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
                     continue
                 report.checked += 1
-                if not divisible(diffs[d - 1][k] - mirror, beta, d):
+                if not torus.divisible(diffs[d - 1][k] - mirror, beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
     return report
 
@@ -246,10 +243,6 @@ def specialize(f, assignment):
 def tw_zero(x) -> bool:
     """Whether a twisted element simplifies to zero."""
     return not x.simplify().terms
-
-
-def loc_eq(x, y) -> bool:
-    return x == y
 
 
 def reference_inverse(d: Localized) -> Localized:
