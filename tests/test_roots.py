@@ -83,7 +83,7 @@ def test_from_cartan_validation():
         FiniteRootDatum.from_cartan([[2, -2], [-2, 2]], "affine")
     with pytest.raises(ConfigError):
         FiniteRootDatum.from_cartan([[2, 0], [0, 2]], "reducible")
-    # A1 x A2, the lone node last: the walk from node 0 never reaches it
+    # A2 x A1, the lone node last: the walk from node 0 never reaches it
     with pytest.raises(ConfigError, match="irreducible"):
         FiniteRootDatum.from_cartan([[2, -1, 0], [-1, 2, 0], [0, 0, 2]], "reducible")
     with pytest.raises(ConfigError):
