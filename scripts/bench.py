@@ -13,7 +13,11 @@ The file records three things, on the machine the script runs on:
   processes each, with their wall times, exit code and the SHA-256 of stdout.
   Each process runs ``fada.cli.main`` under a small timer (`TIMER`), which
   writes the time of ``main`` after the import to stderr: ``main_s`` is
-  that time, the part of ``wall_s`` that start-up does not move.
+  that time, the part of ``wall_s`` that start-up does not move.  Each
+  repeat is also run from bytecode compiled once into a temporary
+  ``PYTHONPYCACHEPREFIX`` (`compile_bytecode`): ``cached_wall_s`` is its
+  wall time, which the size of the source does not move, as it moves
+  ``wall_s`` when ``PYTHONDONTWRITEBYTECODE`` is set.
   An exit code is data, not a failure: ``peterson --u 0`` on B3 L=4 exits
   2, because P_{s_0} needs window 8 there, so ``peterson --u 0`` on B3 L=8
   is timed as well, as an extra run after the twelve, and so is ``gkm`` on
@@ -34,6 +38,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -115,35 +120,59 @@ def run_perfbench() -> dict:
     return out
 
 
-def run_timed(argv: list) -> tuple:
-    """One fresh CLI process: (wall seconds, main seconds, exit code, stdout)."""
+def compile_bytecode(prefix: str) -> dict:
+    """The environment of `environment` that reads bytecode from `prefix`
+    and writes none, after one untimed CLI run has compiled into `prefix`
+    src/fada and the standard library modules the CLI imports: the prefix
+    hides every other __pycache__, the standard library's included."""
+    env = dict(environment(), PYTHONPYCACHEPREFIX=prefix)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", TIMER, "a1hat", "--kmax", "0"], cwd=ROOT, env=env,
+                   capture_output=True, check=True)
+    return dict(env, PYTHONDONTWRITEBYTECODE="1")
+
+
+def run_timed(argv: list, env: dict | None = None) -> tuple:
+    """One fresh CLI process, in `env` or else `environment()`: (wall
+    seconds, main seconds, exit code, stdout)."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", TIMER] + argv, cwd=ROOT,
-                          env=environment(), capture_output=True)
+                          env=env or environment(), capture_output=True)
     wall = time.perf_counter() - start
     return wall, float(MAIN_S.search(proc.stderr).group(1)), proc.returncode, proc.stdout
 
 
 def run_cli() -> list:
     out = []
-    for command, root, window in NORTH_STAR + EXTRA_RUNS:
-        argv = [command, "--root", root, "--window", window] + EXTRA.get(command, [])
-        times, mains, digests, codes = [], [], set(), set()
-        for _ in range(REPEATS):
-            wall, main_s, code, stdout = run_timed(argv)
-            times.append(wall)
-            mains.append(main_s)
-            digests.add(hashlib.sha256(stdout).hexdigest())
-            codes.add(code)
-        if len(digests) > 1 or len(codes) > 1:
-            sys.stderr.write("bench: %s gave different output on repeats\n" % " ".join(argv))
-        out.append({"argv": argv, "exit": sorted(codes)[0], "stdout_sha256": sorted(digests)[0],
-                    "deterministic": len(digests) == 1 and len(codes) == 1,
-                    "wall_s": [round(t, 4) for t in times], "best_s": round(min(times), 4),
-                    "main_s": [round(t, 4) for t in mains],
-                    "main_best_s": round(min(mains), 4)})
-        sys.stderr.write("bench: %-50s exit %d  %.3f s (main %.3f s)\n"
-                         % (" ".join(argv), out[-1]["exit"], min(times), min(mains)))
+    with tempfile.TemporaryDirectory() as prefix:
+        compiled = compile_bytecode(prefix)
+        for command, root, window in NORTH_STAR + EXTRA_RUNS:
+            argv = [command, "--root", root, "--window", window] + EXTRA.get(command, [])
+            times, mains, cached, digests, codes = [], [], [], set(), set()
+            for _ in range(REPEATS):
+                wall, main_s, code, stdout = run_timed(argv)
+                times.append(wall)
+                mains.append(main_s)
+                digests.add(hashlib.sha256(stdout).hexdigest())
+                codes.add(code)
+                wall, _, code, stdout = run_timed(argv, compiled)
+                cached.append(wall)
+                digests.add(hashlib.sha256(stdout).hexdigest())
+                codes.add(code)
+            if len(digests) > 1 or len(codes) > 1:
+                sys.stderr.write("bench: %s gave different output on repeats\n"
+                                 % " ".join(argv))
+            out.append({"argv": argv, "exit": sorted(codes)[0],
+                        "stdout_sha256": sorted(digests)[0],
+                        "deterministic": len(digests) == 1 and len(codes) == 1,
+                        "wall_s": [round(t, 4) for t in times], "best_s": round(min(times), 4),
+                        "main_s": [round(t, 4) for t in mains],
+                        "main_best_s": round(min(mains), 4),
+                        "cached_wall_s": [round(t, 4) for t in cached],
+                        "cached_best_s": round(min(cached), 4)})
+            sys.stderr.write("bench: %-50s exit %d  %.3f s (main %.3f s, cached %.3f s)\n"
+                             % (" ".join(argv), out[-1]["exit"], min(times), min(mains),
+                                min(cached)))
     return out
 
 

@@ -26,7 +26,7 @@ On every backend each monomial is packed into one integer key on its ring's
 Weyl action and divisions add integers instead of building tuples.  Terms
 are packed where they enter: the `AlgebraElement` constructor, which
 `FormalRing.element`, `one`, `from_scalar` and the exact x_mu go through,
-and `zero` and the cached x-series, built on packed keys by the law.  They
+and `zero` and the x-series, built on packed keys by the law.  They
 are unpacked only where they leave: `AlgebraElement.terms`, `coefficients`
 (and so `__repr__` and `TorusAlgebra.augmentation`).  So `terms` is keyed by
 exponent tuples, and nothing outside this module and `polyops` (and the
@@ -49,6 +49,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from . import polyops
 from .errors import ConfigError, MembershipError, PrecisionError
 from .fgl import FormalGroupLaw, from_descriptor
+from .memo import memo
 from .polyops import Series, Terms
 from .scalars import Scalar
 from .roots import AffineElt, AffineWeylGroup, AffRoot, FiniteRootDatum, Vec
@@ -79,10 +80,6 @@ class FormalRing:
             raise ConfigError("series precision must be at least 1")
         # the packed-key layout of every element's terms
         self.codec = polyops.KeyCodec(nvars, len(self.params))
-        self._x_cache: Dict[Vec, "AlgebraElement"] = {}
-        self._x_pow_cache: Dict[Tuple[Vec, int], "AlgebraElement"] = {}
-        self._multiple_cache: Dict[Tuple[int, int], Series] = {}
-        self._divisor_cache: Dict[Vec, Union[Tuple[int, int, int], polyops.SeriesDivisor]] = {}
 
     # -- constants and the scalar boundary ---------------------------------
 
@@ -114,11 +111,13 @@ class FormalRing:
     # -- the Euler classes x_mu -------------------------------------------
 
     def x_of(self, mu: Vec) -> "AlgebraElement":
-        mu = tuple(mu)
+        return self._x(tuple(mu))
+
+    @memo
+    def _x(self, mu: Vec) -> "AlgebraElement":
+        """x_mu, kept per lattice point by `memo`."""
         if len(mu) != self.nvars:
             raise ConfigError("lattice point has wrong rank")
-        if mu in self._x_cache:
-            return self._x_cache[mu]
         zero = (0,) * self.nvars
         neg = tuple(-v for v in mu)
         if self.backend == "ADD":
@@ -126,25 +125,14 @@ class FormalRing:
                 tuple(1 if j == i else 0 for j in range(self.nvars)): mu[i]
                 for i in range(self.nvars) if mu[i]
             }
-            out = AlgebraElement(self, terms, None)
-        elif self.backend == "MUL":
-            out = AlgebraElement(self, {zero: 1, neg: -1} if any(mu) else {}, None)
-        elif self.backend == "CON":
+            return AlgebraElement(self, terms, None)
+        if self.backend == "MUL":
+            return AlgebraElement(self, {zero: 1, neg: -1} if any(mu) else {}, None)
+        if self.backend == "CON":
             # c^{-1} (1 - e_{-mu}): the c slot of both keys is -1
             terms = {zero + (-1,): 1, neg + (-1,): -1} if any(mu) else {}
-            out = AlgebraElement(self, terms, None)
-        else:
-            out = self._x_series(mu)
-        self._x_cache[mu] = out
-        return out
-
-    def x_pow(self, mu: Vec, k: int) -> "AlgebraElement":
-        """x_mu^k for k >= 1, cached; `mu` must be a tuple."""
-        if (mu, k) not in self._x_pow_cache:
-            self._x_pow_cache[mu, k] = self.x_of(mu) * (self.x_pow(mu, k - 1) if k > 1 else 1)
-        return self._x_pow_cache[mu, k]
-
-    def _x_series(self, mu: Vec) -> "AlgebraElement":
+            return AlgebraElement(self, terms, None)
+        # SER: the formal sum of the multiples [mu_i](x_i)
         prec, codec = self.precision, self.codec
         acc: Optional[Series] = None
         for i, k in enumerate(mu):
@@ -154,42 +142,39 @@ class FormalRing:
             acc = part if acc is None else self.fgl.add(acc, part, prec, codec)
         return AlgebraElement._cut(self, acc or {}, prec)
 
+    @memo
+    def x_pow(self, mu: Vec, k: int) -> "AlgebraElement":
+        """x_mu^k for k >= 1, kept by `memo`; `mu` must be a tuple."""
+        return self.x_of(mu) * (self.x_pow(mu, k - 1) if k > 1 else 1)
+
+    @memo
     def _multiple(self, i: int, k: int) -> Series:
-        """The formal multiple [k](x_i) for k != 0, cached: [k] is F([k - 1], x_i)
-        and [-k] is F([-k + 1], [-1](x_i)), so the law's inverse runs once per
-        variable."""
-        if (i, k) not in self._multiple_cache:
-            prec, codec = self.precision, self.codec
-            if k == 1:
-                out = {codec.units[i]: 1}
-            elif k == -1:
-                out = self.fgl.inverse(self._multiple(i, 1), prec, codec)
-            else:
-                step = 1 if k > 0 else -1
-                out = self.fgl.add(self._multiple(i, k - step), self._multiple(i, step),
-                                   prec, codec)
-            self._multiple_cache[i, k] = out
-        return self._multiple_cache[i, k]
+        """The formal multiple [k](x_i) for k != 0, kept by `memo`: [k] is
+        F([k - 1], x_i) and [-k] is F([-k + 1], [-1](x_i)), so the law's
+        inverse runs once per variable."""
+        prec, codec = self.precision, self.codec
+        if k == 1:
+            return {codec.units[i]: 1}
+        if k == -1:
+            return self.fgl.inverse(self._multiple(i, 1), prec, codec)
+        step = 1 if k > 0 else -1
+        return self.fgl.add(self._multiple(i, k - step), self._multiple(i, step), prec, codec)
 
     # -- division by powers of x_b -----------------------------------------
 
+    @memo
     def divisor(self, b: Vec) -> Union[Tuple[int, int, int], polyops.SeriesDivisor]:
-        """x_b laid out for division, once per ring.  On MUL and CON: a slot
-        i with b_i != 0, which keys the chains lam + Z*b, and the key steps of
-        b and of the c slot (0 on MUL; keys are affine in the exponents).  On
-        ADD and SER: a `polyops.SeriesDivisor`."""
-        layout = self._divisor_cache.get(b)
-        if layout is None:
-            codec = self.codec
-            if self.backend in ("MUL", "CON"):
-                step = codec.pack(b + (0,) * len(self.params)) - codec.offset
-                lift = (codec.pack((0,) * len(b) + (1,)) - codec.offset
-                        if self.backend == "CON" else 0)
-                layout = (next(j for j, v in enumerate(b) if v), step, lift)
-            else:
-                layout = polyops.SeriesDivisor(self.x_of(b)._terms, codec)
-            self._divisor_cache[b] = layout
-        return layout
+        """x_b laid out for division, once per ring and point by `memo`.  On
+        MUL and CON: a slot i with b_i != 0, which keys the chains lam + Z*b,
+        and the key steps of b and of the c slot (0 on MUL; keys are affine in
+        the exponents).  On ADD and SER: a `polyops.SeriesDivisor`."""
+        codec = self.codec
+        if self.backend in ("MUL", "CON"):
+            step = codec.pack(b + (0,) * len(self.params)) - codec.offset
+            lift = (codec.pack((0,) * len(b) + (1,)) - codec.offset
+                    if self.backend == "CON" else 0)
+            return (next(j for j, v in enumerate(b) if v), step, lift)
+        return polyops.SeriesDivisor(self.x_of(b)._terms, codec)
 
     def divide(self, f: "AlgebraElement", b: Vec, m: int) -> Tuple["AlgebraElement", int]:
         """(f / x_b^k, k) for the largest k <= m with x_b^k dividing f."""
@@ -608,8 +593,6 @@ class TorusAlgebra:
         self.group = AffineWeylGroup(datum)
         nvars = datum.rank + (1 if torus == "big" else 0)
         self.ring = FormalRing(backend, nvars, fgl, precision)
-        # per group element, the images of the lattice variables for `act_elem`
-        self._actions: Dict[AffineElt, List] = {}
 
     # -- lattice embedding -------------------------------------------------
 
@@ -639,25 +622,24 @@ class TorusAlgebra:
         m = v[n]
         return x.w.act_root(mu) + (m - self.datum.pairing(x.t, mu),)
 
-    def act_elem(self, x: AffineElt, f: AlgebraElement) -> AlgebraElement:
+    @memo
+    def _images(self, x: AffineElt) -> List:
+        """Per x (`memo`): the key steps (MUL, CON) or x_v (ADD, SER) of the basis images v."""
         ring = self.ring
-        codec = ring.codec
-        images = self._actions.get(x)
-        if images is None:
-            n = ring.nvars
-            basis = [self.act_vec(x, tuple(int(j == i) for j in range(n))) for i in range(n)]
-            if ring.backend in ("MUL", "CON"):
-                # the key step of each basis image, degree digit included
-                zero = (0,) * len(ring.params)
-                images = [codec.pack(v + zero) - codec.offset for v in basis]
-            else:
-                images = [ring.x_of(v)._terms for v in basis]
-            self._actions[x] = images
+        n = ring.nvars
+        basis = [self.act_vec(x, tuple(int(j == i) for j in range(n))) for i in range(n)]
+        if ring.backend in ("MUL", "CON"):
+            zero = (0,) * len(ring.params)
+            return [ring.codec.pack(v + zero) - ring.codec.offset for v in basis]
+        return [ring.x_of(v)._terms for v in basis]
+
+    def act_elem(self, x: AffineElt, f: AlgebraElement) -> AlgebraElement:
+        ring, images = self.ring, self._images(x)
         if ring.backend in ("MUL", "CON"):
             # the action is linear on lattice points; the c slot rides along
-            return AlgebraElement._cut(ring, polyops.pmove(f._terms, images, codec), None)
+            return AlgebraElement._cut(ring, polyops.pmove(f._terms, images, ring.codec), None)
         # ADD and SER act by substituting each variable's image series
-        return AlgebraElement._cut(ring, polyops.psubstitute(f._terms, images, f.prec, codec),
+        return AlgebraElement._cut(ring, polyops.psubstitute(f._terms, images, f.prec, ring.codec),
                                    f.prec)
 
     def act_loc(self, x: AffineElt, f: Localized) -> Localized:

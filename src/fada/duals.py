@@ -35,9 +35,10 @@ check walks the translation chains of `Window.root_steps`, where
 t_mu (u t_a) = u t_{a + u^-1 mu} is a vector sum, and forms the orbit
 differences only where the support reaches; the big-torus check reads its
 pairs from `Window.reflection_pairs`, where s_{alpha + m delta} (u t_a) =
-(s_alpha u) t_{a + m u^-1 alpha^v}.  Which small-torus conditions are
-checked or skipped depends on the window alone: that plan is built once per
-root, degree bound and flag, and cached on the window.
+(s_alpha u) t_{a + m u^-1 alpha^v}, and visits those with an end in the
+support.  What depends on the window alone is kept on it by `memo`: which
+small-torus conditions are checked or skipped, per root, degree bound and
+flag, and which pairs end at each position.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
+from .memo import memo
 from .roots import AffineElt, Vec, Window
 from .twisted import ExpansionTables, TwistedElement, combine_rows, row_sum
 
@@ -345,14 +347,11 @@ def _mirror(reach: Sequence[int], reflect: Sequence[Optional[int]], k: int,
     return None if m is None or reach[m] < d - 1 else m
 
 
+@memo
 def _small_plan(window: Window, alpha: Vec, degree_bound: int,
                 grassmannian: bool) -> _SmallPlan:
     """The plan of `gkm_check_small` for one root, built once per window and
-    cached there by (alpha, degree bound, grassmannian)."""
-    key = (alpha, degree_bound, grassmannian)
-    plan = window._gkm_plans.get(key)
-    if plan is not None:
-        return plan
+    (alpha, degree bound, grassmannian), and kept on the window by `memo`."""
     shift, reflect = window.root_steps(alpha)
     reach = [0] * len(shift)
     for _ in range(degree_bound):
@@ -373,9 +372,7 @@ def _small_plan(window: Window, alpha: Vec, degree_bound: int,
                 skipped.append(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
             else:
                 checked += 2
-    plan = window._gkm_plans[key] = _SmallPlan(tuple(reach), tuple(preds), checked,
-                                               tuple(skipped))
-    return plan
+    return _SmallPlan(tuple(reach), tuple(preds), checked, tuple(skipped))
 
 
 def gkm_check_small(f: DualElement, degree_bound: int,
@@ -395,7 +392,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
 
     Which conditions are checked, and which are skipped because their points
     leave the window, depends on the window alone: `_small_plan` builds the
-    counts and skip records once per root and caches them on the window, and
+    counts and skip records once per root, kept on the window by `memo`, and
     each report gets a fresh list.  A skipped condition is never treated as
     zero.  With D_0 = f, D_k[x] = D_{k-1}[x] - D_{k-1}[t x] is formed only
     where x or t x carries a nonzero D_{k-1}, exact zeros dropped.  Then
@@ -451,22 +448,35 @@ def gkm_check_small(f: DualElement, degree_bound: int,
     return report
 
 
+@memo
+def _pairs_at(window: Window) -> Tuple[Tuple[int, ...], ...]:
+    """For each window position, the numbers of the `Window.reflection_pairs`
+    that end there, kept on the window by `memo`."""
+    at: List[List[int]] = [[] for _ in window.elements]
+    for n, (a, b, _) in enumerate(window.reflection_pairs()):
+        at[a].append(n)
+        at[b].append(n)
+    return tuple(map(tuple, at))
+
+
 def gkm_check_big(f: DualElement) -> GkmReport:
     """Big-torus GKM: values regular, and f[w] - f[s_beta w] in x_beta S-hat
     for every real affine reflection pairing two window elements, the pairs
-    read from `Window.reflection_pairs`.  A pair of two exact zeros passes
-    with no subtraction."""
+    read from `Window.reflection_pairs`.  Every pair counts as checked, but
+    only those with an end among the values read are visited, in order: two
+    exact zeros pass unread.  On SER every value is read, so every pair."""
     torus = f.torus
-    report = GkmReport(torus.torus, torus.ring.backend, 1, f.window)
+    window = f.window
+    report = GkmReport(torus.torus, torus.ring.backend, 1, window)
     values = _regular_values(f, report)
     if values is None:
         return report
-    elements, zero = f.window.elements, torus.ring.zero()
-    for a_idx, b_idx, beta in f.window.reflection_pairs():
-        report.checked += 1
-        if not torus.divisible(_minus(values.get(a_idx, zero), values.get(b_idx, zero)),
-                               beta, 1):
-            report.violations.append(GkmRecord(beta, 1, elements[a_idx], DIFFERENCE))
+    pairs, at, zero = window.reflection_pairs(), _pairs_at(window), torus.ring.zero()
+    report.checked += len(pairs)
+    for n in sorted({n for k in values for n in at[k]}):
+        a, b, beta = pairs[n]
+        if not torus.divisible(_minus(values.get(a, zero), values.get(b, zero)), beta, 1):
+            report.violations.append(GkmRecord(beta, 1, window.elements[a], DIFFERENCE))
     return report
 
 

@@ -36,6 +36,7 @@ from typing import Dict, List, Tuple
 
 from .algebra import AlgebraElement, Localized
 from .errors import ConfigError, MembershipError
+from .memo import memo
 from .roots import AffineElt, Vec, Window
 from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows,
                       demazure_walk, row_sum)
@@ -80,29 +81,21 @@ class PetersonContext:
         self.tables = ExpansionTables(algebra, window)
         self.minimal: Tuple[AffineElt, ...] = window.minimal_coset_reps()
         self._minimal_set = set(self.minimal)
-        self._elements: Dict[AffineElt, TwistedElement] = {}
-        self._expansions: Dict[AffineElt, Dict[AffineElt, Localized]] = {}
-        self._xprods: Dict[Tuple[AffineElt, AffineElt], Dict[AffineElt, Localized]] = {}
 
     # -- the basis ---------------------------------------------------------
 
+    @memo
     def element(self, u: AffineElt) -> TwistedElement:
         """P_u = pr(X_{I_u}), translation-supported by construction."""
-        if u in self._elements:
-            return self._elements[u]
         self.window.require(u)
         if u not in self._minimal_set:
             raise ConfigError("Peterson basis is indexed by minimal coset "
                               "representatives; got a non-minimal element")
-        word = self.window.compat_word(u)
-        out = pr(self.algebra, self.algebra.x_word(word)).simplify()
-        self._elements[u] = out
-        return out
+        return pr(self.algebra, self.algebra.x_word(self.window.compat_word(u))).simplify()
 
+    @memo
     def x_expansion(self, u: AffineElt) -> Dict[AffineElt, Localized]:
-        if u not in self._expansions:
-            self._expansions[u] = self.tables.expand_in_x(self.element(u))
-        return self._expansions[u]
+        return self.tables.expand_in_x(self.element(u))
 
     def expansion(self, u: AffineElt) -> PetersonExpansion:
         """The checked expansion: unit coefficient at u, zero at every other
@@ -140,6 +133,7 @@ class PetersonContext:
 
     # -- structure constants -----------------------------------------------
 
+    @memo
     def x_product_expansion(self, w2: AffineElt, v: AffineElt
                             ) -> Dict[AffineElt, Localized]:
         """Demazure coefficients of X_{I_{w2}} X_{I_v}.
@@ -150,24 +144,18 @@ class PetersonContext:
         longest element of the eta-support.  Other laws take the eta-route:
         the product of the two word elements, expanded back in the X basis.
         """
-        key = (w2, v)
-        if key not in self._xprods:
-            word = self.window.compat_word(w2)
-            torus = self.algebra.torus
-            c = torus.ring.fgl.c
-            if c is None:
-                prod = (self.algebra.x_word(word)
-                        * self.algebra.x_word(self.window.compat_word(v)))
-                row = self.tables.expand_in_x(prod)
-            else:
-                w, m = demazure_walk(torus.group, word, v)
-                coeff = c ** m
-                row = {}
-                if not coeff.is_zero():
-                    self.window.require(w, "eta support of the element")
-                    row = {w: Localized(torus, torus.ring.from_scalar(coeff))}
-            self._xprods[key] = row
-        return self._xprods[key]
+        word = self.window.compat_word(w2)
+        torus = self.algebra.torus
+        c = torus.ring.fgl.c
+        if c is None:
+            prod = self.algebra.x_word(word) * self.algebra.x_word(self.window.compat_word(v))
+            return self.tables.expand_in_x(prod)
+        w, m = demazure_walk(torus.group, word, v)
+        coeff = c ** m
+        if coeff.is_zero():
+            return {}
+        self.window.require(w, "eta support of the element")
+        return {w: Localized(torus, torus.ring.from_scalar(coeff))}
 
     def structure_pair(self, u: AffineElt, v: AffineElt) -> "StructurePair":
         """d-row, Peterson row and the comparison identity for one pair."""

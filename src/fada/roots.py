@@ -11,9 +11,10 @@ Generator labels are 0..n: label 0 is the affine reflection in delta - theta,
 labels 1..n are the finite simple reflections.
 
 The finite Weyl group is small (at most 48 elements for the predefined
-types), so a root datum enumerates it once and every element is an index
-into the datum's tables: its multiplication table, inverses, root and coroot
-matrices, and the reflection of each root.  A product of finite elements is
+types, 5,040 for A6, the largest accepted), so a root datum enumerates it
+once and every element is an index into the datum's tables: its
+multiplication table, inverses, root and coroot matrices, and the
+reflection of each root.  A product of finite elements is
 one table lookup, and a product of affine elements is one table lookup plus
 one integer matrix-vector product.
 """
@@ -26,6 +27,7 @@ from operator import mul as _imul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError, WindowExceededError
+from .memo import memo
 
 Vec = Tuple[int, ...]
 Mat = Tuple[Vec, ...]
@@ -43,12 +45,10 @@ def matvec(m: Mat, v: Vec) -> Vec:
     return tuple([sum(map(_imul, row, v)) for row in m])
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _times_reflection(m: Mat, i: int, row: Vec) -> Mat:
+    """m s for the matrix s that is the identity but for its row i, e_i - row
+    (row[i] = 2): (m s)[r][j] = m[r][j] - m[r][i] row[j]."""
+    return tuple(tuple([x - r[i] * a for x, a in zip(r, row)]) for r in m)
 
 
 # -- finite Weyl group elements -------------------------------------------
@@ -109,6 +109,10 @@ _PREDEFINED: Dict[str, Tuple[Tuple[int, ...], ...]] = {
     "B3": ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
     "C3": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
 }
+
+
+# |W(A6)|: its |W| x |W| product table takes 236 MB, and A7's would take 64 times that
+_WEYL_ORDER_BOUND = 5040
 
 
 def _type_a_cartan(n: int) -> Tuple[Tuple[int, ...], ...]:
@@ -206,29 +210,18 @@ class FiniteRootDatum:
                 total += li * sum(row[j] * root[j] for j in range(self.rank) if root[j])
         return total
 
-    def _simple_matrices(self, i: int) -> Tuple[Mat, Mat]:
-        """The root and coroot matrices of the simple reflection s_{i+1}."""
-        # row i of the root action is e_i - A[i], of the coroot action e_i - A[:,i]
-        n = self.rank
-        A = self.cartan
-        mat = tuple(
-            tuple((1 if r == j else 0) - (A[i][j] if r == i else 0) for j in range(n))
-            for r in range(n)
-        )
-        cmat = tuple(
-            tuple((1 if r == j else 0) - (A[j][i] if r == i else 0) for j in range(n))
-            for r in range(n)
-        )
-        return mat, cmat
-
     # -- finite Weyl group -------------------------------------------------
 
     def _build_weyl(self) -> None:
         """Enumerate W breadth-first by right multiplication with the simple
         reflections, then fill the multiplication table from those steps:
-        a * b = (a * b') * s_i for b = b' * s_i along b's least reduced word."""
+        a * b = (a * b') * s_i for b = b' * s_i along b's least reduced word.
+        An enumeration that passes `_WEYL_ORDER_BOUND` elements stops with a
+        ConfigError before any table is built."""
         n = self.rank
-        gens = [self._simple_matrices(i) for i in range(n)]
+        A = self.cartan
+        # s_{i+1} acts on roots by e_i - A[i] in row i, on coroots by e_i - A[:,i]
+        gens = [(A[i], tuple(row[i] for row in A)) for i in range(n)]
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         index: Dict[Mat, int] = {ident: 0}
         mats: List[Mat] = [ident]
@@ -241,13 +234,16 @@ class FiniteRootDatum:
         k = 0
         while k < len(mats):
             row = []
-            for i, (m, c) in enumerate(gens):
-                ws = matmul(mats[k], m)
+            for i, (root_row, coroot_row) in enumerate(gens):
+                ws = _times_reflection(mats[k], i, root_row)
                 row.append(ws)
                 if ws not in index:
+                    if len(mats) == _WEYL_ORDER_BOUND:
+                        raise ConfigError("finite Weyl group has more than %d elements, "
+                                          "the most a root datum takes (A6)" % _WEYL_ORDER_BOUND)
                     index[ws] = len(mats)
                     mats.append(ws)
-                    cmats.append(matmul(cmats[k], c))
+                    cmats.append(_times_reflection(cmats[k], i, coroot_row))
                     words.append(words[k] + (i + 1,))
                     steps.append((k, i))
             right_mats.append(row)
@@ -267,8 +263,8 @@ class FiniteRootDatum:
         self.weyl_elements: Tuple[FiniteWeylElt, ...] = elements
         self.weyl_identity = elements[0]
         self.longest_element = elements[-1]
-        self.simple_reflections: Tuple[FiniteWeylElt, ...] = tuple(
-            elements[index[m]] for m, _ in gens)
+        # the identity's steps come first: s_1, ..., s_n
+        self.simple_reflections: Tuple[FiniteWeylElt, ...] = elements[1:n + 1]
         self.weyl_words: Dict[FiniteWeylElt, Tuple[int, ...]] = dict(zip(elements, words))
         self.weyl_lengths: Dict[FiniteWeylElt, int] = {
             w: len(word) for w, word in zip(elements, words)}
@@ -364,9 +360,10 @@ class Window:
     """All affine Weyl elements of length at most `length_bound`.
 
     Elements are canonically ordered by (length, lexicographically least
-    reduced word); `words` holds that least word for each element.  Compat
-    words are cached per element on first request, also for elements outside
-    the window whose minimal coset representative lies inside it.
+    reduced word); `words` holds that least word for each element.  Tables
+    derived from them are kept on the window by `memo`, outside its fields;
+    compat words also for elements outside the window whose minimal coset
+    representative lies inside it.
     """
 
     group: "AffineWeylGroup"
@@ -375,42 +372,32 @@ class Window:
     words: Dict[AffineElt, Tuple[int, ...]]
     lengths: Dict[AffineElt, int]
     index: Dict[AffineElt, int] = field(default_factory=dict)
-    _root_steps: Dict[Vec, Tuple[Tuple[Optional[int], ...], Tuple[Optional[int], ...]]] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    # small-torus GKM plans by (alpha, degree bound, grassmannian), built by duals
-    _gkm_plans: Dict[Tuple[Vec, int, bool], tuple] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    _reflection_pairs: Optional[Tuple[Tuple[int, int, AffRoot], ...]] = \
-        field(default=None, init=False, repr=False, compare=False)
-    _compat: Dict[AffineElt, Tuple[int, ...]] = \
-        field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.index:
             self.index = {x: k for k, x in enumerate(self.elements)}
 
+    @memo
     def root_steps(self, alpha: Vec) -> Tuple[Tuple[Optional[int], ...],
                                               Tuple[Optional[int], ...]]:
         """For each element x, by position, the positions of t_{alpha^v} x and
-        of s_alpha x, or None outside the window.  Built once per root with no
-        group product: t_mu (u t_a) = u t_{a + u^-1 mu}, s_alpha (u t_a) =
-        (s_alpha u) t_a."""
-        if alpha not in self._root_steps:
-            coroot = self.group.datum.coroot_of[alpha]
-            s = self.group.datum.reflection(alpha)
-            shifted = (AffineElt(x.w, tuple(a + b for a, b in
-                                            zip(x.t, matvec(x.w.cmat_inv, coroot))))
-                       for x in self.elements)
-            reflected = (AffineElt(s * x.w, x.t) for x in self.elements)
-            self._root_steps[alpha] = (tuple(map(self.index.get, shifted)),
-                                       tuple(map(self.index.get, reflected)))
-        return self._root_steps[alpha]
+        of s_alpha x, or None outside the window.  Built once per root (`memo`)
+        with no group product: t_mu (u t_a) = u t_{a + u^-1 mu}, s_alpha (u t_a)
+        = (s_alpha u) t_a."""
+        coroot = self.group.datum.coroot_of[alpha]
+        s = self.group.datum.reflection(alpha)
+        shifted = (AffineElt(x.w, tuple(a + b for a, b in
+                                        zip(x.t, matvec(x.w.cmat_inv, coroot))))
+                   for x in self.elements)
+        reflected = (AffineElt(s * x.w, x.t) for x in self.elements)
+        return (tuple(map(self.index.get, shifted)), tuple(map(self.index.get, reflected)))
 
+    @memo
     def reflection_pairs(self) -> Tuple[Tuple[int, int, AffRoot], ...]:
         """(a, b, beta) for every pair of positions a < b whose elements
         differ by a real affine reflection, x_b x_a^-1 = s_beta with beta
-        positive, in order of a and then b.  Built once, with no group
-        product.
+        positive, in order of a and then b.  Built once by `memo`, with no
+        group product.
 
         For x = u t_a and a positive root alpha the partners are
         s_{alpha + m delta} x = (s_alpha u) t_{a + m gamma^v}, gamma =
@@ -420,28 +407,26 @@ class Window:
         partner is |+-(<a, gamma> + 2m) + chi| with chi 0 or 1, and it is at
         most the partner's length, at most L.  beta is (alpha, m), or
         (-alpha, -m) when m < 0."""
-        if self._reflection_pairs is None:
-            datum = self.group.datum
-            bound = self.length_bound + 1
-            pairs, finite_parts = [], {x.w for x in self.elements}
-            for alpha in datum.positive_roots:
-                s, coroot, neg = datum.reflection(alpha), datum.coroot_of[alpha], vneg(alpha)
-                # per finite part u: s_alpha u, gamma^v, and A gamma, so that
-                # <a, gamma> is a dot product with a
-                by_w = {u: (s * u, matvec(u.cmat_inv, coroot),
-                            matvec(datum.cartan, u.inverse().act_root(alpha)))
-                        for u in finite_parts}
-                for a, x in enumerate(self.elements):
-                    su, step, a_gamma = by_w[x.w]
-                    p = sum(map(_imul, x.t, a_gamma))
-                    for m in range(-((bound + p) // 2), (bound - p) // 2 + 1):
-                        b = self.index.get(AffineElt(su, tuple(
-                            [t + m * v for t, v in zip(x.t, step)])))
-                        if b is not None and b > a:
-                            pairs.append((a, b, (alpha, m) if m >= 0 else (neg, -m)))
-            # one reflection per pair (a, b), so beta never decides the order
-            self._reflection_pairs = tuple(sorted(pairs))
-        return self._reflection_pairs
+        datum = self.group.datum
+        bound = self.length_bound + 1
+        pairs, finite_parts = [], {x.w for x in self.elements}
+        for alpha in datum.positive_roots:
+            s, coroot, neg = datum.reflection(alpha), datum.coroot_of[alpha], vneg(alpha)
+            # per finite part u: s_alpha u, gamma^v, and A gamma, so that
+            # <a, gamma> is a dot product with a
+            by_w = {u: (s * u, matvec(u.cmat_inv, coroot),
+                        matvec(datum.cartan, u.inverse().act_root(alpha)))
+                    for u in finite_parts}
+            for a, x in enumerate(self.elements):
+                su, step, a_gamma = by_w[x.w]
+                p = sum(map(_imul, x.t, a_gamma))
+                for m in range(-((bound + p) // 2), (bound - p) // 2 + 1):
+                    b = self.index.get(AffineElt(su, tuple(
+                        [t + m * v for t, v in zip(x.t, step)])))
+                    if b is not None and b > a:
+                        pairs.append((a, b, (alpha, m) if m >= 0 else (neg, -m)))
+        # one reflection per pair (a, b), so beta never decides the order
+        return tuple(sorted(pairs))
 
     def __contains__(self, x: AffineElt) -> bool:
         return x in self.index
@@ -459,15 +444,13 @@ class Window:
         self.require(x)
         return self.words[x]
 
+    @memo
     def compat_word(self, x: AffineElt) -> Tuple[int, ...]:
         """A reduced word of the form (finite word of u) + (word of v), x = u v
-        with v of minimal length in W x.  Cached per element."""
-        word = self._compat.get(x)
-        if word is None:
-            u, v = self.group.coset_decompose(x)
-            self.require(v)
-            word = self._compat[x] = self.group.datum.weyl_words[u] + self.words[v]
-        return word
+        with v of minimal length in W x.  Kept per element by `memo`."""
+        u, v = self.group.coset_decompose(x)
+        self.require(v)
+        return self.group.datum.weyl_words[u] + self.words[v]
 
     def minimal_coset_reps(self) -> Tuple[AffineElt, ...]:
         return tuple(x for x in self.elements if self.group.is_minimal_rep(x))
@@ -486,8 +469,6 @@ class AffineWeylGroup:
             gens.append(AffineElt(datum.simple_reflections[i], (0,) * n))
         self.generators: Tuple[AffineElt, ...] = tuple(gens)
         self.labels: Tuple[int, ...] = tuple(range(n + 1))
-        self._windows: Dict[int, Window] = {}
-        self._bruhat_memo: Dict[Tuple[AffineElt, AffineElt], bool] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -565,9 +546,8 @@ class AffineWeylGroup:
 
     # -- enumeration -------------------------------------------------------
 
+    @memo
     def window(self, length_bound: int) -> Window:
-        if length_bound in self._windows:
-            return self._windows[length_bound]
         words: Dict[AffineElt, Tuple[int, ...]] = {self.identity: ()}
         lengths: Dict[AffineElt, int] = {self.identity: 0}
         layer = [self.identity]
@@ -588,9 +568,7 @@ class AffineWeylGroup:
                 lengths[y] = depth
             layer = list(nxt)
         elements = tuple(sorted(words, key=lambda x: (lengths[x], words[x])))
-        win = Window(self, length_bound, elements, words, lengths)
-        self._windows[length_bound] = win
-        return win
+        return Window(self, length_bound, elements, words, lengths)
 
     def is_minimal_rep(self, x: AffineElt) -> bool:
         """Minimal length in its coset x W: no finite right descent."""
@@ -632,28 +610,18 @@ class AffineWeylGroup:
 
     # -- Bruhat order ------------------------------------------------------
 
+    @memo
     def bruhat_leq(self, x: AffineElt, y: AffineElt) -> bool:
         if x == y:
             return True
-        key = (x, y)
-        memo = self._bruhat_memo
-        if key in memo:
-            return memo[key]
         lx = self.length(x)
-        ly = self.length(y)
-        if lx >= ly:
-            memo[key] = False
+        if lx >= self.length(y):
             return False
         for i in self.labels:
             if self.right_descent(y, i):
                 ys = self.mul(y, self.generators[i])
                 xs = self.mul(x, self.generators[i])
-                if self.length(xs) < lx:
-                    res = self.bruhat_leq(xs, ys)
-                else:
-                    res = self.bruhat_leq(x, ys)
-                memo[key] = res
-                return res
+                return self.bruhat_leq(xs, ys) if self.length(xs) < lx else self.bruhat_leq(x, ys)
         raise ConfigError("nonidentity element without right descent")
 
     # -- formatting --------------------------------------------------------

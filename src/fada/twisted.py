@@ -39,6 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
+from .memo import memo
 from .roots import AffineElt, AffineWeylGroup, Vec, Window, vneg
 from .scalars import Scalar
 
@@ -115,13 +116,11 @@ class TwistedElement:
 
 
 class TwistedAlgebra:
-    """Q_W over a torus algebra, with cached Demazure word products and the
-    rows of the inverse change of basis, one store per flavor."""
+    """Q_W over a torus algebra, with its Demazure word products kept by
+    `memo` and the rows of the inverse change of basis, one store per flavor."""
 
     def __init__(self, torus: TorusAlgebra):
         self.torus = torus
-        self._xop: Dict[int, TwistedElement] = {}
-        self._words: Dict[Tuple[str, Tuple[int, ...]], TwistedElement] = {}
         # rows[flavor][w]: eta_w = sum_u rows[flavor][w][u] X_{I_u} (or Y_{I_u})
         self.rows: Dict[str, Dict[AffineElt, Dict[AffineElt, Localized]]] = {
             "x": {}, "y": {}}
@@ -157,38 +156,31 @@ class TwistedAlgebra:
         inv = Localized(self.torus, self.torus.ring.one(), (b,))
         return TwistedElement(self, {self.torus.group.identity: inv, g: -inv})
 
+    @memo
     def x_op(self, i: int) -> TwistedElement:
         """X_i = (1/x_{alpha_i}) (1 - eta_{s_i})."""
-        if i not in self._xop:
-            group = self.torus.group
-            self._xop[i] = self.divided_difference(
-                self.torus.embed_root(group.simple_root(i)), group.simple(i))
-        return self._xop[i]
+        group = self.torus.group
+        return self.divided_difference(self.torus.embed_root(group.simple_root(i)),
+                                       group.simple(i))
 
     def y_op(self, i: int) -> TwistedElement:
         """Y_i = c - X_i, for the group law x + y - c x y."""
         return self.coerce(connective_scalar(self.torus)) - self.x_op(i)
 
-    def word_product(self, flavor: str, word: Sequence[int]) -> TwistedElement:
+    @memo
+    def word_product(self, flavor: str, word: Tuple[int, ...]) -> TwistedElement:
         """X_{i_1} ... X_{i_k} (flavor "x") or Y_{i_1} ... Y_{i_k} (flavor
-        "y"), cached along prefixes."""
-        word = tuple(word)
-        key = (flavor, word)
-        if key in self._words:
-            return self._words[key]
+        "y") for a tuple `word`, kept by `memo` along its prefixes."""
         if not word:
-            out = self.one()
-        else:
-            op = self.x_op if flavor == "x" else self.y_op
-            out = self.word_product(flavor, word[:-1]) * op(word[-1])
-        self._words[key] = out
-        return out
+            return self.one()
+        op = self.x_op if flavor == "x" else self.y_op
+        return self.word_product(flavor, word[:-1]) * op(word[-1])
 
     def x_word(self, word: Sequence[int]) -> TwistedElement:
-        return self.word_product("x", word)
+        return self.word_product("x", tuple(word))
 
     def y_word(self, word: Sequence[int]) -> TwistedElement:
-        return self.word_product("y", word)
+        return self.word_product("y", tuple(word))
 
     def z_alpha(self, alpha: Vec) -> TwistedElement:
         """Z_alpha = (1/x_{-alpha}) (1 - eta_{t_{alpha^v}}) for a finite root."""

@@ -115,6 +115,15 @@ def test_exit_two_on_config_error(capsys):
     assert "error:" in err
 
 
+def test_exit_two_on_a_weyl_group_past_the_bound(capsys):
+    # A7's Weyl group has 40,320 elements, past the 5,040 of A6
+    rc, out, err = run_cli(capsys, "expand", "--root", "A7")
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and "more than 5040 elements" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", [("--gkm-degree", "5"), ("--grassmannian",)])
 def test_big_torus_gkm_rejects_the_small_torus_flags(capsys, flag):
     # the big-torus check has degree 1 and no Grassmannian variant

@@ -10,7 +10,7 @@ from fada.algebra import AlgebraElement, Localized
 from fada.connective import ConnectiveContext
 from fada.errors import FadaError, WindowExceededError
 from fada.twisted import TwistedElement, combine_rows
-from fada.duals import (BINOMIAL_SUM, NOT_REGULAR, ORBIT_LEAVES,
+from fada.duals import (BINOMIAL_SUM, DIFFERENCE, NOT_REGULAR, ORBIT_LEAVES,
                         REFLECTED_ORBIT_LEAVES, REFLECTED_SUM, DualElement,
                         GkmRecord, bullet, characteristic, dual_x,
                         gkm_check_big, gkm_check_small, odot, pair, phi,
@@ -452,11 +452,11 @@ def test_small_gkm_matches_the_binomial_sum_oracle(rtype, backend, fgl, precisio
     assert seen[REFLECTED_ORBIT_LEAVES] or rtype == "G2"
 
 
-def gkm_outcome(check, f, degree_bound, grassmannian):
+def gkm_outcome(check, f, *args, **kwargs):
     """A GKM report as (checked, skipped, violations), records in order, or
     the type and text of the error the check raised."""
     try:
-        rep = check(f, degree_bound, grassmannian=grassmannian)
+        rep = check(f, *args, **kwargs)
     except FadaError as exc:
         return type(exc).__name__, str(exc)
     return rep.checked, rep.skipped, rep.violations
@@ -491,9 +491,9 @@ def test_small_gkm_matches_the_dense_walk(rtype, backend, fgl, precision, length
     for f in cases:
         for degree_bound in (1, 2, 3):
             for grassmannian in (False, True):
-                got = gkm_outcome(gkm_check_small, f, degree_bound, grassmannian)
+                got = gkm_outcome(gkm_check_small, f, degree_bound, grassmannian=grassmannian)
                 assert got == gkm_outcome(util.gkm_check_small_dense, f, degree_bound,
-                                          grassmannian)
+                                          grassmannian=grassmannian)
                 if isinstance(got[0], str):
                     seen[got[0]] += 1
                 else:
@@ -527,6 +527,48 @@ def test_big_gkm_rejects_perturbation():
     bad[w0] = f.get(w0) + 1
     rep = gkm_check_big(DualElement(t, win, bad))
     assert not rep.passed
+
+
+BIG_ORACLE_CASES = [(rtype, backend, None, 8, length)
+                    for rtype, length in (("A1", 6), ("A2", 4), ("B2", 4), ("G2", 4))
+                    for backend in BACKENDS] + [("A1", "SER", "hyperbolic", 14, 4),
+                                                ("A2", "SER", "hyperbolic", 8, 2)]
+
+
+@pytest.mark.parametrize("rtype,backend,fgl,precision,length", BIG_ORACLE_CASES,
+                         ids=["%s-%s-L%d" % (c[0], c[1], c[4]) for c in BIG_ORACLE_CASES])
+def test_big_gkm_matches_the_all_pairs_walk(rtype, backend, fgl, precision, length):
+    alg = util.algebra(rtype, backend, "big", fgl=fgl, precision=precision)
+    t = alg.torus
+    tables = util.tables(alg, length)
+    window = tables.window
+    rng = random.Random(rtype + backend + "big")
+    duals = [dual_x(tables, w) for w in window.elements]
+    shallow = [w for w in window.elements if window.lengths[w] <= 2]
+    roots = [(alpha, m) for alpha in t.datum.roots for m in (0, 1)]
+    cases = rng.sample(duals, min(10, len(duals)))
+    for k in range(6):
+        bump = rng.randint(1, 7)
+        if k >= 3:
+            # divisible along the reflections of one affine root only
+            bump = bump * t.x_root(rng.choice(roots))
+        cases.append(bumped(rng.choice(duals), rng.choice(shallow), bump))
+    for _ in range(3):
+        cases.append(sum((f.scale(rng.randint(1, 5)) for f in rng.sample(duals, 3)),
+                         DualElement.zero(t, window)))
+    cases.append(DualElement(t, window, {
+        window.elements[1]: Localized(t, t.ring.one(), (t.embed_root(t.group.simple_root(1)),))}))
+    seen = Counter()
+    for f in cases:
+        got = gkm_outcome(gkm_check_big, f)
+        assert got == gkm_outcome(util.gkm_check_big_all_pairs, f)
+        if isinstance(got[0], str):
+            seen[got[0]] += 1
+        else:
+            seen.update(r.reason for r in got[2])
+            seen["passed"] += not got[2]
+    # passes, violations and values that are not regular all occur
+    assert seen["passed"] and seen[DIFFERENCE] and seen[NOT_REGULAR]
 
 
 # -- support-only loops against the full-window oracles -----------------------

@@ -432,3 +432,62 @@ def test_scanner_flags_accumulation_loops():
 
 def test_maps_are_summed_only_by_row_sum():
     assert accumulation_loops({p.stem: p.read_text() for p in PACKAGE}) == ACCUMULATORS
+
+
+# private dict set up by an __init__ -> why it is not a `memo`
+GROWING_TABLES = {
+    "fgl:FormalGroupLaw._table": "grows degree by degree as the law is truncated higher",
+}
+
+
+def _is_empty_dict(node):
+    return ((isinstance(node, ast.Dict) and not node.keys)
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "dict" and not node.args and not node.keywords))
+
+
+def hand_rolled_caches(sources):
+    """The tables, as 'module:Class.attr', that a class keeps by hand: a
+    private attribute that its __init__ sets to an empty dict, and a
+    dataclass field built by default_factory=dict with init=False."""
+    found = []
+    for module, text in sources.items():
+        for cls in (n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                value = getattr(node, "value", None)
+                if (isinstance(node, ast.AnnAssign) and isinstance(value, ast.Call)
+                        and getattr(value.func, "id", None) == "field"):
+                    keywords = {k.arg: ast.unparse(k.value) for k in value.keywords}
+                    if (keywords.get("default_factory") == "dict"
+                            and keywords.get("init") == "False"):
+                        found.append("%s:%s.%s" % (module, cls.name, node.target.id))
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    for stmt in ast.walk(node):
+                        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                                   else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                                   else [])
+                        found += ["%s:%s.%s" % (module, cls.name, t.attr) for t in targets
+                                  if isinstance(t, ast.Attribute) and _is_private(t.attr)
+                                  and _is_empty_dict(stmt.value)]
+    return sorted(found)
+
+
+def test_scanner_flags_hand_rolled_caches():
+    source = ("from dataclasses import dataclass, field\n"
+              "class C:\n"
+              "    def __init__(self):\n"
+              "        self._cache = {}\n"
+              "        self._typed: dict = dict()\n"
+              "        self.public = {}\n"
+              "        self._full = {1: 2}\n"
+              "    def later(self):\n"
+              "        self._late = {}\n"
+              "@dataclass\n"
+              "class D:\n"
+              "    data: dict = field(default_factory=dict)\n"
+              "    _seen: dict = field(default_factory=dict, init=False, repr=False)\n")
+    assert hand_rolled_caches({"m": source}) == ["m:C._cache", "m:C._typed", "m:D._seen"]
+
+
+def test_caches_go_through_memo():
+    assert hand_rolled_caches({p.stem: p.read_text() for p in MODULES}) == sorted(GROWING_TABLES)

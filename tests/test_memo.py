@@ -1,0 +1,114 @@
+"""`memo`: one table per owner and function, keyed by the argument or the
+argument tuple, filled by recursive calls, and never written by a raise."""
+
+import pytest
+
+from fada.algebra import FormalRing, TorusAlgebra
+from fada.errors import ConfigError, WindowExceededError
+from fada.fgl import FormalGroupLaw
+from fada.memo import memo
+from fada.peterson import PetersonContext
+from fada.roots import AffineWeylGroup, FiniteRootDatum, Window
+from fada.twisted import TwistedAlgebra
+
+
+def table(owner, name):
+    return vars(owner)["_memo"][name]
+
+
+def fresh_algebra():
+    """An A1 CON small-torus algebra that no other test has filled."""
+    return TwistedAlgebra(TorusAlgebra(FiniteRootDatum.from_type("A1"), "CON", "small"))
+
+
+class Counted:
+    def __init__(self):
+        self.calls = 0
+
+    @memo
+    def one(self, x):
+        self.calls += 1
+        if x < 0:
+            raise ValueError(x)
+        return [x]
+
+    @memo
+    def two(self, x, y):
+        self.calls += 1
+        return [x, y]
+
+
+def test_keys_are_the_argument_or_the_argument_tuple():
+    c = Counted()
+    assert c.one(2) is c.one(2)
+    assert c.two(1, 2) is c.two(1, 2)
+    assert c.calls == 2
+    assert table(c, "test_memo.Counted.one") == {2: [2]}
+    assert table(c, "test_memo.Counted.two") == {(1, 2): [1, 2]}
+    # another owner, another table
+    d = Counted()
+    assert d.one(2) is not c.one(2) and d.calls == 1
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            c.one(-1)
+    assert c.calls == 4 and -1 not in table(c, "test_memo.Counted.one")
+
+
+def test_window_tables_are_per_window():
+    g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
+    assert g.window(3) is g.window(3)
+    small, large = g.window(3), g.window(4)
+    for win in (small, large):
+        for x in win.elements:
+            assert win.compat_word(x) is win.compat_word(x)
+        assert win.reflection_pairs() is win.reflection_pairs()
+    words_small = table(small, "roots.Window.compat_word")
+    words_large = table(large, "roots.Window.compat_word")
+    assert set(words_small) == set(small.elements)
+    assert set(words_large) == set(large.elements)
+    # an equal window built anew starts with no table
+    fresh = Window(g, 3, small.elements, small.words, small.lengths)
+    assert fresh == small and "_memo" not in vars(fresh)
+    assert fresh.compat_word(small.elements[-1]) == small.compat_word(small.elements[-1])
+    assert table(fresh, "roots.Window.compat_word") is not words_small
+
+
+def test_recursive_calls_fill_the_table():
+    alg = fresh_algebra()
+    alg.x_word([0, 1, 0])
+    assert set(table(alg, "twisted.TwistedAlgebra.word_product")) == {
+        ("x", ()), ("x", (0,)), ("x", (0, 1)), ("x", (0, 1, 0))}
+    assert alg.x_word((0, 1)) is alg.word_product("x", (0, 1))
+
+    ring = FormalRing("SER", 1, FormalGroupLaw.hyperbolic(), 6)
+    ring.x_of([3])
+    ring.x_of((-2,))
+    assert set(table(ring, "algebra.FormalRing._multiple")) == {
+        (0, 1), (0, 2), (0, 3), (0, -1), (0, -2)}
+    assert ring.x_of([3]) is ring.x_of((3,))
+
+
+def test_a_raising_call_stores_nothing_and_raises_again():
+    g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
+    win = g.window(1)
+    outside = g.from_word((0, 1, 0))
+    win.compat_word(win.elements[0])
+    for _ in range(2):
+        with pytest.raises(WindowExceededError):
+            win.compat_word(outside)
+        assert outside not in table(win, "roots.Window.compat_word")
+
+    alg = fresh_algebra()
+    ctx = PetersonContext(alg, alg.torus.group.window(4))
+    s1 = alg.torus.group.simple(1)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="minimal coset"):
+            ctx.element(s1)
+        assert s1 not in vars(ctx).get("_memo", {}).get("peterson.PetersonContext.element", {})
+
+    ring = alg.torus.ring
+    ring.x_of((1,))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="wrong rank"):
+            ring.x_of((1, 0))
+        assert (1, 0) not in table(ring, "algebra.FormalRing._x")

@@ -1,5 +1,7 @@
 """Root data and the affine Weyl group."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,31 @@ def test_from_cartan_validation():
         FiniteRootDatum.from_cartan([[2, -1, 0], [-1, 2, 0], [0, 0, 2]], "reducible")
     with pytest.raises(ConfigError):
         FiniteRootDatum.from_type("E11")
+
+
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("make", [lambda: FiniteRootDatum.from_type("A7"),
+                                  lambda: FiniteRootDatum.from_cartan(E6, "E6")],
+                         ids=["A7", "E6"])
+def test_weyl_group_past_the_bound_is_refused_before_its_tables(make):
+    # |W(A7)| = 40,320 and |W(E6)| = 51,840: their multiplication tables
+    # would not fit in memory, so the enumeration stops at 5,040 elements
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="more than 5040 elements"):
+        make()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("cartan, order", [(D4, 192), (F4, 1152)], ids=["D4", "F4"])
+def test_weyl_groups_under_the_bound_still_build(cartan, order):
+    d = FiniteRootDatum.from_cartan(cartan)
+    assert len(d.weyl_elements) == order
+    assert d.weyl_lengths[d.longest_element] == len(d.positive_roots)
 
 
 # -- group structure --------------------------------------------------------
@@ -375,17 +402,18 @@ def test_gkm_plans_are_built_once_per_window():
     roots = alg.torus.datum.positive_roots
     duals = [DualElement(alg.torus, win, dual_x(tables, w).values) for w in win.elements[:4]]
     first = [gkm_check_small(f, 2) for f in duals]
-    assert set(win._gkm_plans) == {(alpha, 2, False) for alpha in roots}
+    gkm_plans = vars(win)["_memo"]["duals._small_plan"]
+    assert set(gkm_plans) == {(alpha, 2, False) for alpha in roots}
     plans = {alpha: _small_plan(win, alpha, 2, False) for alpha in roots}
     again = [gkm_check_small(f, 2) for f in duals]
-    assert len(win._gkm_plans) == len(roots)
-    assert all(win._gkm_plans[alpha, 2, False] is plans[alpha] for alpha in roots)
+    assert len(gkm_plans) == len(roots)
+    assert all(gkm_plans[alpha, 2, False] is plans[alpha] for alpha in roots)
     # another degree bound or flag is another plan, also built once
     for key in ((3, False), (2, True)):
         built = [_small_plan(win, alpha, *key) for alpha in roots]
         assert not any(plan is plans[alpha] for plan, alpha in zip(built, roots))
         assert all(_small_plan(win, alpha, *key) is plan for plan, alpha in zip(built, roots))
-    assert len(win._gkm_plans) == 3 * len(roots)
+    assert len(gkm_plans) == 3 * len(roots)
     # every report owns its list of the plan's skip records
     a, b = first[0], again[0]
     kept = list(b.skipped)
@@ -545,10 +573,10 @@ def test_window_equality_and_repr_ignore_the_compat_cache():
     fresh = Window(g, win.length_bound, win.elements, win.words, win.lengths)
     for x in win.elements:
         win.compat_word(x)
-    assert win._compat and not fresh._compat
+    assert vars(win)["_memo"]["roots.Window.compat_word"] and "_memo" not in vars(fresh)
     assert win == fresh
     assert repr(win) == repr(fresh)
-    assert "_compat" not in repr(win)
+    assert "_memo" not in repr(win)
 
 
 def test_bruhat_order():

@@ -56,6 +56,20 @@ def test_bench_compare_names_changed_runs_and_skips_new_ones():
     assert bench.compare(old, new) == (["expand --root A1"], ["peterson --root B3"])
 
 
+def test_bench_runs_from_compiled_bytecode_with_the_same_stdout(tmp_path):
+    bench = load_bench()
+    argv = ["a1hat", "--kmax", "0"]
+    _, _, code, plain = bench.run_timed(argv)
+    before = set(ROOT.rglob("*.pyc"))
+    env = bench.compile_bytecode(str(tmp_path))
+    assert list(tmp_path.rglob("cli.*.pyc")) and env["PYTHONDONTWRITEBYTECODE"] == "1"
+    _, _, cached_code, cached = bench.run_timed(argv, env)
+    assert code == cached_code == 0
+    assert hashlib.sha256(cached).digest() == hashlib.sha256(plain).digest()
+    # the bytecode goes to the prefix only, never into the checkout
+    assert set(ROOT.rglob("*.pyc")) == before
+
+
 def test_bench_times_main_inside_the_wall_time_with_the_same_stdout():
     bench = load_bench()
     argv = ["a1hat", "--kmax", "0"]

@@ -13,8 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from fada import polyops
 from fada.algebra import AlgebraElement, Localized, TorusAlgebra
-from fada.duals import (BINOMIAL_SUM, NOT_REGULAR, ORBIT_LEAVES, REFLECTED_ORBIT_LEAVES,
-                        REFLECTED_SUM, DualElement, GkmRecord, GkmReport, dual_x)
+from fada.duals import (BINOMIAL_SUM, DIFFERENCE, NOT_REGULAR, ORBIT_LEAVES,
+                        REFLECTED_ORBIT_LEAVES, REFLECTED_SUM, DualElement, GkmRecord,
+                        GkmReport, dual_x)
 from fada.fgl import FormalGroupLaw
 from fada.roots import AffineElt, FiniteRootDatum, Window
 from fada.twisted import (ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows,
@@ -198,6 +199,29 @@ def gkm_check_small_dense(f: DualElement, degree_bound: int,
                 report.checked += 1
                 if not torus.divisible(diffs[d - 1][k] - mirror, beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
+    return report
+
+
+def gkm_check_big_all_pairs(f: DualElement) -> GkmReport:
+    """`duals.gkm_check_big` as a walk over every reflection pair of the
+    window for every dual: every value is simplified, and every difference
+    is formed and tested, zero minus zero included.  The oracle of the walk
+    over the pairs that touch the support, record for record and in order."""
+    torus, window = f.torus, f.window
+    report = GkmReport(torus.torus, torus.ring.backend, 1, window)
+    values = []
+    for w in window.elements:
+        report.checked += 1
+        s = f.get(w).simplify()
+        if s.den_map:
+            report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
+        values.append(s.num)
+    if report.violations:
+        return report
+    for a, b, beta in window.reflection_pairs():
+        report.checked += 1
+        if not torus.divisible(values[a] - values[b], beta, 1):
+            report.violations.append(GkmRecord(beta, 1, window.elements[a], DIFFERENCE))
     return report
 
 
