@@ -132,25 +132,26 @@ def compile_bytecode(prefix: str) -> dict:
     return dict(env, PYTHONDONTWRITEBYTECODE="1")
 
 
-def run_timed(argv: list, env: dict | None = None) -> tuple:
-    """One fresh CLI process, in `env` or else `environment()`: (wall
-    seconds, main seconds, exit code, stdout)."""
+def run_timed(argv: list, env: dict) -> tuple:
+    """One fresh CLI process in `env`: (wall seconds, main seconds, exit
+    code, stdout)."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", TIMER] + argv, cwd=ROOT,
-                          env=env or environment(), capture_output=True)
+                          env=env, capture_output=True)
     wall = time.perf_counter() - start
     return wall, float(MAIN_S.search(proc.stderr).group(1)), proc.returncode, proc.stdout
 
 
 def run_cli() -> list:
     out = []
+    plain = environment()
     with tempfile.TemporaryDirectory() as prefix:
         compiled = compile_bytecode(prefix)
         for command, root, window in NORTH_STAR + EXTRA_RUNS:
             argv = [command, "--root", root, "--window", window] + EXTRA.get(command, [])
             times, mains, cached, digests, codes = [], [], [], set(), set()
             for _ in range(REPEATS):
-                wall, main_s, code, stdout = run_timed(argv)
+                wall, main_s, code, stdout = run_timed(argv, plain)
                 times.append(wall)
                 mains.append(main_s)
                 digests.add(hashlib.sha256(stdout).hexdigest())

@@ -59,7 +59,7 @@ def test_bench_compare_names_changed_runs_and_skips_new_ones():
 def test_bench_runs_from_compiled_bytecode_with_the_same_stdout(tmp_path):
     bench = load_bench()
     argv = ["a1hat", "--kmax", "0"]
-    _, _, code, plain = bench.run_timed(argv)
+    _, _, code, plain = bench.run_timed(argv, bench.environment())
     before = set(ROOT.rglob("*.pyc"))
     env = bench.compile_bytecode(str(tmp_path))
     assert list(tmp_path.rglob("cli.*.pyc")) and env["PYTHONDONTWRITEBYTECODE"] == "1"
@@ -73,7 +73,7 @@ def test_bench_runs_from_compiled_bytecode_with_the_same_stdout(tmp_path):
 def test_bench_times_main_inside_the_wall_time_with_the_same_stdout():
     bench = load_bench()
     argv = ["a1hat", "--kmax", "0"]
-    wall, main_s, code, stdout = bench.run_timed(argv)
+    wall, main_s, code, stdout = bench.run_timed(argv, bench.environment())
     assert 0 < main_s <= wall
     plain = subprocess.run([sys.executable, "-m", "fada.cli"] + argv, cwd=ROOT,
                            env=bench.environment(), capture_output=True)
