@@ -20,8 +20,9 @@ The file records three things, on the machine the script runs on:
   ``wall_s`` when ``PYTHONDONTWRITEBYTECODE`` is set.
   An exit code is data, not a failure: ``peterson --u 0`` on B3 L=4 exits
   2, because P_{s_0} needs window 8 there, so ``peterson --u 0`` on B3 L=8
-  is timed as well, as an extra run after the twelve, and so is ``gkm`` on
-  A3 L=7, where the GKM checks are most of the run;
+  is timed as well, as an extra run after the twelve, and so are ``gkm`` on
+  A3 L=7, where the GKM checks are most of the run, and ``gkm --fgl
+  additive`` on A2 L=8, the CLI shape of the ``gkm`` perfbench workload;
 * ``tier1``: one run of the tier-1 suite, its wall time, its pass and fail
   counts and the time of each acceptance criterion.
 
@@ -47,15 +48,25 @@ SRC = ROOT / "src"
 SEED = 101
 REPEATS = 3
 
+EXTRA = {"peterson": ["--u", "0"], "recurse": ["--i", "1"]}
+
+
+def cli_argv(command: str, root: str, window: int, *args: str) -> list:
+    """The argument list of one CLI run: the command's `EXTRA` options, then
+    the run's own."""
+    return [command, "--root", root, "--window", str(window)] + EXTRA.get(command, []) + list(args)
+
+
 NORTH_STAR = [
-    (command, root, str(window))
+    cli_argv(command, root, window)
     for root, window in (("A1", 8), ("A2", 6), ("B3", 4))
     for command in ("expand", "gkm", "peterson", "recurse")
 ]
-EXTRA = {"peterson": ["--u", "0"], "recurse": ["--i", "1"]}
 # timed after the twelve: the B3 peterson run above ends in its exit-2 path,
-# and the twelve hold no run whose time the GKM checks dominate
-EXTRA_RUNS = [("peterson", "B3", "8"), ("gkm", "A3", "7")]
+# the twelve hold no run whose time the GKM checks dominate, and the last is
+# the CLI shape of the `gkm` perfbench workload
+EXTRA_RUNS = [cli_argv("peterson", "B3", 8), cli_argv("gkm", "A3", 7),
+              cli_argv("gkm", "A2", 8, "--fgl", "additive")]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 # `python -m fada.cli` with the time of main, after the import, on stderr
 TIMER = """
@@ -147,8 +158,7 @@ def run_cli() -> list:
     plain = environment()
     with tempfile.TemporaryDirectory() as prefix:
         compiled = compile_bytecode(prefix)
-        for command, root, window in NORTH_STAR + EXTRA_RUNS:
-            argv = [command, "--root", root, "--window", window] + EXTRA.get(command, [])
+        for argv in NORTH_STAR + EXTRA_RUNS:
             times, mains, cached, digests, codes = [], [], [], set(), set()
             for _ in range(REPEATS):
                 wall, main_s, code, stdout = run_timed(argv, plain)

@@ -40,7 +40,10 @@ x_i, and on SER l_b is its lowest form; both divide by synthetic division in
 one variable, once per lattice degree, in `polyops.series_div_exact` (ADD
 with no precision bound).  `Localized.simplify` cancels through it, and
 `TorusAlgebra.divisible` is the one test "x_beta^d divides f" of the GKM
-checks: an exact zero passes with no division.
+checks: an exact zero passes with no division, and every other verdict is
+kept on the torus by `memo` as a bool, keyed by (frozenset of f's packed
+terms, f.prec, beta, d), so a question the checks ask again on the same
+torus is answered without dividing.
 """
 from __future__ import annotations
 
@@ -655,9 +658,19 @@ class TorusAlgebra:
         return q if k else None
 
     def divisible(self, f: AlgebraElement, beta: AffRoot, d: int) -> bool:
-        """Whether x_beta^d divides f.  An exact zero passes with no division;
-        a SER zero is divided, so a precision it exhausts still raises."""
-        return f.is_exact_zero() or self.ring.divide(f, self.embed_root(beta), d)[1] == d
+        """Whether x_beta^d divides f.  An exact zero passes with no division
+        and no key.  Any other f is answered once per torus by `_divides`,
+        keyed by (frozenset of f's packed terms, f.prec, beta, d).  A SER
+        zero is divided, so a precision it exhausts still raises, on every
+        repeat, since a call that raises stores nothing."""
+        return f.is_exact_zero() or self._divides(frozenset(f._terms.items()), f.prec, beta, d)
+
+    @memo
+    def _divides(self, terms: frozenset, prec: Optional[int], beta: AffRoot, d: int) -> bool:
+        """The verdict of `divisible`, kept by `memo` as a bool: the element
+        is rebuilt from its frozen terms for the division and not kept."""
+        f = AlgebraElement._cut(self.ring, dict(terms), prec)
+        return self.ring.divide(f, self.embed_root(beta), d)[1] == d
 
     # -- classical operators ----------------------------------------------
 

@@ -27,7 +27,9 @@ orbit, lie in x_alpha^d S; the big-torus conditions are the classical
 pairwise divisibility conditions along real affine reflections.  Both checks
 simplify each value of the support once to a ring element and test
 differences of those with `TorusAlgebra.divisible`, their one divisibility
-test; when the ring's zero is exact an absent point is an exact zero, and a
+test, whose verdicts the torus keeps by `memo` per (frozen terms,
+precision, beta, d), so a difference that recurs on the torus is divided
+once; when the ring's zero is exact an absent point is an exact zero, and a
 difference that is one passes without a division.  On SER a zero is not
 exact, so there the support is the whole window.  Both read the window's
 structure by lattice arithmetic, with no group product: the small-torus
@@ -401,7 +403,11 @@ def gkm_check_small(f: DualElement, degree_bound: int,
     in (alpha, w, d) order, binomial condition first, so the first violation
     and any `PrecisionError` are those of a walk over the whole window; on
     SER, where no zero is exact, that is the walk.  A binomial violation
-    leaves its reflected condition unchecked.
+    leaves its reflected condition unchecked.  Each test goes through
+    `TorusAlgebra.divisible`, whose verdict memo on the torus, keyed by
+    (frozenset of the difference's packed terms, its precision, beta, d),
+    answers a difference already divided on this torus, by this or an
+    earlier dual, without dividing again.
     """
     torus = f.torus
     window = f.window
@@ -464,7 +470,10 @@ def gkm_check_big(f: DualElement) -> GkmReport:
     for every real affine reflection pairing two window elements, the pairs
     read from `Window.reflection_pairs`.  Every pair counts as checked, but
     only those with an end among the values read are visited, in order: two
-    exact zeros pass unread.  On SER every value is read, so every pair."""
+    exact zeros pass unread.  On SER every value is read, so every pair.
+    Each difference is tested by `TorusAlgebra.divisible`, whose verdict
+    memo on the torus, keyed by (frozenset of the packed terms, precision,
+    beta, 1), divides a difference that recurs on the torus only once."""
     torus = f.torus
     window = f.window
     report = GkmReport(torus.torus, torus.ring.backend, 1, window)

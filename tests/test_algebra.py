@@ -1,5 +1,6 @@
 """Torus algebras: the four coefficient backends and localization."""
 
+import random
 import re
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from fada import polyops
 from fada.algebra import AlgebraElement, FormalRing, Localized, TorusAlgebra
+from fada.duals import dual_x, gkm_check_small
 from fada.errors import ConfigError, MembershipError, PrecisionError
 from fada.fgl import FormalGroupLaw
 from fada.scalars import Scalar
@@ -172,9 +174,14 @@ def test_divisible_agrees_with_divide(backend, kind, data):
         assert got
 
 
-@pytest.mark.parametrize("backend", ["ADD", "MUL", "CON"])
-def test_divisible_passes_an_exact_zero_without_dividing(backend, monkeypatch):
-    t = torus("A2", backend)
+def fresh(rtype="A2", backend="CON", kind="small", fgl=None, precision=8):
+    """A torus of its own, whose verdict memo no other test has warmed."""
+    return TorusAlgebra(util.datum(rtype), backend, kind, fgl=util.law_of(fgl),
+                        precision=precision)
+
+
+def count_quotients(monkeypatch):
+    """The divisors of every `FormalRing._quotient` call from now on."""
     calls = []
     quotient = FormalRing._quotient
 
@@ -183,6 +190,13 @@ def test_divisible_passes_an_exact_zero_without_dividing(backend, monkeypatch):
         return quotient(ring, f, b)
 
     monkeypatch.setattr(FormalRing, "_quotient", counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["ADD", "MUL", "CON"])
+def test_divisible_passes_an_exact_zero_without_dividing(backend, monkeypatch):
+    t = fresh("A2", backend)
+    calls = count_quotients(monkeypatch)
     beta = t.group.simple_root(1)
     assert t.divisible(t.ring.zero(), beta, 3) and not calls
     assert t.divisible(t.simple_x(1) * t.simple_x(2), beta, 1) and len(calls) == 1
@@ -191,12 +205,89 @@ def test_divisible_passes_an_exact_zero_without_dividing(backend, monkeypatch):
 
 def test_divisible_divides_a_series_zero():
     # a SER zero vanishes only through O(p): each division by x_beta costs one
-    # degree of certified precision, so past the precision it raises
-    t = torus("A1", "SER", fgl="hyperbolic", precision=4)
+    # degree of certified precision, so past the precision it raises, on
+    # every repeat and with the same text, as a raising call keeps no verdict
+    t = fresh("A1", "SER", fgl="hyperbolic", precision=4)
     beta = t.group.simple_root(1)
     assert t.divisible(t.ring.zero(), beta, 4)
+    texts = set()
+    for _ in range(3):
+        with pytest.raises(PrecisionError) as exc:
+            t.divisible(t.ring.zero(), beta, 5)
+        texts.add(str(exc.value))
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("backend,kind,fgl", [
+    ("ADD", "small", None), ("MUL", "big", None), ("CON", "small", None),
+    ("CON", "big", None), ("SER", "small", "hyperbolic")])
+def test_a_repeated_divisibility_question_divides_once(backend, kind, fgl, monkeypatch):
+    t = fresh("A2", backend, kind, fgl)
+    calls = count_quotients(monkeypatch)
+    beta = t.group.simple_root(1)
+    f = t.simple_x(1) * t.simple_x(1) * t.simple_x(2)
+    assert t.divisible(f, beta, 2) and len(calls) == 2
+    # an equal element built anew is the same question
+    assert t.divisible(t.simple_x(2) * t.simple_x(1) * t.simple_x(1), beta, 2) and len(calls) == 2
+    assert not t.divisible(t.simple_x(2), beta, 1) and len(calls) == 3
+    assert not t.divisible(t.simple_x(2), beta, 1) and len(calls) == 3
+
+
+@pytest.mark.parametrize("backend", ["ADD", "MUL", "CON"])
+def test_divisible_keeps_one_verdict_per_degree_and_affine_root(backend):
+    # beta and beta + delta share their finite part but not their x_beta
+    t = fresh("A2", backend, "big")
+    alpha = t.datum.positive_roots[0]
+    f = t.x_root((alpha, 0))
+    assert t.divisible(f, (alpha, 0), 1) and not t.divisible(f, (alpha, 0), 2)
+    assert not t.divisible(f, (alpha, 1), 1)
+    g = t.x_root((alpha, 1))
+    assert not t.divisible(g, (alpha, 0), 1) and t.divisible(g, (alpha, 1), 1)
+
+
+def test_divisible_keeps_one_verdict_per_series_precision():
+    # (x_1 + x_2)^2 is x_{-alpha_1-alpha_2}^2 to O(2) under the hyperbolic law
+    # but not to O(8): the same terms at two precisions, two verdicts
+    t = fresh("A2", "SER", fgl="hyperbolic")
+    beta = ((-1, -1), 0)
+    terms = {(2, 0, 0, 0): 1, (1, 1, 0, 0): 2, (0, 2, 0, 0): 1}
+    high, low = AlgebraElement(t.ring, terms, 8), AlgebraElement(t.ring, terms, 2)
+    assert high.terms == low.terms
+    assert not t.divisible(high, beta, 1) and t.divisible(low, beta, 1)
+    assert not t.divisible(high, beta, 2) and t.divisible(low, beta, 2)
+    # a zero at precision 8 takes five divisions; at precision 4 it runs out
+    zero4 = AlgebraElement(t.ring, {}, 4)
+    assert t.divisible(t.ring.zero(), beta, 5)
     with pytest.raises(PrecisionError):
-        t.divisible(t.ring.zero(), beta, 5)
+        t.divisible(zero4, beta, 5)
+
+
+def test_warm_verdicts_keep_con_gkm_on_the_uncached_oracle():
+    # every dual of A2 L=5 and some duals bumped at one point, walked twice:
+    # the second walk reads warm verdicts and must still give the records of
+    # the oracle that divides every time, in order
+    alg = util.algebra("A2", "CON")
+    t = alg.torus
+    tables = util.tables(alg, 5)
+    window = tables.window
+    rng = random.Random(5)
+    duals = [dual_x(tables, w) for w in window.elements]
+    shallow = [w for w in window.elements if window.lengths[w] <= 2]
+    cases = list(duals)
+    for k in range(8):
+        bump = rng.randint(1, 5)
+        if k % 2:
+            bump = bump * t.x_root((rng.choice(t.datum.positive_roots), 0))
+        cases.append(util.bumped(rng.choice(duals), rng.choice(shallow), bump))
+    for f in cases:
+        gkm_check_small(f, 2)
+    seen = 0
+    for f in cases:
+        rep, oracle = gkm_check_small(f, 2), util.gkm_check_small_dense(f, 2)
+        assert (rep.checked, rep.skipped, rep.violations) == (
+            oracle.checked, oracle.skipped, oracle.violations)
+        seen += bool(rep.violations)
+    assert seen and seen < len(cases)
 
 
 def test_divide_once_polynomial_guard():

@@ -294,13 +294,6 @@ def test_gkm_summary_line():
 
 # -- GKM records as text -------------------------------------------------------
 
-def bumped(f, v, bump):
-    """f with `bump` added to its value at v."""
-    values = dict(f.values)
-    values[v] = f.get(v) + bump
-    return DualElement(f.torus, f.window, values)
-
-
 def described(rep, reason):
     return [rep.describe(r) for r in rep.skipped + rep.violations if r.reason == reason]
 
@@ -318,7 +311,7 @@ def test_describe_binomial_sum_and_orbit_leaves():
     alg, tables = setup_a1("CON", 4)
     g = alg.torus.group
     f = dual_x(tables, g.from_word((0, 1)))
-    rep = gkm_check_small(bumped(f, g.from_word((1, 0, 1, 0)), 1), 2)
+    rep = gkm_check_small(util.bumped(f, g.from_word((1, 0, 1, 0)), 1), 2)
     assert [rep.describe(r) for r in rep.violations] == [
         "binomial sum for alpha=(1,) d=1 w=s1 s0 s1 s0 not in x^1 S",
         "binomial sum for alpha=(1,) d=2 w=s1 s0 s1 s0 not in x^2 S"]
@@ -331,7 +324,7 @@ def test_describe_reflected_sum():
     t = alg.torus
     g = t.group
     f = dual_x(tables, g.from_word((0, 1)))
-    rep = gkm_check_small(bumped(f, g.from_word((0, 1, 0)), t.simple_x(1)), 2)
+    rep = gkm_check_small(util.bumped(f, g.from_word((0, 1, 0)), t.simple_x(1)), 2)
     assert described(rep, REFLECTED_SUM) == [
         "reflected sum for alpha=(1,) d=2 w=s1 s0 not in x^2 S"]
     assert described(rep, BINOMIAL_SUM) == [
@@ -343,7 +336,7 @@ def test_describe_difference():
     tables = util.tables(alg, 4)
     g = alg.torus.group
     s1 = g.simple(1)
-    rep = gkm_check_big(bumped(dual_x(tables, s1), s1, 1))
+    rep = gkm_check_big(util.bumped(dual_x(tables, s1), s1, 1))
     assert [rep.describe(r) for r in rep.violations] == [
         "f[e] - f[s1] not divisible by x_((1,), 0)",
         "f[s1] - f[s0 s1] not divisible by x_((-1,), 1)",
@@ -370,7 +363,7 @@ def binomial_gkm(f, degree_bound, grassmannian=False):
 
     def in_ideal(acc, beta, d):
         s = acc.simplify()
-        return not s.den and torus.divisible(s.num, beta, d)
+        return not s.den and util.divisible_uncached(torus, s.num, beta, d)
 
     def orbit(shifts, w):
         points = [group.mul(t, w) for t in shifts]
@@ -481,7 +474,7 @@ def test_small_gkm_matches_the_dense_walk(rtype, backend, fgl, precision, length
         bump = rng.randint(1, 7)
         if k >= 3:
             bump = bump * t.x_root((rng.choice(roots), 0))
-        cases.append(bumped(rng.choice(duals), rng.choice(shallow), bump))
+        cases.append(util.bumped(rng.choice(duals), rng.choice(shallow), bump))
     for _ in range(3):
         cases.append(sum((f.scale(rng.randint(1, 5)) for f in rng.sample(duals, 3)),
                          DualElement.zero(t, window)))
@@ -552,7 +545,7 @@ def test_big_gkm_matches_the_all_pairs_walk(rtype, backend, fgl, precision, leng
         if k >= 3:
             # divisible along the reflections of one affine root only
             bump = bump * t.x_root(rng.choice(roots))
-        cases.append(bumped(rng.choice(duals), rng.choice(shallow), bump))
+        cases.append(util.bumped(rng.choice(duals), rng.choice(shallow), bump))
     for _ in range(3):
         cases.append(sum((f.scale(rng.randint(1, 5)) for f in rng.sample(duals, 3)),
                          DualElement.zero(t, window)))
