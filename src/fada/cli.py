@@ -28,7 +28,8 @@ SCHEMA = 1
 
 @dataclass
 class JobConfig:
-    """Parsed command-line state shared by all subcommands."""
+    """Parsed command-line state shared by all subcommands.  `root` is the
+    --root descriptor until a step builds it, then the root datum."""
 
     root: object = "A1"
     fgl: object = "connective"
@@ -64,6 +65,8 @@ def _load_arg(text: object) -> object:
 
 
 def build_datum(spec: object) -> FiniteRootDatum:
+    if isinstance(spec, FiniteRootDatum):
+        return spec
     spec = _load_arg(spec)
     if isinstance(spec, str):
         return FiniteRootDatum.from_type(spec)
@@ -74,7 +77,7 @@ def build_datum(spec: object) -> FiniteRootDatum:
                                   % json.dumps(spec["type"]))
             return FiniteRootDatum.from_type(spec["type"])
         if "cartan" in spec:
-            return FiniteRootDatum.from_cartan(spec["cartan"], spec.get("label"))
+            return FiniteRootDatum.from_cartan(spec["cartan"])
     raise ConfigError("root descriptor needs a 'type' name or a 'cartan' matrix")
 
 
@@ -233,6 +236,7 @@ def _expand_one_torus(cfg: JobConfig, torus_kind: str,
 
 def cmd_expand(cfg: JobConfig) -> Tuple[dict, bool]:
     word = cfg.extra.get("word")
+    cfg.root = build_datum(cfg.root)
     kinds = ("small", "big") if cfg.torus == "both" else (cfg.torus,)
     payload = {
         "schema": SCHEMA,
@@ -497,13 +501,15 @@ _HANDLERS = {
 }
 
 
-def _check_generators(root: object, extra: Dict[str, object]) -> None:
-    """Reject generator labels outside the affine Dynkin diagram of `root`
-    and words that are not reduced."""
-    given = {key: extra[key] for key in ("i", "j", "word", "u", "v") if key in extra}
+def _check_generators(cfg: JobConfig) -> None:
+    """Reject generator labels outside the affine Dynkin diagram of the root
+    datum and words that are not reduced; the datum built for it is kept in
+    `cfg.root`."""
+    given = {key: cfg.extra[key] for key in ("i", "j", "word", "u", "v") if key in cfg.extra}
     if not given:
         return
-    group = AffineWeylGroup(build_datum(root))
+    cfg.root = build_datum(cfg.root)
+    group = AffineWeylGroup(cfg.root)
     labels = group.labels
     for key, value in given.items():
         for letter in value if isinstance(value, tuple) else (value,):
@@ -541,8 +547,9 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     _check_ranges(args.command, extra)
     base = {k: extra.pop(k) for k in ("root", "fgl", "torus", "window", "degree", "fmt")
             if k in extra}
-    _check_generators(base.get("root", JobConfig.root), extra)
-    return JobConfig(extra=extra, **base)
+    cfg = JobConfig(extra=extra, **base)
+    _check_generators(cfg)
+    return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -17,8 +17,9 @@ Key facts implemented and cross-checked by the test-suite:
     c^{l(v)-l(w)} X*_v is the test-suite's oracle for it.
   * Left multiplication by eta_i induces two-case recursions on both
     expansion tables (the X-flavor and the Y-flavor).  `twisted.predict_row`
-    implements them; on the exact backends they build every row of the
-    tables, and `check_recursion` tests them against back-substituted rows.
+    implements them; for these laws, on every backend, they build each row
+    of `TwistedAlgebra.row`, and `check_recursion` tests them against
+    back-substituted rows.
   * Y_{w_0} (finite longest word) equals sum over finite w of
     w(1/x_Phi) eta_w with x_Phi the product of x_beta over negative finite
     roots, and acts on duals by Y_{w_0} . X*_{v} = sign(v2) c^{l(w_0)-l(v2)}
@@ -119,9 +120,9 @@ def check_recursion(ctx: ConnectiveContext, window: Window, flavor: str = "x",
     """Verify the left-multiplication recursion on every covered pair of the
     window, for the X-flavor or Y-flavor table.
 
-    The rows come from back-substitution, not from the algebra's row store,
-    which the exact backends fill by this same recursion: the check asks
-    whether the recursion, applied to back-substituted rows, predicts
+    The rows come from back-substitution, not from `TwistedAlgebra.row`,
+    which these laws build by this same recursion: the check asks whether
+    the recursion, applied to back-substituted rows, predicts
     back-substituted rows."""
     group = ctx.group
     rows = back_substitute(ctx.algebra, window, flavor)

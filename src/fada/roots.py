@@ -130,9 +130,8 @@ class FiniteRootDatum:
     root.
     """
 
-    def __init__(self, cartan: Mat, label: Optional[str] = None):
+    def __init__(self, cartan: Mat):
         self.cartan = cartan
-        self.label = label
         self.rank = len(cartan)
         self._validate()
         self._build_weyl()
@@ -141,20 +140,20 @@ class FiniteRootDatum:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_cartan(cls, rows: Sequence[Sequence[int]], label: Optional[str] = None) -> "FiniteRootDatum":
+    def from_cartan(cls, rows: Sequence[Sequence[int]]) -> "FiniteRootDatum":
         try:
             cartan = tuple(tuple(int(v) for v in row) for row in rows)
         except (TypeError, ValueError) as exc:
             raise ConfigError("Cartan matrix entries must be integers") from exc
-        return cls(cartan, label=label)
+        return cls(cartan)
 
     @classmethod
     def from_type(cls, name: str) -> "FiniteRootDatum":
         name = name.strip().upper().replace("_", "")
         if name in _PREDEFINED:
-            return cls(_PREDEFINED[name], label=name)
+            return cls(_PREDEFINED[name])
         if name.startswith("A") and name[1:].isdigit() and int(name[1:]) >= 1:
-            return cls(_type_a_cartan(int(name[1:])), label=name)
+            return cls(_type_a_cartan(int(name[1:])))
         raise ConfigError("unknown root system type %r" % name)
 
     # -- validation --------------------------------------------------------

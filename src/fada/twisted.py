@@ -11,17 +11,18 @@ the eta basis.  For the group law x + y - c x y the operators Y_i = c - X_i
 expand the same way.
 
 The inverse change of basis, eta_w = sum_u b_{w,u} X_{I_u} (or Y_{I_u}), is
-stored once per algebra and flavor: the row of eta_w depends only on w and on
-shorter elements, never on the window it was asked for in, so every window on
-one algebra reads and extends the same rows.  For the group laws
-x + y - c x y, on any backend, X_{I_w} does not depend on the reduced word,
-so the row of s_i u follows from the row of u by left multiplication with
-eta_{s_i} (the Kostant-Kumar recursion).  Other laws break
-the braid relations (Bressler-Evens, Trans. AMS 1990), so their rows are
-solved by back-substitution in the localized ring, which also serves as the
-independent oracle for the recursion.  Back-substitution divides each
-summed entry once by the diagonal of X_{I_w}, a unit over a product of
-x_beta, by subtracting denominator multiplicities.
+`TwistedAlgebra.row`, kept by `memo` per algebra, flavor and element: the
+row of eta_w depends only on w and on shorter elements, never on a window,
+so a window only reads rows, and a row outside every window is asked for
+like any other.  For the group laws x + y - c x y, on any backend, X_{I_w}
+does not depend on the reduced word, so the row of s_i u follows from the
+row of u by left multiplication with eta_{s_i} (the Kostant-Kumar
+recursion).  Other laws break the braid relations (Bressler-Evens, Trans.
+AMS 1990), so their rows are solved by back-substitution in the localized
+ring, which also serves, over a whole window, as the independent oracle for
+the recursion.  Back-substitution divides each summed entry once by the
+diagonal of X_{I_w}, a unit over a product of x_beta, by subtracting
+denominator multiplicities.
 
 Twisted elements, rows, duals and the Peterson projections are all maps
 from affine Weyl elements to localized values, and functions on the
@@ -34,8 +35,8 @@ empty map is the one equality test of maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property, partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
 from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
@@ -116,14 +117,11 @@ class TwistedElement:
 
 
 class TwistedAlgebra:
-    """Q_W over a torus algebra, with its Demazure word products kept by
-    `memo` and the rows of the inverse change of basis, one store per flavor."""
+    """Q_W over a torus algebra, with its Demazure word products and the rows
+    of the inverse change of basis kept by `memo`."""
 
     def __init__(self, torus: TorusAlgebra):
         self.torus = torus
-        # rows[flavor][w]: eta_w = sum_u rows[flavor][w][u] X_{I_u} (or Y_{I_u})
-        self.rows: Dict[str, Dict[AffineElt, Dict[AffineElt, Localized]]] = {
-            "x": {}, "y": {}}
 
     # -- constructors ------------------------------------------------------
 
@@ -182,6 +180,24 @@ class TwistedAlgebra:
     def y_word(self, word: Sequence[int]) -> TwistedElement:
         return self.word_product("y", tuple(word))
 
+    @memo
+    def row(self, flavor: str, w: AffineElt) -> "Row":
+        """eta_w = sum_u row[u] X_{I_u} (flavor "x") or Y_{I_u} ("y"), kept by
+        `memo` with the rows it is built from: for the laws x + y - c x y by
+        `predict_row` from the row of s_i w, i the least left descent of w;
+        for the others by back-substitution from the rows of the support of
+        X_{I_w}, I_w the compat word of w in the least window holding w."""
+        _require_flavor(flavor)
+        torus, group = self.torus, self.torus.group
+        c = torus.ring.fgl.c
+        if c is None:
+            word = group.window(group.length(w)).compat_word(w)
+            return _solve_row(self, flavor, w, word, partial(self.row, flavor))
+        if w == group.identity:
+            return {w: Localized(torus, torus.ring.one())}
+        i = next(i for i in group.labels if group.left_descent(w, i))
+        return predict_row(self, c, self.row(flavor, group.mul(group.simple(i), w)), i, flavor)
+
     def z_alpha(self, alpha: Vec) -> TwistedElement:
         """Z_alpha = (1/x_{-alpha}) (1 - eta_{t_{alpha^v}}) for a finite root."""
         torus = self.torus
@@ -236,32 +252,22 @@ class ExpansionTables:
     the Weyl-translation factorization used by the Peterson expansion.  With
     ``flavor="y"`` the basis is {Y_{I_w}} instead.
 
-    The table is a window view over the algebra's row store, which it extends
-    by the rows the store lacks: by the left-descent recursion (`predict_row`)
-    for the laws of the form x + y - c x y, whatever the backend, and by
-    back-substitution (`back_substitute`) for every other law, where the
-    braid relations fail and the recursion does not apply.  Rows are shared
-    between tables and must not be modified.
+    The table is a window view of the algebra's rows, `TwistedAlgebra.row`,
+    which chooses the route by the law; rows are shared between tables and
+    must not be modified.
     """
 
     def __init__(self, algebra: TwistedAlgebra, window: Window, flavor: str = "x"):
-        _require_flavor(flavor)
         self.algebra = algebra
         self.window = window
         self.flavor = flavor
-        store = algebra.rows[flavor]
-        if algebra.torus.ring.fgl.c is not None:
-            _extend_by_recursion(algebra, window, flavor)
-        else:
-            for w, row in back_substitute(algebra, window, flavor, store).items():
-                store.setdefault(w, row)
         # b[w][u]: eta_w = sum_u b[w][u] X_{I_u}
-        self.b: Dict[AffineElt, Row] = {w: store[w] for w in window.elements}
+        self.b: Dict[AffineElt, Row] = {w: algebra.row(flavor, w) for w in window.elements}
 
     @cached_property
     def a(self) -> Dict[AffineElt, Row]:
         """a[w][u]: X_{I_w} = sum_u a[w][u] eta_u."""
-        return {w: _word_row(self.algebra, self.window, self.flavor, w)
+        return {w: self.algebra.word_product(self.flavor, self.window.compat_word(w)).terms
                 for w in self.window.elements}
 
     def eta_in_x(self, w: AffineElt) -> Dict[AffineElt, Localized]:
@@ -279,17 +285,12 @@ class ExpansionTables:
         return combine_rows((c, self.b[u]) for u, c in z.terms.items())
 
 
-def _word_row(algebra: TwistedAlgebra, window: Window, flavor: str,
-              w: AffineElt) -> Row:
-    return dict(algebra.word_product(flavor, window.compat_word(w)).terms)
-
-
-def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x",
-                    known: Optional[Dict[AffineElt, Row]] = None
+def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x"
                     ) -> Dict[AffineElt, Row]:
     """The rows of eta_w for every w of the window, solved from the word
-    products X_{I_w} in increasing length; rows in `known` are taken as
-    given.  Writes to no store.
+    products X_{I_w} in increasing length, each from the rows solved before
+    it.  Reads and writes no row of the algebra, so it is the independent
+    oracle of the recursion (`check_recursion`).
 
     With X_{I_w} = sum_u a_{w,u} eta_u, the entry of eta_w at v is s_v /
     a_{w,w}, s_v = delta_{wv} - sum_{u != w} a_{w,u} b_{u,v} summed
@@ -302,21 +303,28 @@ def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x",
     once.
     """
     _require_flavor(flavor)
-    one = Localized(algebra.torus, algebra.torus.ring.one())
     rows: Dict[AffineElt, Row] = {}
-    for w in window.elements:
-        if known is not None and w in known:
-            rows[w] = known[w]
-            continue
-        aw = _word_row(algebra, window, flavor, w)
-        diag = aw[w]
-        if any(u != w and u not in rows for u in aw):
+
+    def solved(u: AffineElt) -> Row:
+        if u not in rows:
             raise ConfigError(
                 "expansion of X_{I_w} is not triangular; unexpected "
                 "support at an element not yet solved")
-        s = row_sum([(1, {w: one})] + [(-c, rows[u]) for u, c in aw.items() if u != w])
-        rows[w] = _settled({v: e / diag for v, e in s.items()})
+        return rows[u]
+
+    for w in window.elements:
+        rows[w] = _solve_row(algebra, flavor, w, window.compat_word(w), solved)
     return rows
+
+
+def _solve_row(algebra: TwistedAlgebra, flavor: str, w: AffineElt,
+               word: Tuple[int, ...], row_of: Callable[[AffineElt], Row]) -> Row:
+    """The row of eta_w by back-substitution from X_{I_w}, I_w = `word`, and
+    the rows `row_of(u)` of the other elements u of its support."""
+    aw = algebra.word_product(flavor, word).terms
+    one = Localized(algebra.torus, algebra.torus.ring.one())
+    s = row_sum([(1, {w: one})] + [(-c, row_of(u)) for u, c in aw.items() if u != w])
+    return _settled({v: e / aw[w] for v, e in s.items()})
 
 
 def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
@@ -367,24 +375,6 @@ def demazure_walk(group: AffineWeylGroup, word: Sequence[int], v: AffineElt
         else:
             w = group.mul(group.simple(i), w)
     return w, m
-
-
-def _extend_by_recursion(algebra: TwistedAlgebra, window: Window, flavor: str) -> None:
-    """Store the rows of the window the store lacks, each from the row of
-    u = s_i w for the first letter i of the least reduced word of w."""
-    torus = algebra.torus
-    group = torus.group
-    store = algebra.rows[flavor]
-    c = connective_scalar(torus)
-    for w in window.elements:
-        if w in store:
-            continue
-        word = window.words[w]
-        if not word:
-            store[w] = {w: Localized(torus, torus.ring.one())}
-            continue
-        i = word[0]
-        store[w] = predict_row(algebra, c, store[group.mul(group.simple(i), w)], i, flavor)
 
 
 # -- braid relations -------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from fada.cli import build_law, build_datum, emit, main, parse_word
 from fada.errors import ConfigError
 from fada.fgl import FormalGroupLaw
+from fada.roots import FiniteRootDatum
 from fada.scalars import Scalar
 
 DATA = Path(__file__).parent / "data"
@@ -311,6 +312,28 @@ def test_expand_both_tori(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert [t["torus"] for t in payload["tables"]] == ["small", "big"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("peterson", "--u", "0", "--window", "2"),
+    ("recurse", "--i", "1", "--window", "2"),
+    ("braid-check", "--root", "A2", "--i", "1", "--j", "2"),
+    ("expand", "--word", "0", "--window", "1"),
+    ("expand", "--torus", "both", "--window", "1"),
+    ("expand", "--torus", "both", "--word", "0", "--window", "1"),
+    ("gkm", "--window", "1"),
+])
+def test_a_run_builds_its_root_datum_once(capsys, monkeypatch, argv):
+    builds = []
+    build = FiniteRootDatum._build_weyl
+
+    def counted(datum):
+        builds.append(datum)
+        build(datum)
+
+    monkeypatch.setattr(FiniteRootDatum, "_build_weyl", counted)
+    rc, _, _ = run_cli(capsys, *argv)
+    assert rc == 0 and len(builds) == 1
 
 
 def test_recurse_command(capsys):

@@ -1,7 +1,7 @@
 """Static hygiene of the package: no unused imports, no orphaned private
 helpers, no public function that only tests call, no defaulted parameter
-that only tests pass, no parameter that no body reads, a clean public name
-list."""
+that only tests pass, no parameter that no body reads, no attribute that
+nothing reads, a clean public name list."""
 
 import ast
 from pathlib import Path
@@ -491,3 +491,47 @@ def test_scanner_flags_hand_rolled_caches():
 
 def test_caches_go_through_memo():
     assert hand_rolled_caches({p.stem: p.read_text() for p in MODULES}) == sorted(GROWING_TABLES)
+
+
+def write_only_attributes(defining, reading):
+    """The attributes, as 'module:Class.attr', that a method of a class in
+    `defining` (module name -> text) assigns on its self and that no code in
+    `reading` (the same) loads, as any object's attribute."""
+    read = {node.attr for text in reading.values() for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = set()
+    for module, text in defining.items():
+        for fn, cls, decorators in _functions(ast.parse(text)):
+            if cls is None or not fn.args.args or decorators & {"staticmethod", "classmethod"}:
+                continue
+            me = fn.args.args[0].arg
+            found |= {"%s:%s.%s" % (module, cls, node.attr) for node in ast.walk(fn)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name) and node.value.id == me
+                      and node.attr not in read}
+    return sorted(found)
+
+
+def test_scanner_flags_write_only_attributes():
+    source = ("class C:\n"
+              "    def __init__(self, x):\n"
+              "        self.kept = x\n"
+              "        self.lost = x\n"
+              "        self.elsewhere, self.counted = x, 0\n"
+              "    def bump(self):\n"
+              "        self.counted += 1\n"
+              "        return self.kept\n"
+              "    @staticmethod\n"
+              "    def s(other):\n"
+              "        other.moved = 1\n"
+              "def f(obj):\n"
+              "    obj.loose = 1\n")
+    assert write_only_attributes({"m": source}, {"m": source}) == [
+        "m:C.counted", "m:C.elsewhere", "m:C.lost"]
+    assert write_only_attributes({"m": source}, {"m": source, "n": "print(c.elsewhere)\n"}) == [
+        "m:C.counted", "m:C.lost"]
+
+
+def test_every_attribute_is_read():
+    assert write_only_attributes({p.stem: p.read_text() for p in MODULES},
+                                 caller_sources()) == []

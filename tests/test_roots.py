@@ -79,15 +79,15 @@ def test_braid_order_is_the_order_of_s_i_s_j_in_the_group(rtype):
 
 
 def test_from_cartan_validation():
-    d = FiniteRootDatum.from_cartan([[2, -1], [-1, 2]], "custom-a2")
+    d = FiniteRootDatum.from_cartan([[2, -1], [-1, 2]])
     assert d.theta == (1, 1)
     with pytest.raises(ConfigError):
-        FiniteRootDatum.from_cartan([[2, -2], [-2, 2]], "affine")
+        FiniteRootDatum.from_cartan([[2, -2], [-2, 2]])
     with pytest.raises(ConfigError):
-        FiniteRootDatum.from_cartan([[2, 0], [0, 2]], "reducible")
+        FiniteRootDatum.from_cartan([[2, 0], [0, 2]])
     # A2 x A1, the lone node last: the walk from node 0 never reaches it
     with pytest.raises(ConfigError, match="irreducible"):
-        FiniteRootDatum.from_cartan([[2, -1, 0], [-1, 2, 0], [0, 0, 2]], "reducible")
+        FiniteRootDatum.from_cartan([[2, -1, 0], [-1, 2, 0], [0, 0, 2]])
     with pytest.raises(ConfigError):
         FiniteRootDatum.from_type("E11")
 
@@ -99,7 +99,7 @@ F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
 @pytest.mark.parametrize("make", [lambda: FiniteRootDatum.from_type("A7"),
-                                  lambda: FiniteRootDatum.from_cartan(E6, "E6")],
+                                  lambda: FiniteRootDatum.from_cartan(E6)],
                          ids=["A7", "E6"])
 def test_weyl_group_past_the_bound_is_refused_before_its_tables(make):
     # |W(A7)| = 40,320 and |W(E6)| = 51,840: their multiplication tables

@@ -5,7 +5,8 @@ import pytest
 from fada import connective, twisted
 from fada.algebra import Localized, TorusAlgebra
 from fada.cli import loc_json
-from fada.errors import ConfigError, NotApplicableError, WindowExceededError
+from fada.errors import (ConfigError, NotApplicableError, UnsupportedTheoryError,
+                         WindowExceededError)
 from fada.scalars import Scalar
 from fada.twisted import (ExpansionTables, TwistedAlgebra, back_substitute,
                           braid_check, combine_rows, demazure_walk)
@@ -199,7 +200,7 @@ def test_rows_are_stored_once_per_algebra_and_flavor(rtype, backend, length):
     tb2 = ExpansionTables(alg, g.window(length + 1))
     ty1 = ExpansionTables(alg, g.window(length), flavor="y")
     ty0 = ExpansionTables(alg, g.window(length - 1), flavor="y")
-    # a covered row is read from the store, never solved a second time
+    # a covered row is read from the algebra's `row` memo, never solved again
     for w in tb0.window.elements:
         assert tb0.b[w] is tb1.b[w]
         assert ty0.b[w] is ty1.b[w]
@@ -225,6 +226,12 @@ def test_rows_are_stored_once_per_algebra_and_flavor(rtype, backend, length):
 
 # -- the row recursion against back-substitution ----------------------------
 
+def memo_rows(alg, flavor):
+    """The elements whose `flavor` row the algebra's `row` memo holds."""
+    table = vars(alg).get("_memo", {}).get("twisted.TwistedAlgebra.row", {})
+    return {w for f, w in table if f == flavor}
+
+
 ORACLE_CASES = ([("A1", backend, "small", 6) for backend in BACKENDS]
                 + [(rtype, backend, "small", 3) for rtype in ("A2", "B2", "C2", "G2")
                    for backend in BACKENDS]
@@ -238,13 +245,73 @@ def test_recursion_rows_match_back_substitution(rtype, backend, torus, length, f
     alg = TwistedAlgebra(t)
     window = t.group.window(length)
     want = back_substitute(alg, window, flavor)
-    assert not alg.rows[flavor]
+    assert not memo_rows(alg, flavor)
     got = ExpansionTables(alg, window, flavor).b
+    assert memo_rows(alg, flavor) == set(window.elements)
     for w in window.elements:
         assert set(got[w]) == set(want[w]), window.word(w)
         for u, c in want[w].items():
             assert got[w][u] == c, (window.word(w), window.word(u))
             assert loc_json(got[w][u]) == loc_json(c), (window.word(w), window.word(u))
+
+
+ROW_LAWS = [("CON", None), ("ADD", None), ("SER", "connective"), ("SER", "hyperbolic")]
+
+
+@pytest.mark.parametrize("flavor", ["x", "y"])
+@pytest.mark.parametrize("backend, law", ROW_LAWS)
+@pytest.mark.parametrize("rtype, torus, length", [
+    ("A2", "small", 2), ("B2", "small", 2), ("A1", "big", 3)])
+def test_row_past_every_table_equals_the_table_row(rtype, torus, length, backend, law,
+                                                    flavor):
+    # the row of an element of length L + 1, asked for before any table
+    # exists, is the row of the table on window L + 1 of another algebra
+    def fresh():
+        return TwistedAlgebra(TorusAlgebra(util.datum(rtype), backend, torus,
+                                           fgl=util.law_of(law), precision=14))
+
+    alg, other = fresh(), fresh()
+    window = other.torus.group.window(length + 1)
+    w = window.elements[-1]
+    assert alg.torus.group.length(w) == length + 1
+    if law == "hyperbolic" and flavor == "y":
+        # Y_i = c - X_i needs the law x + y - c x y, on either route
+        with pytest.raises(UnsupportedTheoryError):
+            alg.row(flavor, w)
+        with pytest.raises(UnsupportedTheoryError):
+            ExpansionTables(other, window, flavor)
+        return
+    got = alg.row(flavor, w)
+    want = ExpansionTables(other, window, flavor).b[w]
+    assert set(got) == set(want)
+    for u, c in want.items():
+        assert got[u].den_map == c.den_map, window.word(u)
+        assert got[u].num.terms == c.num.terms, window.word(u)
+        assert got[u] == c, window.word(u)
+
+
+def test_row_refuses_an_unknown_flavor():
+    alg = util.algebra("A1", "CON", "small")
+    with pytest.raises(ConfigError, match="flavor"):
+        alg.row("z", alg.torus.group.identity)
+    assert not memo_rows(alg, "z")
+
+
+@pytest.mark.parametrize("rtype, length", [("A2", 3), ("B2", 2)])
+def test_hyperbolic_rows_match_back_substitution(rtype, length):
+    # `row` solves one row at a time from the compat word read off the least
+    # window holding w; the oracle solves the window at once from its own
+    t = TorusAlgebra(util.datum(rtype), "SER", "small", fgl=util.law_of("hyperbolic"),
+                     precision=12)
+    alg = TwistedAlgebra(t)
+    window = t.group.window(length)
+    want = back_substitute(alg, window)
+    got = ExpansionTables(alg, window).b
+    for w in window.elements:
+        assert set(got[w]) == set(want[w]), window.word(w)
+        for u, c in want[w].items():
+            assert got[w][u].den_map == c.den_map, (window.word(w), window.word(u))
+            assert got[w][u].num.terms == c.num.terms, (window.word(w), window.word(u))
 
 
 @pytest.mark.parametrize("rtype, torus, length", [
@@ -390,7 +457,7 @@ def test_route_is_chosen_by_backend_and_law(monkeypatch):
     def refuse(*args, **kwargs):
         raise BackSubstitutionCalled()
 
-    monkeypatch.setattr(twisted, "back_substitute", refuse)
+    monkeypatch.setattr(twisted, "_solve_row", refuse)
     for backend in ("CON", "ADD"):
         t = TorusAlgebra(util.datum("A2"), backend, "small")
         tables = ExpansionTables(TwistedAlgebra(t), t.group.window(3))
@@ -440,7 +507,7 @@ def test_check_recursion_compares_with_back_substitution(monkeypatch, flavor):
     monkeypatch.setattr(connective, "back_substitute", oracle)
     rep = connective.check_recursion(ctx, window, flavor)
     assert rep.passed and rep.checked == 8
-    assert len(calls) == 1 and not alg.rows[flavor]
+    assert len(calls) == 1 and not memo_rows(alg, flavor)
 
     # a corrupted oracle row is caught, so the check reads the oracle's rows
     def corrupted(*args, **kwargs):
