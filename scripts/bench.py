@@ -63,10 +63,12 @@ NORTH_STAR = [
     for command in ("expand", "gkm", "peterson", "recurse")
 ]
 # timed after the twelve: the B3 peterson run above ends in its exit-2 path,
-# the twelve hold no run whose time the GKM checks dominate, and the last is
-# the CLI shape of the `gkm` perfbench workload
+# the twelve hold no run whose time the GKM checks dominate, the additive gkm
+# run is the CLI shape of the `gkm` perfbench workload, and the hyperbolic
+# expand run is the one whose rows come by back-substitution
 EXTRA_RUNS = [cli_argv("peterson", "B3", 8), cli_argv("gkm", "A3", 7),
-              cli_argv("gkm", "A2", 8, "--fgl", "additive")]
+              cli_argv("gkm", "A2", 8, "--fgl", "additive"),
+              cli_argv("expand", "A2", 3, "--fgl", "hyperbolic", "--degree", "12")]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 # `python -m fada.cli` with the time of main, after the import, on stderr
 TIMER = """

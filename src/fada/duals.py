@@ -283,13 +283,11 @@ class GkmReport:
                    self.checked, len(self.skipped), len(self.violations)))
 
     def describe(self, record: GkmRecord) -> str:
-        """The record as one line of text, elements named by window word."""
+        """The record as one line of text, elements named by least reduced
+        word."""
         group = self.window.group
+        name = group.element_name
         root, d, w, reason = record
-
-        def name(x: AffineElt) -> str:
-            return group.element_name(x, self.window)
-
         if reason == NOT_REGULAR:
             return "value at %s is not regular" % name(w)
         if reason == DIFFERENCE:

@@ -5,7 +5,7 @@ from functools import wraps
 def memo(fn):
     """fn(owner, *args), computed once per owner and arguments and kept in
     `owner._memo`, one table per function named by module and qualified name
-    ("roots.Window.compat_word"), keyed by the argument when fn takes one
+    ("roots.Window.root_steps"), keyed by the argument when fn takes one
     besides the owner (a hit is one lookup), else by the argument tuple.  A
     call that raises stores nothing.  Not in `owner.__dict__`, whose reading
     makes later attribute loads three times slower on CPython 3.11; not

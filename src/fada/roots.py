@@ -17,6 +17,9 @@ multiplication table, inverses, root and coroot matrices, and the
 reflection of each root.  A product of finite elements is
 one table lookup, and a product of affine elements is one table lookup plus
 one integer matrix-vector product.
+
+The affine group is enumerated once, by length layers that windows and
+compat words only read.
 """
 from __future__ import annotations
 
@@ -359,10 +362,10 @@ class Window:
     """All affine Weyl elements of length at most `length_bound`.
 
     Elements are canonically ordered by (length, lexicographically least
-    reduced word); `words` holds that least word for each element.  Tables
-    derived from them are kept on the window by `memo`, outside its fields;
-    compat words also for elements outside the window whose minimal coset
-    representative lies inside it.
+    reduced word); `words` holds that least word for each element.  Both
+    are read from the group's length layers, so every window of a group
+    shares its word tuples.  Tables derived from them are kept on the window
+    by `memo`, outside its fields.
     """
 
     group: "AffineWeylGroup"
@@ -370,11 +373,10 @@ class Window:
     elements: Tuple[AffineElt, ...]
     words: Dict[AffineElt, Tuple[int, ...]]
     lengths: Dict[AffineElt, int]
-    index: Dict[AffineElt, int] = field(default_factory=dict)
+    index: Dict[AffineElt, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {x: k for k, x in enumerate(self.elements)}
+        self.index = {x: k for k, x in enumerate(self.elements)}
 
     @memo
     def root_steps(self, alpha: Vec) -> Tuple[Tuple[Optional[int], ...],
@@ -443,21 +445,19 @@ class Window:
         self.require(x)
         return self.words[x]
 
-    @memo
     def compat_word(self, x: AffineElt) -> Tuple[int, ...]:
-        """A reduced word of the form (finite word of u) + (word of v), x = u v
-        with v of minimal length in W x.  Kept per element by `memo`."""
-        u, v = self.group.coset_decompose(x)
-        self.require(v)
-        return self.group.datum.weyl_words[u] + self.words[v]
+        """The group's compat word of x, an element of the window."""
+        self.require(x)
+        return self.group.compat_word(x)
 
     def minimal_coset_reps(self) -> Tuple[AffineElt, ...]:
         return tuple(x for x in self.elements if self.group.is_minimal_rep(x))
 
 
 class AffineWeylGroup:
-    """The affine Weyl group of a finite root datum, with length-bounded
-    enumeration, reduced words and Bruhat order."""
+    """The affine Weyl group of a finite root datum, with reduced words and
+    Bruhat order.  Windows and compat words read the length layers
+    `_layer(d)` in increasing d, so no call recurses through lengths."""
 
     def __init__(self, datum: FiniteRootDatum):
         self.datum = datum
@@ -546,28 +546,43 @@ class AffineWeylGroup:
     # -- enumeration -------------------------------------------------------
 
     @memo
-    def window(self, length_bound: int) -> Window:
-        words: Dict[AffineElt, Tuple[int, ...]] = {self.identity: ()}
-        lengths: Dict[AffineElt, int] = {self.identity: 0}
-        layer = [self.identity]
-        depth = 0
-        while layer and depth < length_bound:
-            depth += 1
-            nxt: Dict[AffineElt, Tuple[int, ...]] = {}
-            for x in layer:
-                for i in self.labels:
-                    if self.right_descent(x, i):
-                        continue
+    def _layer(self, d: int) -> Dict[AffineElt, Tuple[int, ...]]:
+        """The elements of length d, each with its lexicographically least
+        reduced word, in word order.  That word is the least (word of y s_i)
+        + (i,) over right descents i, and with layer d - 1 in word order the
+        loop meets it first."""
+        if d == 0:
+            return {self.identity: ()}
+        layer: Dict[AffineElt, Tuple[int, ...]] = {}
+        for x, word in self._layer(d - 1).items():
+            for i in self.labels:
+                if not self.right_descent(x, i):
                     y = self.mul(x, self.generators[i])
-                    cand = words[x] + (i,)
-                    if y not in nxt or cand < nxt[y]:
-                        nxt[y] = cand
-            for y, word in nxt.items():
-                words[y] = word
-                lengths[y] = depth
-            layer = list(nxt)
-        elements = tuple(sorted(words, key=lambda x: (lengths[x], words[x])))
-        return Window(self, length_bound, elements, words, lengths)
+                    if y not in layer:
+                        layer[y] = word + (i,)
+        return layer
+
+    @memo
+    def window(self, length_bound: int) -> Window:
+        words: Dict[AffineElt, Tuple[int, ...]] = {}
+        lengths: Dict[AffineElt, int] = {}
+        # a negative bound still gives the identity
+        for d in range(max(length_bound, 0) + 1):
+            layer = self._layer(d)
+            words.update(layer)
+            lengths.update(dict.fromkeys(layer, d))
+        return Window(self, length_bound, tuple(words), words, lengths)
+
+    @memo
+    def compat_word(self, x: AffineElt) -> Tuple[int, ...]:
+        """The reduced word (least word of u) + (least word of v) of x = u v,
+        v of minimal length in W x.  v's word is read from the first layer
+        that holds it.  Kept per element by `memo`."""
+        u, v = self.coset_decompose(x)
+        d = 0
+        while v not in self._layer(d):
+            d += 1
+        return self.datum.weyl_words[u] + self._layer(d)[v]
 
     def is_minimal_rep(self, x: AffineElt) -> bool:
         """Minimal length in its coset x W: no finite right descent."""
@@ -630,7 +645,5 @@ class AffineWeylGroup:
             return "e"
         return " ".join("s%d" % i for i in word)
 
-    def element_name(self, x: AffineElt, window: Optional[Window] = None) -> str:
-        if window is not None and x in window:
-            return self.word_name(window.words[x])
+    def element_name(self, x: AffineElt) -> str:
         return self.word_name(self.reduced_word(x))

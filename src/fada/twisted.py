@@ -186,13 +186,13 @@ class TwistedAlgebra:
         `memo` with the rows it is built from: for the laws x + y - c x y by
         `predict_row` from the row of s_i w, i the least left descent of w;
         for the others by back-substitution from the rows of the support of
-        X_{I_w}, I_w the compat word of w in the least window holding w."""
+        X_{I_w}, I_w the group's compat word of w; no window is built."""
         _require_flavor(flavor)
         torus, group = self.torus, self.torus.group
         c = torus.ring.fgl.c
         if c is None:
-            word = group.window(group.length(w)).compat_word(w)
-            return _solve_row(self, flavor, w, word, partial(self.row, flavor))
+            return _solve_row(self, flavor, w, group.compat_word(w),
+                              partial(self.row, flavor))
         if w == group.identity:
             return {w: Localized(torus, torus.ring.one())}
         i = next(i for i in group.labels if group.left_descent(w, i))
@@ -247,8 +247,9 @@ def _require_flavor(flavor: str) -> None:
 class ExpansionTables:
     """Triangular change of basis between {eta_w} and {X_{I_w}} on a window.
 
-    I_w is the canonical reduced word of w of the form (finite part) +
-    (minimal coset representative part), so products X_{I_u} X_{I_v} respect
+    I_w is the group's compat word of w, the canonical reduced word of the
+    form (finite part) + (minimal coset representative part), read from the
+    group's length layers, so products X_{I_u} X_{I_v} respect
     the Weyl-translation factorization used by the Peterson expansion.  With
     ``flavor="y"`` the basis is {Y_{I_w}} instead.
 

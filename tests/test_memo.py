@@ -58,19 +58,25 @@ def test_window_tables_are_per_window():
     g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
     assert g.window(3) is g.window(3)
     small, large = g.window(3), g.window(4)
+    roots = g.datum.positive_roots
     for win in (small, large):
+        for alpha in roots:
+            assert win.root_steps(alpha) is win.root_steps(alpha)
+        assert win.reflection_pairs() is win.reflection_pairs()
         for x in win.elements:
             assert win.compat_word(x) is win.compat_word(x)
-        assert win.reflection_pairs() is win.reflection_pairs()
-    words_small = table(small, "roots.Window.compat_word")
-    words_large = table(large, "roots.Window.compat_word")
-    assert set(words_small) == set(small.elements)
-    assert set(words_large) == set(large.elements)
+    steps_small = table(small, "roots.Window.root_steps")
+    steps_large = table(large, "roots.Window.root_steps")
+    assert set(steps_small) == set(steps_large) == set(roots)
+    assert steps_small[roots[0]] != steps_large[roots[0]]
+    # compat words are the group's, one table for every window
+    assert set(table(g, "roots.AffineWeylGroup.compat_word")) == set(large.elements)
+    assert "roots.Window.compat_word" not in vars(large)["_memo"]
     # an equal window built anew starts with no table
     fresh = Window(g, 3, small.elements, small.words, small.lengths)
     assert fresh == small and "_memo" not in vars(fresh)
-    assert fresh.compat_word(small.elements[-1]) == small.compat_word(small.elements[-1])
-    assert table(fresh, "roots.Window.compat_word") is not words_small
+    assert fresh.root_steps(roots[0]) == small.root_steps(roots[0])
+    assert table(fresh, "roots.Window.root_steps") is not steps_small
 
 
 def test_recursive_calls_fill_the_table():
@@ -114,6 +120,17 @@ def test_rows_fill_the_table_through_recursive_calls():
     assert len(hyp.x_word((0, 1, 0)).terms) == 6
 
 
+def test_a_row_outside_the_connective_family_builds_no_window():
+    # back-substitution reads I_w from the group's layers
+    alg = TwistedAlgebra(TorusAlgebra(FiniteRootDatum.from_type("A2"), "SER", "small",
+                                      fgl=FormalGroupLaw.hyperbolic(), precision=8))
+    g = alg.torus.group
+    w = g.from_word((0, 1, 2))
+    assert g.length(w) == 3
+    alg.row("x", w)
+    assert not vars(g)["_memo"].get("roots.AffineWeylGroup.window")
+
+
 def test_a_raising_call_stores_nothing_and_raises_again():
     g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
     win = g.window(1)
@@ -122,7 +139,7 @@ def test_a_raising_call_stores_nothing_and_raises_again():
     for _ in range(2):
         with pytest.raises(WindowExceededError):
             win.compat_word(outside)
-        assert outside not in table(win, "roots.Window.compat_word")
+        assert outside not in table(g, "roots.AffineWeylGroup.compat_word")
 
     alg = fresh_algebra()
     ctx = PetersonContext(alg, alg.torus.group.window(4))

@@ -1,5 +1,6 @@
 """Root data and the affine Weyl group."""
 
+import sys
 import time
 
 import pytest
@@ -368,6 +369,23 @@ def test_window_ordering_and_require():
     assert "window >= 10" in str(err.value)
 
 
+@pytest.mark.parametrize("rtype, length", [("A1", 8), ("A2", 5), ("B2", 5), ("G2", 5)])
+def test_windows_are_prefixes_of_larger_windows(rtype, length):
+    # every window reads the group's length layers, so a window is the
+    # prefix of each larger one and shares its word tuples
+    g = group(rtype)
+    windows = [g.window(k) for k in range(length + 1)]
+    for small, large in zip(windows, windows[1:]):
+        n = len(small.elements)
+        assert large.elements[:n] == small.elements
+        assert list(large.words)[:n] == list(small.words)
+        assert list(large.lengths.items())[:n] == list(small.lengths.items())
+        assert all(large.words[x] is small.words[x] for x in small.elements)
+        assert set(large.lengths.values()) == set(range(large.length_bound + 1))
+        assert list(large.elements) == sorted(
+            large.elements, key=lambda x: (large.lengths[x], large.words[x]))
+
+
 def test_window_translations():
     g = group("A1")
     win = g.window(8)
@@ -545,35 +563,53 @@ def test_compat_words_are_cached_per_element(rtype, torus, length):
         word = win.compat_word(x)
         assert word == coset_word(g, win, x)
         assert win.compat_word(x) is word
+        # one table, on the group, whichever window asks
+        assert vars(g)["_memo"]["roots.AffineWeylGroup.compat_word"][x] is word
     smaller = g.window(length - 1)
     for x in smaller.elements:
-        assert smaller.compat_word(x) == win.compat_word(x)
+        assert smaller.compat_word(x) is win.compat_word(x)
 
 
 @pytest.mark.parametrize("rtype, torus, length", LAYER1_CASES)
 def test_compat_word_outside_the_window(rtype, torus, length):
-    g = util.algebra(rtype, "CON", torus).torus.group
+    # a fresh group on the shared datum, so its elements equal the cached group's
+    known = util.algebra(rtype, "CON", torus).torus.group
+    g = AffineWeylGroup(known.datum)
     win = g.window(length - 2)
-    outside = [x for x in g.window(length).elements if x not in win]
-    raised = 0
+    outside = [x for x in known.window(length).elements if x not in win]
+    beyond = 0
     for x in outside:
-        if g.coset_decompose(x)[1] in win:
-            assert win.compat_word(x) == coset_word(g, win, x)
-            continue
-        raised += 1
+        u, v = g.coset_decompose(x)
+        assert g.compat_word(x) == g.datum.weyl_words[u] + g.reduced_word(v)
+        beyond += v not in win
         for _ in range(2):
-            with pytest.raises(WindowExceededError):
+            with pytest.raises(WindowExceededError, match="length %d lies" % g.length(x)):
                 win.compat_word(x)
-    assert raised
+    # the group answered with no window beyond the one asked for
+    assert beyond and set(vars(g)["_memo"]["roots.AffineWeylGroup.window"]) == {length - 2}
 
 
-def test_window_equality_and_repr_ignore_the_compat_cache():
+def test_windows_and_compat_words_do_not_recurse_through_lengths():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        win = AffineWeylGroup(FiniteRootDatum.from_type("A1")).window(300)
+        assert len(win.elements) == 601
+        g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
+        x = g.translation((150,))
+        word = g.compat_word(x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(word) == g.length(x) == 300 and g.from_word(word) == x
+
+
+def test_window_equality_and_repr_ignore_its_memo():
     g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
     win = g.window(3)
     fresh = Window(g, win.length_bound, win.elements, win.words, win.lengths)
-    for x in win.elements:
-        win.compat_word(x)
-    assert vars(win)["_memo"]["roots.Window.compat_word"] and "_memo" not in vars(fresh)
+    for alpha in g.datum.positive_roots:
+        win.root_steps(alpha)
+    assert vars(win)["_memo"]["roots.Window.root_steps"] and "_memo" not in vars(fresh)
     assert win == fresh
     assert repr(win) == repr(fresh)
     assert "_memo" not in repr(win)
@@ -615,10 +651,10 @@ def test_names():
 @pytest.mark.parametrize("rtype, length", [("A1", 10), ("A2", 6), ("B2", 6),
                                            ("G2", 5), ("B3", 4), ("C3", 4)])
 def test_window_words_are_least_reduced_words(rtype, length):
-    # GKM reports name elements by their window word instead of recomputing
-    # reduced_word; both must be the lexicographically least reduced word
+    # the layer words and the greedy reduced_word, which names elements in
+    # GKM reports, must both be the lexicographically least reduced word
     g = group(rtype)
     win = g.window(length)
     for x in win.elements:
         assert win.words[x] == g.reduced_word(x)
-        assert g.element_name(x, win) == g.element_name(x)
+        assert g.element_name(x) == g.word_name(win.words[x])
