@@ -373,7 +373,9 @@ def cmd_recurse(cfg: JobConfig) -> Tuple[dict, bool]:
         "actions": rows,
         "table_recursion": {
             "checked": table_report.checked,
-            "failures": sorted(table_report.failures),
+            "failures": sorted("row %s letter %d column %s" % (
+                group.element_name(w), j, group.element_name(v))
+                for w, j, v in table_report.failures),
         },
     }
     return payload, ok

@@ -15,8 +15,8 @@ Key facts implemented and cross-checked by the test-suite:
     dual Y*_w of Y_{I_w} is read off the Y-flavor table, as X*_w is off the
     X-flavor one; the dual transition Y*_w = (-1)^{l(w)} sum over v >= w of
     c^{l(v)-l(w)} X*_v is the test-suite's oracle for it.
-  * Left multiplication by eta_i induces two-case recursions on both
-    expansion tables (the X-flavor and the Y-flavor).  `twisted.predict_row`
+  * Right multiplication by eta_i induces two-case recursions on both
+    expansion tables (the X-flavor and the Y-flavor).  `twisted.right_step`
     implements them; for these laws, on every backend, they build each row
     of `TwistedAlgebra.row`, and `check_recursion` tests them against
     back-substituted rows.
@@ -38,7 +38,7 @@ from .errors import UnsupportedTheoryError
 from .roots import AffineElt, Window, vneg
 from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement,
                       back_substitute, combine_rows, connective_scalar,
-                      predict_row, row_sum)
+                      right_step, row_sum)
 
 
 class ConnectiveContext:
@@ -104,11 +104,12 @@ class ConnectiveContext:
 
 @dataclass
 class RecursionReport:
-    """Outcome of verifying a two-case expansion-table recursion."""
+    """Outcome of verifying a two-case expansion-table recursion; a failure
+    (w, i, v) is a row of w = u s_i predicted wrong in its column v."""
 
     flavor: str
     checked: int = 0
-    failures: List[str] = field(default_factory=list)
+    failures: List[Tuple[AffineElt, int, AffineElt]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -117,12 +118,12 @@ class RecursionReport:
 
 def check_recursion(ctx: ConnectiveContext, window: Window, flavor: str = "x",
                     letters: Optional[Sequence[int]] = None) -> RecursionReport:
-    """Verify the left-multiplication recursion on every covered pair of the
-    window, for the X-flavor or Y-flavor table.
+    """Verify the right-multiplication recursion on every covered pair of
+    the window, for the X-flavor or Y-flavor table.
 
     The rows come from back-substitution, not from `TwistedAlgebra.row`,
-    which these laws build by this same recursion: the check asks whether
-    the recursion, applied to back-substituted rows, predicts
+    which these laws build by this same step: the check asks whether
+    `right_step`, applied to back-substituted rows, predicts
     back-substituted rows."""
     group = ctx.group
     rows = back_substitute(ctx.algebra, window, flavor)
@@ -131,14 +132,12 @@ def check_recursion(ctx: ConnectiveContext, window: Window, flavor: str = "x",
     report = RecursionReport(flavor)
     for u in window.elements:
         for i in letters:
-            si_u = group.mul(group.simple(i), u)
-            if group.left_descent(u, i) or si_u not in window:
+            u_si = group.mul(u, group.simple(i))
+            if group.right_descent(u, i) or u_si not in window:
                 continue
-            predicted = predict_row(ctx.algebra, ctx.c, rows[u], i, flavor)
-            for v in combine_rows(((1, predicted), (-1, rows[si_u]))):
-                report.failures.append(
-                    "row %s letter %d column %s"
-                    % (group.element_name(si_u), i, group.element_name(v)))
+            predicted = right_step(ctx.algebra, ctx.c, rows[u], u, i, flavor)
+            for v in combine_rows(((1, predicted), (-1, rows[u_si]))):
+                report.failures.append((u_si, i, v))
             report.checked += 1
     return report
 

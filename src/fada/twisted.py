@@ -15,14 +15,14 @@ The inverse change of basis, eta_w = sum_u b_{w,u} X_{I_u} (or Y_{I_u}), is
 row of eta_w depends only on w and on shorter elements, never on a window,
 so a window only reads rows, and a row outside every window is asked for
 like any other.  For the group laws x + y - c x y, on any backend, X_{I_w}
-does not depend on the reduced word, so the row of s_i u follows from the
-row of u by left multiplication with eta_{s_i} (the Kostant-Kumar
-recursion).  Other laws break the braid relations (Bressler-Evens, Trans.
-AMS 1990), so their rows are solved by back-substitution in the localized
-ring, which also serves, over a whole window, as the independent oracle for
-the recursion.  Back-substitution divides each summed entry once by the
-diagonal of X_{I_w}, a unit over a product of x_beta, by subtracting
-denominator multiplicities.
+does not depend on the reduced word, so the row of u s_i follows from the
+row of u by right multiplication with eta_{s_i} (the Kostant-Kumar
+recursion), with no Weyl action.  Other laws break the braid relations
+(Bressler-Evens, Trans. AMS 1990), so their rows are solved by
+back-substitution in the localized ring, which also serves, over a whole
+window, as the independent oracle for the recursion.  Back-substitution
+divides each summed entry once by the diagonal of X_{I_w}, a unit over a
+product of x_beta, by subtracting denominator multiplicities.
 
 Twisted elements, rows, duals and the Peterson projections are all maps
 from affine Weyl elements to localized values, and functions on the
@@ -184,7 +184,7 @@ class TwistedAlgebra:
     def row(self, flavor: str, w: AffineElt) -> "Row":
         """eta_w = sum_u row[u] X_{I_u} (flavor "x") or Y_{I_u} ("y"), kept by
         `memo` with the rows it is built from: for the laws x + y - c x y by
-        `predict_row` from the row of s_i w, i the least left descent of w;
+        `right_step` from the row of w s_i, i the least right descent of w;
         for the others by back-substitution from the rows of the support of
         X_{I_w}, I_w the group's compat word of w; no window is built."""
         _require_flavor(flavor)
@@ -195,8 +195,9 @@ class TwistedAlgebra:
                               partial(self.row, flavor))
         if w == group.identity:
             return {w: Localized(torus, torus.ring.one())}
-        i = next(i for i in group.labels if group.left_descent(w, i))
-        return predict_row(self, c, self.row(flavor, group.mul(group.simple(i), w)), i, flavor)
+        i = next(i for i in group.labels if group.right_descent(w, i))
+        u = group.mul(w, group.simple(i))
+        return right_step(self, c, self.row(flavor, u), u, i, flavor)
 
     def z_alpha(self, alpha: Vec) -> TwistedElement:
         """Z_alpha = (1/x_{-alpha}) (1 - eta_{t_{alpha^v}}) for a finite root."""
@@ -328,32 +329,28 @@ def _solve_row(algebra: TwistedAlgebra, flavor: str, w: AffineElt,
     return _settled({v: e / aw[w] for v, e in s.items()})
 
 
-def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
-                flavor: str) -> Row:
-    """The row of eta_{s_i u} from the row of eta_u, for s_i u > u.
+def right_step(algebra: TwistedAlgebra, c: Scalar, row: Row, u: AffineElt, i: int,
+               flavor: str) -> Row:
+    """The row of eta_{u s_i} from the row of eta_u, for u s_i > u.
 
-    Write Op for X or Y.  Then eta_{s_i} = a + b Op_i, with (a, b) =
-    (1, -x_i) for X and (1 - c x_i, x_i) for Y, and Op_i Op_{I_v} is
-    Op_{I_{s_i v}} when s_i v > v and c Op_{I_v} otherwise.  So the entry
-    r_v of the row of eta_u puts a s_i(r_v) at v and b s_i(r_v) at s_i v
-    when s_i v > v, and (a + b c) s_i(r_v) at v otherwise; s_i v > v is
-    tested as "i is no left descent of v", one root action.  That needs
-    Op_{I_w} to be independent of the reduced word, which holds for the
-    group laws x + y - c x y.
+    Write Op for X or Y and x for x_{u(alpha_i)} = u(x_{alpha_i}).  Then
+    eta_{u s_i} = eta_u eta_{s_i} = a eta_u + b eta_u Op_i, with (a, b) =
+    (1, -x) for X and (1 - c x, x) for Y, and Op_{I_v} Op_i is Op_{I_{v s_i}}
+    when v s_i > v ("i is no right descent of v", one root action) and c
+    Op_{I_v} otherwise.  So the entry r_v of the row of eta_u puts a r_v at
+    v and b r_v at v s_i, or (a + b c) r_v at v.  That needs Op_{I_w} to be
+    independent of the reduced word, which holds for the laws x + y - c x y.
     """
-    torus = algebra.torus
-    group = torus.group
-    si = group.simple(i)
-    xi = Localized(torus, torus.x_root(group.simple_root(i)))
-    a, b = (1, -xi) if flavor == "x" else (1 - xi * c, xi)
+    torus, group = algebra.torus, algebra.torus.group
+    x = Localized(torus, torus.x_root(group.act(u, group.simple_root(i))))
+    a, b = (1, -x) if flavor == "x" else (1 - x * c, x)
     a_down = a + b * c
     terms: List[Tuple[Coefficient, Row]] = []
     for v, r in row.items():
-        image = torus.act_loc(si, r)
-        if not group.left_descent(v, i):
-            terms += [(a, {v: image}), (b, {group.mul(si, v): image})]
+        if not group.right_descent(v, i):
+            terms += [(a, {v: r}), (b, {group.mul(v, group.simple(i)): r})]
         else:
-            terms.append((a_down, {v: image}))
+            terms.append((a_down, {v: r}))
     return combine_rows(terms)
 
 
@@ -362,12 +359,13 @@ def demazure_walk(group: AffineWeylGroup, word: Sequence[int], v: AffineElt
     """(w, m) with Op_{i_1} ... Op_{i_k} Op_{I_v} = c^m Op_{I_w} for the
     word i_1 ... i_k, Op standing for X or Y.
 
-    The rule of `predict_row`: Op_i Op_{I_w} is Op_{I_{s_i w}} when s_i w > w
-    and c Op_{I_w} otherwise (Kostant-Kumar), the second from Op_i^2 = c Op_i,
-    which holds for Y_i as for X_i.  So the letters are read from right to
-    left, starting at w = v: a left descent i of w adds 1 to m, any other
-    letter moves w to s_i w.  The w reached is the Demazure product of the
-    word with v.  Like `predict_row`, this needs the group law x + y - c x y.
+    The left-handed rule of `right_step`: Op_i Op_{I_w} is Op_{I_{s_i w}}
+    when s_i w > w and c Op_{I_w} otherwise (Kostant-Kumar), the second from
+    Op_i^2 = c Op_i, which holds for Y_i as for X_i.  So the letters are read
+    from right to left, starting at w = v: a left descent i of w adds 1 to
+    m, any other letter moves w to s_i w.  The w reached is the Demazure
+    product of the word with v.  Like `right_step`, this needs the group law
+    x + y - c x y.
     """
     w, m = v, 0
     for i in reversed(word):

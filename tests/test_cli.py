@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from fada import connective
 from fada.cli import build_law, build_datum, emit, main, parse_word
 from fada.errors import ConfigError
 from fada.fgl import FormalGroupLaw
 from fada.roots import FiniteRootDatum
 from fada.scalars import Scalar
+from fada.twisted import back_substitute
 
 DATA = Path(__file__).parent / "data"
 
@@ -344,6 +347,21 @@ def test_recurse_command(capsys):
     assert payload["table_recursion"]["checked"] > 0
     assert payload["table_recursion"]["failures"] == []
     assert all(row["ok"] for row in payload["actions"])
+
+
+def test_recurse_prints_recursion_failures_as_sorted_text(capsys, monkeypatch):
+    # check_recursion keeps records (u s_i, i, v); the command prints them
+    # as sorted lines, here for corrupted oracle rows
+    def corrupted(algebra, window, flavor):
+        rows = back_substitute(algebra, window, flavor)
+        return {w: {v: c + 1 for v, c in row.items()} for w, row in rows.items()}
+
+    monkeypatch.setattr(connective, "back_substitute", corrupted)
+    rc, out, _ = run_cli(capsys, "recurse", "--root", "A2", "--window", "4", "--i", "1")
+    failures = json.loads(out)["table_recursion"]["failures"]
+    assert rc == 1 and failures and failures == sorted(failures)
+    for f in failures:
+        assert re.fullmatch(r"row (s\d )*s\d letter 1 column (e|(s\d )*s\d)", f), f
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])

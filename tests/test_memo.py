@@ -95,22 +95,22 @@ def test_recursive_calls_fill_the_table():
 
 
 def test_rows_fill_the_table_through_recursive_calls():
-    # the recursion keeps the row of each s_i w it descends through
+    # the recursion keeps the row of each w s_i it descends through
     alg = fresh_algebra()
     g = alg.torus.group
     w = g.from_word((0, 1, 0))
     row = alg.row("y", w)
     assert table(alg, "twisted.TwistedAlgebra.row") == {
         ("y", g.from_word(word)): alg.row("y", g.from_word(word))
-        for word in ((), (0,), (1, 0), (0, 1, 0))}
+        for word in ((), (0,), (0, 1), (0, 1, 0))}
     assert alg.row("y", w) is row
-    # it descends by the least left descent, the first letter of the least
-    # reduced word: s1 s2 s1 = s2 s1 s2 goes through s2 s1 and s1
+    # it descends by the least right descent: s1 s2 s1 = s2 s1 s2 goes
+    # through s1 s2 and s1
     a2 = TwistedAlgebra(TorusAlgebra(FiniteRootDatum.from_type("A2"), "CON", "small"))
     g2 = a2.torus.group
     a2.row("x", g2.from_word((1, 2, 1)))
     assert set(table(a2, "twisted.TwistedAlgebra.row")) == {
-        ("x", g2.from_word(word)) for word in ((), (1,), (2, 1), (1, 2, 1))}
+        ("x", g2.from_word(word)) for word in ((), (1,), (1, 2), (1, 2, 1))}
     # back-substitution keeps the row of every element of the support of X_{I_w}
     hyp = TwistedAlgebra(TorusAlgebra(FiniteRootDatum.from_type("A1"), "SER", "small",
                                       fgl=FormalGroupLaw.hyperbolic(), precision=8))

@@ -318,12 +318,55 @@ def test_hyperbolic_rows_match_back_substitution(rtype, length):
     ("A1", "small", 6), ("A2", "small", 4), ("B2", "small", 4),
     ("G2", "small", 4), ("A1", "big", 6)])
 def test_predict_row_descent_test_matches_lengths(rtype, torus, length):
-    # predict_row takes s_i v > v as "i is no left descent of v"
+    # right_step takes v s_i > v as "i is no right descent of v", and its
+    # oracle util.predict_row takes s_i v > v as "i is no left descent of v"
     g = util.algebra(rtype, "CON", torus).torus.group
     for v in g.window(length).elements:
         for i in g.labels:
+            longer = g.length(g.mul(v, g.simple(i))) > g.length(v)
+            assert (not g.right_descent(v, i)) == longer, (v, i)
             longer = g.length(g.mul(g.simple(i), v)) > g.length(v)
             assert (not g.left_descent(v, i)) == longer, (v, i)
+
+
+# one backend per type and torus, each window past the back-substitution
+# oracles of the suite, so the left recursion is the oracle there
+LEFT_ORACLE_CASES = [
+    ("A1", "ADD", "small", 12), ("A1", "MUL", "big", 8),
+    ("A2", "ADD", "small", 6), ("A2", "CON", "big", 4),
+    ("B2", "MUL", "small", 6), ("B2", "CON", "big", 4),
+    ("G2", "MUL", "small", 6), ("G2", "ADD", "big", 4),
+    ("A3", "CON", "small", 5), ("A3", "MUL", "big", 3)]
+
+
+@pytest.mark.parametrize("flavor", ["x", "y"])
+@pytest.mark.parametrize("rtype, backend, torus, length", LEFT_ORACLE_CASES)
+def test_rows_satisfy_the_left_recursion(rtype, backend, torus, length, flavor):
+    # the rows are built from the right; every row of the window satisfies
+    # the left recursion for every letter
+    alg = util.algebra(rtype, backend, torus)
+    window = alg.torus.group.window(length)
+    checked, failures = util.left_recursion_failures(alg, window, flavor)
+    # every element but e is s_i u for some u of the window
+    assert checked >= len(window.elements) - 1 and not failures, [
+        (window.word(w), i) for w, i in failures]
+
+
+@pytest.mark.parametrize("law", [None, "connective"])
+def test_connective_rows_need_no_weyl_action(monkeypatch, law):
+    # each entry of a connective row is a product in S: no row entry is
+    # moved by the Weyl group, on the exact backend or on SER
+    def refuse(*args):
+        raise AssertionError("a row entry was acted on by the Weyl group")
+
+    monkeypatch.setattr(TorusAlgebra, "act_loc", refuse)
+    monkeypatch.setattr(TorusAlgebra, "act_elem", refuse)
+    t = TorusAlgebra(util.datum("A2"), "SER" if law else "CON", "small",
+                     fgl=util.law_of(law), precision=8)
+    alg = TwistedAlgebra(t)
+    window = t.group.window(4)
+    for flavor in ("x", "y"):
+        assert len(ExpansionTables(alg, window, flavor).b) == len(window.elements)
 
 
 def test_expand_in_x_names_a_window_that_suffices():
@@ -519,6 +562,10 @@ def test_check_recursion_compares_with_back_substitution(monkeypatch, flavor):
     monkeypatch.setattr(connective, "back_substitute", corrupted)
     rep = connective.check_recursion(ctx, window, flavor)
     assert not rep.passed and rep.checked == 8
+    # each failure is a record (u s_i, i, v): only the corrupted row is wrong
+    g = alg.torus.group
+    for w, i, v in rep.failures:
+        assert w == window.elements[-1] and g.right_descent(w, i) and v in window
 
 
 # -- braid relations --------------------------------------------------------

@@ -18,8 +18,9 @@ from fada.duals import (BINOMIAL_SUM, DIFFERENCE, NOT_REGULAR, ORBIT_LEAVES,
                         GkmReport, dual_x)
 from fada.fgl import FormalGroupLaw
 from fada.roots import AffineElt, AffRoot, FiniteRootDatum, Window
-from fada.twisted import (ExpansionTables, TwistedAlgebra, TwistedElement, combine_rows,
-                          row_sum)
+from fada.scalars import Scalar
+from fada.twisted import (Coefficient, ExpansionTables, Row, TwistedAlgebra, TwistedElement,
+                          combine_rows, row_sum)
 
 _DATA: Dict[str, FiniteRootDatum] = {}
 _ALG: Dict[Tuple, TwistedAlgebra] = {}
@@ -92,6 +93,58 @@ def eta_route_x_product(ctx, w2: AffineElt, v: AffineElt) -> Dict[AffineElt, Loc
     alg, window = ctx.algebra, ctx.window
     prod = alg.x_word(window.compat_word(w2)) * alg.x_word(window.compat_word(v))
     return ctx.tables.expand_in_x(prod)
+
+
+# -- the left-handed row recursion, the oracle of `twisted.right_step` -------
+
+
+def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
+                flavor: str) -> Row:
+    """The row of eta_{s_i u} from the row of eta_u, for s_i u > u.
+
+    Write Op for X or Y.  Then eta_{s_i} = a + b Op_i, with (a, b) =
+    (1, -x_i) for X and (1 - c x_i, x_i) for Y, and Op_i Op_{I_v} is
+    Op_{I_{s_i v}} when s_i v > v and c Op_{I_v} otherwise.  So the entry
+    r_v of the row of eta_u puts a s_i(r_v) at v and b s_i(r_v) at s_i v
+    when s_i v > v, and (a + b c) s_i(r_v) at v otherwise; s_i v > v is
+    tested as "i is no left descent of v", one root action.  That needs
+    Op_{I_w} to be independent of the reduced word, which holds for the
+    group laws x + y - c x y.
+    """
+    torus = algebra.torus
+    group = torus.group
+    si = group.simple(i)
+    xi = Localized(torus, torus.x_root(group.simple_root(i)))
+    a, b = (1, -xi) if flavor == "x" else (1 - xi * c, xi)
+    a_down = a + b * c
+    terms: List[Tuple[Coefficient, Row]] = []
+    for v, r in row.items():
+        image = torus.act_loc(si, r)
+        if not group.left_descent(v, i):
+            terms += [(a, {v: image}), (b, {group.mul(si, v): image})]
+        else:
+            terms.append((a_down, {v: image}))
+    return combine_rows(terms)
+
+
+def left_recursion_failures(alg: TwistedAlgebra, window: Window, flavor: str
+                            ) -> Tuple[int, List[Tuple[AffineElt, int]]]:
+    """(pairs checked, failing pairs (s_i u, i)) of the left recursion
+    `predict_row` on the algebra's own rows, over every pair (u, i) of the
+    window with s_i u > u and s_i u in the window, for every letter i."""
+    group = alg.torus.group
+    c = alg.torus.ring.fgl.c
+    checked, failures = 0, []
+    for u in window.elements:
+        for i in group.labels:
+            si_u = group.mul(group.simple(i), u)
+            if group.left_descent(u, i) or si_u not in window:
+                continue
+            predicted = predict_row(alg, c, alg.row(flavor, u), i, flavor)
+            if combine_rows(((1, predicted), (-1, alg.row(flavor, si_u)))):
+                failures.append((si_u, i))
+            checked += 1
+    return checked, failures
 
 
 # -- sums over the lcm, and the dual loops over the whole window -------------
