@@ -159,7 +159,8 @@ def eta_sigma_closed(algebra: TwistedAlgebra, k: int) -> Dict[AffineElt, Localiz
 class CrosscheckReport:
     kmax: int
     compared: int = 0
-    mismatches: List[str] = field(default_factory=list)
+    # (k, u): the closed form of eta_{sigma_k} differs from the solve at u
+    mismatches: List[Tuple[int, AffineElt]] = field(default_factory=list)
     gkm: List[GkmReport] = field(default_factory=list)
 
     @property
@@ -185,11 +186,10 @@ def appendix_crosscheck(algebra: TwistedAlgebra, kmax: int,
     report = CrosscheckReport(kmax)
     for k in range(-kmax, kmax + 1):
         closed = eta_sigma_closed(algebra, k)
-        solved = tables.eta_in_x(sigma(group, k))
+        solved = {u: Localized(torus, b) for u, b in tables.eta_in_x(sigma(group, k)).items()}
         report.compared += 1
         for u in combine_rows(((1, closed), (-1, solved))):
-            report.mismatches.append(
-                "eta_{sigma_%d}: coefficient at %s differs" % (k, group.element_name(u)))
+            report.mismatches.append((k, u))
     for k in range(-kmax, kmax + 1):
         f = dual_x(tables, sigma(group, k))
         report.gkm.append(gkm_check_small(f, degree_bound))

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import fgl as fgl_mod
 from .a1hat import appendix_crosscheck, eta_sigma_closed, sigma_index
@@ -125,7 +125,9 @@ def elem_json(e: AlgebraElement) -> List[object]:
     return [[list(k), str(c)] for k, c in sorted(e.coefficients().items())]
 
 
-def loc_json(c: Localized) -> Dict[str, object]:
+def loc_json(c: Union[AlgebraElement, Localized]) -> Dict[str, object]:
+    if isinstance(c, AlgebraElement):
+        return {"num": elem_json(c), "den": []}
     s = c.simplify()
     return {"num": elem_json(s.num), "den": [list(b) for b in s.den]}
 
@@ -141,7 +143,7 @@ def _by_compat_word(window: Window, elements: Iterable[AffineElt]
     return sorted(((window.compat_word(w), w) for w in elements), key=_shortlex)
 
 
-def coeffs_json(window: Window, table: Dict[AffineElt, Localized]) -> List[object]:
+def coeffs_json(window: Window, table: Mapping[AffineElt, object]) -> List[object]:
     return [[list(word), loc_json(table[w])] for word, w in _by_compat_word(window, table)]
 
 
@@ -402,7 +404,8 @@ def cmd_a1hat(cfg: JobConfig) -> Tuple[dict, bool]:
         "table": table,
         "crosscheck": {
             "summary": report.summary(),
-            "mismatches": sorted(report.mismatches),
+            "mismatches": sorted("eta_{sigma_%d}: coefficient at %s differs"
+                                 % (k, group.element_name(u)) for k, u in report.mismatches),
             "gkm_failing": sum(0 if r.passed else 1 for r in report.gkm),
         },
     }

@@ -37,7 +37,7 @@ from .duals import DualElement, bullet, dual_x, odot
 from .errors import UnsupportedTheoryError
 from .roots import AffineElt, Window, vneg
 from .twisted import (ExpansionTables, TwistedAlgebra, TwistedElement,
-                      back_substitute, combine_rows, connective_scalar,
+                      back_substitute, connective_scalar,
                       right_step, row_sum)
 
 
@@ -136,8 +136,8 @@ def check_recursion(ctx: ConnectiveContext, window: Window, flavor: str = "x",
             if group.right_descent(u, i) or u_si not in window:
                 continue
             predicted = right_step(ctx.algebra, ctx.c, rows[u], u, i, flavor)
-            for v in combine_rows(((1, predicted), (-1, rows[u_si]))):
-                report.failures.append((u_si, i, v))
+            diff = row_sum(((1, predicted), (-1, rows[u_si])))
+            report.failures += [(u_si, i, v) for v, d in diff.items() if not d.is_zero()]
             report.checked += 1
     return report
 

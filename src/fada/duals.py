@@ -116,13 +116,13 @@ class DualElement:
 
 
 def dual_x(tables: ExpansionTables, w: AffineElt) -> DualElement:
-    """The functional dual to X_{I_w}: its value on eta_v is b_{v, I_w}."""
+    """The functional dual to X_{I_w}: its value on eta_v is b_{v, I_w}, localized."""
     torus = tables.algebra.torus
     values = {}
     for v in tables.window.elements:
         c = tables.b[v].get(w)
-        if c is not None and not c.is_zero():
-            values[v] = c
+        if c is not None:
+            values[v] = Localized(torus, c)
     return DualElement(torus, tables.window, values)
 
 

@@ -20,6 +20,11 @@ def memo(fn):
         owner._memo.setdefault(name, {})[key] = out
         return out
 
+    def holds(owner, *args):
+        """Whether fn(owner, *args) is kept already."""
+        key = args[0] if fn.__code__.co_argcount == 2 else args
+        return key in getattr(owner, "_memo", {}).get(name, ())
+
     if fn.__code__.co_argcount == 2:
         @wraps(fn)
         def cached(owner, arg):
@@ -36,4 +41,5 @@ def memo(fn):
             except (AttributeError, KeyError):
                 pass
             return miss(owner, args, args)
+    cached.holds = holds
     return cached

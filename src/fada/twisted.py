@@ -14,32 +14,32 @@ The inverse change of basis, eta_w = sum_u b_{w,u} X_{I_u} (or Y_{I_u}), is
 `TwistedAlgebra.row`, kept by `memo` per algebra, flavor and element: the
 row of eta_w depends only on w and on shorter elements, never on a window,
 so a window only reads rows, and a row outside every window is asked for
-like any other.  For the group laws x + y - c x y, on any backend, X_{I_w}
-does not depend on the reduced word, so the row of u s_i follows from the
-row of u by right multiplication with eta_{s_i} (the Kostant-Kumar
-recursion), with no Weyl action.  Other laws break the braid relations
+like any other.  Rows are over S (Calmes-Petrov-Zainoulline 2013).  For the
+laws x + y - c x y, X_{I_w} does not depend on the reduced word, so the row
+of u s_i follows from the row of u by right multiplication with eta_{s_i}
+(Kostant-Kumar), by products in S.  Other laws break the braid relations
 (Bressler-Evens, Trans. AMS 1990), so their rows are solved by
 back-substitution in the localized ring, which also serves, over a whole
 window, as the independent oracle for the recursion.  Back-substitution
 divides each summed entry once by the diagonal of X_{I_w}, a unit over a
 product of x_beta, by subtracting denominator multiplicities.
 
-Twisted elements, rows, duals and the Peterson projections are all maps
-from affine Weyl elements to localized values, and functions on the
-translation lattice are maps from lattice points.  `row_sum` is the one
+Twisted elements, duals and the Peterson projections are maps from affine
+Weyl elements to localized values, rows to ring elements, and functions on
+the translation lattice are maps from lattice points.  `row_sum` is the one
 accumulator of such maps: it forms every linear combination
 sum_u c_u map_u, the twisted product included, left unsimplified, and
-`combine_rows` is the same sum settled; a difference that settles to the
-empty map is the one equality test of maps.
+`combine_rows` is the same localized sum settled; a difference that settles
+to the empty map is the one equality test of localized maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
-from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
+from .errors import ConfigError, MembershipError, NotApplicableError, UnsupportedTheoryError
 from .memo import memo
 from .roots import AffineElt, AffineWeylGroup, Vec, Window, vneg
 from .scalars import Scalar
@@ -186,17 +186,27 @@ class TwistedAlgebra:
         `memo` with the rows it is built from: for the laws x + y - c x y by
         `right_step` from the row of w s_i, i the least right descent of w;
         for the others by back-substitution from the rows of the support of
-        X_{I_w}, I_w the group's compat word of w; no window is built."""
+        X_{I_w}, I_w the group's compat word of w; no window is built.  Rows
+        not held are asked shortest first, so no call recurses through lengths."""
         _require_flavor(flavor)
         torus, group = self.torus, self.torus.group
         c = torus.ring.fgl.c
+        held = partial(TwistedAlgebra.row.holds, self, flavor)
         if c is None:
-            return _solve_row(self, flavor, w, group.compat_word(w),
-                              partial(self.row, flavor))
+            word = group.compat_word(w)
+            below = [u for u in self.word_product(flavor, word).terms if u != w and not held(u)]
+            for u in sorted(below, key=group.length):
+                self.row(flavor, u)
+            return _solve_row(self, flavor, w, word, partial(self.row, flavor))
         if w == group.identity:
-            return {w: Localized(torus, torus.ring.one())}
-        i = next(i for i in group.labels if group.right_descent(w, i))
-        u = group.mul(w, group.simple(i))
+            return {w: torus.ring.one()}
+        u, i = _right_down(group, w)
+        chain, v = [], u  # the right chain down to the first row held
+        while v != group.identity and not held(v):
+            chain.append(v)
+            v = _right_down(group, v)[0]
+        for v in reversed(chain):
+            self.row(flavor, v)
         return right_step(self, c, self.row(flavor, u), u, i, flavor)
 
     def z_alpha(self, alpha: Vec) -> TwistedElement:
@@ -212,32 +222,27 @@ class TwistedAlgebra:
 # -- change of basis -------------------------------------------------------
 
 
-Row = Dict[AffineElt, Localized]
-Coefficient = Union[int, Scalar, Localized]
+Row = Dict[AffineElt, AlgebraElement]  # u -> b_{w,u} in S, no zero entry
+Coefficient = Union[int, Scalar, AlgebraElement, Localized]
 
 
-def combine_rows(terms: Iterable[Tuple[Coefficient, Row]]) -> Row:
-    """sum_u c_u row_u for the pairs (c_u, row_u), simplified, without its
-    negligible entries; two rows are equal when their difference is empty."""
-    return _settled(row_sum(terms))
+def combine_rows(terms: Iterable[Tuple[Coefficient, Mapping]]) -> Dict:
+    """sum_u c_u map_u for the pairs (c_u, map_u), localized, simplified, without
+    its negligible entries; two maps are equal when their difference is empty."""
+    simplified = ((v, c.simplify()) for v, c in row_sum(terms).items())
+    return {v: c for v, c in simplified if not c.is_negligible()}
 
 
-def row_sum(terms: Iterable[Tuple[Coefficient, Row]]) -> Row:
-    """sum_u c_u row_u, each entry over the lcm of its terms' denominators.
+def row_sum(terms: Iterable[Tuple[Coefficient, Mapping]]) -> Dict:
+    """sum_u c_u map_u, each entry over the lcm of its terms' denominators.
     The keys may be anything hashable: elements, lattice points, pairs.
     An entry with the coefficient 1 is taken as it is, not copied."""
-    out: Row = {}
+    out: Dict = {}
     for c, row in terms:
         for v, b in row.items():
             delta = b if type(c) is int and c == 1 else c * b
             out[v] = out[v] + delta if v in out else delta
     return out
-
-
-def _settled(row: Row) -> Row:
-    """The row with each entry simplified and the negligible ones dropped."""
-    simplified = ((v, c.simplify()) for v, c in row.items())
-    return {v: c for v, c in simplified if not c.is_negligible()}
 
 
 def _require_flavor(flavor: str) -> None:
@@ -254,9 +259,8 @@ class ExpansionTables:
     the Weyl-translation factorization used by the Peterson expansion.  With
     ``flavor="y"`` the basis is {Y_{I_w}} instead.
 
-    The table is a window view of the algebra's rows, `TwistedAlgebra.row`,
-    which chooses the route by the law; rows are shared between tables and
-    must not be modified.
+    The table is a window view of the algebra's rows over S, `TwistedAlgebra.row`,
+    which chooses the route by the law; rows are shared and must not be modified.
     """
 
     def __init__(self, algebra: TwistedAlgebra, window: Window, flavor: str = "x"):
@@ -272,13 +276,13 @@ class ExpansionTables:
         return {w: self.algebra.word_product(self.flavor, self.window.compat_word(w)).terms
                 for w in self.window.elements}
 
-    def eta_in_x(self, w: AffineElt) -> Dict[AffineElt, Localized]:
+    def eta_in_x(self, w: AffineElt) -> Row:
         self.window.require(w)
         return self.b[w]
 
     def expand_in_x(self, z: TwistedElement) -> Dict[AffineElt, Localized]:
-        """Left-coefficient expansion of z in the X_{I_w} basis.  When the
-        eta-support leaves the window, the error names its longest element,
+        """Left-coefficient expansion of z in the X_{I_w} basis, localized.  When
+        the eta-support leaves the window, the error names its longest element,
         so the window it asks for holds the whole support."""
         outside = [u for u in z.terms if u not in self.window.index]
         if outside:
@@ -302,7 +306,7 @@ def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x"
     of x_beta, so the division subtracts denominator multiplicities and
     multiplies no x_beta in to be divided back out, which on SER would cost
     one degree of certified precision each; each entry is then simplified
-    once.
+    once, and its numerator kept.
     """
     _require_flavor(flavor)
     rows: Dict[AffineElt, Row] = {}
@@ -322,16 +326,27 @@ def back_substitute(algebra: TwistedAlgebra, window: Window, flavor: str = "x"
 def _solve_row(algebra: TwistedAlgebra, flavor: str, w: AffineElt,
                word: Tuple[int, ...], row_of: Callable[[AffineElt], Row]) -> Row:
     """The row of eta_w by back-substitution from X_{I_w}, I_w = `word`, and
-    the rows `row_of(u)` of the other elements u of its support."""
+    the rows `row_of(u)` of the other u of its support; raises if not over S."""
     aw = algebra.word_product(flavor, word).terms
     one = Localized(algebra.torus, algebra.torus.ring.one())
     s = row_sum([(1, {w: one})] + [(-c, row_of(u)) for u, c in aw.items() if u != w])
-    return _settled({v: e / aw[w] for v, e in s.items()})
+    settled = combine_rows([(1, {v: e / aw[w] for v, e in s.items()})])
+    for v, e in settled.items():
+        if e.den_map:
+            name = algebra.torus.group.element_name
+            raise MembershipError("row of eta[%s] not over S at %s" % (name(w), name(v)))
+    return {v: e.num for v, e in settled.items()}
+
+
+def _right_down(group: AffineWeylGroup, w: AffineElt) -> Tuple[AffineElt, int]:
+    """(w s_i, i) for i the least right descent of w != e."""
+    i = next(i for i in group.labels if group.right_descent(w, i))
+    return group.mul(w, group.simple(i)), i
 
 
 def right_step(algebra: TwistedAlgebra, c: Scalar, row: Row, u: AffineElt, i: int,
                flavor: str) -> Row:
-    """The row of eta_{u s_i} from the row of eta_u, for u s_i > u.
+    """The row of eta_{u s_i} from the row of eta_u, for u s_i > u, over S.
 
     Write Op for X or Y and x for x_{u(alpha_i)} = u(x_{alpha_i}).  Then
     eta_{u s_i} = eta_u eta_{s_i} = a eta_u + b eta_u Op_i, with (a, b) =
@@ -342,7 +357,7 @@ def right_step(algebra: TwistedAlgebra, c: Scalar, row: Row, u: AffineElt, i: in
     independent of the reduced word, which holds for the laws x + y - c x y.
     """
     torus, group = algebra.torus, algebra.torus.group
-    x = Localized(torus, torus.x_root(group.act(u, group.simple_root(i))))
+    x = torus.x_root(group.act(u, group.simple_root(i)))
     a, b = (1, -x) if flavor == "x" else (1 - x * c, x)
     a_down = a + b * c
     terms: List[Tuple[Coefficient, Row]] = []
@@ -351,7 +366,7 @@ def right_step(algebra: TwistedAlgebra, c: Scalar, row: Row, u: AffineElt, i: in
             terms += [(a, {v: r}), (b, {group.mul(v, group.simple(i)): r})]
         else:
             terms.append((a_down, {v: r}))
-    return combine_rows(terms)
+    return {v: r for v, r in row_sum(terms).items() if not r.is_zero()}
 
 
 def demazure_walk(group: AffineWeylGroup, word: Sequence[int], v: AffineElt
@@ -415,7 +430,7 @@ def braid_check(algebra: TwistedAlgebra, i: int, j: int) -> BraidReport:
     # settle the entries in order and stop at the first that does not vanish:
     # on SER a later entry may need more precision than the witness does
     for w in sorted(diff, key=lambda x: (group.length(x), group.reduced_word(x))):
-        if _settled({w: diff[w]}):
+        if not diff[w].simplify().is_negligible():
             return BraidReport(i, j, m, False, witness="eta[%s]: %r vs %r" % (
                 group.word_name(group.reduced_word(w)),
                 lhs.coefficient(w).simplify(), rhs.coefficient(w).simplify()))

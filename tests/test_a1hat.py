@@ -1,13 +1,16 @@
 """Rank-one sigma bookkeeping and the closed-form eta expansions."""
 
+import json
 from itertools import combinations_with_replacement
 
 import pytest
 
+from fada import a1hat
 from fada.a1hat import (appendix_crosscheck, eta_sigma_closed, mu_unit,
                         mu_unit_inverse, s_leq, s_leq_coeffs, sigma,
                         sigma_index, sigma_word)
 from fada.algebra import Localized
+from fada.cli import main
 from fada.errors import NotApplicableError
 from fada.scalars import Scalar
 
@@ -135,6 +138,28 @@ def test_closed_forms_match_triangular_solve(backend):
     assert rep.passed, rep.mismatches
     assert rep.compared == 9
     assert len(rep.gkm) == 9
+
+
+def test_crosscheck_keeps_records_and_the_cli_prints_them(monkeypatch, capsys):
+    # a closed form bumped at one coefficient is the record (k, u); the
+    # command prints the records as sorted text
+    def bumped(algebra, k):
+        out = dict(eta_sigma_closed(algebra, k))
+        if k in (2, -1):
+            u = sigma(algebra.torus.group, k - 1 if k > 0 else k + 1)
+            out[u] = out[u] + 1
+        return out
+
+    monkeypatch.setattr(a1hat, "eta_sigma_closed", bumped)
+    alg = util.algebra("A1", "MUL")
+    g = alg.torus.group
+    rep = appendix_crosscheck(alg, 2)
+    assert sorted(rep.mismatches) == [(-1, g.identity), (2, sigma(g, 1))]
+    assert not rep.passed and "2 mismatches" in rep.summary()
+    assert main(["a1hat", "--kmax", "2", "--c", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["crosscheck"]["mismatches"] == [
+        "eta_{sigma_-1}: coefficient at e differs",
+        "eta_{sigma_2}: coefficient at s0 differs"]
 
 
 def test_crosscheck_with_gkm():

@@ -54,6 +54,20 @@ def test_keys_are_the_argument_or_the_argument_tuple():
     assert c.calls == 4 and -1 not in table(c, "test_memo.Counted.one")
 
 
+def test_holds_tells_what_is_kept():
+    c = Counted()
+    assert not Counted.one.holds(c, 2) and not Counted.two.holds(c, 1, 2)
+    c.one(2)
+    c.two(1, 2)
+    assert Counted.one.holds(c, 2) and Counted.two.holds(c, 1, 2)
+    assert not Counted.one.holds(c, 3) and not Counted.two.holds(c, 2, 1)
+    with pytest.raises(ValueError):
+        c.one(-1)
+    # asking stores nothing and calls nothing
+    assert not Counted.one.holds(c, -1) and c.calls == 3
+    assert not Counted.one.holds(Counted(), 2)
+
+
 def test_window_tables_are_per_window():
     g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
     assert g.window(3) is g.window(3)

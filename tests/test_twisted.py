@@ -1,12 +1,14 @@
 """The twisted group algebra, Demazure elements and the eta/X tables."""
 
+import sys
+
 import pytest
 
 from fada import connective, twisted
-from fada.algebra import Localized, TorusAlgebra
+from fada.algebra import AlgebraElement, FormalRing, Localized, TorusAlgebra
 from fada.cli import loc_json
-from fada.errors import (ConfigError, NotApplicableError, UnsupportedTheoryError,
-                         WindowExceededError)
+from fada.errors import (ConfigError, MembershipError, NotApplicableError,
+                         UnsupportedTheoryError, WindowExceededError)
 from fada.scalars import Scalar
 from fada.twisted import (ExpansionTables, TwistedAlgebra, back_substitute,
                           braid_check, combine_rows, demazure_walk)
@@ -285,8 +287,8 @@ def test_row_past_every_table_equals_the_table_row(rtype, torus, length, backend
     want = ExpansionTables(other, window, flavor).b[w]
     assert set(got) == set(want)
     for u, c in want.items():
-        assert got[u].den_map == c.den_map, window.word(u)
-        assert got[u].num.terms == c.num.terms, window.word(u)
+        assert got[u].terms == c.terms, window.word(u)
+        assert got[u].prec == c.prec, window.word(u)
         assert got[u] == c, window.word(u)
 
 
@@ -310,8 +312,8 @@ def test_hyperbolic_rows_match_back_substitution(rtype, length):
     for w in window.elements:
         assert set(got[w]) == set(want[w]), window.word(w)
         for u, c in want[w].items():
-            assert got[w][u].den_map == c.den_map, (window.word(w), window.word(u))
-            assert got[w][u].num.terms == c.num.terms, (window.word(w), window.word(u))
+            assert got[w][u].terms == c.terms, (window.word(w), window.word(u))
+            assert got[w][u].prec == c.prec, (window.word(w), window.word(u))
 
 
 @pytest.mark.parametrize("rtype, torus, length", [
@@ -442,8 +444,9 @@ def test_back_substitution_matches_the_multiplied_out_inverse(rtype, torus, leng
     for w in window.elements:
         assert set(got[w]) == set(want[w]), window.word(w)
         for u, c in want[w].items():
-            assert got[w][u].den_map == c.den_map, (window.word(w), window.word(u))
-            assert got[w][u].num.terms == c.num.terms, (window.word(w), window.word(u))
+            # the oracle settles to no denominator, and the row keeps the numerator
+            assert not c.den_map, (window.word(w), window.word(u))
+            assert got[w][u].terms == c.num.terms, (window.word(w), window.word(u))
 
 
 @pytest.mark.parametrize("rtype, length, law, precision, flavor, least", [
@@ -465,13 +468,13 @@ def test_series_back_substitution_extends_the_multiplied_out_rows(
         assert set(got[w]) == set(want[w]), window.word(w)
         for u, c in want[w].items():
             g = got[w][u]
-            assert g.den_map == c.den_map, (window.word(w), window.word(u))
+            assert not c.den_map, (window.word(w), window.word(u))
             # certified at least as far, and the same terms up to the old cut
-            assert g.num.prec >= c.num.prec, (window.word(w), window.word(u))
-            assert util.tuple_ptruncate(g.num.terms, c.num.prec, t.ring.nvars) == c.num.terms
-            gained += g.num.prec > c.num.prec
+            assert g.prec >= c.num.prec, (window.word(w), window.word(u))
+            assert util.tuple_ptruncate(g.terms, c.num.prec, t.ring.nvars) == c.num.terms
+            gained += g.prec > c.num.prec
     assert gained
-    assert min(c.num.prec for row in got.values() for c in row.values()) >= least
+    assert min(c.prec for row in got.values() for c in row.values()) >= least
 
 
 def test_series_tables_grow_by_back_substitution():
@@ -489,7 +492,7 @@ def test_series_tables_grow_by_back_substitution():
     fresh = ExpansionTables(hyperbolic_a2(), g.window(3))
     assert len(large.b) == len(fresh.b) == 19
     for w, row in large.b.items():
-        assert not combine_rows(((1, row), (-1, fresh.b[w]))), large.window.word(w)
+        assert not util.row_difference(row, fresh.b[w]), large.window.word(w)
 
 
 class BackSubstitutionCalled(Exception):
@@ -529,9 +532,8 @@ def test_series_connective_rows_are_the_exact_rows_at_full_precision(rtype, leng
         assert set(got[w]) == set(want[w]), window.word(w)
         for u, c in want[w].items():
             g = got[w][u]
-            assert g.den_map == c.den_map, (window.word(w), window.word(u))
-            assert g.num.prec == 10, (window.word(w), window.word(u))
-            assert g.num == con.to_series(c.num, ser), (window.word(w), window.word(u))
+            assert g.prec == 10, (window.word(w), window.word(u))
+            assert g == con.to_series(c, ser), (window.word(w), window.word(u))
             entries += 1
     assert entries > len(window.elements)
 
@@ -566,6 +568,81 @@ def test_check_recursion_compares_with_back_substitution(monkeypatch, flavor):
     g = alg.torus.group
     for w, i, v in rep.failures:
         assert w == window.elements[-1] and g.right_descent(w, i) and v in window
+
+
+# -- rows over S -------------------------------------------------------------
+
+ROW_TYPE_CASES = [(backend, law, flavor) for backend, law in
+                  (("ADD", None), ("MUL", None), ("CON", None),
+                   ("SER", "connective"), ("SER", "hyperbolic"))
+                  for flavor in ("x", "y") if (law, flavor) != ("hyperbolic", "y")]
+
+
+@pytest.mark.parametrize("rtype, torus, length", [("A2", "small", 3), ("A1", "big", 3)])
+@pytest.mark.parametrize("backend, law, flavor", ROW_TYPE_CASES)
+def test_every_row_holds_only_ring_elements(rtype, torus, length, backend, law, flavor):
+    # rows are over S on every route: the algebra's rows and the oracle's
+    t = TorusAlgebra(util.datum(rtype), backend, torus, fgl=util.law_of(law), precision=10)
+    alg = TwistedAlgebra(t)
+    window = t.group.window(length)
+    for rows in (ExpansionTables(alg, window, flavor).b, back_substitute(alg, window, flavor)):
+        assert set(rows) == set(window.elements)
+        for w, row in rows.items():
+            assert w in row, window.word(w)
+            for u, c in row.items():
+                assert type(c) is AlgebraElement and not c.is_zero(), (
+                    window.word(w), window.word(u))
+
+
+def test_solve_row_refuses_a_denominator_it_cannot_cancel(monkeypatch):
+    # the theorem keeps every entry in S; a division that cancels nothing
+    # leaves denominators, and the solve names the row and the column
+    monkeypatch.setattr(FormalRing, "divide", lambda self, f, b, m: (f, 0))
+    t = TorusAlgebra(util.datum("A1"), "CON", "small")
+    with pytest.raises(MembershipError, match=r"row of eta\[s\d( s\d)*\] not over S at "):
+        back_substitute(TwistedAlgebra(t), t.group.window(4))
+
+
+@pytest.mark.parametrize("backend, law", [("CON", None), ("SER", "connective")])
+def test_connective_tables_simplify_nothing(monkeypatch, backend, law):
+    # each connective row entry is a product in S, so no entry is settled
+    def refuse(self):
+        raise AssertionError("a row entry was simplified")
+
+    monkeypatch.setattr(Localized, "simplify", refuse)
+    t = TorusAlgebra(util.datum("A2"), backend, "small", fgl=util.law_of(law), precision=8)
+    alg = TwistedAlgebra(t)
+    window = t.group.window(4)
+    for flavor in ("x", "y"):
+        assert len(ExpansionTables(alg, window, flavor).b) == len(window.elements)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_long_row_is_built_without_deep_recursion():
+    # on a fresh algebra the right chain below w is walked down and its rows
+    # asked shortest first, so the stack does not grow with the length of w;
+    # a call per length step needs several frames a step, past this limit
+    alg = TwistedAlgebra(TorusAlgebra(util.datum("A1"), "ADD", "small"))
+    g = alg.torus.group
+    w = g.from_word((0, 1) * 40)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        row = alg.row("x", w)
+    finally:
+        sys.setrecursionlimit(limit)
+    # every row of the chain is kept, and the row is the table's row
+    for k in range(80):
+        assert TwistedAlgebra.row.holds(alg, "x", g.from_word(((0, 1) * 40)[:k]))
+    other = TwistedAlgebra(TorusAlgebra(util.datum("A1"), "ADD", "small"))
+    table = ExpansionTables(other, other.torus.group.window(80))
+    assert not util.row_difference(row, table.b[w])
 
 
 # -- braid relations --------------------------------------------------------

@@ -100,7 +100,8 @@ def eta_route_x_product(ctx, w2: AffineElt, v: AffineElt) -> Dict[AffineElt, Loc
 
 def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
                 flavor: str) -> Row:
-    """The row of eta_{s_i u} from the row of eta_u, for s_i u > u.
+    """The row of eta_{s_i u} from the row of eta_u, for s_i u > u, both over
+    S.
 
     Write Op for X or Y.  Then eta_{s_i} = a + b Op_i, with (a, b) =
     (1, -x_i) for X and (1 - c x_i, x_i) for Y, and Op_i Op_{I_v} is
@@ -114,17 +115,22 @@ def predict_row(algebra: TwistedAlgebra, c: Scalar, row: Row, i: int,
     torus = algebra.torus
     group = torus.group
     si = group.simple(i)
-    xi = Localized(torus, torus.x_root(group.simple_root(i)))
+    xi = torus.x_root(group.simple_root(i))
     a, b = (1, -xi) if flavor == "x" else (1 - xi * c, xi)
     a_down = a + b * c
     terms: List[Tuple[Coefficient, Row]] = []
     for v, r in row.items():
-        image = torus.act_loc(si, r)
+        image = torus.act_elem(si, r)
         if not group.left_descent(v, i):
             terms += [(a, {v: image}), (b, {group.mul(si, v): image})]
         else:
             terms.append((a_down, {v: image}))
-    return combine_rows(terms)
+    return {v: r for v, r in row_sum(terms).items() if not r.is_zero()}
+
+
+def row_difference(a: Row, b: Row) -> Row:
+    """The nonzero entries of a - b, for rows over S: empty when a == b."""
+    return {v: d for v, d in row_sum(((1, a), (-1, b))).items() if not d.is_zero()}
 
 
 def left_recursion_failures(alg: TwistedAlgebra, window: Window, flavor: str
@@ -141,7 +147,7 @@ def left_recursion_failures(alg: TwistedAlgebra, window: Window, flavor: str
             if group.left_descent(u, i) or si_u not in window:
                 continue
             predicted = predict_row(alg, c, alg.row(flavor, u), i, flavor)
-            if combine_rows(((1, predicted), (-1, alg.row(flavor, si_u)))):
+            if row_difference(predicted, alg.row(flavor, si_u)):
                 failures.append((si_u, i))
             checked += 1
     return checked, failures
