@@ -31,6 +31,7 @@ by `FormalRing.x_of`.
 """
 from __future__ import annotations
 
+import keyword
 from typing import Dict, Optional, Tuple
 
 from . import polyops
@@ -194,6 +195,11 @@ def from_descriptor(desc: dict) -> FormalGroupLaw:
 
     ``{"kind": "connective"}`` or
     ``{"kind": "custom", "degree": N, "params": [...], "coeffs": [[i, j, "scalar"], ...]}``.
+    The params are distinct Python identifiers that are not keywords.  Each
+    scalar is read by `Scalar.parse`: integers and params combined by
+    ``+ - *``, unary signs and ``param ^ k`` for a signed integer k, an
+    integer before a param meaning their product ("2b", "3c^2*a - a").
+    A descriptor outside this grammar raises ConfigError.
     """
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("formal group law descriptor must be an object with a 'kind'")
@@ -203,7 +209,14 @@ def from_descriptor(desc: dict) -> FormalGroupLaw:
     if kind == "custom":
         try:
             degree = int(desc["degree"])
-            params = tuple(desc.get("params", ()))
+            params = desc.get("params", [])
+            if not (isinstance(params, (list, tuple))
+                    and all(isinstance(p, str) and p.isidentifier() and not keyword.iskeyword(p)
+                            for p in params)
+                    and len(set(params)) == len(params)):
+                raise ValueError("params must be a list of distinct identifiers, not %r"
+                                 % (params,))
+            params = tuple(params)
             coeffs = {}
             for i, j, text in desc["coeffs"]:
                 coeffs[(int(i), int(j))] = Scalar.parse(text, params)

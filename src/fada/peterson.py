@@ -99,22 +99,21 @@ class PetersonContext:
 
     def expansion(self, u: AffineElt) -> PetersonExpansion:
         """The checked expansion: unit coefficient at u, zero at every other
-        minimal representative, and everything denominator-free."""
-        raw = self.x_expansion(u)
+        minimal representative, and everything denominator-free.  The entries
+        of `x_expansion` are settled already, so none is simplified again."""
         coeffs: Dict[AffineElt, AlgebraElement] = {}
-        for v, c in raw.items():
-            s = c.simplify()
+        for v, c in self.x_expansion(u).items():
             if v in self._minimal_set and v != u:
                 raise ConfigError(
                     "expansion of P_%s has an unexpected coefficient at the "
                     "minimal representative %s"
                     % (self.algebra.torus.group.element_name(u),
                        self.algebra.torus.group.element_name(v)))
-            if s.den:
+            if c.den_map:
                 raise MembershipError(
                     "coefficient at %s does not lie in S"
                     % self.algebra.torus.group.element_name(v))
-            coeffs[v] = s.num
+            coeffs[v] = c.num
         one = self.algebra.torus.ring.one()
         if u not in coeffs or not (coeffs[u] == one):
             raise ConfigError("leading Peterson coefficient is not 1")

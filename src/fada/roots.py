@@ -573,16 +573,20 @@ class AffineWeylGroup:
             lengths.update(dict.fromkeys(layer, d))
         return Window(self, length_bound, tuple(words), words, lengths)
 
+    def _least_word(self, x: AffineElt) -> Tuple[int, ...]:
+        """The lexicographically least reduced word of x, read from the first
+        layer that holds it."""
+        d = 0
+        while x not in self._layer(d):
+            d += 1
+        return self._layer(d)[x]
+
     @memo
     def compat_word(self, x: AffineElt) -> Tuple[int, ...]:
         """The reduced word (least word of u) + (least word of v) of x = u v,
-        v of minimal length in W x.  v's word is read from the first layer
-        that holds it.  Kept per element by `memo`."""
+        v of minimal length in W x.  Kept per element by `memo`."""
         u, v = self.coset_decompose(x)
-        d = 0
-        while v not in self._layer(d):
-            d += 1
-        return self.datum.weyl_words[u] + self._layer(d)[v]
+        return self.datum.weyl_words[u] + self._least_word(v)
 
     def is_minimal_rep(self, x: AffineElt) -> bool:
         """Minimal length in its coset x W: no finite right descent."""
@@ -609,18 +613,8 @@ class AffineWeylGroup:
         return self.inv(v), u.inverse()
 
     def reduced_word(self, x: AffineElt) -> Tuple[int, ...]:
-        """Lexicographically least reduced word, by greedy left descents."""
-        word: List[int] = []
-        cur = x
-        while cur != self.identity:
-            for i in self.labels:
-                if self.left_descent(cur, i):
-                    word.append(i)
-                    cur = self.mul(self.generators[i], cur)
-                    break
-            else:
-                raise ConfigError("element has no left descent but is not e")
-        return tuple(word)
+        """Lexicographically least reduced word, read from the length layers."""
+        return self._least_word(x)
 
     # -- Bruhat order ------------------------------------------------------
 

@@ -6,7 +6,9 @@ do not store Scalars: they fold the parameter exponents into their term keys
 (see `polyops`).  Scalars are the value type where coefficients meet the
 outside: parsed custom-law descriptors, the coefficient tables of formal
 group laws, the printed coefficients of the CLI and the parameter c handed to
-the connective constructions.
+the connective constructions.  `Scalar.parse` reads a custom law's text with
+Python's expression grammar (`ast`), keeping integers, the parameters, signs,
+``+ - *`` and integer powers of a parameter.
 
 Terms are stored as a dict mapping exponent tuples (one slot per parameter) to
 nonzero ints.  Products pack them on a parameter-only `polyops.KeyCodec` for
@@ -16,6 +18,8 @@ an empty term dict.
 """
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from functools import lru_cache
 from typing import Dict, Mapping, Tuple, Union
@@ -30,7 +34,7 @@ def _codec(nparams: int) -> polyops.KeyCodec:
     return polyops.KeyCodec(0, nparams)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^]))")
+_ALPHABET = re.compile(r"[\w\s+\-*^]*", re.ASCII)
 
 
 class Scalar:
@@ -53,10 +57,6 @@ class Scalar:
         i = params.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(params)))
         return Scalar(params, {e: 1})
-
-    @staticmethod
-    def monomial(params: Tuple[str, ...], expo: Expt) -> "Scalar":
-        return Scalar(params, {tuple(expo): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -209,69 +209,43 @@ class Scalar:
 
     @staticmethod
     def parse(text: str, params: Tuple[str, ...]) -> "Scalar":
-        """Parse the canonical string format produced by __str__."""
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError("bad scalar syntax at %r" % text[pos:])
-                break
-            pos = m.end()
-            tokens.append(m)
-        result = Scalar.const(0, params)
-        sign = 1
-        cur = None  # current term, None before first factor
-        pending = False  # an operator is waiting for its factor
-        i = 0
+        """Read the format `__str__` writes, or any sum of products like it.
 
-        def flush():
-            nonlocal result, cur, sign
-            if cur is not None:
-                result = result + cur * sign
-            cur = None
-            sign = 1
+        The text may hold integers, the names in `params`, ``+ - * ^`` and
+        whitespace.  Python's expression grammar reads it, with ``^`` as
+        ``**`` and an integer written before a name multiplied into it
+        ("3c^2*a", "2 b").  The tree may hold integers, the parameters, unary
+        signs nested to any depth, ``+ - *`` and ``name ^ k`` for a signed
+        integer k.  Anything else raises ValueError: parentheses, two names
+        or two integers side by side, an integer with a leading zero, or a
+        sum nested deeper than the parser allows (about a thousand terms)."""
+        if not _ALPHABET.fullmatch(text):
+            raise ValueError("bad scalar syntax in %.60r: only integers, parameters, "
+                             "+ - * ^ and spaces" % text)
+        source = " ".join(text.split()).replace("^", "**")
+        source = re.sub(r"\b(\d+) ?(?=[A-Za-z_])", r"\1*", source)
+        try:
+            return _read(ast.parse(source, mode="eval").body, params)
+        except (SyntaxError, RecursionError):
+            raise ValueError("bad scalar syntax in %.60r" % text) from None
 
-        while i < len(tokens):
-            t = tokens[i]
-            if t.lastgroup == "op" and t.group("op") in "+-":
-                if cur is not None or sign != 1:
-                    flush()
-                if t.group("op") == "-":
-                    sign = -sign
-                pending = True
-                i += 1
-                continue
-            if t.lastgroup == "op" and t.group("op") == "*":
-                pending = True
-                i += 1
-                continue
-            if t.lastgroup == "int":
-                f = Scalar.const(int(t.group("int")), params)
-                i += 1
-            elif t.lastgroup == "name":
-                name = t.group("name")
-                if name not in params:
-                    raise ValueError("unknown parameter %r" % name)
-                expo = 1
-                i += 1
-                if i < len(tokens) and tokens[i].lastgroup == "op" and tokens[i].group("op") == "^":
-                    i += 1
-                    esign = 1
-                    if i < len(tokens) and tokens[i].lastgroup == "op" and tokens[i].group("op") == "-":
-                        esign = -1
-                        i += 1
-                    if i >= len(tokens) or tokens[i].lastgroup != "int":
-                        raise ValueError("bad exponent in %r" % text)
-                    expo = esign * int(tokens[i].group("int"))
-                    i += 1
-                f = Scalar.monomial(params, tuple(expo if p == name else 0 for p in params))
-            else:
-                raise ValueError("bad scalar syntax near %r" % t.group(0))
-            cur = f if cur is None else cur * f
-            pending = False
-        if pending:
-            raise ValueError("dangling operator in %r" % text)
-        flush()
-        return result
+
+_OPS = {ast.UAdd: lambda s: s, ast.USub: operator.neg,
+        ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def _read(node: ast.expr, params: Tuple[str, ...]) -> Scalar:
+    """The value of a tree of `Scalar.parse`'s grammar."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Scalar.const(node.value, params)
+    if isinstance(node, ast.Name) and node.id in params:
+        return Scalar.param(node.id, params)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_read(node.operand, params))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_read(node.left, params), _read(node.right, params))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and isinstance(node.left, ast.Name):
+        # the exponent is read over no parameters, so only signs and an integer pass
+        return _read(node.left, params) ** _read(node.right, ()).terms.get((), 0)
+    raise ValueError("cannot read %.60r as a scalar over %s"
+                     % (ast.unparse(node), ", ".join(params) or "no parameters"))

@@ -112,7 +112,7 @@ class TwistedElement:
         group = self.algebra.torus.group
         parts = []
         for w in sorted(self.terms, key=group.length):
-            parts.append("(%r) eta[%s]" % (self.terms[w], group.word_name(group.reduced_word(w))))
+            parts.append("(%r) eta[%s]" % (self.terms[w], group.element_name(w)))
         return " + ".join(parts) if parts else "0"
 
 
@@ -168,9 +168,15 @@ class TwistedAlgebra:
     @memo
     def word_product(self, flavor: str, word: Tuple[int, ...]) -> TwistedElement:
         """X_{i_1} ... X_{i_k} (flavor "x") or Y_{i_1} ... Y_{i_k} (flavor
-        "y") for a tuple `word`, kept by `memo` along its prefixes."""
+        "y") for a tuple `word`, kept by `memo` along its prefixes.  Prefixes
+        not held are asked shortest first, so no call recurses through them."""
         if not word:
             return self.one()
+        k = len(word) - 1  # the longest proper prefix held, or ()
+        while k and not TwistedAlgebra.word_product.holds(self, flavor, word[:k]):
+            k -= 1
+        for j in range(k + 1, len(word)):
+            self.word_product(flavor, word[:j])
         op = self.x_op if flavor == "x" else self.y_op
         return self.word_product(flavor, word[:-1]) * op(word[-1])
 
@@ -432,6 +438,6 @@ def braid_check(algebra: TwistedAlgebra, i: int, j: int) -> BraidReport:
     for w in sorted(diff, key=lambda x: (group.length(x), group.reduced_word(x))):
         if not diff[w].simplify().is_negligible():
             return BraidReport(i, j, m, False, witness="eta[%s]: %r vs %r" % (
-                group.word_name(group.reduced_word(w)),
+                group.element_name(w),
                 lhs.coefficient(w).simplify(), rhs.coefficient(w).simplify()))
     return BraidReport(i, j, m, True)

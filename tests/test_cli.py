@@ -119,6 +119,38 @@ def test_exit_two_on_config_error(capsys):
     assert "error:" in err
 
 
+def custom_law(coefficient, params=("b",)):
+    """x + y + (coefficient) xy as an inline custom descriptor of degree 6."""
+    return json.dumps({"kind": "custom", "degree": 6, "params": params,
+                       "coeffs": [[1, 0, "1"], [0, 1, "1"], [1, 1, coefficient]]})
+
+
+def test_a_custom_coefficient_reads_every_sign(capsys):
+    # "--b" is b, not -b: the two laws differ, and so do their expansions
+    argv = ("expand", "--root", "A1", "--window", "2", "--degree", "6", "--fgl")
+    outs = {}
+    for text in ("b", "--b", "-b"):
+        rc, outs[text], _ = run_cli(capsys, *argv, custom_law(text))
+        assert rc == 0
+    assert outs["--b"] == outs["b"] != outs["-b"]
+
+
+@pytest.mark.parametrize("law", [
+    custom_law("b", params="ab"), custom_law("b", params=("b", "b")),
+    custom_law("c c", params=["c"]), custom_law("(b+1)"), custom_law("b^2^3"),
+    custom_law("-" * 5000 + "b")],
+    ids=["params-string", "params-repeated", "names-side-by-side", "parentheses",
+         "power-of-power", "5000-signs"])
+def test_exit_two_on_a_bad_custom_law(capsys, law):
+    rc, out, err = run_cli(capsys, "expand", "--root", "A1", "--window", "2",
+                           "--degree", "6", "--fgl", law)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: bad custom formal group law descriptor: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert len(err) < 200  # the text is cut, not echoed whole
+
+
 def test_exit_two_on_a_weyl_group_past_the_bound(capsys):
     # A7's Weyl group has 40,320 elements, past the 5,040 of A6
     rc, out, err = run_cli(capsys, "expand", "--root", "A7")

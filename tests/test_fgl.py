@@ -233,7 +233,7 @@ INVERSE_LAWS = [
     FormalGroupLaw.hyperbolic(),
     FormalGroupLaw.custom({(1, 0): Scalar.const(1, ("b",)),
                            (0, 1): Scalar.const(1, ("b",)),
-                           (1, 1): Scalar.monomial(("b",), (1,)) * 2}, 12, ("b",)),
+                           (1, 1): Scalar.param("b", ("b",)) * 2}, 12, ("b",)),
 ]
 
 
@@ -341,10 +341,25 @@ def test_from_descriptor_custom_roundtrip():
     law = from_descriptor(desc)
     law.validate(4)
     tab = law.table(4)
-    assert tab[(1, 1)] == Scalar.monomial(("b",), (1,)) * 2
+    assert tab[(1, 1)] == Scalar.param("b", ("b",)) * 2
     with pytest.raises(ConfigError):
         from_descriptor({"kind": "custom", "params": [], "degree": 3,
                          "coeffs": [[1, 0, "1"], [0, 1, "not_a_param"]]})
+
+
+def test_from_descriptor_reads_signs_as_arithmetic():
+    # "b*-1" is b - 1 by no reading, though x + y + (b - 1)xy is a law too
+    desc = {"kind": "custom", "params": ["b"], "degree": 4,
+            "coeffs": [[1, 0, "1"], [0, 1, "1"], [1, 1, "b*-1"]]}
+    assert from_descriptor(desc).table(4)[(1, 1)] == -Scalar.param("b", ("b",))
+
+
+@pytest.mark.parametrize("params", ["ab", ["b", "b"], ["1b"], ["b c"], ["lambda"], [3],
+                                    {"b": 1}, [["b"]]])
+def test_from_descriptor_refuses_bad_params(params):
+    with pytest.raises(ConfigError, match="params must be a list of distinct identifiers"):
+        from_descriptor({"kind": "custom", "params": params, "degree": 2,
+                         "coeffs": [[1, 0, "1"], [0, 1, "1"]]})
 
 
 def test_formal_multiples_are_built_once_per_ring(monkeypatch):

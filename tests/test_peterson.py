@@ -110,6 +110,28 @@ def test_expansion_shape_for_all_window_minimals(backend):
                 assert v not in set(ctx.minimal)
 
 
+@pytest.mark.parametrize("rtype, backend, length", [("A1", "CON", 8), ("A2", "ADD", 6)])
+def test_expansion_simplifies_no_settled_entry(monkeypatch, rtype, backend, length):
+    # the entries of x_expansion are settled by the tables, so the checked
+    # expansion reads them as they are
+    def refuse(self):
+        raise AssertionError("a settled entry was simplified again")
+
+    alg = util.algebra(rtype, backend, "small")
+    ctx = PetersonContext(alg, alg.torus.group.window(length))
+    checked = 0
+    for u in ctx.minimal:
+        try:
+            settled = {v: c.simplify().num for v, c in ctx.x_expansion(u).items()}
+        except WindowExceededError:
+            continue  # P_u's support leaves the window
+        with monkeypatch.context() as patch:
+            patch.setattr(Localized, "simplify", refuse)
+            assert ctx.expansion(u).coeffs == settled
+        checked += 1
+    assert checked >= length
+
+
 def test_element_is_cached_and_checked():
     alg, ctx = context("CON")
     g = alg.torus.group

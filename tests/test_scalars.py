@@ -1,6 +1,7 @@
 """Exact Laurent-polynomial scalars."""
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from fada.scalars import Scalar
@@ -13,7 +14,7 @@ def sc(terms):
 
 
 def c_pow(k, coeff=1):
-    return Scalar.monomial(P, (k, 0)) * coeff
+    return sc({(k, 0): coeff})
 
 
 exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -68,8 +69,8 @@ def test_param_mismatch_rejected():
 def test_pow():
     c = Scalar.param("c", P)
     assert c ** 0 == 1
-    assert c ** 3 == Scalar.monomial(P, (3, 0))
-    assert (c ** -2) == Scalar.monomial(P, (-2, 0))
+    assert c ** 3 == c_pow(3)
+    assert (c ** -2) == c_pow(-2)
     two_c = c * 2
     with pytest.raises(ValueError):
         two_c ** -1
@@ -151,15 +152,82 @@ def test_parse_fixed_forms():
     assert Scalar.parse("3c^2*a - a", P) == sc({(2, 1): 3, (0, 1): -1})
     assert Scalar.parse("0", P).is_zero()
     assert Scalar.parse("-c", P) == -Scalar.param("c", P)
+    assert Scalar.parse("2 a + 70", P) == sc({(0, 1): 2, (0, 0): 70})
+    assert Scalar.parse(" c^-2 *\ta\n- c^+1 ", P) == sc({(-2, 1): 1, (1, 0): -1})
+
+
+def test_parse_reads_every_sign_as_arithmetic():
+    c, a = Scalar.param("c", P), Scalar.param("a", P)
+    cases = {"c*-1": -c, "c - -1": c + 1, "--c": c, "c*+2": 2 * c,
+             "-1*-a": a, "1 - -a": 1 + a, "c^--2": c * c, "-+-c^-1 * -a": -a * c ** -1}
+    for text, value in cases.items():
+        assert Scalar.parse(text, P) == value, text
+
+
+@pytest.mark.parametrize("text", [
+    "q + 1", "c +", "c c", "1 2", "c 2", "(c + 1)", "c^2^3", "2^c", "c^a", "c/2",
+    "c and a", "not c", "True", "c^True", "0x1f", "007", "c\u00b2", "-" * 5000 + "c",
+    "+".join(["c"] * 3000)], ids=lambda t: t if len(t) < 20 else "%d chars" % len(t))
+def test_parse_refuses_what_the_grammar_does_not_hold(text):
     with pytest.raises(ValueError):
-        Scalar.parse("q + 1", P)
-    with pytest.raises(ValueError):
-        Scalar.parse("c +", P)
+        Scalar.parse(text, P)
+
+
+SYMBOLS = {p: sympy.Symbol(p) for p in P}
+
+
+@st.composite
+def expressions(draw):
+    """A sum of products of signed atoms over P, as (text, sympy value): the
+    atoms are integers, parameters, powers p^k with a sign or none on k, and
+    an integer written before a parameter or a power."""
+    def atom():
+        kind = draw(st.sampled_from(["int", "name", "power", "scaled"]))
+        if kind == "int":
+            n = draw(st.integers(0, 12))
+            return str(n), sympy.Integer(n)
+        p = draw(st.sampled_from(P))
+        text, value = p, SYMBOLS[p]
+        if kind == "power" or (kind == "scaled" and draw(st.booleans())):
+            sign, k = draw(st.sampled_from(["", "+", "-"])), draw(st.integers(0, 3))
+            text, value = "%s^%s%d" % (p, sign, k), value ** (-k if sign == "-" else k)
+        if kind == "scaled":
+            n = draw(st.integers(0, 12))
+            text, value = "%d%s%s" % (n, draw(st.sampled_from(["", " "])), text), n * value
+        return text, value
+
+    def factor():
+        signs = draw(st.text("+-", max_size=3))
+        text, value = atom()
+        return signs + text, value * (-1) ** signs.count("-")
+
+    def term():
+        factors = [factor() for _ in range(draw(st.integers(1, 3)))]
+        return "*".join(t for t, _ in factors), sympy.Mul(*(v for _, v in factors))
+
+    text, value = term()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from("+-"))
+        t, v = term()
+        text += draw(st.sampled_from(["%s", " %s ", "%s "])) % op + t
+        value = value + v if op == "+" else value - v
+    return text, value
+
+
+def to_sympy(s):
+    return sum((c * sympy.Mul(*(SYMBOLS[p] ** k for p, k in zip(P, e)))
+                for e, c in s.terms.items()), sympy.Integer(0))
+
+
+@given(expressions())
+def test_parse_agrees_with_sympy(expression):
+    text, value = expression
+    assert sympy.expand(value - to_sympy(Scalar.parse(text, P))) == 0, text
 
 
 def test_hashable():
     d = {c_pow(1): "x", c_pow(1) + 1: "y"}
-    assert d[Scalar.monomial(P, (1, 0))] == "x"
+    assert d[Scalar.param("c", P)] == "x"
 
 
 def test_constants_hash_as_their_ints():

@@ -645,6 +645,26 @@ def test_a_long_row_is_built_without_deep_recursion():
     assert not util.row_difference(row, table.b[w])
 
 
+def test_a_long_word_product_is_built_without_deep_recursion():
+    # on a fresh algebra the prefixes not held are asked shortest first, so
+    # the stack does not grow with the length of the word, and each is kept
+    alg = TwistedAlgebra(TorusAlgebra(util.datum("A1"), "ADD", "small"))
+    word = (0, 1) * 40
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        product = alg.x_word(word)
+    finally:
+        sys.setrecursionlimit(limit)
+    for k in range(81):
+        assert TwistedAlgebra.word_product.holds(alg, "x", word[:k])
+    other = TwistedAlgebra(TorusAlgebra(util.datum("A1"), "ADD", "small"))
+    expected = other.one()
+    for i in word:
+        expected = expected * other.x_op(i)
+    assert not combine_rows([(1, product.terms), (-1, expected.terms)])
+
+
 # -- braid relations --------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from fada.duals import (BINOMIAL_SUM, DIFFERENCE, NOT_REGULAR, ORBIT_LEAVES,
                         REFLECTED_ORBIT_LEAVES, REFLECTED_SUM, DualElement, GkmRecord,
                         GkmReport, dual_x)
 from fada.fgl import FormalGroupLaw
-from fada.roots import AffineElt, AffRoot, FiniteRootDatum, Window
+from fada.roots import AffineElt, AffineWeylGroup, AffRoot, FiniteRootDatum, Window
 from fada.scalars import Scalar
 from fada.twisted import (Coefficient, ExpansionTables, Row, TwistedAlgebra, TwistedElement,
                           combine_rows, row_sum)
@@ -55,6 +55,22 @@ def algebra(rtype: str = "A1", backend: str = "CON", torus: str = "small",
 
 def tables(alg: TwistedAlgebra, length: int) -> ExpansionTables:
     return ExpansionTables(alg, alg.torus.group.window(length))
+
+
+def greedy_reduced_word(group: AffineWeylGroup, x: AffineElt) -> Tuple[int, ...]:
+    """The lexicographically least reduced word of x by greedy left descents:
+    the oracle of the words the group reads from its length layers."""
+    word: List[int] = []
+    cur = x
+    while cur != group.identity:
+        for i in group.labels:
+            if group.left_descent(cur, i):
+                word.append(i)
+                cur = group.mul(group.generators[i], cur)
+                break
+        else:
+            raise AssertionError("element has no left descent but is not e")
+    return tuple(word)
 
 
 def dual_y_by_bruhat_sum(ctx, window: Window) -> Dict[AffineElt, DualElement]:
