@@ -21,8 +21,11 @@ The file records three things, on the machine the script runs on:
   An exit code is data, not a failure: ``peterson --u 0`` on B3 L=4 exits
   2, because P_{s_0} needs window 8 there, so ``peterson --u 0`` on B3 L=8
   is timed as well, as an extra run after the twelve, and so are ``gkm`` on
-  A3 L=7, where the GKM checks are most of the run, and ``gkm --fgl
-  additive`` on A2 L=8, the CLI shape of the ``gkm`` perfbench workload;
+  A3 L=7, where the GKM checks are most of the run, ``gkm --fgl
+  additive`` on A2 L=8, the CLI shape of the ``gkm`` perfbench workload,
+  ``expand --fgl hyperbolic`` on A2 L=3, and ``gkm`` on A6 L=2 and on D5
+  L=3 (a Cartan matrix), where enumerating the finite Weyl group is most of
+  the run;
 * ``tier1``: one run of the tier-1 suite, its wall time, its pass and fail
   counts and the time of each acceptance criterion.
 
@@ -62,13 +65,19 @@ NORTH_STAR = [
     for root, window in (("A1", 8), ("A2", 6), ("B3", 4))
     for command in ("expand", "gkm", "peterson", "recurse")
 ]
+# D5 has no type name, so its runs give the Cartan matrix as JSON
+D5 = json.dumps({"cartan": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+                            [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]})
 # timed after the twelve: the B3 peterson run above ends in its exit-2 path,
 # the twelve hold no run whose time the GKM checks dominate, the additive gkm
-# run is the CLI shape of the `gkm` perfbench workload, and the hyperbolic
-# expand run is the one whose rows come by back-substitution
+# run is the CLI shape of the `gkm` perfbench workload, the hyperbolic
+# expand run is the one whose rows come by back-substitution, and the gkm
+# runs on A6 L=2 (|W| = 5,040) and D5 L=3 (|W| = 1,920) are the ones whose
+# time the finite Weyl group enumeration dominates
 EXTRA_RUNS = [cli_argv("peterson", "B3", 8), cli_argv("gkm", "A3", 7),
               cli_argv("gkm", "A2", 8, "--fgl", "additive"),
-              cli_argv("expand", "A2", 3, "--fgl", "hyperbolic", "--degree", "12")]
+              cli_argv("expand", "A2", 3, "--fgl", "hyperbolic", "--degree", "12"),
+              cli_argv("gkm", "A6", 2), cli_argv("gkm", D5, 3)]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 # `python -m fada.cli` with the time of main, after the import, on stderr
 TIMER = """

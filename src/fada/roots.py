@@ -12,11 +12,10 @@ labels 1..n are the finite simple reflections.
 
 The finite Weyl group is small (at most 48 elements for the predefined
 types, 5,040 for A6, the largest accepted), so a root datum enumerates it
-once and every element is an index into the datum's tables: its
-multiplication table, inverses, root and coroot matrices, and the
-reflection of each root.  A product of finite elements is
-one table lookup, and a product of affine elements is one table lookup plus
-one integer matrix-vector product.
+once, breadth first, and keeps each element's least reduced word and its
+right neighbours w s_i: the Cayley graph.  A product a * b walks b's word
+from a along that graph, and a product of affine elements is one such walk
+plus one integer matrix-vector product.
 
 The affine group is enumerated once, by length layers that windows and
 compat words only read.
@@ -58,27 +57,32 @@ def _times_reflection(m: Mat, i: int, row: Vec) -> Mat:
 
 
 class FiniteWeylElt:
-    """An element of the finite Weyl group of a root datum: an index into the
-    datum's tables.
+    """An element of the finite Weyl group of a root datum: a vertex of its
+    Cayley graph.
 
     `FiniteRootDatum` creates each of its elements once, numbered in the
     order of `weyl_elements` (by length, then least reduced word), and every
     product, inverse and reflection returns one of those objects.  Equality
     is therefore identity, and the hash is the index.  An element carries its
     action on roots (`mat`) and on coroots (`cmat`), the coroot action of its
-    inverse (`cmat_inv`), its inverse, and its row of the multiplication
-    table, so that `a * b` is `a`'s row at `b.index`.
+    inverse (`cmat_inv`), its inverse, its least reduced word with labels
+    shifted to 0..n-1 (`_word`) and its right neighbours w s_1, ..., w s_n
+    (`_right`), so that `a * b` walks `b._word` from `a` through `_right`.
     """
 
-    __slots__ = ("index", "mat", "cmat", "cmat_inv", "_inv", "_row")
+    __slots__ = ("index", "mat", "cmat", "cmat_inv", "_inv", "_word", "_right")
 
-    def __init__(self, index: int, mat: Mat, cmat: Mat):
+    def __init__(self, index: int, mat: Mat, cmat: Mat, word: Tuple[int, ...]):
         self.index = index
         self.mat = mat
         self.cmat = cmat
+        self._word = word
 
     def __mul__(self, other: "FiniteWeylElt") -> "FiniteWeylElt":
-        return self._row[other.index]
+        out = self
+        for i in other._word:
+            out = out._right[i]
+        return out
 
     def inverse(self) -> "FiniteWeylElt":
         return self._inv
@@ -114,7 +118,8 @@ _PREDEFINED: Dict[str, Tuple[Tuple[int, ...], ...]] = {
 }
 
 
-# |W(A6)|: its |W| x |W| product table takes 236 MB, and A7's would take 64 times that
+# |W(A6)|: enumerating A7 (40,320 elements) or E6 (51,840) would take about
+# 3 s and 100-125 MB before any window exists
 _WEYL_ORDER_BOUND = 5040
 
 
@@ -144,10 +149,15 @@ class FiniteRootDatum:
 
     @classmethod
     def from_cartan(cls, rows: Sequence[Sequence[int]]) -> "FiniteRootDatum":
+        """The datum of a matrix of ints; no other entry (float, string or
+        bool) is read as one."""
         try:
-            cartan = tuple(tuple(int(v) for v in row) for row in rows)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("Cartan matrix entries must be integers") from exc
+            cartan = tuple(tuple(row) for row in rows)
+        except TypeError as exc:
+            raise ConfigError("Cartan matrix must be a list of rows") from exc
+        bad = [v for row in cartan for v in row if type(v) is not int]
+        if bad:
+            raise ConfigError("Cartan matrix entries must be integers, not %r" % (bad[0],))
         return cls(cartan)
 
     @classmethod
@@ -216,60 +226,48 @@ class FiniteRootDatum:
 
     def _build_weyl(self) -> None:
         """Enumerate W breadth-first by right multiplication with the simple
-        reflections, then fill the multiplication table from those steps:
-        a * b = (a * b') * s_i for b = b' * s_i along b's least reduced word.
+        reflections, keeping each element's right neighbours; then each
+        inverse is the walk of the reversed least word from the identity.
         An enumeration that passes `_WEYL_ORDER_BOUND` elements stops with a
-        ConfigError before any table is built."""
+        ConfigError."""
         n = self.rank
         A = self.cartan
         # s_{i+1} acts on roots by e_i - A[i] in row i, on coroots by e_i - A[:,i]
         gens = [(A[i], tuple(row[i] for row in A)) for i in range(n)]
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        index: Dict[Mat, int] = {ident: 0}
-        mats: List[Mat] = [ident]
-        cmats: List[Mat] = [ident]
-        words: List[Tuple[int, ...]] = [()]
-        steps: List[Tuple[int, int]] = [(0, 0)]  # (b', i) with b = b' * s_i
-        right_mats: List[List[Mat]] = []
+        elements = [FiniteWeylElt(0, ident, ident, ())]
+        by_mat: Dict[Mat, FiniteWeylElt] = {ident: elements[0]}
         # elements are visited in index order, so each new element is met
         # first through its least word and indices follow (length, least word)
-        k = 0
-        while k < len(mats):
-            row = []
+        for w in elements:
+            right = []
             for i, (root_row, coroot_row) in enumerate(gens):
-                ws = _times_reflection(mats[k], i, root_row)
-                row.append(ws)
-                if ws not in index:
-                    if len(mats) == _WEYL_ORDER_BOUND:
+                ws = _times_reflection(w.mat, i, root_row)
+                if ws not in by_mat:
+                    if len(elements) == _WEYL_ORDER_BOUND:
                         raise ConfigError("finite Weyl group has more than %d elements, "
                                           "the most a root datum takes (A6)" % _WEYL_ORDER_BOUND)
-                    index[ws] = len(mats)
-                    mats.append(ws)
-                    cmats.append(_times_reflection(cmats[k], i, coroot_row))
-                    words.append(words[k] + (i + 1,))
-                    steps.append((k, i))
-            right_mats.append(row)
-            k += 1
-        right = [[index[m] for m in row] for row in right_mats]
-        size = len(mats)
-        elements = tuple(FiniteWeylElt(k, mats[k], cmats[k]) for k in range(size))
-        for a, elt in enumerate(elements):
-            row = [a] * size
-            for b in range(1, size):
-                prefix, i = steps[b]
-                row[b] = right[row[prefix]][i]
-            inv = row.index(0)
-            elt._row = tuple(map(elements.__getitem__, row))
-            elt._inv = elements[inv]
-            elt.cmat_inv = cmats[inv]
-        self.weyl_elements: Tuple[FiniteWeylElt, ...] = elements
-        self.weyl_identity = elements[0]
+                    by_mat[ws] = FiniteWeylElt(len(elements), ws,
+                                               _times_reflection(w.cmat, i, coroot_row),
+                                               w._word + (i,))
+                    elements.append(by_mat[ws])
+                right.append(by_mat[ws])
+            w._right = tuple(right)
+        identity = elements[0]
+        for w in elements:
+            inv = identity
+            for i in reversed(w._word):
+                inv = inv._right[i]
+            w._inv = inv
+            w.cmat_inv = inv.cmat
+        self.weyl_elements: Tuple[FiniteWeylElt, ...] = tuple(elements)
+        self.weyl_identity = identity
         self.longest_element = elements[-1]
-        # the identity's steps come first: s_1, ..., s_n
-        self.simple_reflections: Tuple[FiniteWeylElt, ...] = elements[1:n + 1]
-        self.weyl_words: Dict[FiniteWeylElt, Tuple[int, ...]] = dict(zip(elements, words))
-        self.weyl_lengths: Dict[FiniteWeylElt, int] = {
-            w: len(word) for w, word in zip(elements, words)}
+        # the identity's right neighbours are s_1, ..., s_n
+        self.simple_reflections: Tuple[FiniteWeylElt, ...] = identity._right
+        self.weyl_words: Dict[FiniteWeylElt, Tuple[int, ...]] = {
+            w: tuple(i + 1 for i in w._word) for w in elements}
+        self.weyl_lengths: Dict[FiniteWeylElt, int] = {w: len(w._word) for w in elements}
 
     # -- roots and reflections ---------------------------------------------
 
@@ -484,7 +482,7 @@ class AffineWeylGroup:
         # (u t_a)(v t_b) = uv t_{v^-1(a) + b}
         v = y.w
         a = x.t
-        return AffineElt(x.w._row[v.index], tuple(
+        return AffineElt(x.w * v, tuple(
             [sum(map(_imul, row, a)) + b for row, b in zip(v.cmat_inv, y.t)]))
 
     def inv(self, x: AffineElt) -> AffineElt:

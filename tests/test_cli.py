@@ -151,6 +151,18 @@ def test_exit_two_on_a_bad_custom_law(capsys, law):
     assert len(err) < 200  # the text is cut, not echoed whole
 
 
+@pytest.mark.parametrize("cartan", ["[[2,-1],[-1,2.9]]", "[[2,-1.5],[-1,2]]",
+                                    '[[2,-1],[-1,"2"]]', "[[true,-1],[-1,2]]"])
+def test_exit_two_on_a_cartan_entry_that_is_not_an_int(capsys, cartan):
+    # each of these once built A2 (int() on every entry) or, for true, read 1
+    rc, out, err = run_cli(capsys, "gkm", "--root", '{"cartan": %s}' % cartan,
+                           "--window", "3")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: Cartan matrix entries must be integers, not ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_exit_two_on_a_weyl_group_past_the_bound(capsys):
     # A7's Weyl group has 40,320 elements, past the 5,040 of A6
     rc, out, err = run_cli(capsys, "expand", "--root", "A7")

@@ -1,5 +1,7 @@
 """Root data and the affine Weyl group."""
 
+import operator
+import random
 import sys
 import time
 
@@ -91,6 +93,14 @@ def test_from_cartan_validation():
         FiniteRootDatum.from_cartan([[2, -1, 0], [-1, 2, 0], [0, 0, 2]])
     with pytest.raises(ConfigError):
         FiniteRootDatum.from_type("E11")
+    # an entry that is not an int is refused, not rounded or parsed into A2
+    for rows in ([[2, -1], [-1, 2.9]], [[2, -1.5], [-1, 2]], [[2, -1], [-1, "2"]],
+                 [[2.0, -1], [-1, 2]], [[True, -1], [-1, 2]], [[2, -1], [-1, None]]):
+        with pytest.raises(ConfigError, match="entries must be integers"):
+            FiniteRootDatum.from_cartan(rows)
+    for rows in (5, [[2, -1], 7], None):
+        with pytest.raises(ConfigError, match="list of rows"):
+            FiniteRootDatum.from_cartan(rows)
 
 
 E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
@@ -103,8 +113,8 @@ F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
                                   lambda: FiniteRootDatum.from_cartan(E6)],
                          ids=["A7", "E6"])
 def test_weyl_group_past_the_bound_is_refused_before_its_tables(make):
-    # |W(A7)| = 40,320 and |W(E6)| = 51,840: their multiplication tables
-    # would not fit in memory, so the enumeration stops at 5,040 elements
+    # |W(A7)| = 40,320 and |W(E6)| = 51,840: enumerating either takes about
+    # 3 s, so the enumeration stops at 5,040 elements
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="more than 5040 elements"):
         make()
@@ -196,45 +206,67 @@ def test_affine_reflection_roundtrip():
 
 # -- the finite Weyl group tables against matrix arithmetic ------------------
 
-ORACLE_TYPES = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C2": 8,
-                "C3": 48, "G2": 12}
+ORACLE_TYPES = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "C2": 8,
+                "C3": 48, "D4": 192, "F4": 1152, "G2": 12}
+CARTAN_LITERALS = {"D4": D4, "F4": F4}
+
+
+def oracle_datum(rtype):
+    if rtype in CARTAN_LITERALS:
+        return FiniteRootDatum.from_cartan(CARTAN_LITERALS[rtype])
+    return FiniteRootDatum.from_type(rtype)
 
 
 def mat_mul(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
-                       for j in range(len(b[0]))) for i in range(len(a)))
+    cols = tuple(zip(*b))
+    return tuple(tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a)
 
 
 def mat_vec(m, v):
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
+    return tuple([sum(map(operator.mul, row, v)) for row in m])
 
 
 def unit_mat(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def oracle_matrices(d):
-    """Root and coroot matrices of every element, multiplied out along its
-    word from s_i(alpha_j) = alpha_j - A[i][j] alpha_i and
-    s_i(alpha_j^v) = alpha_j^v - A[j][i] alpha_i^v."""
+def oracle_matrices(d, elements=None):
+    """Root and coroot matrices of each element (all by default), multiplied
+    out along its word from s_i(alpha_j) = alpha_j - A[i][j] alpha_i and
+    s_i(alpha_j^v) = alpha_j^v - A[j][i] alpha_i^v.  Products of shared
+    prefixes are formed once."""
     n, A = d.rank, d.cartan
     root_gens = [tuple(tuple(int(r == j) - (A[i][j] if r == i else 0)
                              for j in range(n)) for r in range(n)) for i in range(n)]
     coroot_gens = [tuple(tuple(int(r == j) - (A[j][i] if r == i else 0)
                                for j in range(n)) for r in range(n)) for i in range(n)]
-    out = {}
-    for w in d.weyl_elements:
-        m = c = unit_mat(n)
-        for i in d.weyl_words[w]:
-            m = mat_mul(m, root_gens[i - 1])
-            c = mat_mul(c, coroot_gens[i - 1])
-        out[w] = (m, c)
-    return out
+    along = {(): (unit_mat(n), unit_mat(n))}
+
+    def matrices(word):
+        if word not in along:
+            m, c = matrices(word[:-1])
+            along[word] = (mat_mul(m, root_gens[word[-1] - 1]),
+                           mat_mul(c, coroot_gens[word[-1] - 1]))
+        return along[word]
+
+    return {w: matrices(d.weyl_words[w])
+            for w in (d.weyl_elements if elements is None else elements)}
+
+
+def product_pairs(d, seed):
+    """Every pair of a group of at most 192 elements; of a larger one, each
+    element times each simple reflection and 3,000 seeded random pairs."""
+    elements = d.weyl_elements
+    if len(elements) <= 192:
+        return [(a, b) for a in elements for b in elements]
+    rng = random.Random(seed)
+    return [(a, s) for a in elements for s in d.simple_reflections] + [
+        (rng.choice(elements), rng.choice(elements)) for _ in range(3000)]
 
 
 @pytest.mark.parametrize("rtype", sorted(ORACLE_TYPES))
 def test_weyl_tables_match_matrix_products(rtype):
-    d = FiniteRootDatum.from_type(rtype)
+    d = oracle_datum(rtype)
     elements = d.weyl_elements
     assert len(elements) == ORACLE_TYPES[rtype]
     assert [w.index for w in elements] == list(range(len(elements)))
@@ -247,21 +279,42 @@ def test_weyl_tables_match_matrix_products(rtype):
         assert (a.mat, a.cmat) == (m_a, c_a)
         inv = a.inverse()
         assert any(inv is x for x in elements)
+        assert a.cmat_inv == inv.cmat
         assert mat_mul(m_a, mats[inv][0]) == ident
         assert mat_mul(c_a, mats[inv][1]) == ident
         for v in d.roots:
             assert a.act_root(v) == mat_vec(m_a, v)
         for v in coroots:
             assert a.act_coroot(v) == mat_vec(c_a, v)
-        for b in elements:
-            ab = a * b
-            assert ab is elements[ab.index]
-            assert mats[ab] == (mat_mul(m_a, mats[b][0]), mat_mul(c_a, mats[b][1]))
+    # the root matrix names the element, and each coroot matrix is checked above
+    by_mat = {m: w for w, (m, _) in mats.items()}
+    for a, b in product_pairs(d, seed=len(elements)):
+        assert a * b is by_mat[mat_mul(mats[a][0], mats[b][0])]
+
+
+def test_a6_products_match_matrix_products_within_two_seconds():
+    # 5,040 elements: the budget leaves no room for a |W| x |W| product
+    # table, which took about 4 s to fill
+    start = time.perf_counter()
+    d = FiniteRootDatum.from_type("A6")
+    elements = d.weyl_elements
+    assert len(elements) == 5040
+    rng = random.Random(5040)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(1000)]
+    mats = oracle_matrices(d, {x for pair in pairs for x in pair})
+    ident = unit_mat(d.rank)
+    for a, b in pairs:
+        ab = a * b
+        assert (ab.mat, ab.cmat) == (mat_mul(mats[a][0], mats[b][0]),
+                                     mat_mul(mats[a][1], mats[b][1]))
+        assert mat_mul(a.mat, a.inverse().mat) == ident
+        assert a.cmat_inv == a.inverse().cmat
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("rtype", sorted(ORACLE_TYPES))
 def test_reflections_match_the_reflection_formula(rtype):
-    d = FiniteRootDatum.from_type(rtype)
+    d = oracle_datum(rtype)
     n = d.rank
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for alpha in d.roots:
