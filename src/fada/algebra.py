@@ -197,9 +197,8 @@ class FormalRing:
         # f.prec - 1, and on ADD, where x_b is the linear form sum_i b_i x_i
         # itself, it is exact
         if f.prec is not None and f.prec < 1:
-            raise PrecisionError(
-                "series precision exhausted in division; rerun with precision >= %d"
-                % (self.precision + 1 - f.prec))
+            raise PrecisionError("series precision exhausted in division; %s"
+                                 % self.fgl.precision_hint(self.precision + 1 - f.prec))
         res = polyops.series_div_exact(f._terms, self.divisor(b), f.prec)
         return None if res is None else AlgebraElement._cut(self, *res)
 
@@ -453,11 +452,11 @@ class Localized:
             return True
         degree = sum(self.den_map.values())
         if prec - degree < 0:
-            hint = self.torus.ring.precision + degree - prec
+            ring = self.torus.ring
             raise PrecisionError(
-                "series precision exhausted by a localized denominator; "
-                "rerun with precision >= %d"
-                % max(hint, self.torus.ring.precision + 1))
+                "series precision exhausted by a localized denominator; %s"
+                % ring.fgl.precision_hint(max(ring.precision + degree - prec,
+                                              ring.precision + 1)))
         return True
 
     def __neg__(self):

@@ -154,7 +154,7 @@ def emit(payload: dict, fmt: str) -> None:
         out.append("\n")
         sys.stdout.write("".join(out))
         return
-    _emit_text(payload, indent="")
+    sys.stdout.write("".join(line + "\n" for line in _text_lines(payload, "")))
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -192,23 +192,25 @@ def _json_chunks(node: object, pad: str, out: List[str]) -> None:
         out.append(json.dumps(node))
 
 
-def _emit_text(node: object, indent: str) -> None:
-    if isinstance(node, dict):
+def _text_lines(node: object, pad: str) -> Iterable[str]:
+    """The lines of the text format: a dict's keys in sorted order, each
+    list item after "- ", and a nonempty dict or list indented under its key
+    or item; an empty one prints as {} or []."""
+    if isinstance(node, dict) and node:
         for key in sorted(node):
             value = node[key]
-            if isinstance(value, (dict, list)):
-                sys.stdout.write("%s%s:\n" % (indent, key))
-                _emit_text(value, indent + "  ")
+            if isinstance(value, (dict, list)) and value:
+                yield "%s%s:" % (pad, key)
+                yield from _text_lines(value, pad + "  ")
             else:
-                sys.stdout.write("%s%s: %s\n" % (indent, key, value))
-    elif isinstance(node, list):
+                yield "%s%s: %s" % (pad, key, next(_text_lines(value, "")))
+    elif isinstance(node, list) and node:
         for value in node:
-            if isinstance(value, (dict, list)):
-                _emit_text(value, indent)
-            else:
-                sys.stdout.write("%s- %s\n" % (indent, value))
+            lines = _text_lines(value, pad + "  ")
+            yield pad + "- " + next(lines)[len(pad) + 2:]
+            yield from lines
     else:
-        sys.stdout.write("%s%s\n" % (indent, node))
+        yield pad + ("{}" if node == {} else "[]" if node == [] else str(node))
 
 
 # -- subcommands -----------------------------------------------------------
@@ -241,8 +243,6 @@ def cmd_expand(cfg: JobConfig) -> Tuple[dict, bool]:
     cfg.root = build_datum(cfg.root)
     kinds = ("small", "big") if cfg.torus == "both" else (cfg.torus,)
     payload = {
-        "schema": SCHEMA,
-        "command": "expand",
         "window": cfg.window,
         "tables": [_expand_one_torus(cfg, kind, word) for kind in kinds],
     }
@@ -282,8 +282,6 @@ def cmd_gkm(cfg: JobConfig) -> Tuple[dict, bool]:
             "violations": sorted(rep.describe(v) for v in rep.violations),
         })
     payload = {
-        "schema": SCHEMA,
-        "command": "gkm",
         "torus": cfg.torus,
         "window": cfg.window,
         "degree_bound": degree_bound,
@@ -305,8 +303,8 @@ def cmd_peterson(cfg: JobConfig) -> Tuple[dict, bool]:
     problems: List[str] = []
     try:
         expansion = ctx.expansion(u)
-        words = sorted(((word, v) for v, word in expansion.words.items()), key=_shortlex)
-        coeffs = [[list(word), elem_json(expansion.coeffs[v])] for word, v in words]
+        coeffs = [[list(word), elem_json(expansion.coeffs[v])]
+                  for word, v in _by_compat_word(window, expansion.coeffs)]
     except MembershipError as exc:
         ok = False
         problems.append(str(exc))
@@ -316,8 +314,6 @@ def cmd_peterson(cfg: JobConfig) -> Tuple[dict, bool]:
         ok = False
         problems.extend(report.witnesses or ["centralizer criteria disagree"])
     payload = {
-        "schema": SCHEMA,
-        "command": "peterson",
         "u": list(window.compat_word(u)),
         "coeffs": coeffs,
         "centralizer": report.commutes and report.consistent,
@@ -367,8 +363,6 @@ def cmd_recurse(cfg: JobConfig) -> Tuple[dict, bool]:
     table_report = check_recursion(ctx, out_window, basis.lower(), letters=(i,))
     ok = ok and table_report.passed
     payload = {
-        "schema": SCHEMA,
-        "command": "recurse",
         "basis": basis,
         "i": i,
         "window": cfg.window,
@@ -397,8 +391,6 @@ def cmd_a1hat(cfg: JobConfig) -> Tuple[dict, bool]:
         table.append({"k": k, "coeffs": [[j, c] for j, c in row]})
     report = appendix_crosscheck(algebra, kmax, degree_bound=cfg.extra["gkm_degree"])
     payload = {
-        "schema": SCHEMA,
-        "command": "a1hat",
         "c": choice,
         "kmax": kmax,
         "table": table,
@@ -418,8 +410,6 @@ def cmd_braid(cfg: JobConfig) -> Tuple[dict, bool]:
     j = int(cfg.extra["j"])
     report = braid_check(algebra, i, j)
     payload = {
-        "schema": SCHEMA,
-        "command": "braid-check",
         "i": report.i,
         "j": report.j,
         "order": report.order,
@@ -566,6 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FadaError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    payload.update(schema=SCHEMA, command=args.command)
     emit(payload, cfg.fmt)
     return 0 if ok else 1
 

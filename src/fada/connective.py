@@ -68,8 +68,7 @@ class ConnectiveContext:
     # -- the finite longest element ----------------------------------------
 
     def y_w0(self) -> TwistedElement:
-        datum = self.torus.datum
-        return self.y_word(datum.weyl_words[datum.longest_element])
+        return self.y_word(self.torus.datum.longest_element.word)
 
     def y_w0_closed(self) -> TwistedElement:
         """sum over finite w of w(1/x_Phi) eta_w, x_Phi the product of the
@@ -181,7 +180,7 @@ def bullet_yw0_check(ctx: ConnectiveContext, tables: ExpansionTables,
     f = dual_x(tables, v)
     lhs = bullet(zw, f, out_window)
     v1, u2 = group.coset_decompose_right(v)
-    l2 = ctx.torus.datum.weyl_lengths[u2]
+    l2 = len(u2.word)
     l_w0 = len(ctx.torus.datum.positive_roots)
     coeff = ctx.c ** (l_w0 - l2)
     if l2 % 2:

@@ -96,15 +96,23 @@ class FormalGroupLaw:
         """The nonzero coefficients a_ij with 1 <= i + j <= degree, cut from the
         law's one table, which is first extended if it stops below `degree`."""
         if self.table_degree is not None and degree > self.table_degree:
-            raise PrecisionError(
-                "table for %s known to degree %d, requested %d"
-                % (self.kind, self.table_degree, degree)
-            )
+            raise PrecisionError(self.precision_hint(degree))
         if self._built is not None and degree > self._built:
             self._table = self._hyperbolic_table(degree)
             self._built = degree
         return {ij: a for ij, a in self._table.items()
                 if ij[0] + ij[1] <= degree and not a.is_zero()}
+
+    def precision_hint(self, precision: int) -> str:
+        """How to rerun for `precision`: past the degree where a custom law's
+        coefficients stop, only more of them helps."""
+        stop = self.table_degree
+        if stop is None:
+            return "rerun with precision >= %d" % precision
+        limit = "the %s law's coefficients stop at degree %d" % (self.kind, stop)
+        if precision > stop:
+            return "%s; give them to degree %d" % (limit, precision)
+        return "rerun with precision >= %d; %s" % (precision, limit)
 
     def _hyperbolic_table(self, degree: int) -> Dict[Tuple[int, int], Scalar]:
         # (x + y - c*xy) / (1 + a*xy) = sum_k (-a)^k (xy)^k (x + y - c*xy),

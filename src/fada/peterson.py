@@ -59,9 +59,7 @@ class PetersonExpansion:
     """Demazure-basis expansion of a Peterson basis element."""
 
     u: AffineElt
-    word: Tuple[int, ...]
     coeffs: Dict[AffineElt, AlgebraElement]
-    words: Dict[AffineElt, Tuple[int, ...]]
 
 
 class PetersonContext:
@@ -117,8 +115,7 @@ class PetersonContext:
         one = self.algebra.torus.ring.one()
         if u not in coeffs or not (coeffs[u] == one):
             raise ConfigError("leading Peterson coefficient is not 1")
-        words = {v: self.window.compat_word(v) for v in coeffs}
-        return PetersonExpansion(u, self.window.compat_word(u), coeffs, words)
+        return PetersonExpansion(u, coeffs)
 
     # -- expansion of translation-supported elements -----------------------
 

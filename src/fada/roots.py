@@ -12,13 +12,13 @@ labels 1..n are the finite simple reflections.
 
 The finite Weyl group is small (at most 48 elements for the predefined
 types, 5,040 for A6, the largest accepted), so a root datum enumerates it
-once, breadth first, and keeps each element's least reduced word and its
-right neighbours w s_i: the Cayley graph.  A product a * b walks b's word
-from a along that graph, and a product of affine elements is one such walk
-plus one integer matrix-vector product.
+once, breadth first, and keeps each element's least reduced word, in labels
+1..n, and its right neighbours w s_i: the Cayley graph.  A product a * b
+walks b's word from a along that graph, and a product of affine elements is
+one such walk plus one integer matrix-vector product.
 
-The affine group is enumerated once, by length layers that windows and
-compat words only read.
+The affine group is enumerated once, by length layers, the one home of each
+affine element's least word; a window is a group and a length bound.
 """
 from __future__ import annotations
 
@@ -65,22 +65,22 @@ class FiniteWeylElt:
     product, inverse and reflection returns one of those objects.  Equality
     is therefore identity, and the hash is the index.  An element carries its
     action on roots (`mat`) and on coroots (`cmat`), the coroot action of its
-    inverse (`cmat_inv`), its inverse, its least reduced word with labels
-    shifted to 0..n-1 (`_word`) and its right neighbours w s_1, ..., w s_n
-    (`_right`), so that `a * b` walks `b._word` from `a` through `_right`.
+    inverse (`cmat_inv`), its inverse, its least reduced word in the labels
+    1..n (`word`) and its right neighbours by label (`_right`: None, w s_1,
+    ..., w s_n), so that `a * b` walks `b.word` from `a` through `_right`.
     """
 
-    __slots__ = ("index", "mat", "cmat", "cmat_inv", "_inv", "_word", "_right")
+    __slots__ = ("index", "mat", "cmat", "cmat_inv", "_inv", "word", "_right")
 
     def __init__(self, index: int, mat: Mat, cmat: Mat, word: Tuple[int, ...]):
         self.index = index
         self.mat = mat
         self.cmat = cmat
-        self._word = word
+        self.word = word
 
     def __mul__(self, other: "FiniteWeylElt") -> "FiniteWeylElt":
         out = self
-        for i in other._word:
+        for i in other.word:
             out = out._right[i]
         return out
 
@@ -249,14 +249,14 @@ class FiniteRootDatum:
                                           "the most a root datum takes (A6)" % _WEYL_ORDER_BOUND)
                     by_mat[ws] = FiniteWeylElt(len(elements), ws,
                                                _times_reflection(w.cmat, i, coroot_row),
-                                               w._word + (i,))
+                                               w.word + (i + 1,))
                     elements.append(by_mat[ws])
                 right.append(by_mat[ws])
-            w._right = tuple(right)
+            w._right = (None, *right)
         identity = elements[0]
         for w in elements:
             inv = identity
-            for i in reversed(w._word):
+            for i in reversed(w.word):
                 inv = inv._right[i]
             w._inv = inv
             w.cmat_inv = inv.cmat
@@ -264,10 +264,7 @@ class FiniteRootDatum:
         self.weyl_identity = identity
         self.longest_element = elements[-1]
         # the identity's right neighbours are s_1, ..., s_n
-        self.simple_reflections: Tuple[FiniteWeylElt, ...] = identity._right
-        self.weyl_words: Dict[FiniteWeylElt, Tuple[int, ...]] = {
-            w: tuple(i + 1 for i in w._word) for w in elements}
-        self.weyl_lengths: Dict[FiniteWeylElt, int] = {w: len(w._word) for w in elements}
+        self.simple_reflections: Tuple[FiniteWeylElt, ...] = identity._right[1:]
 
     # -- roots and reflections ---------------------------------------------
 
@@ -299,7 +296,7 @@ class FiniteRootDatum:
         self.negative_roots: Tuple[Vec, ...] = tuple(vneg(r) for r in self.positive_roots)
         if 2 * len(self.positive_roots) != len(self.roots):
             raise ConfigError("root system closure is not symmetric")
-        if self.weyl_lengths[self.longest_element] != len(self.positive_roots):
+        if len(self.longest_element.word) != len(self.positive_roots):
             raise ConfigError("finite Weyl group enumeration is inconsistent")
         by_height = sorted(self.positive_roots, key=lambda r: (sum(r), r))
         self.theta: Vec = by_height[-1]
@@ -357,23 +354,27 @@ def _leading_minor(m: List[List[Fraction]], k: int) -> Fraction:
 
 @dataclass
 class Window:
-    """All affine Weyl elements of length at most `length_bound`.
+    """All affine Weyl elements of length at most `length_bound`, read from
+    the group's length layers.
 
     Elements are canonically ordered by (length, lexicographically least
-    reduced word); `words` holds that least word for each element.  Both
-    are read from the group's length layers, so every window of a group
-    shares its word tuples.  Tables derived from them are kept on the window
+    reduced word); `word(x)` reads that word from the layer of x, so a window
+    keeps no word.  Tables derived from the elements are kept on the window
     by `memo`, outside its fields.
     """
 
     group: "AffineWeylGroup"
     length_bound: int
-    elements: Tuple[AffineElt, ...]
-    words: Dict[AffineElt, Tuple[int, ...]]
-    lengths: Dict[AffineElt, int]
+    elements: Tuple[AffineElt, ...] = field(init=False)
+    lengths: Dict[AffineElt, int] = field(init=False)
     index: Dict[AffineElt, int] = field(init=False)
 
     def __post_init__(self):
+        self.lengths = {}
+        # a negative bound still gives the identity
+        for d in range(max(self.length_bound, 0) + 1):
+            self.lengths.update(dict.fromkeys(self.group._layer(d), d))
+        self.elements = tuple(self.lengths)
         self.index = {x: k for k, x in enumerate(self.elements)}
 
     @memo
@@ -441,7 +442,7 @@ class Window:
 
     def word(self, x: AffineElt) -> Tuple[int, ...]:
         self.require(x)
-        return self.words[x]
+        return self.group._layer(self.lengths[x])[x]
 
     def compat_word(self, x: AffineElt) -> Tuple[int, ...]:
         """The group's compat word of x, an element of the window."""
@@ -562,14 +563,7 @@ class AffineWeylGroup:
 
     @memo
     def window(self, length_bound: int) -> Window:
-        words: Dict[AffineElt, Tuple[int, ...]] = {}
-        lengths: Dict[AffineElt, int] = {}
-        # a negative bound still gives the identity
-        for d in range(max(length_bound, 0) + 1):
-            layer = self._layer(d)
-            words.update(layer)
-            lengths.update(dict.fromkeys(layer, d))
-        return Window(self, length_bound, tuple(words), words, lengths)
+        return Window(self, length_bound)
 
     def _least_word(self, x: AffineElt) -> Tuple[int, ...]:
         """The lexicographically least reduced word of x, read from the first
@@ -584,7 +578,7 @@ class AffineWeylGroup:
         """The reduced word (least word of u) + (least word of v) of x = u v,
         v of minimal length in W x.  Kept per element by `memo`."""
         u, v = self.coset_decompose(x)
-        return self.datum.weyl_words[u] + self._least_word(v)
+        return u.word + self._least_word(v)
 
     def is_minimal_rep(self, x: AffineElt) -> bool:
         """Minimal length in its coset x W: no finite right descent."""

@@ -418,9 +418,13 @@ class BraidReport:
 def braid_check(algebra: TwistedAlgebra, i: int, j: int) -> BraidReport:
     """Compare the two alternating Demazure products of the braid length.
 
-    Raises NotApplicableError when the Coxeter order of s_i s_j is infinite,
-    as for the two generators of the rank-one affine group.
+    Raises NotApplicableError when i == j, whose relation of order 1 would
+    compare X_i with itself, and when the Coxeter order of s_i s_j is
+    infinite, as for the two generators of the rank-one affine group.
     """
+    if i == j:
+        raise NotApplicableError(
+            "a braid relation needs two distinct generators, not %d twice" % i)
     datum = algebra.torus.datum
     m = datum.braid_order(i, j)
     if m is None:

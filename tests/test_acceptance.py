@@ -249,7 +249,7 @@ def run_connective_block(alg, length, letters):
                 assert hecke_action_check(cc, tb, win, out, i, v, basis), \
                     (win.word(v), i, basis)
     datum = alg.torus.datum
-    w0_len = len(datum.weyl_words[datum.longest_element])
+    w0_len = len(datum.longest_element.word)
     out_b = g.window(length - w0_len)
     minimal = set(win.minimal_coset_reps())
     for v in out_b.elements:

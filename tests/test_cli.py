@@ -102,6 +102,21 @@ def test_exit_zero_on_success(capsys):
     assert json.loads(out)["schema"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--window", "1"),
+    ("gkm", "--window", "1"),
+    ("peterson", "--u", "0", "--window", "2"),
+    ("recurse", "--i", "1", "--window", "2"),
+    ("a1hat", "--kmax", "0"),
+    ("braid-check", "--root", "A2", "--i", "1", "--j", "2"),
+])
+def test_every_payload_names_its_schema_and_command(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["schema"], doc["command"]) == (1, argv[0])
+
+
 def test_exit_one_on_failed_verification(capsys):
     rc, out, _ = run_cli(capsys, "braid-check", "--root", "A2",
                          "--fgl", "hyperbolic", "--i", "1", "--j", "2")
@@ -489,6 +504,18 @@ def test_exhausted_series_precision_names_the_bound(capsys):
                    "rerun with precision >= 10\n")
 
 
+@pytest.mark.parametrize("degree", ["1", "2", "3"])
+def test_a_custom_law_names_the_degree_its_coefficients_stop_at(capsys, degree):
+    # F(x, y) = x + y given to degree 2: past it no precision helps, so the
+    # error says where the law stops instead of asking for more precision
+    law = '{"kind": "custom", "degree": 2, "coeffs": [[1, 0, "1"], [0, 1, "1"]]}'
+    rc, out, err = run_cli(capsys, "gkm", "--root", "A1", "--window", "2", "--fgl", law,
+                           "--degree", degree)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "coefficients stop at degree 2" in err
+    assert all(int(p) <= 2 for p in re.findall(r"precision >= (\d+)", err)), err
+
+
 @pytest.mark.parametrize("argv,digest", GKM_DIGESTS, ids=[" ".join(a) for a, _ in GKM_DIGESTS])
 def test_gkm_output_matches_recorded_digest(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, "gkm", *argv)
@@ -594,6 +621,18 @@ def test_structure_section_outside_the_window_names_the_window_needed(capsys, ar
                    % (need, size, need))
 
 
+@pytest.mark.parametrize("argv", [
+    ("--i", "1", "--j", "1"),
+    ("--root", "A2", "--i", "0", "--j", "0"),
+    ("--root", "A2", "--fgl", "hyperbolic", "--i", "2", "--j", "2"),
+])
+def test_braid_check_of_a_generator_with_itself_exits_two(capsys, argv):
+    rc, out, err = run_cli(capsys, "braid-check", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "two distinct generators" in err
+
+
 def test_braid_check_connective_holds(capsys):
     rc, out, _ = run_cli(capsys, "braid-check", "--root", "A2",
                          "--fgl", "connective", "--i", "1", "--j", "2")
@@ -615,6 +654,37 @@ def test_text_format(capsys):
     assert rc == 0
     assert "command: a1hat" in out
     assert "summary:" in out
+
+
+def test_text_format_marks_every_list_item(capsys):
+    # a list item that is a dict or a list gets its own "- " and is indented
+    # under it, and empty containers print as such
+    emit({"word": [], "rows": [{"eta_in_x": [[[0], "1"]], "word": []},
+                               {"eta_in_x": [], "word": [0]}], "meta": {}, "n": 2}, "text")
+    assert capsys.readouterr().out == (
+        "meta: {}\n"
+        "n: 2\n"
+        "rows:\n"
+        "  - eta_in_x:\n"
+        "      - - - 0\n"
+        "        - 1\n"
+        "    word: []\n"
+        "  - eta_in_x: []\n"
+        "    word:\n"
+        "      - 0\n"
+        "word: []\n")
+
+
+def test_text_format_keeps_tables_and_rows_apart(capsys):
+    rc, out, _ = run_cli(capsys, "expand", "--root", "A1", "--window", "1",
+                         "--torus", "both", "--format", "text")
+    assert rc == 0
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith("  - ")] == ["  - rows:"] * 2
+    assert [ln for ln in lines if ln.startswith("      - ")] == ["      - eta_in_x:"] * 6
+    assert [ln for ln in lines if ln.startswith("    torus: ")] == [
+        "    torus: small", "    torus: big"]
+    assert lines.count("        word: []") == 2
 
 
 # -- determinism and frozen outputs ------------------------------------------

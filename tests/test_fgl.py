@@ -121,6 +121,17 @@ def test_table_beyond_custom_degree_raises():
         add(law, var(0, 2, P), var(1, 2, P), 4, 2)
 
 
+def test_precision_hints_stop_where_a_custom_table_stops():
+    law = FormalGroupLaw.custom(FormalGroupLaw.connective().table(3), 3, ("c",))
+    assert law.precision_hint(3) == (
+        "rerun with precision >= 3; the custom law's coefficients stop at degree 3")
+    assert law.precision_hint(4) == (
+        "the custom law's coefficients stop at degree 3; give them to degree 4")
+    assert FormalGroupLaw.hyperbolic().precision_hint(9) == "rerun with precision >= 9"
+    with pytest.raises(PrecisionError, match="stop at degree 3; give them to degree 4"):
+        law.table(4)
+
+
 def test_inverse_builds_the_hyperbolic_table_once(monkeypatch):
     builds = []
     build = FormalGroupLaw._hyperbolic_table

@@ -87,7 +87,7 @@ def test_window_tables_are_per_window():
     assert set(table(g, "roots.AffineWeylGroup.compat_word")) == set(large.elements)
     assert "roots.Window.compat_word" not in vars(large)["_memo"]
     # an equal window built anew starts with no table
-    fresh = Window(g, 3, small.elements, small.words, small.lengths)
+    fresh = Window(g, 3)
     assert fresh == small and "_memo" not in vars(fresh)
     assert fresh.root_steps(roots[0]) == small.root_steps(roots[0])
     assert table(fresh, "roots.Window.root_steps") is not steps_small

@@ -1,5 +1,6 @@
 """Root data and the affine Weyl group."""
 
+import inspect
 import operator
 import random
 import sys
@@ -38,7 +39,7 @@ def test_a2_datum():
     assert d.theta == (1, 1)
     assert d.pairing((1, 0), (0, 1)) == -1
     assert len(d.weyl_elements) == 6
-    assert d.weyl_lengths[d.longest_element] == 3
+    assert len(d.longest_element.word) == 3
 
 
 def test_reflection_formula():
@@ -125,7 +126,7 @@ def test_weyl_group_past_the_bound_is_refused_before_its_tables(make):
 def test_weyl_groups_under_the_bound_still_build(cartan, order):
     d = FiniteRootDatum.from_cartan(cartan)
     assert len(d.weyl_elements) == order
-    assert d.weyl_lengths[d.longest_element] == len(d.positive_roots)
+    assert len(d.longest_element.word) == len(d.positive_roots)
 
 
 # -- group structure --------------------------------------------------------
@@ -249,7 +250,7 @@ def oracle_matrices(d, elements=None):
                            mat_mul(c, coroot_gens[word[-1] - 1]))
         return along[word]
 
-    return {w: matrices(d.weyl_words[w])
+    return {w: matrices(w.word)
             for w in (d.weyl_elements if elements is None else elements)}
 
 
@@ -335,6 +336,19 @@ def test_reflections_match_the_reflection_formula(rtype):
     assert d.longest_element is d.weyl_elements[-1]
 
 
+@pytest.mark.parametrize("rtype", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+def test_finite_words_are_least_reduced_words(rtype):
+    # a finite element's word, in the affine labels 1..n, is the word compat
+    # words, Y_w0 and the datum's length check read
+    d = oracle_datum(rtype)
+    g = AffineWeylGroup(d)
+    zero = (0,) * d.rank
+    for w in d.weyl_elements:
+        assert w.word == util.greedy_reduced_word(g, AffineElt(w, zero))
+        assert g.from_word(w.word) == AffineElt(w, zero)
+    assert len(d.longest_element.word) == len(d.positive_roots)
+
+
 _AFFINE = {}
 
 
@@ -357,11 +371,11 @@ def test_affine_products_on_random_words(rtype, data):
         assert g.act(g.mul(x, y), beta) == g.act(x, g.act(y, beta))
     win = g.window(3)
     if x in win:
-        assert g.from_word(win.words[x]) == x
-        assert len(win.words[x]) == g.length(x)
+        assert g.from_word(win.word(x)) == x
+        assert len(win.word(x)) == g.length(x)
     u, v = g.coset_decompose(x)
-    assert g.mul(g.from_word(g.datum.weyl_words[u]), v) == x
-    assert g.length(x) == g.datum.weyl_lengths[u] + g.length(v)
+    assert g.mul(g.from_word(u.word), v) == x
+    assert g.length(x) == len(u.word) + g.length(v)
 
 
 # -- windows ----------------------------------------------------------------
@@ -404,9 +418,9 @@ def test_window_words_are_lexmin_reduced():
         oracle = brute_words(g, bound)
         assert set(win.elements) == set(oracle)
         for x in win.elements:
-            assert win.words[x] == oracle[x]
-            assert g.from_word(win.words[x]) == x
-            assert len(win.words[x]) == g.length(x)
+            assert win.word(x) == oracle[x]
+            assert g.from_word(win.word(x)) == x
+            assert len(win.word(x)) == g.length(x)
 
 
 def test_window_ordering_and_require():
@@ -431,12 +445,12 @@ def test_windows_are_prefixes_of_larger_windows(rtype, length):
     for small, large in zip(windows, windows[1:]):
         n = len(small.elements)
         assert large.elements[:n] == small.elements
-        assert list(large.words)[:n] == list(small.words)
+        assert list(map(large.word, large.elements[:n])) == list(map(small.word, small.elements))
         assert list(large.lengths.items())[:n] == list(small.lengths.items())
-        assert all(large.words[x] is small.words[x] for x in small.elements)
+        assert all(large.word(x) is small.word(x) for x in small.elements)
         assert set(large.lengths.values()) == set(range(large.length_bound + 1))
         assert list(large.elements) == sorted(
-            large.elements, key=lambda x: (large.lengths[x], large.words[x]))
+            large.elements, key=lambda x: (large.lengths[x], large.word(x)))
 
 
 def test_window_translations():
@@ -468,8 +482,7 @@ def test_gkm_plans_are_built_once_per_window():
     tables = util.tables(alg, 4)
     # a copy of the window whose plan cache no other test has filled
     shared = tables.window
-    win = Window(shared.group, shared.length_bound, shared.elements, shared.words,
-                 shared.lengths)
+    win = Window(shared.group, shared.length_bound)
     roots = alg.torus.datum.positive_roots
     duals = [DualElement(alg.torus, win, dual_x(tables, w).values) for w in win.elements[:4]]
     first = [gkm_check_small(f, 2) for f in duals]
@@ -542,7 +555,7 @@ def test_reduced_word_standalone():
 
 
 def finite_lift(g, u):
-    return g.from_word(g.datum.weyl_words[u])
+    return g.from_word(u.word)
 
 
 def test_coset_decompose_left():
@@ -552,7 +565,7 @@ def test_coset_decompose_left():
         assert g.mul(finite_lift(g, u), v) == x
         # v has no finite left descent
         assert not any(g.left_descent(v, i) for i in (1, 2))
-        assert g.length(x) == g.datum.weyl_lengths[u] + g.length(v)
+        assert g.length(x) == len(u.word) + g.length(v)
 
 
 def test_coset_decompose_right():
@@ -561,7 +574,7 @@ def test_coset_decompose_right():
         v, u = g.coset_decompose_right(x)
         assert g.mul(v, finite_lift(g, u)) == x
         assert not any(g.right_descent(v, i) for i in (1, 2))
-        assert g.length(x) == g.length(v) + g.datum.weyl_lengths[u]
+        assert g.length(x) == g.length(v) + len(u.word)
 
 
 def test_minimal_reps():
@@ -594,8 +607,8 @@ def test_compat_word():
         assert g.from_word(word) == x
         assert len(word) == g.length(x)
         u, v = g.coset_decompose(x)
-        k = g.datum.weyl_lengths[u]
-        assert word[:k] == g.datum.weyl_words[u]
+        k = len(u.word)
+        assert word[:k] == u.word
         assert all(i != 0 for i in word[:k])
 
 
@@ -607,7 +620,7 @@ def coset_word(g, win, x):
     """The compat word by its defining formula, with no cache."""
     u, v = g.coset_decompose(x)
     win.require(v)
-    return g.datum.weyl_words[u] + win.words[v]
+    return u.word + win.word(v)
 
 
 @pytest.mark.parametrize("rtype, torus, length", LAYER1_CASES)
@@ -635,7 +648,7 @@ def test_compat_word_outside_the_window(rtype, torus, length):
     beyond = 0
     for x in outside:
         u, v = g.coset_decompose(x)
-        assert g.compat_word(x) == g.datum.weyl_words[u] + util.greedy_reduced_word(g, v)
+        assert g.compat_word(x) == u.word + util.greedy_reduced_word(g, v)
         beyond += v not in win
         for _ in range(2):
             with pytest.raises(WindowExceededError, match="length %d lies" % g.length(x)):
@@ -658,10 +671,24 @@ def test_windows_and_compat_words_do_not_recurse_through_lengths():
     assert len(word) == g.length(x) == 300 and g.from_word(word) == x
 
 
+def test_a_window_is_its_group_and_its_bound():
+    g = AffineWeylGroup(FiniteRootDatum.from_type("A2"))
+    assert list(inspect.signature(Window).parameters) == ["group", "length_bound"]
+    for bound in (-1, 0, 3):
+        win = g.window(bound)
+        fresh = Window(g, bound)
+        assert fresh == win and fresh is not win and g.window(bound) is win
+        assert (fresh.elements, fresh.lengths, fresh.index) == (win.elements, win.lengths,
+                                                               win.index)
+        # the window built anew keeps tables of its own
+        assert fresh.reflection_pairs() == win.reflection_pairs()
+        assert vars(fresh)["_memo"] is not vars(win)["_memo"]
+
+
 def test_window_equality_and_repr_ignore_its_memo():
     g = AffineWeylGroup(FiniteRootDatum.from_type("A1"))
     win = g.window(3)
-    fresh = Window(g, win.length_bound, win.elements, win.words, win.lengths)
+    fresh = Window(g, win.length_bound)
     for alpha in g.datum.positive_roots:
         win.root_steps(alpha)
     assert vars(win)["_memo"]["roots.Window.root_steps"] and "_memo" not in vars(fresh)
@@ -711,5 +738,5 @@ def test_window_words_are_least_reduced_words(rtype, length):
     g = group(rtype)
     win = g.window(length)
     for x in win.elements:
-        assert win.words[x] == util.greedy_reduced_word(g, x) == g.reduced_word(x)
-        assert g.element_name(x) == g.word_name(win.words[x])
+        assert win.word(x) == util.greedy_reduced_word(g, x) == g.reduced_word(x)
+        assert g.element_name(x) == g.word_name(win.word(x))

@@ -674,6 +674,18 @@ def test_rank_one_has_no_braid_relation():
         braid_check(alg, 0, 1)
 
 
+@pytest.mark.parametrize("law", ["CON", "hyperbolic"])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_braid_of_a_generator_with_itself_is_refused(law, i):
+    # its relation of order 1 would compare X_i with itself
+    if law == "CON":
+        alg = util.algebra("A2", "CON", "small")
+    else:
+        alg = util.algebra("A2", "SER", "small", fgl="hyperbolic", precision=6)
+    with pytest.raises(NotApplicableError, match="two distinct generators"):
+        braid_check(alg, i, i)
+
+
 @pytest.mark.parametrize("pair", [(1, 2), (0, 1), (0, 2)])
 def test_braid_holds_for_connective_a2(pair):
     alg = util.algebra("A2", "CON", "small")
