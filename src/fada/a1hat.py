@@ -8,11 +8,18 @@ whole group is the family
     sigma_{2i+1} = s0 sigma_{2i},               sigma_{-(2i+1)} = s1 sigma_{-2i},
 
 with minimal coset representatives exactly the sigma_k for k >= 0.  The
-expansions of eta_{sigma_k} in the Demazure basis have closed forms built
-from truncated one-variable sums of complete homogeneous symmetric functions
-evaluated at the unit mu = -x_{-alpha}/x_alpha; ``appendix_crosscheck``
-compares those forms against the triangular linear-algebra route and runs
-the small-torus GKM conditions on the dual basis elements.
+expansion of eta_{sigma_k} in the Demazure basis has one closed form over S,
+built from truncated one-variable sums of complete homogeneous symmetric
+functions at the unit mu = -x_{-alpha}/x_alpha or its inverse.  With n = |k|,
+for each 0 < |m| <= n let g = n - |m| and b = floor(g/2), less 1 when g is
+even and m, k have opposite signs; when b >= 0 the coefficient at sigma_m is
+
+    (-1)^m x^{|m|} S^{|m|}_{<=b}(mu'),
+
+where (x, mu') = (x_alpha, mu^{-1}) when k > 0 is even or k < 0 is odd, and
+(x_{-alpha}, mu) otherwise; the identity carries 1.  ``appendix_crosscheck``
+compares those forms with the algebra's expansion rows (`TwistedAlgebra.row`)
+and runs the small-torus GKM conditions on the dual basis elements.
 """
 from __future__ import annotations
 
@@ -20,22 +27,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .algebra import Localized, TorusAlgebra
+from .algebra import AlgebraElement, TorusAlgebra
 from .duals import GkmReport, dual_x, gkm_check_small
-from .errors import NotApplicableError
-from .roots import AffineElt, AffineWeylGroup
-from .twisted import ExpansionTables, TwistedAlgebra, combine_rows
+from .errors import MembershipError, NotApplicableError
+from .roots import AffineElt, AffineWeylGroup, AffRoot
+from .twisted import ExpansionTables, TwistedAlgebra, row_sum
 
 
 def sigma_word(k: int) -> Tuple[int, ...]:
-    """Reduced word of sigma_k; alternating letters ending as the sign demands."""
-    if k == 0:
-        return ()
-    if k > 0:
-        i, r = divmod(k, 2)
-        return (1, 0) * i if r == 0 else (0,) + (1, 0) * i
-    i, r = divmod(-k, 2)
-    return (0, 1) * i if r == 0 else (1,) + (0, 1) * i
+    """Reduced word of sigma_k: |k| alternating letters, ending in 0 for k > 0
+    and in 1 for k < 0."""
+    return tuple((j + (k < 0)) % 2 for j in reversed(range(abs(k))))
 
 
 def sigma(group: AffineWeylGroup, k: int) -> AffineElt:
@@ -84,72 +86,50 @@ def s_leq(i: int, a: int, x):
 # -- the unit mu -----------------------------------------------------------
 
 
-def mu_unit(torus: TorusAlgebra) -> Localized:
-    """mu = -x_{-alpha}/x_alpha; specializes to 1 additively and to the
+def mu_unit(torus: TorusAlgebra) -> AlgebraElement:
+    """mu = -x_{-alpha}/x_alpha in S; specializes to 1 additively and to the
     group-ring exponential multiplicatively."""
-    den = torus.embed_root(torus.group.simple_root(1))
-    return Localized(torus, -torus.neg_simple_x(1), (den,))
+    return _unit(torus, -torus.neg_simple_x(1), torus.group.simple_root(1))
 
 
-def mu_unit_inverse(torus: TorusAlgebra) -> Localized:
+def mu_unit_inverse(torus: TorusAlgebra) -> AlgebraElement:
+    """mu^{-1} = -x_alpha/x_{-alpha} in S."""
     mu, m = torus.group.simple_root(1)
-    den = torus.embed_root((tuple(-v for v in mu), -m))
-    return Localized(torus, -torus.simple_x(1), (den,))
+    return _unit(torus, -torus.simple_x(1), (tuple(-v for v in mu), -m))
+
+
+def _unit(torus: TorusAlgebra, num: AlgebraElement, beta: AffRoot) -> AlgebraElement:
+    """num / x_beta, one exact division in S."""
+    q, k = torus.ring.divide(num, torus.embed_root(beta), 1)
+    if k != 1:
+        raise MembershipError("x_%r does not divide %r in S" % (beta, num))
+    return q
 
 
 # -- closed-form eta expansions --------------------------------------------
 
 
-def _pow(x: Localized, n: int) -> Localized:
-    out = x
-    for _ in range(n - 1):
-        out = out * x
-    return out
-
-
-def eta_sigma_closed(algebra: TwistedAlgebra, k: int) -> Dict[AffineElt, Localized]:
-    """Expansion of eta_{sigma_k} over the Demazure elements X_{sigma_j},
-    from the closed formulas; keys are the sigma_j, the identity key carries
-    the constant term 1."""
+def eta_sigma_closed(algebra: TwistedAlgebra, k: int) -> Dict[AffineElt, AlgebraElement]:
+    """Expansion of eta_{sigma_k} over the Demazure elements X_{sigma_m}, in S:
+    the identity key carries 1, and for 0 < |m| <= n = |k| with g = n - |m|
+    and b = floor(g/2), less 1 when g is even and m k < 0, the key sigma_m
+    carries (-1)^m x^{|m|} S^{|m|}_{<=b}(mu') when b >= 0.  (x, mu') is
+    (x_alpha, mu^{-1}) when k > 0 is even or k < 0 is odd, else (x_{-alpha}, mu)."""
     torus = algebra.torus
     group = torus.group
     _require_rank_one(group)
-    sig = lambda j: group.from_word(sigma_word(j))
-    one = Localized(torus, torus.ring.one())
-    out: Dict[AffineElt, Localized] = {group.identity: one}
-    if k == 0:
-        return out
-    x1 = Localized(torus, torus.simple_x(1))
-    xm1 = Localized(torus, torus.neg_simple_x(1))
-    mu = mu_unit(torus)
-    mui = mu_unit_inverse(torus)
-    half, odd = divmod(abs(k), 2)
-    if not odd:
-        xs, arg = (x1, mui) if k > 0 else (xm1, mu)
-        sgn = 1 if k > 0 else -1
-        out[sig(k)] = _pow(xs, 2 * half)
-        for j in range(1, half):
-            lead = _pow(xs, 2 * j)
-            out[sig(sgn * 2 * j)] = lead * s_leq(2 * j, half - j, arg)
-            out[sig(-sgn * 2 * j)] = lead * s_leq(2 * j, half - j - 1, arg)
-        for i in range(1, half + 1):
-            c = -(_pow(xs, 2 * i - 1) * s_leq(2 * i - 1, half - i, arg))
-            out[sig(2 * i - 1)] = c
-            out[sig(-(2 * i - 1))] = c
+    out = {group.identity: torus.ring.one()}
+    n = abs(k)
+    if (k > 0) == (k % 2 == 0):
+        x, arg = torus.simple_x(1), mu_unit_inverse(torus)
     else:
-        # odd k = +-(2 half + 1); the formulas use the opposite root class
-        xs, arg = (xm1, mu) if k > 0 else (x1, mui)
-        sgn = 1 if k > 0 else -1
-        out[sig(k)] = -_pow(xs, 2 * half + 1)
-        for j in range(1, half + 1):
-            c = _pow(xs, 2 * j) * s_leq(2 * j, half - j, arg)
-            out[sig(2 * j)] = c
-            out[sig(-2 * j)] = c
-        for i in range(1, half + 1):
-            lead = _pow(xs, 2 * i - 1)
-            out[sig(sgn * (2 * i - 1))] = -(lead * s_leq(2 * i - 1, half - i + 1, arg))
-            out[sig(-sgn * (2 * i - 1))] = -(lead * s_leq(2 * i - 1, half - i, arg))
-    return {w: c for w, c in out.items()}
+        x, arg = torus.neg_simple_x(1), mu_unit(torus)
+    for m in range(-n, n + 1):
+        i = abs(m)
+        b = (n - i) // 2 - ((n - i) % 2 == 0 and m * k < 0)
+        if m and b >= 0:
+            out[sigma(group, m)] = (-1) ** i * x ** i * s_leq(i, b, arg)
+    return out
 
 
 # -- cross-validation ------------------------------------------------------
@@ -159,7 +139,7 @@ def eta_sigma_closed(algebra: TwistedAlgebra, k: int) -> Dict[AffineElt, Localiz
 class CrosscheckReport:
     kmax: int
     compared: int = 0
-    # (k, u): the closed form of eta_{sigma_k} differs from the solve at u
+    # (k, u): the closed form of eta_{sigma_k} differs from the row at u
     mismatches: List[Tuple[int, AffineElt]] = field(default_factory=list)
     gkm: List[GkmReport] = field(default_factory=list)
 
@@ -176,20 +156,18 @@ class CrosscheckReport:
 
 def appendix_crosscheck(algebra: TwistedAlgebra, kmax: int,
                         degree_bound: int = 2) -> CrosscheckReport:
-    """Compare every closed-form expansion with the triangular solve, and run
+    """Compare every closed-form expansion with the algebra's row, and run
     small-torus GKM on each dual basis element."""
-    torus = algebra.torus
-    group = torus.group
+    group = algebra.torus.group
     _require_rank_one(group)
     window = group.window(kmax)
     tables = ExpansionTables(algebra, window)
     report = CrosscheckReport(kmax)
     for k in range(-kmax, kmax + 1):
-        closed = eta_sigma_closed(algebra, k)
-        solved = {u: Localized(torus, b) for u, b in tables.eta_in_x(sigma(group, k)).items()}
+        diff = row_sum(((1, eta_sigma_closed(algebra, k)),
+                        (-1, tables.eta_in_x(sigma(group, k)))))
         report.compared += 1
-        for u in combine_rows(((1, closed), (-1, solved))):
-            report.mismatches.append((k, u))
+        report.mismatches += [(k, u) for u, d in diff.items() if not d.is_zero()]
     for k in range(-kmax, kmax + 1):
         f = dual_x(tables, sigma(group, k))
         report.gkm.append(gkm_check_small(f, degree_bound))

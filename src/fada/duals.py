@@ -96,10 +96,6 @@ class DualElement:
     def __hash__(self):
         raise TypeError("DualElement is unhashable")
 
-    def simplify(self) -> "DualElement":
-        return DualElement(self.torus, self.window,
-                           {w: v.simplify() for w, v in self.values.items()})
-
     def restrict(self, window: Window) -> "DualElement":
         vals = {w: v for w, v in self.values.items() if w in window}
         return DualElement(self.torus, window, vals)

@@ -360,14 +360,15 @@ class Window:
     Elements are canonically ordered by (length, lexicographically least
     reduced word); `word(x)` reads that word from the layer of x, so a window
     keeps no word.  Tables derived from the elements are kept on the window
-    by `memo`, outside its fields.
+    by `memo`, outside its fields.  A window compares and prints as its group
+    and bound, which determine the rest.
     """
 
     group: "AffineWeylGroup"
     length_bound: int
-    elements: Tuple[AffineElt, ...] = field(init=False)
-    lengths: Dict[AffineElt, int] = field(init=False)
-    index: Dict[AffineElt, int] = field(init=False)
+    elements: Tuple[AffineElt, ...] = field(init=False, compare=False, repr=False)
+    lengths: Dict[AffineElt, int] = field(init=False, compare=False, repr=False)
+    index: Dict[AffineElt, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.lengths = {}

@@ -562,6 +562,27 @@ def test_recurse_output_matches_recorded_digest(capsys, argv, digest, code):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the JSON output and the exit code of `a1hat --kmax 8`, recorded
+# before the closed forms were computed in S from one formula: the golden
+# pins MUL at |k| <= 2 only
+A1HAT_DIGESTS = [
+    (("--kmax", "8", "--c", "0"),
+     "8f27c29d1e5ca244c8c0d7a63dcb3aa2086494be546c023a439e54a0544108c8", 0),
+    (("--kmax", "8", "--c", "1"),
+     "ad21132357fd2d68113007bdbc28fa0bfe11e6e7bf3ef5fbe0711d66b5bb4bb5", 0),
+    (("--kmax", "8", "--c", "generic"),
+     "d76bfbf33fa3d1c1f8e746d58ca249a847294484078d402174986cd151f56380", 0),
+]
+
+
+@pytest.mark.parametrize("argv,digest,code", A1HAT_DIGESTS,
+                         ids=[" ".join(a) for a, _, _ in A1HAT_DIGESTS])
+def test_a1hat_output_matches_recorded_digest(capsys, argv, digest, code):
+    rc, out, _ = run_cli(capsys, "a1hat", *argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # SHA-256 of the JSON output and the exit code of `peterson` runs with a
 # structure section, recorded before the Demazure-word products of the
 # connective family were read off the Demazure product
@@ -631,6 +652,17 @@ def test_braid_check_of_a_generator_with_itself_exits_two(capsys, argv):
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "two distinct generators" in err
+
+
+@pytest.mark.parametrize("degree", ["2", "3"])
+def test_braid_check_on_a_shallow_series_exits_two(capsys, degree):
+    # an entry that vanishes only through O(p) below its denominator's
+    # degree is unknown: the check asks for precision, it does not fail
+    rc, out, err = run_cli(capsys, "braid-check", "--root", "B2", "--i", "0", "--j", "2",
+                           "--fgl", SER_CONNECTIVE, "--degree", degree)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "rerun with precision >= 8" in err
 
 
 def test_braid_check_connective_holds(capsys):

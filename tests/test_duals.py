@@ -88,7 +88,7 @@ def test_dual_element_basics():
     small = f.restrict(g.window(2))
     assert small.window.length_bound == 2
     assert small.get(g.simple(1)) == f.get(g.simple(1))
-    assert "Dual" in repr(f.simplify())
+    assert "Dual" in repr(f)
 
 
 def test_characteristic_is_phi_with_unit():

@@ -697,6 +697,17 @@ def test_window_equality_and_repr_ignore_its_memo():
     assert "_memo" not in repr(win)
 
 
+def test_a_window_compares_and_prints_by_its_group_and_bound_only():
+    # the elements and their dicts follow from (group, length_bound), so
+    # equality does not walk them and the repr does not print them
+    g = AffineWeylGroup(FiniteRootDatum.from_type("A2"))
+    win = g.window(6)
+    assert len(repr(win)) < 200
+    assert "elements" not in repr(win) and "length_bound=6" in repr(win)
+    assert Window(g, 6) == win
+    assert Window(g, 5) != win
+
+
 def test_bruhat_order():
     g = group("A1")
     e = g.identity

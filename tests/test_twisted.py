@@ -8,7 +8,7 @@ from fada import connective, twisted
 from fada.algebra import AlgebraElement, FormalRing, Localized, TorusAlgebra
 from fada.cli import loc_json
 from fada.errors import (ConfigError, MembershipError, NotApplicableError,
-                         UnsupportedTheoryError, WindowExceededError)
+                         PrecisionError, UnsupportedTheoryError, WindowExceededError)
 from fada.scalars import Scalar
 from fada.twisted import (ExpansionTables, TwistedAlgebra, back_substitute,
                           braid_check, combine_rows, demazure_walk)
@@ -705,6 +705,16 @@ def test_braid_fails_for_hyperbolic():
     assert not rep.holds
     assert rep.witness and "eta[" in rep.witness
     assert "fails" in rep.line()
+
+
+@pytest.mark.parametrize("precision", [2, 3])
+def test_braid_on_a_shallow_series_refuses_rather_than_fails(precision):
+    # in X_0 X_2 X_0 X_2 on B2 the entry at s0 s2 is 0 + O(p) over a
+    # denominator of degree 8: a value below that precision is unknown, not
+    # zero, so the connective law's braid relation cannot be decided there
+    alg = util.algebra("B2", "SER", "small", fgl="connective", precision=precision)
+    with pytest.raises(PrecisionError, match="precision >= 8"):
+        braid_check(alg, 0, 2)
 
 
 # -- the translation element ------------------------------------------------
