@@ -73,11 +73,14 @@ D5 = json.dumps({"cartan": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 
 # run is the CLI shape of the `gkm` perfbench workload, the hyperbolic
 # expand run is the one whose rows come by back-substitution, and the gkm
 # runs on A6 L=2 (|W| = 5,040) and D5 L=3 (|W| = 1,920) are the ones whose
-# time the finite Weyl group enumeration dominates
+# time the finite Weyl group enumeration dominates; the expand run with
+# --word prints one row of a large window, so it times that one row, not
+# the window's table
 EXTRA_RUNS = [cli_argv("peterson", "B3", 8), cli_argv("gkm", "A3", 7),
               cli_argv("gkm", "A2", 8, "--fgl", "additive"),
               cli_argv("expand", "A2", 3, "--fgl", "hyperbolic", "--degree", "12"),
-              cli_argv("gkm", "A6", 2), cli_argv("gkm", D5, 3)]
+              cli_argv("gkm", "A6", 2), cli_argv("gkm", D5, 3),
+              cli_argv("expand", "A3", 7, "--word", "0,1,2")]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 # `python -m fada.cli` with the time of main, after the import, on stderr
 TIMER = """

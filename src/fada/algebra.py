@@ -301,9 +301,14 @@ class AlgebraElement:
     __radd__ = __add__
 
     def __sub__(self, other):
+        """self - other, with no arithmetic when either is an exact zero."""
         if not isinstance(other, (AlgebraElement, int, Scalar)):
             return NotImplemented
         other = self._coerce(other)
+        if other.is_exact_zero():
+            return self
+        if self.is_exact_zero():
+            return -other
         return self._sum(other, polyops.psub(self._terms, other._terms))
 
     def __rsub__(self, other):
@@ -397,8 +402,11 @@ class Localized:
     (pointwise max) of denominators, and a - b == 0 decides a == b.  An exact
     zero (no terms, no precision: ADD, MUL, CON) adds nothing and lifts
     nothing: the other summand comes back as it is, whatever the zero's
-    denominator.  A SER zero vanishes only through O(p) over its denominator,
-    so it is summed over the lcm like any other value.  a / d
+    denominator.  A SER numerator vanishes only through O(p), so a SER zero
+    is summed over the lcm like any other value, and it is a known zero
+    (`is_zero`) only when p is at least the degree of its denominator; below
+    that it is an unknown value, which a map of values keeps and `==`
+    refuses with a `PrecisionError`.  a / d
     is defined when d's numerator is a unit monomial; it subtracts d's
     multiplicities from a's and cancels nothing further.  b and
     -b stay apart (x_{-b} = -e_b x_b on MUL and CON), so denominators print
@@ -435,29 +443,28 @@ class Localized:
         return num
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        """A known zero: a zero numerator whose precision, on SER, is at least
+        the degree of the denominator; 0 + O(p) below it is an unknown value."""
+        num = self.num
+        return num.is_zero() and (num.prec is None or num.prec >= sum(self.den_map.values()))
 
     def is_negligible(self) -> bool:
         """Zero through the whole tracked precision, denominator included.
 
         On exact backends this is plain zeroness.  On SER a vanishing
         numerator only certifies a vanishing value once the denominator's
-        valuation is paid for; past that point nothing about the value is
-        known and the ambiguity is an error, not a silent zero.
+        valuation is paid for (`is_zero`); past that point nothing about the
+        value is known and the ambiguity is an error, not a silent zero.
         """
+        if self.is_zero():
+            return True
         if not self.num.is_zero():
             return False
-        prec = self.num.prec
-        if prec is None:
-            return True
-        degree = sum(self.den_map.values())
-        if prec - degree < 0:
-            ring = self.torus.ring
-            raise PrecisionError(
-                "series precision exhausted by a localized denominator; %s"
-                % ring.fgl.precision_hint(max(ring.precision + degree - prec,
-                                              ring.precision + 1)))
-        return True
+        ring, prec = self.torus.ring, self.num.prec
+        raise PrecisionError(
+            "series precision exhausted by a localized denominator; %s"
+            % ring.fgl.precision_hint(max(ring.precision + sum(self.den_map.values()) - prec,
+                                          ring.precision + 1)))
 
     def __neg__(self):
         return Localized(self.torus, -self.num, self.den_map)

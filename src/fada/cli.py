@@ -222,7 +222,6 @@ def _expand_one_torus(cfg: JobConfig, torus_kind: str,
     algebra = make_algebra(local)
     group = algebra.torus.group
     window = group.window(cfg.window)
-    tables = ExpansionTables(algebra, window)
     targets = window.elements
     if word is not None:
         x = group.from_word(word)
@@ -232,8 +231,8 @@ def _expand_one_torus(cfg: JobConfig, torus_kind: str,
     for word, w in _by_compat_word(window, targets):
         rows.append({
             "word": list(word),
-            "eta_in_x": coeffs_json(window, tables.eta_in_x(w)),
-            "x_in_eta": coeffs_json(window, tables.a[w]),
+            "eta_in_x": coeffs_json(window, algebra.row("x", w)),
+            "x_in_eta": coeffs_json(window, algebra.word_product("x", word).terms),
         })
     return {"torus": torus_kind, "rows": rows}
 

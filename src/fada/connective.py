@@ -193,7 +193,7 @@ def dual_y_vanishing_check(ctx: ConnectiveContext, window: Window,
                            out_window: Window, w: AffineElt) -> bool:
     """Y_{w_0} . Y*_w = 0 for minimal w: the Y-flavor dual rows are killed."""
     ystar = ctx.dual_y_in_x(window, w)
-    return not bullet(ctx.y_w0(), ystar, out_window).values
+    return bullet(ctx.y_w0(), ystar, out_window) == DualElement.zero(ctx.torus, out_window)
 
 
 # -- conjugation by the longest element ------------------------------------

@@ -12,13 +12,17 @@ and the left-side Hecke action
 
 for z = sum_w c_w eta_w.  Both need the shifted arguments to stay inside the
 window of f; otherwise a WindowExceededError pinpoints the length required.
-`pair` sums c_w f[w] over every w of z; a point where f vanishes adds the
-ring's zero, which adds nothing when it is an exact zero
-(`Localized.is_exact_zero`).  `bullet` and `odot` check every shifted point
-against the window, then skip the points where f vanishes when the ring's
-zero is exact, and act on no coefficient there.  A zero that is not exact
-vanishes only through O(p) and lowers the certified precision of the sum,
-so there every point is summed.
+`DualElement` is the one filter of dual values: it keeps every value that
+is not a known zero (`Localized.is_zero`), so an unknown SER value, 0 + O(p)
+over a denominator of degree above p, stays, and comparing it raises a
+`PrecisionError` that names the precision needed.  `bullet`, `odot` and
+`phi` hand it every value they form.  `pair` sums c_w f[w] over every w of
+z; a point where f vanishes adds the ring's zero, which adds nothing when it
+is an exact zero (`Localized.is_exact_zero`).  `bullet` and `odot` check
+every shifted point against the window, then skip the points where f
+vanishes when the ring's zero is exact, and act on no coefficient there.  A
+zero that is not exact vanishes only through O(p) and lowers the certified
+precision of the sum, so there every point is summed.
 
 The small-torus GKM conditions ask, for every finite positive root alpha and
 each degree d up to a chosen bound, that the d-th orbit difference
@@ -145,8 +149,7 @@ def bullet(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement
             if skip_zeros and uw not in f.values:
                 continue
             acc = acc + torus.act_loc(u, c) * f.values.get(uw, zero)
-        if not acc.is_zero():
-            values[u] = acc.simplify()
+        values[u] = acc.simplify()
     return DualElement(torus, out_window, values)
 
 
@@ -165,8 +168,7 @@ def odot(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
             if skip_zeros and shifted not in f.values:
                 continue
             acc = acc + c * torus.act_loc(v, f.values.get(shifted, zero))
-        if not acc.is_zero():
-            values[u] = acc.simplify()
+        values[u] = acc.simplify()
     return DualElement(torus, out_window, values)
 
 
@@ -178,11 +180,7 @@ def characteristic(torus: TorusAlgebra, u: AlgebraElement, window: Window) -> Du
 def phi(torus: TorusAlgebra, a: AlgebraElement, b: AlgebraElement,
         window: Window) -> DualElement:
     """phi(a (x) b): w -> a * w(b), the coproduct-side characteristic map."""
-    values = {}
-    for w in window.elements:
-        img = a * torus.act_elem(w, b)
-        if not img.is_zero():
-            values[w] = Localized(torus, img)
+    values = {w: Localized(torus, a * torus.act_elem(w, b)) for w in window.elements}
     return DualElement(torus, window, values)
 
 
@@ -315,13 +313,6 @@ def _regular_values(f: DualElement, report: GkmReport) -> Optional[Dict[int, Alg
     return None if report.violations else values
 
 
-def _minus(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """a - b, with no arithmetic when either is an exact zero."""
-    if b.is_exact_zero():
-        return a
-    return -b if a.is_exact_zero() else a - b
-
-
 class _SmallPlan(NamedTuple):
     """What the small-torus conditions of one root alpha ask of a window,
     whatever the dual: for each position x, how many steps t^j x stay in the
@@ -421,7 +412,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
             prev, diff = diffs[-1], {}
             for k in {x for j in prev for x in (j, preds[j])
                       if x is not None and reach[x] >= d}:
-                g = _minus(prev.get(k, zero), prev.get(shift[k], zero))
+                g = prev.get(k, zero) - prev.get(shift[k], zero)
                 if not g.is_exact_zero():
                     diff[k] = g
             diffs.append(diff)
@@ -441,7 +432,7 @@ def gkm_check_small(f: DualElement, degree_bound: int,
                     elif not grassmannian:
                         unchecked.add(GkmRecord(alpha, d, w, REFLECTED_ORBIT_LEAVES))
                 elif m is not None and not torus.divisible(
-                        _minus(diffs[d - 1].get(k, zero), diffs[d - 1].get(m, zero)), beta, d):
+                        diffs[d - 1].get(k, zero) - diffs[d - 1].get(m, zero), beta, d):
                     report.violations.append(GkmRecord(alpha, d, w, REFLECTED_SUM))
         report.skipped.extend((r for r in plan.skipped if r not in unchecked) if unchecked
                               else plan.skipped)
@@ -478,7 +469,7 @@ def gkm_check_big(f: DualElement) -> GkmReport:
     report.checked += len(pairs)
     for n in sorted({n for k in values for n in at[k]}):
         a, b, beta = pairs[n]
-        if not torus.divisible(_minus(values.get(a, zero), values.get(b, zero)), beta, 1):
+        if not torus.divisible(values.get(a, zero) - values.get(b, zero), beta, 1):
             report.violations.append(GkmRecord(beta, 1, window.elements[a], DIFFERENCE))
     return report
 

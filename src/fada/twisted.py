@@ -39,8 +39,7 @@ from functools import cached_property, partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
-from .errors import (ConfigError, MembershipError, NotApplicableError, PrecisionError,
-                     UnsupportedTheoryError)
+from .errors import ConfigError, MembershipError, NotApplicableError, UnsupportedTheoryError
 from .memo import memo
 from .roots import AffineElt, AffineWeylGroup, Vec, Window, vneg
 from .scalars import Scalar
@@ -56,27 +55,16 @@ def connective_scalar(torus: TorusAlgebra) -> Scalar:
     return law.c
 
 
-def _unknown(c: Localized) -> bool:
-    """Whether c, with a zero numerator, is a value that its precision cannot
-    certify rather than a zero: `Localized.is_negligible` raises on it."""
-    try:
-        c.is_negligible()
-    except PrecisionError:
-        return True
-    return False
-
-
 class TwistedElement:
     """A finite left-Q combination of eta_w basis elements."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: "TwistedAlgebra", terms: Dict[AffineElt, Localized]):
-        """Keeps the terms that are not zero.  On SER a numerator that vanishes
-        only through O(p), p below its denominator's degree, is an unknown
-        value rather than a zero, so its term is kept."""
+        """Keeps the terms that are not known zeros (`Localized.is_zero`), so
+        an unknown SER value is kept, not read as zero."""
         self.algebra = algebra
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero() or _unknown(c)}
+        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
 
     # -- ring structure ----------------------------------------------------
 

@@ -462,6 +462,24 @@ def test_localized_simplify():
     assert g.simplify().den == (a,)
 
 
+def test_a_series_zero_is_known_once_its_precision_pays_for_the_denominator():
+    # 0 + O(p) over a denominator of degree d: an unknown value for p < d,
+    # which is_negligible refuses with the precision to rerun at, a zero for p >= d
+    t = torus("A1", "SER", fgl="hyperbolic", precision=6)
+    a = util.alpha_vec(t)
+    for d in range(1, 4):
+        for p in range(5):
+            z = Localized(t, AlgebraElement(t.ring, {}, p), (a,) * d)
+            assert z.is_zero() == (p >= d), (d, p)
+            if p >= d:
+                assert z.is_negligible()
+            else:
+                with pytest.raises(PrecisionError, match="precision >= %d" % max(6 + d - p, 7)):
+                    z.is_negligible()
+    one = Localized(t, t.ring.one(), (a,) * 3)
+    assert not one.is_zero() and not one.is_negligible()
+
+
 def test_localized_inverse():
     t = torus("A1", "MUL")
     a = util.alpha_vec(t)

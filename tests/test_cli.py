@@ -14,8 +14,9 @@ from hypothesis import given, strategies as st
 
 from fada import connective
 from fada.cli import build_law, build_datum, emit, main, parse_word
-from fada.errors import ConfigError
+from fada.errors import ConfigError, MembershipError
 from fada.fgl import FormalGroupLaw
+from fada.peterson import CentralizerReport, PetersonContext
 from fada.roots import FiniteRootDatum
 from fada.scalars import Scalar
 from fada.twisted import back_substitute
@@ -210,6 +211,19 @@ def test_exit_two_on_exhausted_precision(capsys):
                          "--window", "5")
     assert rc == 2
     assert "precision" in err
+
+
+def test_expand_word_builds_only_its_row(capsys):
+    # the window's other rows need precision 10; the row of s0 s1 does not
+    base = ("expand", "--root", "A2", "--fgl", "hyperbolic", "--window", "4")
+    rc, out, err = run_cli(capsys, *base, "--degree", "8", "--word", "0,1")
+    assert (rc, err) == (0, "")
+    assert [row["word"] for row in json.loads(out)["tables"][0]["rows"]] == [[0, 1]]
+    rc, one, _ = run_cli(capsys, *base, "--degree", "10", "--word", "0,1")
+    rc_full, full, _ = run_cli(capsys, *base, "--degree", "10")
+    assert rc == rc_full == 0
+    [row] = json.loads(one)["tables"][0]["rows"]
+    assert row in json.loads(full)["tables"][0]["rows"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -670,6 +684,29 @@ def test_braid_check_connective_holds(capsys):
                          "--fgl", "connective", "--i", "1", "--j", "2")
     assert rc == 0
     assert json.loads(out)["holds"] is True
+
+
+def test_peterson_exits_one_when_u_is_not_in_the_subalgebra(capsys, monkeypatch):
+    def refuse(self, u):
+        raise MembershipError("P_u is not in the Peterson subalgebra")
+
+    monkeypatch.setattr(PetersonContext, "expansion", refuse)
+    rc, out, err = run_cli(capsys, "peterson", "--u", "0", "--window", "2")
+    assert (rc, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["problems"] == ["P_u is not in the Peterson subalgebra"]
+    assert doc["coeffs"] == []
+
+
+def test_peterson_exits_one_when_the_centralizer_criteria_fail(capsys, monkeypatch):
+    witness = "does not commute with x[alpha_1]"
+    monkeypatch.setattr("fada.cli.centralizer_report",
+                        lambda algebra, z: CentralizerReport(True, False, [witness]))
+    rc, out, err = run_cli(capsys, "peterson", "--u", "0", "--window", "2")
+    assert (rc, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["problems"] == [witness]
+    assert doc["centralizer"] is False and doc["coeffs"]
 
 
 def test_peterson_structure_section(capsys):

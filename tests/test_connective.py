@@ -8,7 +8,7 @@ from fada.connective import (ConnectiveContext, bullet_yw0_check,
                              connective_scalar, dual_y_vanishing_check,
                              dynkin_involution, hecke_action_check)
 from fada.duals import DualElement, bullet, dual_x, odot
-from fada.errors import UnsupportedTheoryError
+from fada.errors import PrecisionError, UnsupportedTheoryError
 from fada.fgl import FormalGroupLaw
 from fada.scalars import Scalar
 from fada.twisted import ExpansionTables, TwistedAlgebra
@@ -259,6 +259,25 @@ def test_bullet_yw0_closed_form(backend):
             assert not vanishes, win.word(v)
 
 
+@pytest.mark.parametrize("rtype,length,shallow,enough", [
+    ("A2", 3, (2, 3, 4), 5), ("B2", 4, (2, 9), 10)])
+def test_bullet_yw0_on_a_shallow_series_names_the_precision_it_holds_at(
+        rtype, length, shallow, enough):
+    # at e the sum has no terms, but its numerator's precision is below the
+    # degree of its denominator: an unknown value, not a vanishing row
+    def check(precision):
+        alg = util.algebra(rtype, "SER", fgl="connective", precision=precision)
+        g = alg.torus.group
+        win = g.window(length)
+        return bullet_yw0_check(ConnectiveContext(alg), ExpansionTables(alg, win), win,
+                                g.window(0), g.identity)
+
+    for precision in shallow:
+        with pytest.raises(PrecisionError, match="precision >= %d$" % enough):
+            check(precision)
+    assert check(enough) == (True, False)
+
+
 def test_bullet_yw0_diagonal_on_minimal_columns():
     # on minimal columns the action is c^{l(w_0)} times the identity, so
     # the transition determinant is a positive power of c
@@ -278,6 +297,21 @@ def test_dual_y_rows_are_killed():
     win, out = g.window(4), g.window(3)
     for word in ((), (0,), (1, 0)):
         assert dual_y_vanishing_check(ctx, win, out, g.from_word(word))
+
+
+def test_dual_y_rows_on_a_shallow_series_name_the_precision_they_vanish_at():
+    # Y_{w_0} . Y*_e on A2 has entries 0 + O(p) over denominators of degree
+    # above p below precision 5: unknown values, not a killed row
+    def check(precision):
+        alg = util.algebra("A2", "SER", fgl="connective", precision=precision)
+        g = alg.torus.group
+        return dual_y_vanishing_check(ConnectiveContext(alg), g.window(4), g.window(1),
+                                      g.identity)
+
+    for precision in (2, 4):
+        with pytest.raises(PrecisionError, match="precision >= 5$"):
+            check(precision)
+    assert check(5)
 
 
 # -- conjugation by the longest element --------------------------------------

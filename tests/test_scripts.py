@@ -56,8 +56,8 @@ def test_bench_compare_names_changed_runs_and_skips_new_ones():
            run("peterson --root B3", 0, "c")]
     assert bench.compare(old, new) == (["expand --root A1"], ["peterson --root B3"])
     # each run is one argument list; against a file from before the additive
-    # gkm, the hyperbolic expand and the A6 and D5 gkm runs, every other run
-    # keeps its argument list and those four are skipped
+    # gkm, the hyperbolic expand, the A6 and D5 gkm and the one-row expand
+    # runs, every other run keeps its argument list and those five are skipped
     runs = bench.NORTH_STAR + bench.EXTRA_RUNS
     assert all(isinstance(a, list) and all(isinstance(s, str) for s in a) for a in runs)
     assert len({tuple(a) for a in runs}) == len(runs)
@@ -68,7 +68,8 @@ def test_bench_compare_names_changed_runs_and_skips_new_ones():
     assert bench.compare(old, new) == ([], [
         "gkm --root A2 --window 8 --fgl additive",
         "expand --root A2 --window 3 --fgl hyperbolic --degree 12",
-        "gkm --root A6 --window 2", "gkm --root %s --window 3" % bench.D5])
+        "gkm --root A6 --window 2", "gkm --root %s --window 3" % bench.D5,
+        "expand --root A3 --window 7 --word 0,1,2"])
 
 
 def test_bench_runs_from_compiled_bytecode_with_the_same_stdout(tmp_path):
