@@ -13,19 +13,22 @@ The file records three things, on the machine the script runs on:
   processes each, with their wall times, exit code and the SHA-256 of stdout.
   Each process runs ``fada.cli.main`` under a small timer (`TIMER`), which
   writes the time of ``main`` after the import to stderr: ``main_s`` is
-  that time, the part of ``wall_s`` that start-up does not move.  Each
-  repeat is also run from bytecode compiled once into a temporary
-  ``PYTHONPYCACHEPREFIX`` (`compile_bytecode`): ``cached_wall_s`` is its
-  wall time, which the size of the source does not move, as it moves
-  ``wall_s`` when ``PYTHONDONTWRITEBYTECODE`` is set.
+  that time, the part of ``wall_s`` that start-up does not move.  It also
+  writes the process's peak resident memory, import included:
+  ``peak_rss_mb`` is its largest value over the repeats.  Each repeat is also run from
+  bytecode compiled once into a temporary ``PYTHONPYCACHEPREFIX``
+  (`compile_bytecode`): ``cached_wall_s`` is its wall time, which the size
+  of the source does not move, as it moves ``wall_s`` when
+  ``PYTHONDONTWRITEBYTECODE`` is set.
   An exit code is data, not a failure: ``peterson --u 0`` on B3 L=4 exits
   2, because P_{s_0} needs window 8 there, so ``peterson --u 0`` on B3 L=8
   is timed as well, as an extra run after the twelve, and so are ``gkm`` on
   A3 L=7, where the GKM checks are most of the run, ``gkm --fgl
   additive`` on A2 L=8, the CLI shape of the ``gkm`` perfbench workload,
-  ``expand --fgl hyperbolic`` on A2 L=3, and ``gkm`` on A6 L=2 and on D5
-  L=3 (a Cartan matrix), where enumerating the finite Weyl group is most of
-  the run;
+  ``expand --fgl hyperbolic`` on A2 L=3, ``gkm`` on A6 L=2 and on D5 L=3
+  (a Cartan matrix), where enumerating the finite Weyl group is most of the
+  run, ``expand --word`` on A3 L=7 and ``expand`` on A3 L=7, whose 36 MB of
+  output make printing and its memory the largest part of the run;
 * ``tier1``: one run of the tier-1 suite, its wall time, its pass and fail
   counts and the time of each acceptance criterion.
 
@@ -75,25 +78,36 @@ D5 = json.dumps({"cartan": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 
 # runs on A6 L=2 (|W| = 5,040) and D5 L=3 (|W| = 1,920) are the ones whose
 # time the finite Weyl group enumeration dominates; the expand run with
 # --word prints one row of a large window, so it times that one row, not
-# the window's table
+# the window's table; the expand run on A3 L=7 prints 36 MB, the largest
+# output of any run, so its time and peak RSS are those of printing rows
 EXTRA_RUNS = [cli_argv("peterson", "B3", 8), cli_argv("gkm", "A3", 7),
               cli_argv("gkm", "A2", 8, "--fgl", "additive"),
               cli_argv("expand", "A2", 3, "--fgl", "hyperbolic", "--degree", "12"),
               cli_argv("gkm", "A6", 2), cli_argv("gkm", D5, 3),
-              cli_argv("expand", "A3", 7, "--word", "0,1,2")]
+              cli_argv("expand", "A3", 7, "--word", "0,1,2"), cli_argv("expand", "A3", 7)]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-# `python -m fada.cli` with the time of main, after the import, on stderr
+# `python -m fada.cli` with its peak RSS in KiB and the time of main, after
+# the import, on stderr.  The peak is VmHWM, this process's own: on Linux
+# ru_maxrss also counts the peak of the process that spawned it, and this
+# script's peak passes 100 MB once it has read one 36 MB stdout
 TIMER = """
-import sys, time
+import resource, sys, time
 import fada.cli
 start = time.perf_counter()
 try:
     code = fada.cli.main(sys.argv[1:])
 finally:
-    sys.stderr.write("\\nmain_s %.6f\\n" % (time.perf_counter() - start))
+    main_s = time.perf_counter() - start
+    try:
+        with open("/proc/self/status") as fh:
+            peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    sys.stderr.write("\\npeak_rss_kb %d\\nmain_s %.6f\\n" % (peak, main_s))
 sys.exit(code)
 """
 MAIN_S = re.compile(rb"\nmain_s ([\d.]+)\n$")
+PEAK_RSS_KB = re.compile(rb"\npeak_rss_kb (\d+)\nmain_s [\d.]+\n$")
 CRITERION = re.compile(r"criterion\s+(\d+): (\w+)\s+.*\(([\d.]+)s, budget ([\d.]+)s\)")
 SUMMARY = re.compile(r"(\d+) (\w+)")
 
@@ -159,12 +173,13 @@ def compile_bytecode(prefix: str) -> dict:
 
 def run_timed(argv: list, env: dict) -> tuple:
     """One fresh CLI process in `env`: (wall seconds, main seconds, exit
-    code, stdout)."""
+    code, stdout, peak RSS in MB)."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", TIMER] + argv, cwd=ROOT,
                           env=env, capture_output=True)
     wall = time.perf_counter() - start
-    return wall, float(MAIN_S.search(proc.stderr).group(1)), proc.returncode, proc.stdout
+    return (wall, float(MAIN_S.search(proc.stderr).group(1)), proc.returncode, proc.stdout,
+            int(PEAK_RSS_KB.search(proc.stderr).group(1)) / 1024)
 
 
 def run_cli() -> list:
@@ -173,14 +188,15 @@ def run_cli() -> list:
     with tempfile.TemporaryDirectory() as prefix:
         compiled = compile_bytecode(prefix)
         for argv in NORTH_STAR + EXTRA_RUNS:
-            times, mains, cached, digests, codes = [], [], [], set(), set()
+            times, mains, cached, rss, digests, codes = [], [], [], [], set(), set()
             for _ in range(REPEATS):
-                wall, main_s, code, stdout = run_timed(argv, plain)
+                wall, main_s, code, stdout, peak = run_timed(argv, plain)
                 times.append(wall)
                 mains.append(main_s)
+                rss.append(peak)
                 digests.add(hashlib.sha256(stdout).hexdigest())
                 codes.add(code)
-                wall, _, code, stdout = run_timed(argv, compiled)
+                wall, _, code, stdout, _ = run_timed(argv, compiled)
                 cached.append(wall)
                 digests.add(hashlib.sha256(stdout).hexdigest())
                 codes.add(code)
@@ -194,10 +210,11 @@ def run_cli() -> list:
                         "main_s": [round(t, 4) for t in mains],
                         "main_best_s": round(min(mains), 4),
                         "cached_wall_s": [round(t, 4) for t in cached],
-                        "cached_best_s": round(min(cached), 4)})
-            sys.stderr.write("bench: %-50s exit %d  %.3f s (main %.3f s, cached %.3f s)\n"
+                        "cached_best_s": round(min(cached), 4),
+                        "peak_rss_mb": round(max(rss), 1)})
+            sys.stderr.write("bench: %-50s exit %d  %.3f s (main %.3f s, cached %.3f s) %.0f MB\n"
                              % (" ".join(argv), out[-1]["exit"], min(times), min(mains),
-                                min(cached)))
+                                min(cached), max(rss)))
     return out
 
 

@@ -28,22 +28,25 @@ are packed where they enter: the `AlgebraElement` constructor, which
 `FormalRing.element`, `one`, `from_scalar` and the exact x_mu go through,
 and `zero` and the x-series, built on packed keys by the law.  They
 are unpacked only where they leave: `AlgebraElement.terms`, `coefficients`
-(and so `__repr__` and `TorusAlgebra.augmentation`).  So `terms` is keyed by
+(and so `__repr__` and `TorusAlgebra.augmentation`) and `coefficient_texts`,
+which groups packed keys by their lattice part and reads each lattice tuple
+and printed coefficient from the ring's `memo`.  So `terms` is keyed by
 exponent tuples, and nothing outside this module and `polyops` (and the
 law's series operations) sees a packed key.
 
 `FormalRing.divide` divides by powers of x_b, on the one layout of x_b that
 `FormalRing.divisor` builds per ring and lattice point b.  On MUL and CON it
 divides by a running sum along each chain lambda + Z*b of lattice points,
-with no polynomial division.  On ADD x_b is the linear form l_b = sum_i b_i
-x_i, and on SER l_b is its lowest form; both divide by synthetic division in
-one variable, once per lattice degree, in `polyops.series_div_exact` (ADD
-with no precision bound).  `Localized.simplify` cancels through it, and
-`TorusAlgebra.divisible` is the one test "x_beta^d divides f" of the GKM
-checks: an exact zero passes with no division, and every other verdict is
-kept on the torus by `memo` as a bool, keyed by (frozenset of f's packed
-terms, f.prec, beta, d), so a question the checks ask again on the same
-torus is answered without dividing.
+with no polynomial division, once f's coefficients sum to 0 (e_lambda, c ->
+1 sends x_b, so each multiple of it, to 0).  On ADD x_b is the linear form
+l_b = sum_i b_i x_i, and on SER l_b is its lowest form; both divide by
+synthetic division in one variable, once per lattice degree, in
+`polyops.series_div_exact` (ADD with no precision bound).
+`Localized.simplify` cancels through it, and `TorusAlgebra.divisible` is the
+one test "x_beta^d divides f" of the GKM checks: an exact zero passes with no
+division, and every other verdict is kept on the torus by `memo` as a bool,
+keyed by (frozenset of f's packed terms, f.prec, beta, d), so a question the
+checks ask again on the same torus is answered without dividing.
 """
 from __future__ import annotations
 
@@ -110,6 +113,16 @@ class FormalRing:
 
     def from_scalar(self, v: Union[int, Scalar]) -> "AlgebraElement":
         return self.element({(0,) * self.nvars: v})
+
+    @memo
+    def lattice_point(self, key: int) -> Vec:
+        """The lattice exponents of a packed key."""
+        return self.codec.split(key)[0]
+
+    @memo
+    def scalar_text(self, group: Tuple[Tuple[int, int], ...]) -> str:
+        """The printed Scalar of sorted (parameter key, coefficient) pairs."""
+        return str(Scalar(self.params, {self.codec.unpack(p)[self.nvars:]: c for p, c in group}))
 
     # -- the Euler classes x_mu -------------------------------------------
 
@@ -205,6 +218,8 @@ class FormalRing:
     def _chain_quotient(self, f: "AlgebraElement", b: Vec) -> Optional["AlgebraElement"]:
         """x_b = c^{-1}(1 - e_{-b}) (c = 1 on MUL) divides f iff f sums to 0 along
         each chain lam + Z*b, parameter slots fixed; q_lam = c sum_{j>=0} f_{lam+jb}."""
+        if sum(f._terms.values()):
+            return None
         codec = self.codec
         i, step, lift = self.divisor(b)
         # chains are keyed by their point with slot i in [0, b_i), c slot lifted
@@ -302,12 +317,13 @@ class AlgebraElement:
 
     def __sub__(self, other):
         """self - other, with no arithmetic when either is an exact zero."""
-        if not isinstance(other, (AlgebraElement, int, Scalar)):
-            return NotImplemented
-        other = self._coerce(other)
-        if other.is_exact_zero():
+        if not isinstance(other, AlgebraElement):
+            if not isinstance(other, (int, Scalar)):
+                return NotImplemented
+            other = self.ring.from_scalar(other)
+        if not other._terms and other.prec is None:
             return self
-        if self.is_exact_zero():
+        if not self._terms and self.prec is None:
             return -other
         return self._sum(other, polyops.psub(self._terms, other._terms))
 
@@ -380,6 +396,18 @@ class AlgebraElement:
         for e, c in self.terms.items():
             groups.setdefault(e[:n], {})[e[n:]] = c
         return {k: Scalar(self.ring.params, t) for k, t in groups.items()}
+
+    def coefficient_texts(self) -> List[Tuple[Vec, str]]:
+        """(lattice key, printed coefficient) pairs, ordered as
+        sorted(coefficients().items()), from one pass over the packed keys:
+        a key k parts into parameter digits p = k & codec._params and k ^ p."""
+        ring, params = self.ring, self.ring.codec._params
+        groups: Dict[int, List[Tuple[int, int]]] = {}
+        for k, c in self._terms.items():
+            p = k & params
+            groups.setdefault(k ^ p, []).append((p, c))
+        return sorted((ring.lattice_point(k), ring.scalar_text(tuple(sorted(g))))
+                      for k, g in groups.items())
 
     def coefficient(self, key: Vec) -> Scalar:
         return self.coefficients().get(tuple(key), Scalar.const(0, self.ring.params))

@@ -122,7 +122,8 @@ def parse_word(text: str) -> Tuple[int, ...]:
 
 
 def elem_json(e: AlgebraElement) -> List[object]:
-    return [[list(k), str(c)] for k, c in sorted(e.coefficients().items())]
+    """(lattice point, coefficient text) pairs, tuples that print as lists."""
+    return e.coefficient_texts()
 
 
 def loc_json(c: Union[AlgebraElement, Localized]) -> Dict[str, object]:
@@ -158,12 +159,16 @@ def emit(payload: dict, fmt: str) -> None:
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
+_FLUSH = 4096
 
 
 def _json_chunks(node: object, pad: str, out: List[str]) -> None:
     """The text of json.dumps(node, sort_keys=True, indent=2), appended to
-    `out` in pieces.  With `indent` set, json.dumps runs its pure-Python
-    encoder; this walk calls the C string escaper directly and leaves the
+    `out` in pieces; when an entry of a list or dict leaves more than
+    `_FLUSH` pieces, `out` is written to sys.stdout and emptied, and the
+    caller writes the rest.  With `indent` set, json.dumps runs its
+    pure-Python encoder; this walk calls the C string escaper directly,
+    writes a list or tuple of ints (no bool) as one piece and leaves the
     other scalars to json.dumps, which prints them alike at any indent.
     Dict keys must be strings, as in every payload."""
     kind = type(node)
@@ -179,6 +184,10 @@ def _json_chunks(node: object, pad: str, out: List[str]) -> None:
         if isinstance(node, dict):
             opening, closing = "{\n" + inner, "\n" + pad + "}"
             entries = ((_ESCAPE(k) + ": ", v) for k, v in sorted(node.items()))
+        elif type(node[0]) is int and all(type(v) is int for v in node):
+            sep = ",\n" + inner
+            out.append("[\n" + inner + sep.join(map(repr, node)) + "\n" + pad + "]")
+            return
         else:
             opening, closing = "[\n" + inner, "\n" + pad + "]"
             entries = (("", v) for v in node)
@@ -187,6 +196,9 @@ def _json_chunks(node: object, pad: str, out: List[str]) -> None:
             out += (sep, prefix)
             _json_chunks(value, inner, out)
             sep = ",\n" + inner
+            if len(out) > _FLUSH:
+                sys.stdout.write("".join(out))
+                out.clear()
         out.append(closing)
     else:
         out.append(json.dumps(node))
@@ -194,17 +206,17 @@ def _json_chunks(node: object, pad: str, out: List[str]) -> None:
 
 def _text_lines(node: object, pad: str) -> Iterable[str]:
     """The lines of the text format: a dict's keys in sorted order, each
-    list item after "- ", and a nonempty dict or list indented under its key
-    or item; an empty one prints as {} or []."""
+    list or tuple item after "- ", and a nonempty dict or list indented under
+    its key or item; an empty one prints as {} or []."""
     if isinstance(node, dict) and node:
         for key in sorted(node):
             value = node[key]
-            if isinstance(value, (dict, list)) and value:
+            if isinstance(value, (dict, list, tuple)) and value:
                 yield "%s%s:" % (pad, key)
                 yield from _text_lines(value, pad + "  ")
             else:
                 yield "%s%s: %s" % (pad, key, next(_text_lines(value, "")))
-    elif isinstance(node, list) and node:
+    elif isinstance(node, (list, tuple)) and node:
         for value in node:
             lines = _text_lines(value, pad + "  ")
             yield pad + "- " + next(lines)[len(pad) + 2:]

@@ -11,7 +11,7 @@ from fada import polyops
 from fada.algebra import AlgebraElement, FormalRing, Localized, TorusAlgebra
 from fada.duals import dual_x, gkm_check_small
 from fada.errors import ConfigError, MembershipError, PrecisionError
-from fada.fgl import FormalGroupLaw
+from fada.fgl import FormalGroupLaw, from_descriptor
 from fada.scalars import Scalar
 
 import util
@@ -337,6 +337,57 @@ def test_chain_division_matches_repeated_pdiv_exact(rtype, backend, kind, data):
     assert k >= min(p, m)
 
 
+def in_chain(d, b):
+    """Whether the lattice point d lies in Z*b."""
+    i = next(j for j, v in enumerate(b) if v)
+    return d[i] % b[i] == 0 and tuple(d[i] // b[i] * v for v in b) == tuple(d)
+
+
+@pytest.mark.parametrize("backend,kind", [
+    ("MUL", "small"), ("CON", "small"), ("MUL", "big"), ("CON", "big")])
+@given(data=st.data())
+def test_chain_division_refuses_by_the_coefficient_sum(backend, kind, data):
+    # e_lam, c -> 1 sends x_b to 0: a multiple of x_b sums to 0, so a
+    # nonzero sum is refused before any chain walk, a zero sum is walked
+    t = torus("A2", backend, kind)
+    ring = t.ring
+    n, params = ring.nvars, len(ring.params)
+    lattice = st.tuples(*[st.integers(-2, 2)] * n)
+    keys = st.tuples(*[st.integers(-2, 2)] * (n + params))
+    b = data.draw(lattice.filter(any))
+    walks = []
+    divisor = FormalRing.divisor
+
+    def walked(ring, b):
+        walks.append(b)
+        return divisor(ring, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FormalRing, "divisor", walked)
+        # g x_b^k divides k times, with the quotient g
+        g = AlgebraElement(ring, data.draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4)),
+                           None)
+        k = data.draw(st.integers(1, 3))
+        f = g * ring.x_pow(b, k)
+        assert sum(f._terms.values()) == 0
+        assert ring.divide(f, b, k) == (g, k)
+        # u (e_lam - e_mu) with mu - lam outside Z*b sums to 0 and is walked,
+        # then refused
+        lam = data.draw(lattice)
+        mu = data.draw(lattice.filter(lambda mu: not in_chain(
+            tuple(m - v for m, v in zip(mu, lam)), b)))
+        unit = (data.draw(st.integers(-2, 2)),) * params
+        f = AlgebraElement(ring, {lam + unit: 1, mu + unit: -1}, None)
+        del walks[:]
+        assert ring.divide(f, b, 1) == (f, 0) and walks
+        assert polyops.pdiv_exact(f.terms, ring.x_of(b).terms) is None
+        # a nonzero sum is refused unwalked
+        f = AlgebraElement(ring, data.draw(st.dictionaries(keys, coeffs, max_size=5).filter(
+            lambda terms: sum(terms.values()))), None)
+        del walks[:]
+        assert ring.divide(f, b, 2) == (f, 0) and not walks
+
+
 def test_series_division_names_the_precision_to_rerun_at():
     t = torus("A1", "SER", fgl="hyperbolic", precision=4)
     ring = t.ring
@@ -397,6 +448,30 @@ def test_augmentation(backend):
     assert t.augmentation(t.ring.one()) == 1
     assert t.augmentation(t.simple_x(1)).is_zero()
     assert t.augmentation(t.neg_simple_x(1)).is_zero()
+
+
+def custom_law(text):
+    """x + y + (text) xy over Z[b, d], to degree 8."""
+    return from_descriptor({"kind": "custom", "params": ["b", "d"], "degree": 8,
+                            "coeffs": [[1, 0, "1"], [0, 1, "1"], [1, 1, text]]})
+
+
+@pytest.mark.parametrize("backend,fgl", [
+    ("ADD", None), ("MUL", None), ("CON", None), ("SER", "hyperbolic"), ("SER", "custom")])
+@given(data=st.data())
+def test_coefficient_texts_print_the_coefficients(backend, fgl, data):
+    if fgl == "custom":
+        ring = FormalRing("SER", 2, custom_law("2b - d^2"), 8)
+    else:
+        ring = torus("A2", backend, fgl=fgl).ring
+    low = -2 if backend in ("MUL", "CON") else 0
+    # negative parameter powers: c^-1 on CON, Laurent scalars elsewhere
+    keys = st.tuples(*[st.integers(low, 2)] * ring.nvars
+                     + [st.integers(-2, 2)] * len(ring.params))
+    e = AlgebraElement(ring, data.draw(st.dictionaries(keys, coeffs, max_size=8)), None)
+    if data.draw(st.booleans()):
+        e = e * ring.x_of(data.draw(points))
+    assert e.coefficient_texts() == [(k, str(c)) for k, c in sorted(e.coefficients().items())]
 
 
 # -- series bridge ----------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from fada import connective
+from fada import cli, connective
 from fada.cli import build_law, build_datum, emit, main, parse_word
 from fada.errors import ConfigError, MembershipError
 from fada.fgl import FormalGroupLaw
@@ -744,6 +744,14 @@ def test_text_format_marks_every_list_item(capsys):
         "word: []\n")
 
 
+def test_text_format_prints_tuples_as_lists(capsys):
+    # coefficients reach the printers as (lattice point, text) tuples
+    emit({"num": [((0, 1), "c"), ((1, 0), "-1")], "den": [(1, 0)]}, "text")
+    tuples = capsys.readouterr().out
+    emit({"num": [[[0, 1], "c"], [[1, 0], "-1"]], "den": [[1, 0]]}, "text")
+    assert tuples == capsys.readouterr().out
+
+
 def test_text_format_keeps_tables_and_rows_apart(capsys):
     rc, out, _ = run_cli(capsys, "expand", "--root", "A1", "--window", "1",
                          "--torus", "both", "--format", "text")
@@ -863,3 +871,32 @@ def test_emit_prints_the_text_of_json_dumps(payload):
     with contextlib.redirect_stdout(out):
         emit(payload, "json")
     assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class CountingStream(io.StringIO):
+    """A StringIO that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("payload", [
+    # many small int lists, each one piece
+    {"rows": [[i, -i, 2 * i] for i in range(3 * cli._FLUSH)]},
+    # ints beside True and False, which print as true and false
+    {"mixed": [[1, True, 0, False, -1, i] for i in range(cli._FLUSH)],
+     "flat": [1, True, 0, False] * cli._FLUSH},
+    # rows shaped as `fada expand` prints them
+    {"rows": [{"word": [0, 1], "x_in_eta": [[[0, i], {"den": [[1, 0]], "num": [[[i], "c"]]}]]}
+              for i in range(cli._FLUSH)], "window": 2},
+])
+def test_emit_flushes_a_large_payload_as_the_text_of_json_dumps(payload):
+    out = CountingStream()
+    with contextlib.redirect_stdout(out):
+        emit(payload, "json")
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # one write without a flush
+    assert out.writes > 1

@@ -57,7 +57,8 @@ def test_bench_compare_names_changed_runs_and_skips_new_ones():
     assert bench.compare(old, new) == (["expand --root A1"], ["peterson --root B3"])
     # each run is one argument list; against a file from before the additive
     # gkm, the hyperbolic expand, the A6 and D5 gkm and the one-row expand
-    # runs, every other run keeps its argument list and those five are skipped
+    # runs, every other run keeps its argument list and those five are skipped,
+    # and so is the full expand run on A3 L=7
     runs = bench.NORTH_STAR + bench.EXTRA_RUNS
     assert all(isinstance(a, list) and all(isinstance(s, str) for s in a) for a in runs)
     assert len({tuple(a) for a in runs}) == len(runs)
@@ -69,17 +70,17 @@ def test_bench_compare_names_changed_runs_and_skips_new_ones():
         "gkm --root A2 --window 8 --fgl additive",
         "expand --root A2 --window 3 --fgl hyperbolic --degree 12",
         "gkm --root A6 --window 2", "gkm --root %s --window 3" % bench.D5,
-        "expand --root A3 --window 7 --word 0,1,2"])
+        "expand --root A3 --window 7 --word 0,1,2", "expand --root A3 --window 7"])
 
 
 def test_bench_runs_from_compiled_bytecode_with_the_same_stdout(tmp_path):
     bench = load_bench()
     argv = ["a1hat", "--kmax", "0"]
-    _, _, code, plain = bench.run_timed(argv, bench.environment())
+    _, _, code, plain, _ = bench.run_timed(argv, bench.environment())
     before = set(ROOT.rglob("*.pyc"))
     env = bench.compile_bytecode(str(tmp_path))
     assert list(tmp_path.rglob("cli.*.pyc")) and env["PYTHONDONTWRITEBYTECODE"] == "1"
-    _, _, cached_code, cached = bench.run_timed(argv, env)
+    _, _, cached_code, cached, _ = bench.run_timed(argv, env)
     assert code == cached_code == 0
     assert hashlib.sha256(cached).digest() == hashlib.sha256(plain).digest()
     # the bytecode goes to the prefix only, never into the checkout
@@ -89,9 +90,18 @@ def test_bench_runs_from_compiled_bytecode_with_the_same_stdout(tmp_path):
 def test_bench_times_main_inside_the_wall_time_with_the_same_stdout():
     bench = load_bench()
     argv = ["a1hat", "--kmax", "0"]
-    wall, main_s, code, stdout = bench.run_timed(argv, bench.environment())
+    wall, main_s, code, stdout, _ = bench.run_timed(argv, bench.environment())
     assert 0 < main_s <= wall
     plain = subprocess.run([sys.executable, "-m", "fada.cli"] + argv, cwd=ROOT,
                            env=bench.environment(), capture_output=True)
     assert code == plain.returncode == 0
     assert hashlib.sha256(stdout).digest() == hashlib.sha256(plain.stdout).digest()
+
+
+def test_bench_records_the_peak_rss_of_the_cli_process_alone():
+    bench = load_bench()
+    # on Linux a child's ru_maxrss counts the peak of the process that
+    # spawned it, and this one holds 64 MB that the CLI run never touches
+    held = b"\1" * (64 << 20)
+    _, _, code, _, peak_rss_mb = bench.run_timed(["a1hat", "--kmax", "0"], bench.environment())
+    assert code == 0 and 1 < peak_rss_mb < 64 and len(held)
