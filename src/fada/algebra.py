@@ -50,7 +50,7 @@ checks ask again on the same torus is answered without dividing.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import polyops
 from .errors import ConfigError, MembershipError, PrecisionError
@@ -497,15 +497,11 @@ class Localized:
     def __neg__(self):
         return Localized(self.torus, -self.num, self.den_map)
 
-    def is_exact_zero(self) -> bool:
-        """An exact zero numerator, whatever the denominator."""
-        return self.num.is_exact_zero()
-
     def __add__(self, other):
         other = self._coerce(other)
-        if other.is_exact_zero():
+        if other.num.is_exact_zero():
             return self
-        if self.is_exact_zero():
+        if self.num.is_exact_zero():
             return other
         if self.den_map == other.den_map:
             return Localized(self.torus, self.num + other.num, self.den_map)
@@ -574,6 +570,14 @@ class Localized:
             if k < m:
                 left[b] = m - k
         return Localized(self.torus, num, left)
+
+    def in_ring(self, message: Callable[[], str]) -> AlgebraElement:
+        """The numerator, once any denominator is simplified away; one that
+        does not cancel raises a `MembershipError` saying `message()`."""
+        s = self.simplify() if self.den_map else self
+        if s.den_map:
+            raise MembershipError(message())
+        return s.num
 
     def __truediv__(self, other):
         """self / other for a divisor u / prod_b x_b^{m_b} whose numerator u

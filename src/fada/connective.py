@@ -23,9 +23,11 @@ Key facts implemented and cross-checked by the test-suite:
   * Y_{w_0} (finite longest word) equals sum over finite w of
     w(1/x_Phi) eta_w with x_Phi the product of x_beta over negative finite
     roots, and acts on duals by Y_{w_0} . X*_{v} = sign(v2) c^{l(w_0)-l(v2)}
-    X*_{v1} for the coset factorization v = v1 v2 (v1 minimal in v W).
+    X*_{v1} for the coset factorization v = v1 v2 (v1 minimal in v W);
+    the checks apply it as the word of w_0, a divided difference per letter.
   * The Hecke-type action X_{-i} (.) X*_v = 0 or c X*_v + X*_{s_i v}
-    according to whether s_i v > v, and Y_{-i} on Y*_v alike.
+    according to whether s_i v > v, and Y_{-i} on Y*_v alike; the check
+    applies the letter i, one divided difference by x_{-alpha_i} in S.
 """
 from __future__ import annotations
 
@@ -61,14 +63,7 @@ class ConnectiveContext:
         return self.algebra.divided_difference(
             self.torus.embed_root((vneg(mu), -m)), self.group.simple(i))
 
-    def y_neg(self, i: int) -> TwistedElement:
-        """Y_{-i} = c - X_{-i} = 1/x_{alpha_i} + (1/x_{-alpha_i}) eta_i."""
-        return self.algebra.coerce(self.c) - self.x_neg(i)
-
     # -- the finite longest element ----------------------------------------
-
-    def y_w0(self) -> TwistedElement:
-        return self.y_word(self.torus.datum.longest_element.word)
 
     def y_w0_closed(self) -> TwistedElement:
         """sum over finite w of w(1/x_Phi) eta_w, x_Phi the product of the
@@ -155,11 +150,11 @@ def hecke_action_check(ctx: ConnectiveContext, tables: ExpansionTables,
     group = ctx.group
     if basis not in ("X", "Y"):
         raise UnsupportedTheoryError("basis must be X or Y")
-    op = ctx.x_neg(i) if basis == "X" else ctx.y_neg(i)
-    if tables.flavor != basis.lower():
-        tables = ExpansionTables(ctx.algebra, window, basis.lower())
+    flavor = basis.lower()
+    if tables.flavor != flavor:
+        tables = ExpansionTables(ctx.algebra, window, flavor)
     f = dual_x(tables, v)
-    lhs = odot(op, f, out_window)
+    lhs = odot(flavor, (i,), f, out_window)
     if not group.left_descent(v, i):
         return lhs == DualElement.zero(ctx.torus, out_window)
     g = dual_x(tables, group.mul(group.simple(i), v))
@@ -176,15 +171,11 @@ def bullet_yw0_check(ctx: ConnectiveContext, tables: ExpansionTables,
     then the identity reads Y_{w_0} . X*_v = c^{l(w_0)} X*_v.
     """
     group = ctx.group
-    zw = ctx.y_w0()
     f = dual_x(tables, v)
-    lhs = bullet(zw, f, out_window)
+    lhs = bullet("y", ctx.torus.datum.longest_element.word, f, out_window)
     v1, u2 = group.coset_decompose_right(v)
     l2 = len(u2.word)
-    l_w0 = len(ctx.torus.datum.positive_roots)
-    coeff = ctx.c ** (l_w0 - l2)
-    if l2 % 2:
-        coeff = -coeff
+    coeff = (-1) ** l2 * ctx.c ** (len(ctx.torus.datum.positive_roots) - l2)
     rhs = dual_x(tables, v1).restrict(out_window).scale(coeff)
     return lhs == rhs, not lhs.values
 
@@ -193,7 +184,8 @@ def dual_y_vanishing_check(ctx: ConnectiveContext, window: Window,
                            out_window: Window, w: AffineElt) -> bool:
     """Y_{w_0} . Y*_w = 0 for minimal w: the Y-flavor dual rows are killed."""
     ystar = ctx.dual_y_in_x(window, w)
-    return bullet(ctx.y_w0(), ystar, out_window) == DualElement.zero(ctx.torus, out_window)
+    return (bullet("y", ctx.torus.datum.longest_element.word, ystar, out_window)
+            == DualElement.zero(ctx.torus, out_window))
 
 
 # -- conjugation by the longest element ------------------------------------

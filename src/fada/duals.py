@@ -1,83 +1,93 @@
 """Window-limited duals of the affine Demazure algebra and GKM conditions.
 
-A dual element is an S-valued (possibly localized) function on the elements of
-a fixed length window of the affine Weyl group.  Two module structures act on
-duals: the right-side action
+A dual element is an S-valued function on a length window of the affine
+Weyl group, as in the paper's D_F^* = Hom_S(D_F, S).  `DualElement` lowers
+each value to S once, where it is built: an int, a Scalar, a ring element,
+or a localized value whose denominator cancels (`Localized.in_ring`); one
+with a denominator left raises a `MembershipError`.  It keeps every value
+that is not a known zero: on SER 0 + O(p) is one only at p >= 1, and below
+that `==` raises a `PrecisionError` that names the precision needed.
 
-    (z . f)[u]  =  sum_w  u(c_w) * f[u w]          (bullet)
+Both module structures act by a word of generators, letter by letter from
+the right, with Y_i = c - X_i for the law x + y - c x y.  On generators
+(z . f)[u] = sum_w u(c_w) f[u w] and (z o f)[u] = sum_v c_v v(f[v^{-1} u])
+are divided differences in S (Kostant-Kumar):
 
-and the left-side Hecke action
+    (X_i . f)[u]     =  (f[u] - f[u s_i]) / x_{u(alpha_i)}          (bullet)
+    (X_{-i} o f)[u]  =  (f[u] - s_i(f[s_i u])) / x_{-alpha_i}      (odot)
 
-    (z o f)[u]  =  sum_v  c_v * v( f[v^{-1} u] )   (odot)
-
-for z = sum_w c_w eta_w.  Both need the shifted arguments to stay inside the
-window of f; otherwise a WindowExceededError pinpoints the length required.
-`DualElement` is the one filter of dual values: it keeps every value that
-is not a known zero (`Localized.is_zero`), so an unknown SER value, 0 + O(p)
-over a denominator of degree above p, stays, and comparing it raises a
-`PrecisionError` that names the precision needed.  `bullet`, `odot` and
-`phi` hand it every value they form.  `pair` sums c_w f[w] over every w of
-z; a point where f vanishes adds the ring's zero, which adds nothing when it
-is an exact zero (`Localized.is_exact_zero`).  `bullet` and `odot` check
-every shifted point against the window, then skip the points where f
-vanishes when the ring's zero is exact, and act on no coefficient there.  A
-zero that is not exact vanishes only through O(p) and lowers the certified
-precision of the sum, so there every point is summed.
+The points a word reads are checked against the window of f first, so a
+shift that leaves it raises a `WindowExceededError` wherever f vanishes.
+Each letter divides once through `FormalRing.divide`; a quotient outside S
+raises a `MembershipError` naming the point and the root.  On the exact
+backends a letter computes only next to the support.  On SER each division
+costs one degree, and a difference at precision 0 is not divided: it raises
+a `PrecisionError` naming the precision at which every letter left divides
+and the result is known.  `pair` sums c_w f[w] for any z of Q_W, the one
+localized map here.
 
 The small-torus GKM conditions ask, for every finite positive root alpha and
 each degree d up to a chosen bound, that the d-th orbit difference
 (1 - t_{alpha^v})^d f, and the (d-1)-th difference of f minus its reflected
 orbit, lie in x_alpha^d S; the big-torus conditions are the classical
-pairwise divisibility conditions along real affine reflections.  Both checks
-simplify each value of the support once to a ring element and test
-differences of those with `TorusAlgebra.divisible`, their one divisibility
-test, whose verdicts the torus keeps by `memo` per (frozen terms,
-precision, beta, d), so a difference that recurs on the torus is divided
-once; when the ring's zero is exact an absent point is an exact zero, and a
-difference that is one passes without a division.  On SER a zero is not
-exact, so there the support is the whole window.  Both read the window's
-structure by lattice arithmetic, with no group product: the small-torus
-check walks the translation chains of `Window.root_steps`, where
-t_mu (u t_a) = u t_{a + u^-1 mu} is a vector sum, and forms the orbit
-differences only where the support reaches; the big-torus check reads its
-pairs from `Window.reflection_pairs`, where s_{alpha + m delta} (u t_a) =
-(s_alpha u) t_{a + m u^-1 alpha^v}, and visits those with an end in the
-support.  What depends on the window alone is kept on it by `memo`: which
-small-torus conditions are checked or skipped, per root, degree bound and
-flag, and which pairs end at each position.
+pairwise divisibility conditions along real affine reflections.  Both test
+differences over the support with `TorusAlgebra.divisible` (on SER the whole
+window) and read the window by lattice arithmetic, with no group product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
+from .errors import MembershipError, PrecisionError
 from .memo import memo
-from .roots import AffineElt, Vec, Window
-from .twisted import ExpansionTables, TwistedElement, combine_rows, row_sum
+from .roots import AffineElt, Vec, Window, vneg
+from .scalars import Scalar
+from .twisted import (Coefficient, ExpansionTables, TwistedElement, _require_flavor,
+                      connective_scalar, row_sum)
+
+
+def _lower(torus: TorusAlgebra, v: Coefficient, message: Callable[[], str]) -> AlgebraElement:
+    """An int, a Scalar, a ring element or a localized value (`in_ring`) in S."""
+    if isinstance(v, (int, Scalar)):
+        return torus.ring.from_scalar(v)
+    return v if isinstance(v, AlgebraElement) else v.in_ring(message)
+
+
+def _certify(torus: TorusAlgebra, v: AlgebraElement, letters: int) -> None:
+    """Refuse a SER value below precision 1 (not known to vanish, and not
+    divisible), naming the precision that pays for `letters` more divisions."""
+    if v.prec is not None and v.prec < 1:
+        hint = torus.ring.fgl.precision_hint(torus.ring.precision + letters + 1 - v.prec)
+        raise PrecisionError("series precision exhausted in a dual value; " + hint)
 
 
 class DualElement:
-    """A function from a window of affine Weyl elements to localized values."""
+    """A function from a window of affine Weyl elements to S."""
 
     __slots__ = ("torus", "window", "values")
 
-    def __init__(self, torus: TorusAlgebra, window: Window, values: Dict[AffineElt, Localized]):
+    def __init__(self, torus: TorusAlgebra, window: Window,
+                 values: Mapping[AffineElt, Coefficient]):
         self.torus = torus
         self.window = window
-        self.values = {w: v for w, v in values.items() if not v.is_zero()}
-        for w in self.values:
+        self.values = {}
+        for w, v in values.items():
             window.require(w, "dual support")
+            if type(v) is not AlgebraElement:
+                v = _lower(torus, v, lambda: "dual value at %s does not lie in S"
+                           % torus.group.element_name(w))
+            if not v.is_zero() or (v.prec is not None and v.prec < 1):
+                self.values[w] = v
 
     @staticmethod
     def zero(torus: TorusAlgebra, window: Window) -> "DualElement":
         return DualElement(torus, window, {})
 
-    def get(self, w: AffineElt) -> Localized:
+    def get(self, w: AffineElt) -> AlgebraElement:
         self.window.require(w, "dual evaluation")
-        if w in self.values:
-            return self.values[w]
-        return Localized(self.torus, self.torus.ring.zero())
+        return self.values[w] if w in self.values else self.torus.ring.zero()
 
     def __add__(self, other: "DualElement") -> "DualElement":
         return DualElement(self.torus, self.window,
@@ -89,41 +99,41 @@ class DualElement:
     def __neg__(self) -> "DualElement":
         return DualElement(self.torus, self.window, {w: -v for w, v in self.values.items()})
 
-    def scale(self, c) -> "DualElement":
+    def scale(self, c: Coefficient) -> "DualElement":
+        c = _lower(self.torus, c, lambda: "scale factor does not lie in S")
         return DualElement(self.torus, self.window, {w: v * c for w, v in self.values.items()})
 
     def __eq__(self, other):
+        """Equal when the difference is a known zero everywhere (`_certify`)."""
         if not isinstance(other, DualElement):
             return NotImplemented
-        return not combine_rows(((1, self.values), (-1, other.values)))
+        for d in row_sum(((1, self.values), (-1, other.values))).values():
+            if not d.is_zero():
+                return False
+            _certify(self.torus, d, 0)
+        return True
 
     def __hash__(self):
         raise TypeError("DualElement is unhashable")
 
     def restrict(self, window: Window) -> "DualElement":
-        vals = {w: v for w, v in self.values.items() if w in window}
-        return DualElement(self.torus, window, vals)
+        return DualElement(self.torus, window,
+                           {w: v for w, v in self.values.items() if w in window})
 
     def __repr__(self):
         group = self.torus.group
-        parts = []
-        for w in sorted(self.values, key=group.length):
-            parts.append("[%s] -> %r" % (group.element_name(w), self.values[w]))
-        return "Dual{%s}" % ("; ".join(parts) if parts else "")
+        return "Dual{%s}" % "; ".join("[%s] -> %r" % (group.element_name(w), self.values[w])
+                                      for w in sorted(self.values, key=group.length))
 
 
 # -- dual basis and pairings -----------------------------------------------
 
 
 def dual_x(tables: ExpansionTables, w: AffineElt) -> DualElement:
-    """The functional dual to X_{I_w}: its value on eta_v is b_{v, I_w}, localized."""
-    torus = tables.algebra.torus
-    values = {}
-    for v in tables.window.elements:
-        c = tables.b[v].get(w)
-        if c is not None:
-            values[v] = Localized(torus, c)
-    return DualElement(torus, tables.window, values)
+    """The functional dual to X_{I_w}: its value on eta_v is b_{v, I_w}."""
+    rows = tables.b
+    return DualElement(tables.algebra.torus, tables.window,
+                       {v: rows[v][w] for v in tables.window.elements if w in rows[v]})
 
 
 def pair(z: TwistedElement, f: DualElement) -> Localized:
@@ -134,42 +144,70 @@ def pair(z: TwistedElement, f: DualElement) -> Localized:
     return out
 
 
-def bullet(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
-    """(z . f)[u] = sum_w u(c_w) f[uw]."""
-    torus = f.torus
-    group = torus.group
-    zero = Localized(torus, torus.ring.zero())
-    skip_zeros = zero.is_exact_zero()
-    values: Dict[AffineElt, Localized] = {}
-    for u in out_window.elements:
-        acc = zero
-        for w, c in z.terms.items():
-            uw = group.mul(u, w)
-            f.window.require(uw, "bullet shift u*w")
-            if skip_zeros and uw not in f.values:
-                continue
-            acc = acc + torus.act_loc(u, c) * f.values.get(uw, zero)
-        values[u] = acc.simplify()
-    return DualElement(torus, out_window, values)
+# -- the two actions, letter by letter ---------------------------------------
 
 
-def odot(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
-    """(z o f)[u] = sum_v c_v v(f[v^{-1} u])."""
-    torus = f.torus
-    group = torus.group
-    zero = Localized(torus, torus.ring.zero())
-    skip_zeros = zero.is_exact_zero()
-    values: Dict[AffineElt, Localized] = {}
-    for u in out_window.elements:
-        acc = zero
-        for v, c in z.terms.items():
-            shifted = group.mul(group.inv(v), u)
-            f.window.require(shifted, "odot shift v^{-1}*u")
-            if skip_zeros and shifted not in f.values:
+def bullet(flavor: str, word: Sequence[int], f: DualElement,
+           out_window: Window) -> DualElement:
+    """Z_{i_1} ... Z_{i_k} . f, Z = X (flavor "x") or Y ("y") by letter."""
+    return _act(flavor, word, f, out_window, True)
+
+
+def odot(flavor: str, word: Sequence[int], f: DualElement,
+         out_window: Window) -> DualElement:
+    """Z_{-i_1} ... Z_{-i_k} o f, Z = X (flavor "x") or Y ("y") by letter."""
+    return _act(flavor, word, f, out_window, False)
+
+
+def _act(flavor: str, word: Sequence[int], f: DualElement, out_window: Window,
+         right: bool) -> DualElement:
+    """The letters of `word` applied to f from the right, the letter i at u
+    reading u and u s_i (`right`) or s_i u; Y's letter is c g[u] minus X's."""
+    _require_flavor(flavor)
+    torus, ring, group = f.torus, f.torus.ring, f.torus.group
+    c = ring.from_scalar(connective_scalar(torus)) if flavor == "y" else None
+    links = []   # per letter, outermost first: point -> the partner it reads
+    points = out_window.elements
+    for n, i in enumerate(word):
+        partner = _partners(group.window(out_window.length_bound + n), i, right)
+        links.append({u: partner[u] for u in points} if n else partner)
+        points = list(dict.fromkeys([*points, *links[-1].values()]))
+    if out_window.length_bound + len(word) > f.window.length_bound:   # else all lie in it
+        missing = [x for x in points if x not in f.window]
+        if missing:
+            f.window.require(max(missing, key=group.length),
+                             "bullet shift u*w" if right else "odot shift v^{-1}*u")
+    zero = ring.zero()
+    exact = zero.is_exact_zero()
+    g: Dict[AffineElt, AlgebraElement] = f.values
+    for left in range(len(word), 0, -1):   # the divisions left, this one included
+        s, (mu, m) = group.simple(word[left - 1]), group.simple_root(word[left - 1])
+        root = torus.embed_root((mu, m) if right else (vneg(mu), -m))
+        out: Dict[AffineElt, AlgebraElement] = {}
+        for u, p in links[left - 1].items():
+            if exact and u not in g and p not in g:
                 continue
-            acc = acc + c * torus.act_loc(v, f.values.get(shifted, zero))
-        values[u] = acc.simplify()
-    return DualElement(torus, out_window, values)
+            a, b = g.get(u, zero), g.get(p, zero)
+            q = a - b if right else a - torus.act_elem(s, b)
+            if not q.is_exact_zero():
+                _certify(torus, q, left)
+                b = torus.act_vec(u, root) if right else root
+                q, k = ring.divide(q, b, 1)
+                if not k:
+                    raise MembershipError("divided difference at %s does not lie in S: x_%r "
+                                          "does not divide it" % (group.element_name(u), b))
+            v = q if c is None else c * a - q
+            if not v.is_exact_zero():
+                out[u] = v
+        g = out
+    return DualElement(torus, out_window, g) if word else f.restrict(out_window)
+
+
+@memo
+def _partners(window: Window, i: int, right: bool) -> Dict[AffineElt, AffineElt]:
+    """u -> u s_i (`right`) or s_i u on the window, kept on it by `memo`."""
+    group, s = window.group, window.group.simple(i)
+    return {u: group.mul(u, s) if right else group.mul(s, u) for u in window.elements}
 
 
 def characteristic(torus: TorusAlgebra, u: AlgebraElement, window: Window) -> DualElement:
@@ -180,8 +218,7 @@ def characteristic(torus: TorusAlgebra, u: AlgebraElement, window: Window) -> Du
 def phi(torus: TorusAlgebra, a: AlgebraElement, b: AlgebraElement,
         window: Window) -> DualElement:
     """phi(a (x) b): w -> a * w(b), the coproduct-side characteristic map."""
-    values = {w: Localized(torus, a * torus.act_elem(w, b)) for w in window.elements}
-    return DualElement(torus, window, values)
+    return DualElement(torus, window, {w: a * torus.act_elem(w, b) for w in window.elements})
 
 
 # -- invariance ------------------------------------------------------------
@@ -215,8 +252,7 @@ def w_invariance_report(f: DualElement) -> InvarianceReport:
     pair with neither point in the support of f is checked and passes with no
     arithmetic: both values are the ring's zero.
     """
-    torus = f.torus
-    group = torus.group
+    torus, group = f.torus, f.torus.group
     rep = InvarianceReport(f.window)
     for u in f.window.elements:
         for i in range(1, torus.datum.rank + 1):
@@ -236,20 +272,18 @@ def w_invariance_report(f: DualElement) -> InvarianceReport:
 class GkmRecord(NamedTuple):
     """One skipped or violated GKM condition.
 
-    `root` is the finite positive root alpha of a small-torus condition, the
-    real affine root beta of a big-torus one (whose other element is
-    s_beta w), and None for a value that is not regular; `element` is the
-    window element w the condition starts at.  `GkmReport.describe` turns a
-    record into text.
+    `root` is the finite positive root alpha of a small-torus condition or
+    the real affine root beta of a big-torus one (whose other element is
+    s_beta w); `element` is the window element w the condition starts at.
+    `GkmReport.describe` turns a record into text.
     """
 
-    root: Optional[object]
+    root: object
     degree: int
     element: AffineElt
     reason: str
 
 
-NOT_REGULAR = "not regular"
 ORBIT_LEAVES = "orbit leaves window"
 REFLECTED_ORBIT_LEAVES = "reflected orbit leaves window"
 BINOMIAL_SUM = "binomial sum"
@@ -282,8 +316,6 @@ class GkmReport:
         group = self.window.group
         name = group.element_name
         root, d, w, reason = record
-        if reason == NOT_REGULAR:
-            return "value at %s is not regular" % name(w)
         if reason == DIFFERENCE:
             partner = group.mul(group.affine_reflection(root), w)
             return "f[%s] - f[%s] not divisible by x_%r" % (name(w), name(partner), root)
@@ -292,25 +324,14 @@ class GkmReport:
         return "%s for alpha=%r d=%d w=%s not in x^%d S" % (reason, root, d, name(w), d)
 
 
-def _regular_values(f: DualElement, report: GkmReport) -> Optional[Dict[int, AlgebraElement]]:
-    """The values of f by window position, each simplified once to a ring
-    element; None when some value keeps a denominator, each such value
-    recorded as a violation.  Every window element counts as checked, but
-    when the ring's zero is exact only the support of f is read."""
+def _values(f: DualElement, report: GkmReport) -> Dict[int, AlgebraElement]:
+    """The values of f by window position, only its support when the ring's
+    zero is exact; every window element counts as checked."""
     window = f.window
     report.checked += len(window.elements)
     if f.torus.ring.zero().is_exact_zero():
-        support = sorted(map(window.index.__getitem__, f.values))
-    else:
-        support = range(len(window.elements))
-    values = {}
-    for k in support:
-        w = window.elements[k]
-        s = f.get(w).simplify()
-        if s.den_map:
-            report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
-        values[k] = s.num
-    return None if report.violations else values
+        return {window.index[w]: v for w, v in f.values.items()}
+    return {k: f.get(w) for k, w in enumerate(window.elements)}
 
 
 class _SmallPlan(NamedTuple):
@@ -389,18 +410,12 @@ def gkm_check_small(f: DualElement, degree_bound: int,
     and any `PrecisionError` are those of a walk over the whole window; on
     SER, where no zero is exact, that is the walk.  A binomial violation
     leaves its reflected condition unchecked.  Each test goes through
-    `TorusAlgebra.divisible`, whose verdict memo on the torus, keyed by
-    (frozenset of the difference's packed terms, its precision, beta, d),
-    answers a difference already divided on this torus, by this or an
-    earlier dual, without dividing again.
+    `TorusAlgebra.divisible`, which divides a difference that recurs on the
+    torus only once.
     """
-    torus = f.torus
-    window = f.window
+    torus, window = f.torus, f.window
     report = GkmReport(torus.torus, torus.ring.backend, degree_bound, window)
-    values = _regular_values(f, report)
-    if values is None:
-        return report
-
+    values = _values(f, report)
     zero = torus.ring.zero()
     for alpha in torus.datum.positive_roots:
         beta = (alpha, 0)
@@ -451,20 +466,15 @@ def _pairs_at(window: Window) -> Tuple[Tuple[int, ...], ...]:
 
 
 def gkm_check_big(f: DualElement) -> GkmReport:
-    """Big-torus GKM: values regular, and f[w] - f[s_beta w] in x_beta S-hat
-    for every real affine reflection pairing two window elements, the pairs
-    read from `Window.reflection_pairs`.  Every pair counts as checked, but
-    only those with an end among the values read are visited, in order: two
-    exact zeros pass unread.  On SER every value is read, so every pair.
-    Each difference is tested by `TorusAlgebra.divisible`, whose verdict
-    memo on the torus, keyed by (frozenset of the packed terms, precision,
-    beta, 1), divides a difference that recurs on the torus only once."""
-    torus = f.torus
-    window = f.window
+    """Big-torus GKM: f[w] - f[s_beta w] in x_beta S-hat for every real
+    affine reflection pairing two window elements, the pairs read from
+    `Window.reflection_pairs`.  Every pair counts as checked, but only those
+    with an end among the values read are visited, in order: two exact zeros
+    pass unread.  On SER every value is read, so every pair.  Each
+    difference is tested by `TorusAlgebra.divisible`."""
+    torus, window = f.torus, f.window
     report = GkmReport(torus.torus, torus.ring.backend, 1, window)
-    values = _regular_values(f, report)
-    if values is None:
-        return report
+    values = _values(f, report)
     pairs, at, zero = window.reflection_pairs(), _pairs_at(window), torus.ring.zero()
     report.checked += len(pairs)
     for n in sorted({n for k in values for n in at[k]}):
@@ -475,18 +485,16 @@ def gkm_check_big(f: DualElement) -> GkmReport:
 
 
 # -- functions on the translation lattice -----------------------------------
-# A lattice function is a plain dict from lattice points to localized values,
-# as `peterson.coproduct` is one on pairs of them: two are summed and compared
-# through `row_sum` and `combine_rows`.
+# A lattice function is a plain dict from lattice points to values in S.
 
 
-def restrict_to_translations(f: DualElement) -> Dict[Vec, Localized]:
+def restrict_to_translations(f: DualElement) -> Dict[Vec, AlgebraElement]:
     """The lattice function lam -> f[t_lam], on the translations of f's support."""
     group = f.torus.group
     return {w.t: v for w, v in f.values.items() if group.is_translation(w)}
 
 
-def pr_star(torus: TorusAlgebra, g: Dict[Vec, Localized], window: Window) -> DualElement:
+def pr_star(torus: TorusAlgebra, g: Mapping[Vec, Coefficient], window: Window) -> DualElement:
     """Pull a lattice function back through pr(w t_lam) = t_{w lam}.
 
     The image is constant on cosets u W by construction, hence invariant for

@@ -107,11 +107,8 @@ class PetersonContext:
                     "minimal representative %s"
                     % (self.algebra.torus.group.element_name(u),
                        self.algebra.torus.group.element_name(v)))
-            if c.den_map:
-                raise MembershipError(
-                    "coefficient at %s does not lie in S"
-                    % self.algebra.torus.group.element_name(v))
-            coeffs[v] = c.num
+            coeffs[v] = c.in_ring(lambda: "coefficient at %s does not lie in S"
+                                  % self.algebra.torus.group.element_name(v))
         one = self.algebra.torus.ring.one()
         if u not in coeffs or not (coeffs[u] == one):
             raise ConfigError("leading Peterson coefficient is not 1")

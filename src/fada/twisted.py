@@ -24,9 +24,9 @@ window, as the independent oracle for the recursion.  Back-substitution
 divides each summed entry once by the diagonal of X_{I_w}, a unit over a
 product of x_beta, by subtracting denominator multiplicities.
 
-Twisted elements, duals and the Peterson projections are maps from affine
-Weyl elements to localized values, rows to ring elements, and functions on
-the translation lattice are maps from lattice points.  `row_sum` is the one
+Twisted elements and the Peterson projections are maps from affine Weyl
+elements to localized values, rows and duals to ring elements, and functions
+on the translation lattice are maps from lattice points.  `row_sum` is the one
 accumulator of such maps: it forms every linear combination
 sum_u c_u map_u, the twisted product included, left unsimplified, and
 `combine_rows` is the same localized sum settled; a difference that settles
@@ -39,7 +39,7 @@ from functools import cached_property, partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement, Localized, TorusAlgebra
-from .errors import ConfigError, MembershipError, NotApplicableError, UnsupportedTheoryError
+from .errors import ConfigError, NotApplicableError, UnsupportedTheoryError
 from .memo import memo
 from .roots import AffineElt, AffineWeylGroup, Vec, Window, vneg
 from .scalars import Scalar
@@ -338,12 +338,10 @@ def _solve_row(algebra: TwistedAlgebra, flavor: str, w: AffineElt,
     aw = algebra.word_product(flavor, word).terms
     one = Localized(algebra.torus, algebra.torus.ring.one())
     s = row_sum([(1, {w: one})] + [(-c, row_of(u)) for u, c in aw.items() if u != w])
+    name = algebra.torus.group.element_name
     settled = combine_rows([(1, {v: e / aw[w] for v, e in s.items()})])
-    for v, e in settled.items():
-        if e.den_map:
-            name = algebra.torus.group.element_name
-            raise MembershipError("row of eta[%s] not over S at %s" % (name(w), name(v)))
-    return {v: e.num for v, e in settled.items()}
+    return {v: e.in_ring(lambda: "row of eta[%s] not over S at %s" % (name(w), name(v)))
+            for v, e in settled.items()}
 
 
 def _right_down(group: AffineWeylGroup, w: AffineElt) -> Tuple[AffineElt, int]:

@@ -16,8 +16,8 @@ import pytest
 from fada.algebra import Localized
 from fada.connective import (ConnectiveContext, bullet_yw0_check,
                              check_recursion, hecke_action_check)
-from fada.duals import (DualElement, bullet, dual_x, gkm_check_small, odot,
-                        pair, w_invariance_report)
+from fada.duals import (DualElement, bullet, dual_x, gkm_check_small, pair,
+                        w_invariance_report)
 from fada.errors import PrecisionError, WindowExceededError
 from fada.peterson import PetersonContext, antipode, centralizer_check, counit, pr
 from fada.scalars import Scalar
@@ -394,14 +394,16 @@ def test_criterion_10_randomized_properties():
             assert got == (1 if v == w else 0), (win.word(v), win.word(w))
             cases += 1
 
-        ops = [alg.x_op(0), alg.x_op(1)]
+        # the letters X_0, X_1 of the dot action against the circle action
+        # of eta_{s_0}, eta_{s_1} and 1, which are no words of letters
+        letters = [(0,), (1,)]
         etas = [alg.eta(g.simple(0)), alg.eta(g.simple(1)), alg.one()]
         w3, w2 = g.window(3), g.window(2)
         for _ in range(60):
             f = duals[rng.choice(elems)]
-            z1, z2 = rng.choice(ops), rng.choice(etas)
-            assert bullet(z1, odot(z2, f, w3), w2) == \
-                odot(z2, bullet(z1, f, w3), w2)
+            word, z2 = rng.choice(letters), rng.choice(etas)
+            assert bullet("x", word, util.odot_full(z2, f, w3), w2) == \
+                util.odot_full(z2, bullet("x", word, f, w3), w2)
             cases += 1
 
         # projection kills right factors at finite letters only

@@ -13,9 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from fada import polyops
 from fada.algebra import AlgebraElement, Localized, TorusAlgebra
-from fada.duals import (BINOMIAL_SUM, DIFFERENCE, NOT_REGULAR, ORBIT_LEAVES,
-                        REFLECTED_ORBIT_LEAVES, REFLECTED_SUM, DualElement, GkmRecord,
-                        GkmReport, dual_x)
+from fada.duals import (BINOMIAL_SUM, DIFFERENCE, ORBIT_LEAVES, REFLECTED_ORBIT_LEAVES,
+                        REFLECTED_SUM, DualElement, GkmRecord, GkmReport, dual_x)
 from fada.fgl import FormalGroupLaw
 from fada.roots import AffineElt, AffineWeylGroup, AffRoot, FiniteRootDatum, Window
 from fada.scalars import Scalar
@@ -169,7 +168,7 @@ def left_recursion_failures(alg: TwistedAlgebra, window: Window, flavor: str
     return checked, failures
 
 
-# -- sums over the lcm, and the dual loops over the whole window -------------
+# -- sums over the lcm, and the two actions of Q_W on duals -------------------
 
 
 def lifted_sum(a: Localized, b: Localized) -> Localized:
@@ -198,8 +197,9 @@ def pair_full(z: TwistedElement, f: DualElement) -> Localized:
 
 
 def bullet_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
-    """(z . f)[u] = sum_w u(c_w) f[uw] over every w, an oracle for
-    `duals.bullet`, which skips the zeros of f on the exact backends."""
+    """(z . f)[u] = sum_w u(c_w) f[uw] over every w, for any z of Q_W, summed
+    over the lcm of the denominators: the oracle of `duals.bullet`, which
+    acts by a word of generators, one divided difference per letter."""
     torus, group = f.torus, f.torus.group
     values = {}
     for u in out_window.elements:
@@ -214,8 +214,9 @@ def bullet_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualEl
 
 
 def odot_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualElement:
-    """(z o f)[u] = sum_v c_v v(f[v^{-1} u]) over every v, an oracle for
-    `duals.odot`, which skips the zeros of f on the exact backends."""
+    """(z o f)[u] = sum_v c_v v(f[v^{-1} u]) over every v, for any z of Q_W,
+    summed over the lcm of the denominators: the oracle of `duals.odot`,
+    which acts by a word of generators, one divided difference per letter."""
     torus, group = f.torus, f.torus.group
     values = {}
     for u in out_window.elements:
@@ -223,7 +224,7 @@ def odot_full(z: TwistedElement, f: DualElement, out_window: Window) -> DualElem
         for v, c in z.terms.items():
             shifted = group.mul(group.inv(v), u)
             f.window.require(shifted, "odot shift v^{-1}*u")
-            acc = lifted_sum(acc, c * torus.act_loc(v, f.get(shifted)))
+            acc = lifted_sum(acc, c * torus.act_elem(v, f.get(shifted)))
         if not acc.is_zero():
             values[u] = acc.simplify()
     return DualElement(torus, out_window, values)
@@ -245,22 +246,14 @@ def divisible_uncached(torus: TorusAlgebra, f: AlgebraElement, beta: AffRoot, d:
 def gkm_check_small_dense(f: DualElement, degree_bound: int,
                           grassmannian: bool = False) -> GkmReport:
     """`duals.gkm_check_small` as a dense walk over the whole window: every
-    value is simplified, D_k[x] = D_{k-1}[x] - D_{k-1}[t x] is formed at every
+    value is read, D_k[x] = D_{k-1}[x] - D_{k-1}[t x] is formed at every
     x whose orbit stays in the window, zero minus zero included, and the
     checked and skipped bookkeeping is rebuilt per call.  The oracle of the
     support-only walk, record for record and in order."""
     torus, window = f.torus, f.window
     report = GkmReport(torus.torus, torus.ring.backend, degree_bound, window)
-    values = []
-    for w in window.elements:
-        report.checked += 1
-        s = f.get(w).simplify()
-        if s.den_map:
-            report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
-        values.append(s.num)
-    if report.violations:
-        return report
-
+    report.checked += len(window.elements)
+    values = [f.get(w) for w in window.elements]
     for alpha in torus.datum.positive_roots:
         beta = (alpha, 0)
         shift, reflect = window.root_steps(alpha)
@@ -292,20 +285,13 @@ def gkm_check_small_dense(f: DualElement, degree_bound: int,
 
 def gkm_check_big_all_pairs(f: DualElement) -> GkmReport:
     """`duals.gkm_check_big` as a walk over every reflection pair of the
-    window for every dual: every value is simplified, and every difference
+    window for every dual: every value is read, and every difference
     is formed and tested, zero minus zero included.  The oracle of the walk
     over the pairs that touch the support, record for record and in order."""
     torus, window = f.torus, f.window
     report = GkmReport(torus.torus, torus.ring.backend, 1, window)
-    values = []
-    for w in window.elements:
-        report.checked += 1
-        s = f.get(w).simplify()
-        if s.den_map:
-            report.violations.append(GkmRecord(None, 0, w, NOT_REGULAR))
-        values.append(s.num)
-    if report.violations:
-        return report
+    report.checked += len(window.elements)
+    values = [f.get(w) for w in window.elements]
     for a, b, beta in window.reflection_pairs():
         report.checked += 1
         if not divisible_uncached(torus, values[a] - values[b], beta, 1):
